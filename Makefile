@@ -1,12 +1,23 @@
 SHELL := /bin/bash
 
-.PHONY: build test bench bench-quick bakeoff clean
+.PHONY: build test check-env bench bench-quick bakeoff clean
 
 build:
 	dune build
 
 test:
 	dune runtest
+
+# Configuration is read at the binary edge: no library reads the
+# environment except the worker-pool size (D2_JOBS, lib/util/pool.ml)
+# and the experiment scale (D2_SCALE, lib/experiments/config.ml).
+check-env:
+	@if grep -rn 'Sys\.getenv' lib/ \
+	  | grep -v -e '^lib/util/pool\.ml:' -e '^lib/experiments/config\.ml:'; then \
+	  echo "check-env: Sys.getenv in a library (read it in bin/ instead)" >&2; \
+	  exit 1; \
+	fi
+	@echo "check-env OK"
 
 bench:
 	dune exec bench/main.exe

@@ -1,7 +1,7 @@
 (* d2d: one D2 storage node over real TCP.
 
    A fixed-size loopback deployment: node [--node] of [--nodes] binds
-   127.0.0.1:port_base+node (D2_NET_PORT_BASE or --port-base), joins
+   127.0.0.1:port_base+node (--port-base or D2_NET_PORT_BASE), joins
    the peers that are already up, and serves lookup/get/put/remove
    until SIGINT/SIGTERM or --duration elapses.
 
@@ -18,69 +18,6 @@ module Node = D2_net.Node.Make (D2_net.Transport_unix)
 module Bootstrap = D2_net.Bootstrap
 
 let stop_flag = Atomic.make false
-
-let default_domains () =
-  match Sys.getenv_opt "D2_NET_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some d when d >= 1 -> d
-      | _ ->
-          prerr_endline "d2d: ignoring malformed D2_NET_DOMAINS";
-          1)
-  | None -> 1
-
-let default_policy () =
-  match Sys.getenv_opt "D2_ROUTE_POLICY" with
-  | Some s -> (
-      match D2_dht.Router.policy_of_string s with
-      | Some _ -> s
-      | None ->
-          prerr_endline "d2d: ignoring malformed D2_ROUTE_POLICY";
-          "fingers")
-  | None -> "fingers"
-
-let default_store () =
-  match Sys.getenv_opt "D2_STORE" with
-  | Some ("mem" | "disk") -> Sys.getenv "D2_STORE"
-  | Some _ ->
-      prerr_endline "d2d: ignoring malformed D2_STORE";
-      "mem"
-  | None -> "mem"
-
-let default_store_dir () =
-  match Sys.getenv_opt "D2_STORE_DIR" with
-  | Some d when d <> "" -> d
-  | _ -> "/tmp/d2-store"
-
-let default_fsync () =
-  match Sys.getenv_opt "D2_FSYNC_BATCH" with
-  | Some s -> (
-      match D2_segstore.Store.fsync_policy_of_string s with
-      | Some _ -> s
-      | None ->
-          prerr_endline "d2d: ignoring malformed D2_FSYNC_BATCH";
-          "batch")
-  | None -> "batch"
-
-let env_int name fallback =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v > 0 -> v
-      | _ ->
-          Printf.eprintf "d2d: ignoring malformed %s\n" name;
-          fallback)
-  | None -> fallback
-
-let env_float name fallback =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some v when v > 0.0 && v <= 1.0 -> v
-      | _ ->
-          Printf.eprintf "d2d: ignoring malformed %s\n" name;
-          fallback)
-  | None -> fallback
 
 let run node nodes port_base replicas probe_interval rpc_timeout
     repair_interval duration domains policy_str store_kind store_dir fsync_str
@@ -108,6 +45,9 @@ let run node nodes port_base replicas probe_interval rpc_timeout
     exit 2);
   if domains < 1 then (
     Printf.eprintf "d2d: --domains must be >= 1\n";
+    exit 2);
+  if segment_mb < 1 then (
+    Printf.eprintf "d2d: --segment-mb must be >= 1\n";
     exit 2);
   Sys.set_signal Sys.sigint
     (Sys.Signal_handle (fun _ -> Atomic.set stop_flag true));
@@ -179,9 +119,10 @@ let run node nodes port_base replicas probe_interval rpc_timeout
   Node.serve n;
   Printf.printf
     "d2d: node %d/%d listening on 127.0.0.1:%d (replicas=%d, domains=%d, \
-     policy=%s)\n%!"
+     policy=%s, repair=%gs)\n%!"
     node nodes (port_base + node) replicas domains
-    (D2_dht.Router.policy_name policy);
+    (D2_dht.Router.policy_name policy)
+    repair_interval;
   let deadline =
     if duration > 0.0 then Some (Unix.gettimeofday () +. duration) else None
   in
@@ -250,11 +191,9 @@ let nodes_term =
 
 let port_base_term =
   Arg.(
-    value
-    & opt int (T.default_port_base ())
-    & info [ "port-base" ] ~docv:"PORT"
-        ~doc:"Node $(i,i) listens on 127.0.0.1:PORT+$(i,i) (default from \
-              D2_NET_PORT_BASE, else 7000).")
+    value & opt int 7000
+    & info [ "port-base" ] ~env:(Cmd.Env.info "D2_NET_PORT_BASE") ~docv:"PORT"
+        ~doc:"Node $(i,i) listens on 127.0.0.1:PORT+$(i,i).")
 
 let replicas_term =
   Arg.(
@@ -273,13 +212,14 @@ let timeout_term =
 
 let repair_term =
   Arg.(
-    value
-    & opt float (env_float "D2_REPAIR_INTERVAL" 1.0)
-    & info [ "repair-interval" ] ~docv:"SECS"
+    value & opt float 1.0
+    & info [ "repair-interval" ]
+        ~env:(Cmd.Env.info "D2_REPAIR_INTERVAL")
+        ~docv:"SECS"
         ~doc:"Anti-entropy period: every SECS this node reconciles its \
               primary range with one successor (digest exchange, then \
               block transfers), rotating through the replica set.  0 \
-              disables repair (default from D2_REPAIR_INTERVAL, else 1).")
+              disables repair.")
 
 let duration_term =
   Arg.(
@@ -289,66 +229,55 @@ let duration_term =
 
 let domains_term =
   Arg.(
-    value
-    & opt int (default_domains ())
-    & info [ "domains" ] ~docv:"K"
+    value & opt int 1
+    & info [ "domains" ] ~env:(Cmd.Env.info "D2_NET_DOMAINS") ~docv:"K"
         ~doc:"Serve this node with K domains, each on its own \
-              SO_REUSEPORT listener (default from D2_NET_DOMAINS, else \
-              1).")
+              SO_REUSEPORT listener.")
 
 let policy_term =
   Arg.(
-    value
-    & opt string (default_policy ())
-    & info [ "policy" ] ~docv:"POLICY"
+    value & opt string "fingers"
+    & info [ "policy" ] ~env:(Cmd.Env.info "D2_ROUTE_POLICY") ~docv:"POLICY"
         ~doc:"Routing-link policy: fingers, harmonic-$(i,k), chord, \
-              kademlia-$(i,b), or successor-only (default from \
-              D2_ROUTE_POLICY, else fingers).  All nodes of a cluster \
-              should agree.")
+              kademlia-$(i,b), or successor-only.  All nodes of a \
+              cluster should agree.")
 
 let store_term =
   Arg.(
-    value
-    & opt string (default_store ())
-    & info [ "store" ] ~docv:"KIND"
+    value & opt string "mem"
+    & info [ "store" ] ~env:(Cmd.Env.info "D2_STORE") ~docv:"KIND"
         ~doc:"Block backend: $(b,mem) (in-RAM shard) or $(b,disk) (durable \
-              segment log with group commit; default from D2_STORE, else \
-              mem).")
+              segment log with group commit).")
 
 let store_dir_term =
   Arg.(
-    value
-    & opt string (default_store_dir ())
-    & info [ "store-dir" ] ~docv:"DIR"
+    value & opt string "/tmp/d2-store"
+    & info [ "store-dir" ] ~env:(Cmd.Env.info "D2_STORE_DIR") ~docv:"DIR"
         ~doc:"Cluster store root for --store disk; this node's segments \
-              live in DIR/node-$(i,N) (default from D2_STORE_DIR, else \
-              /tmp/d2-store).")
+              live in DIR/node-$(i,N).")
 
 let fsync_term =
   Arg.(
-    value
-    & opt string (default_fsync ())
-    & info [ "fsync" ] ~docv:"POLICY"
+    value & opt string "batch"
+    & info [ "fsync" ] ~env:(Cmd.Env.info "D2_FSYNC_BATCH") ~docv:"POLICY"
         ~doc:"Durability policy for --store disk: $(b,batch) (one \
               fdatasync per group-commit window), $(b,always) (sync every \
               put — the honest lower bound), or $(b,never) (kernel \
-              writeback; default from D2_FSYNC_BATCH, else batch).")
+              writeback).")
 
 let segment_mb_term =
   Arg.(
-    value
-    & opt int (env_int "D2_SEGMENT_MB" 64)
-    & info [ "segment-mb" ] ~docv:"MB"
-        ~doc:"Segment rotation threshold in MiB (default from \
-              D2_SEGMENT_MB, else 64).")
+    value & opt int 64
+    & info [ "segment-mb" ] ~env:(Cmd.Env.info "D2_SEGMENT_MB") ~docv:"MB"
+        ~doc:"Segment rotation threshold in MiB.")
 
 let compact_live_term =
   Arg.(
-    value
-    & opt float (env_float "D2_COMPACT_LIVE" 0.5)
-    & info [ "compact-live" ] ~docv:"FRAC"
+    value & opt float 0.5
+    & info [ "compact-live" ] ~env:(Cmd.Env.info "D2_COMPACT_LIVE")
+        ~docv:"FRAC"
         ~doc:"Sealed segments below this live-byte fraction are rewritten \
-              and deleted (default from D2_COMPACT_LIVE, else 0.5).")
+              and deleted.")
 
 let cmd =
   let doc = "run one D2 storage node over TCP" in

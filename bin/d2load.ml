@@ -41,36 +41,6 @@ let payload_of key bytes =
   done;
   Bytes.unsafe_to_string b
 
-let default_inflight () =
-  match Sys.getenv_opt "D2_NET_INFLIGHT" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some w when w >= 1 -> w
-      | _ ->
-          prerr_endline "d2load: ignoring malformed D2_NET_INFLIGHT";
-          16)
-  | None -> 16
-
-let env_quorum name =
-  match Sys.getenv_opt name with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some q when q >= 1 -> q
-      | _ ->
-          Printf.eprintf "d2load: ignoring malformed %s\n" name;
-          1)
-  | None -> 1
-
-let default_alpha () =
-  match Sys.getenv_opt "D2_ROUTE_ALPHA" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some a when a >= 1 -> a
-      | _ ->
-          prerr_endline "d2load: ignoring malformed D2_ROUTE_ALPHA";
-          1)
-  | None -> 1
-
 type run_stats = {
   window : int;
   run_ops : int;
@@ -260,6 +230,9 @@ let run nodes port_base replicas quorum_r quorum_w duration users target_mb
   if alpha < 1 then (
     Printf.eprintf "d2load: --alpha must be >= 1\n";
     exit 2);
+  if inflight < 1 then (
+    Printf.eprintf "d2load: --in-flight must be >= 1\n";
+    exit 2);
   if quorum_r < 1 || quorum_r > replicas || quorum_w < 1 || quorum_w > replicas
   then (
     Printf.eprintf "d2load: quorums must be in [1, --replicas]\n";
@@ -366,9 +339,8 @@ let nodes_term =
 
 let port_base_term =
   Arg.(
-    value
-    & opt int (T.default_port_base ())
-    & info [ "port-base" ] ~docv:"PORT"
+    value & opt int 7000
+    & info [ "port-base" ] ~env:(Cmd.Env.info "D2_NET_PORT_BASE") ~docv:"PORT"
         ~doc:"Node $(i,i) of the cluster is at 127.0.0.1:PORT+$(i,i).")
 
 let replicas_term =
@@ -378,20 +350,18 @@ let replicas_term =
 
 let quorum_r_term =
   Arg.(
-    value
-    & opt int (env_quorum "D2_QUORUM_R")
-    & info [ "quorum-r" ] ~docv:"Q"
+    value & opt int 1
+    & info [ "quorum-r" ] ~env:(Cmd.Env.info "D2_QUORUM_R") ~docv:"Q"
         ~doc:"Read quorum: at 2+ every get consults Q replicas through the \
               owner and returns the version-dominating copy, read-repairing \
-              stale replicas (default from D2_QUORUM_R, else 1).")
+              stale replicas.")
 
 let quorum_w_term =
   Arg.(
-    value
-    & opt int (env_quorum "D2_QUORUM_W")
-    & info [ "quorum-w" ] ~docv:"Q"
+    value & opt int 1
+    & info [ "quorum-w" ] ~env:(Cmd.Env.info "D2_QUORUM_W") ~docv:"Q"
         ~doc:"Write quorum: a put acked by fewer than Q replicas counts as \
-              failed and is retried (default from D2_QUORUM_W, else 1).")
+              failed and is retried.")
 
 let duration_term =
   Arg.(
@@ -418,20 +388,17 @@ let timeout_term =
 
 let inflight_term =
   Arg.(
-    value
-    & opt int (default_inflight ())
-    & info [ "in-flight" ] ~docv:"W"
-        ~doc:"Pipeline depth: operations kept in flight (default from \
-              D2_NET_INFLIGHT, else 16).")
+    value & opt int 16
+    & info [ "in-flight" ] ~env:(Cmd.Env.info "D2_NET_INFLIGHT") ~docv:"W"
+        ~doc:"Pipeline depth: operations kept in flight.")
 
 let alpha_term =
   Arg.(
-    value
-    & opt int (default_alpha ())
-    & info [ "alpha" ] ~docv:"A"
+    value & opt int 1
+    & info [ "alpha" ] ~env:(Cmd.Env.info "D2_ROUTE_ALPHA") ~docv:"A"
         ~doc:"Parallel-lookup width: race A iterative lookups through \
               distinct seeds on every cache miss, first owner answer \
-              wins (default from D2_ROUTE_ALPHA, else 1).")
+              wins.")
 
 let sweep_term =
   Arg.(

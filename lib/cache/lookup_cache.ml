@@ -134,7 +134,7 @@ end
    full, so the per-insert cost is amortized O(len/TAIL).  Removals
    (duplicate-hi replacement and probe-time eviction of an expired
    candidate) tombstone the slot ([node = -1]); tombstones are swept
-   lazily at the next merge once they exceed a configurable fraction
+   lazily at the next merge once they exceed a fixed fraction
    of the arena, which also replaces the old O(n log n) full-map
    [purge] with one left-compaction pass.  A generation-stamped MRU
    index answers the common same-range-again probe with two byte
@@ -145,13 +145,7 @@ let tail_max = 32
 (* Tombstone fraction that triggers a sweep at the next insert; the
    sweep itself rides the tail merge, so lowering this only adds merge
    passes, never extra search cost. *)
-let compact_frac =
-  match Sys.getenv_opt "D2_CACHE_COMPACT" with
-  | None -> 0.25
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some f when f > 0.0 && f <= 1.0 -> f
-      | _ -> invalid_arg "D2_CACHE_COMPACT: expected a fraction in (0, 1]")
+let compact_frac = 0.25
 
 type t = {
   ttl : float;

@@ -55,63 +55,48 @@ module Make (T : Transport.S) = struct
   let in_flight t = t.inflight
   let poll t ~timeout = L.poll t.ls ~timeout
 
-  let rpc t dst msg =
-    L.rpc_sync t.ls ~dst ~timeout:t.rpc_timeout ~quantum:t.quantum msg
-
+  (* Every RPC is deferred: the frame coalesces into the link buffer
+     and leaves at the next flush point (end of the dispatch that
+     produced it, or the next {!poll}).  Its reply — or its timeout —
+     fires the continuation from a later poll. *)
   let arpc t dst msg k =
     L.rpc ~defer:true t.ls ~dst ~timeout:t.rpc_timeout msg k
 
-  (* Iterative lookup from one entry node: follow redirects until an
-     owner answers with its range, which populates the cache exactly
-     as §5 describes. *)
-  let rec iterate t key cur hops_left =
-    t.lookup_rpcs <- t.lookup_rpcs + 1;
-    match rpc t cur (Wire.Lookup { key }) with
-    | Some (Wire.Owner { node; lo; hi }) ->
-        Lookup_cache.insert t.cache ~now:(T.now (L.endpoint t.ls)) ~lo ~hi ~node;
-        Some node
-    | Some (Wire.Redirect { next }) when hops_left > 0 ->
-        iterate t key next (hops_left - 1)
-    | _ ->
-        L.drop_link t.ls cur;
-        None
+  (* {2 Lookups: α-way racing chains}
 
-  (* {2 α-way racing lookups}
-
-     With [alpha >= 2] a cache miss races [alpha] independent
-     iterative redirect-chains, each entered through a distinct seed,
-     over the pipelined async path.  The first chain to reach an owner
-     settles the lookup; the losers are cancelled — a settled chain
-     never issues another message (its in-flight RPC merely drains).
-     Nothing changes on the wire: each chain is a plain iterative
-     lookup, so servers (and pinned replay bytes) are untouched.  The
-     win is tail latency: a chain stuck on a dead or slow hop no
-     longer serializes the lookup behind its RPC timeout, because a
-     sibling chain routed around it is usually already done. *)
+     A cache miss races [alpha] independent iterative redirect-chains,
+     each entered through a distinct seed.  The first chain to reach an
+     owner settles the lookup and populates the cache with the owner's
+     range, exactly as §5 describes; the losers are cancelled — a
+     settled chain never issues another message (its in-flight RPC
+     merely drains).  Nothing changes on the wire: each chain is a
+     plain iterative lookup, so servers (and pinned replay bytes) are
+     untouched.  At [alpha = 1] a wave is a single chain and a failed
+     chain moves on to the next seed — the sequential lookup.  At
+     [alpha >= 2] the win is tail latency: a chain stuck on a dead or
+     slow hop no longer serializes the lookup behind its RPC timeout,
+     because a sibling chain routed around it is usually already
+     done. *)
 
   let rec race_iterate t key cur hops_left settled k =
-    if !settled then k None
-    else begin
-      t.lookup_rpcs <- t.lookup_rpcs + 1;
-      arpc t cur (Wire.Lookup { key }) (fun r ->
-          if !settled then k None
-          else
-            match r with
-            | Some (Wire.Owner { node; lo; hi }) ->
-                Lookup_cache.insert t.cache
-                  ~now:(T.now (L.endpoint t.ls))
-                  ~lo ~hi ~node;
-                k (Some node)
-            | Some (Wire.Redirect { next }) when hops_left > 0 ->
-                race_iterate t key next (hops_left - 1) settled k
-            | _ ->
-                L.drop_link t.ls cur;
-                k None)
-    end
+    t.lookup_rpcs <- t.lookup_rpcs + 1;
+    arpc t cur (Wire.Lookup { key }) (fun r ->
+        if !settled then k None
+        else
+          match r with
+          | Some (Wire.Owner { node; lo; hi }) ->
+              Lookup_cache.insert t.cache ~now:(T.now (L.endpoint t.ls)) ~lo
+                ~hi ~node;
+              k (Some node)
+          | Some (Wire.Redirect { next }) when hops_left > 0 ->
+              race_iterate t key next (hops_left - 1) settled k
+          | _ ->
+              L.drop_link t.ls cur;
+              k None)
 
-  (* Race chains through the seeds in waves of [alpha]; a wave whose
-     every chain fails falls through to the next [alpha] seeds, same
-     exhaustion rule as the sequential ladder. *)
+  (* Race chains through the seeds in waves of [alpha], starting at a
+     round-robin offset; a wave whose every chain fails falls through
+     to the next [alpha] seeds until the seeds are exhausted. *)
   let aresolve_race t key k =
     let ns = Array.length t.seeds in
     let alpha = min t.alpha ns in
@@ -119,10 +104,7 @@ module Make (T : Transport.S) = struct
     t.seed_idx <- (t.seed_idx + alpha) mod ns;
     let settled = ref false in
     let rec wave base =
-      if base >= ns then begin
-        settled := true;
-        k None
-      end
+      if base >= ns then k None
       else begin
         let live = min alpha (ns - base) in
         let pending = ref live in
@@ -143,168 +125,36 @@ module Make (T : Transport.S) = struct
     in
     wave 0
 
-  (* Owner of [key]: cached range when one covers it, else iterative
-     lookup starting from the seeds in round-robin order (α-way racing
-     when [alpha >= 2]).  The bool says whether the answer came from
-     the cache (a [Missing] under a cached range is then retried with
-     a fresh lookup — the range may be stale). *)
-  let resolve t key =
+  (* Owner of [key]: the cached range when one covers it, else a
+     racing lookup.  The bool says whether the answer came from the
+     cache (a [Missing] under a cached range is then retried with a
+     fresh lookup — the range may be stale). *)
+  let aresolve t key k =
     let now = T.now (L.endpoint t.ls) in
     match Lookup_cache.find t.cache ~now key with
-    | node when node >= 0 -> Some (node, true)
-    | _ when t.alpha >= 2 ->
-        (* Drive the racing resolve to completion from the sync path:
-           every chain concludes by its RPC timeout, so the poll loop
-           below terminates. *)
-        let result = ref None and settled = ref false in
-        aresolve_race t key (fun r ->
-            result := r;
-            settled := true);
-        while not !settled do
-          L.poll t.ls ~timeout:t.quantum
-        done;
-        !result
-    | _ ->
-        let ns = Array.length t.seeds in
-        let start = t.seed_idx in
-        t.seed_idx <- (t.seed_idx + 1) mod ns;
-        let rec try_seed k =
-          if k >= ns then None
-          else
-            match iterate t key t.seeds.((start + k) mod ns) t.max_hops with
-            | Some node -> Some (node, false)
-            | None -> try_seed (k + 1)
-        in
-        try_seed 0
+    | node when node >= 0 -> k (Some (node, true))
+    | _ -> aresolve_race t key k
 
   (* Run one operation against the key's owner with resolve-retry on
      failure: a timeout invalidates the covering cache range and
      resolves afresh through another seed; [`Stale outcome] is
      authoritative only when the owner came from a fresh lookup (a
      cached range may point at yesterday's owner). *)
-  let with_owner t key ~f =
-    let rec go attempts =
-      if attempts <= 0 then begin
-        t.failures <- t.failures + 1;
-        `Failed
-      end
-      else
-        match resolve t key with
-        | None ->
-            t.failures <- t.failures + 1;
-            `Failed
-        | Some (owner, from_cache) -> (
-            match f owner with
-            | `Done outcome -> outcome
-            | `Stale outcome ->
-                if from_cache then begin
-                  ignore (Lookup_cache.invalidate t.cache key);
-                  go (attempts - 1)
-                end
-                else outcome
-            | `Retry ->
-                ignore (Lookup_cache.invalidate t.cache key);
-                L.drop_link t.ls owner;
-                go (attempts - 1))
-    in
-    go t.retries
-
-  (* A write is good once [quorum_w] replicas acked it; fewer acks
-     (slow or dead replicas inside the coordinator's fan-out window)
-     re-resolves and retries — the version map makes the replay
-     idempotent on replicas that did take the first attempt. *)
-  let put t ~key ~data =
-    if String.length data > Wire.max_payload then
-      invalid_arg "Client.put: data exceeds Wire.max_payload";
-    with_owner t key ~f:(fun owner ->
-        match
-          rpc t owner
-            (Wire.Put { key; depth = t.replicas - 1; vv = Wire.vv_empty; data })
-        with
-        | Some (Wire.Put_ack { copies; _ }) when copies >= t.quorum_w ->
-            `Done (`Ok copies)
-        | Some (Wire.Put_ack _) | None -> `Retry
-        | Some _ -> `Retry)
-
-  let get t ~key =
-    with_owner t key ~f:(fun owner ->
-        let msg =
-          if t.quorum_r >= 2 then Wire.Get_q { key; q = t.quorum_r }
-          else Wire.Get { key }
-        in
-        match rpc t owner msg with
-        | Some (Wire.Found { data }) -> `Done (`Found data)
-        | Some Wire.Missing -> `Stale `Missing
-        | Some _ | None -> `Retry)
-
-  let remove t ~key =
-    with_owner t key ~f:(fun owner ->
-        match
-          rpc t owner
-            (Wire.Remove { key; depth = t.replicas - 1; vv = Wire.vv_empty })
-        with
-        | Some (Wire.Remove_ack { removed }) -> `Done (`Ok removed)
-        | Some _ | None -> `Retry)
-
-  (* {2 Pipelined (multiplexed) operations}
-
-     The async variants never drive the poll loop themselves: they
-     queue the RPC (deferred — the frame coalesces into the link
-     buffer) and return, the reply firing the continuation from a
-     later {!poll}.  A caller keeps a window of W operations open and
-     all W requests ride the same connection, correlated by request
-     id; the retry ladder (invalidate-and-resolve through rotating
-     seeds) is the same as the synchronous path's, continuation-passed
-     instead of blocking. *)
-
-  let rec aiterate t key cur hops_left k =
-    t.lookup_rpcs <- t.lookup_rpcs + 1;
-    arpc t cur (Wire.Lookup { key }) (fun r ->
-        match r with
-        | Some (Wire.Owner { node; lo; hi }) ->
-            Lookup_cache.insert t.cache ~now:(T.now (L.endpoint t.ls)) ~lo ~hi
-              ~node;
-            k (Some node)
-        | Some (Wire.Redirect { next }) when hops_left > 0 ->
-            aiterate t key next (hops_left - 1) k
-        | _ ->
-            L.drop_link t.ls cur;
-            k None)
-
-  let aresolve t key k =
-    let now = T.now (L.endpoint t.ls) in
-    match Lookup_cache.find t.cache ~now key with
-    | node when node >= 0 -> k (Some (node, true))
-    | _ when t.alpha >= 2 -> aresolve_race t key k
-    | _ ->
-        let ns = Array.length t.seeds in
-        let start = t.seed_idx in
-        t.seed_idx <- (t.seed_idx + 1) mod ns;
-        let rec try_seed n =
-          if n >= ns then k None
-          else
-            aiterate t key t.seeds.((start + n) mod ns) t.max_hops (function
-              | Some node -> k (Some (node, false))
-              | None -> try_seed (n + 1))
-        in
-        try_seed 0
-
-  let awith_owner t key ~failed ~f ~k =
+  let awith_owner t key ~f ~k =
     t.inflight <- t.inflight + 1;
     let finish outcome =
       t.inflight <- t.inflight - 1;
       k outcome
     in
+    let fail () =
+      t.failures <- t.failures + 1;
+      finish `Failed
+    in
     let rec go attempts =
-      if attempts <= 0 then begin
-        t.failures <- t.failures + 1;
-        finish failed
-      end
+      if attempts <= 0 then fail ()
       else
         aresolve t key (function
-          | None ->
-              t.failures <- t.failures + 1;
-              finish failed
+          | None -> fail ()
           | Some (owner, from_cache) ->
               f owner (fun verdict ->
                   match verdict with
@@ -322,10 +172,14 @@ module Make (T : Transport.S) = struct
     in
     go t.retries
 
+  (* A write is good once [quorum_w] replicas acked it; fewer acks
+     (slow or dead replicas inside the coordinator's fan-out window)
+     re-resolves and retries — the version map makes the replay
+     idempotent on replicas that did take the first attempt. *)
   let put_async t ~key ~data k =
     if String.length data > Wire.max_payload then
-      invalid_arg "Client.put_async: data exceeds Wire.max_payload";
-    awith_owner t key ~failed:`Failed ~k ~f:(fun owner k' ->
+      invalid_arg "Client.put: data exceeds Wire.max_payload";
+    awith_owner t key ~k ~f:(fun owner k' ->
         arpc t owner
           (Wire.Put { key; depth = t.replicas - 1; vv = Wire.vv_empty; data })
           (fun r ->
@@ -336,7 +190,7 @@ module Make (T : Transport.S) = struct
               | Some _ | None -> `Retry)))
 
   let get_async t ~key k =
-    awith_owner t key ~failed:`Failed ~k ~f:(fun owner k' ->
+    awith_owner t key ~k ~f:(fun owner k' ->
         let msg =
           if t.quorum_r >= 2 then Wire.Get_q { key; q = t.quorum_r }
           else Wire.Get { key }
@@ -349,7 +203,7 @@ module Make (T : Transport.S) = struct
               | Some _ | None -> `Retry)))
 
   let remove_async t ~key k =
-    awith_owner t key ~failed:`Failed ~k ~f:(fun owner k' ->
+    awith_owner t key ~k ~f:(fun owner k' ->
         arpc t owner
           (Wire.Remove { key; depth = t.replicas - 1; vv = Wire.vv_empty })
           (fun r ->
@@ -357,4 +211,24 @@ module Make (T : Transport.S) = struct
               (match r with
               | Some (Wire.Remove_ack { removed }) -> `Done (`Ok removed)
               | Some _ | None -> `Retry)))
+
+  (* Synchronous operations: issue the async op, then poll until its
+     continuation fires.  This terminates because every RPC concludes
+     by reply, link death or its [Linkset] timer, and the ladder is
+     bounded by [retries] and the seed count. *)
+  let await t issue =
+    let result = ref None in
+    issue (fun r -> result := Some r);
+    let rec wait () =
+      match !result with
+      | Some r -> r
+      | None ->
+          L.poll t.ls ~timeout:t.quantum;
+          wait ()
+    in
+    wait ()
+
+  let put t ~key ~data = await t (put_async t ~key ~data)
+  let get t ~key = await t (get_async t ~key)
+  let remove t ~key = await t (remove_async t ~key)
 end

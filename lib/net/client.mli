@@ -52,22 +52,28 @@ module Make (T : Transport.S) : sig
       @raise Invalid_argument if either quorum is outside
       [1..replicas].
 
-      [alpha] (default 1) enables α-way parallel lookups: a cache miss
-      races [alpha] independent iterative redirect-chains, each
-      entered through a distinct seed, over the pipelined async path;
-      the first owner answer wins and the losing chains are cancelled
-      (a settled chain issues no further messages).  Nothing changes
-      on the wire — each chain is an ordinary iterative lookup — so
-      [alpha = 1] is byte-identical to the sequential ladder.  The
-      point is p99 under churn: a chain stalled on a dead hop's RPC
-      timeout no longer serializes the lookup.  Costs up to [alpha]×
-      the lookup messages on misses.
+      [alpha] (default 1) is the lookup width: a cache miss races
+      [alpha] independent iterative redirect-chains, each entered
+      through a distinct seed; the first owner answer wins and the
+      losing chains are cancelled (a settled chain issues no further
+      messages).  A wave whose every chain fails moves on to the next
+      [alpha] seeds.  [alpha = 1] is the single-chain wave — the plain
+      sequential lookup, one seed after another.  Nothing changes on
+      the wire — each chain is an ordinary iterative lookup.  The point
+      of [alpha >= 2] is p99 under churn: a chain stalled on a dead
+      hop's RPC timeout no longer serializes the lookup.  Costs up to
+      [alpha]× the lookup messages on misses.
       @raise Invalid_argument if [alpha < 1]. *)
 
   (** {2 Synchronous operations}
 
-      Each drives the transport's poll loop until the operation
-      concludes — one operation in flight at a time. *)
+      Each issues the matching [_async] operation and then polls (in
+      steps of at most [quantum]) until its continuation fires, so the
+      sync and pipelined paths share one lookup and one retry ladder.
+      The call returns once the operation concludes (reply, retry
+      ladder exhausted, or timeout).  The polls also deliver replies to
+      any asynchronous operations already in flight on this client, so
+      their continuations may run during a synchronous call. *)
 
   val put : t -> key:Key.t -> data:string -> [ `Ok of int | `Failed ]
   (** [`Ok copies]: the coordinator stored the block and [copies]

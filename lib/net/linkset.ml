@@ -193,18 +193,6 @@ module Make (T : Transport.S) = struct
         send_msg l ~req msg;
         if not defer then flush_all t
 
-  (* Synchronous RPC: drives the transport's poll loop until the
-     callback fires.  [quantum] bounds each poll step (and, on the
-     virtual-time transport, how far the clock may advance per step). *)
-  let rpc_sync t ~dst ~timeout ?(quantum = 0.01) msg =
-    let result = ref `Waiting in
-    rpc t ~dst ~timeout msg (fun r -> result := `Done r);
-    let deadline = T.now t.ep +. (2.0 *. timeout) in
-    while !result = `Waiting && T.now t.ep < deadline do
-      T.poll t.ep ~timeout:quantum
-    done;
-    match !result with `Done r -> r | `Waiting -> None
-
   (* One event-loop step on behalf of a caller that issued deferred
      RPCs: push every queued frame out first, then poll. *)
   let poll t ~timeout =

@@ -3,14 +3,6 @@ module Topology = D2_simnet.Topology
 module Rng = D2_util.Rng
 module Bytebuf = Transport.Bytebuf
 
-let env_loss () =
-  match Sys.getenv_opt "D2_NET_LOSS" with
-  | None -> 0.0
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some f when f >= 0.0 && f < 1.0 -> f
-      | _ -> invalid_arg "D2_NET_LOSS: expected a probability in [0, 1)")
-
 type conn = {
   cnet : net;
   src : int;  (** local endpoint's node *)
@@ -45,8 +37,7 @@ and cut = {
   mutable cut_stop : float option;  (** [None] while the cut is active *)
 }
 
-let create_net ~engine ~topology ?loss ?(seed = 0x6e67) () =
-  let loss = match loss with Some l -> l | None -> env_loss () in
+let create_net ~engine ~topology ?(loss = 0.0) ?(seed = 0x6e67) () =
   if loss < 0.0 || loss >= 1.0 then
     invalid_arg "Transport_mem.create_net: loss must be in [0, 1)";
   {

@@ -11,10 +11,9 @@
       close to the other side, later {!connect}s to it refuse;
     - {!set_partition} blackholes traffic between node pairs (messages
       silently vanish; failures surface as RPC timeouts);
-    - a [loss] rate (or the [D2_NET_LOSS] environment knob) resets a
-      stream with that probability per send — modelling the broken
-      connections a lossy WAN path produces, while keeping each
-      surviving stream's framing intact. *)
+    - a [loss] rate resets a stream with that probability per send —
+      modelling the broken connections a lossy WAN path produces,
+      while keeping each surviving stream's framing intact. *)
 
 include Transport.S
 
@@ -28,8 +27,8 @@ val create_net :
   ?seed:int ->
   unit ->
   net
-(** [loss] defaults to [D2_NET_LOSS] (a probability) or [0.]; [seed]
-    (default 0x6e67) feeds the loss draws only. *)
+(** [loss] (a probability, default [0.]) is the per-send reset rate;
+    [seed] (default 0x6e67) feeds the loss draws only. *)
 
 val engine : net -> D2_simnet.Engine.t
 

@@ -64,14 +64,6 @@ let hello_magic = "D2N1"
    instead of dying mid-stream on an unknown tag or shifted layout. *)
 let hello_len = 9
 
-let default_port_base () =
-  match Sys.getenv_opt "D2_NET_PORT_BASE" with
-  | None -> 7000
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some p when p > 0 && p < 65000 -> p
-      | _ -> invalid_arg "D2_NET_PORT_BASE: expected a port number")
-
 let loopback ~port_base ~n i =
   if i < 0 || i >= n then None
   else Some (Unix.ADDR_INET (Unix.inet_addr_loopback, port_base + i))

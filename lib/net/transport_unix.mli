@@ -8,8 +8,8 @@
     per-wakeup cost scales with ready streams, not registered ones.
     Peers are resolved from node handles by an address function; the
     stock deployment puts node [i] of an [n]-node cluster on
-    [127.0.0.1:port_base + i] (see {!loopback}), with [port_base]
-    taken from the [D2_NET_PORT_BASE] environment knob.
+    [127.0.0.1:port_base + i] (see {!loopback}); the binaries take
+    [port_base] from [--port-base] or [D2_NET_PORT_BASE].
 
     A process may run several endpoints, one per domain: with
     [~reuseport:true] every domain binds the same address and the
@@ -39,9 +39,6 @@ val create :
 val loopback : port_base:int -> n:int -> int -> Unix.sockaddr option
 (** Address function for an [n]-node loopback cluster: node [i] lives
     on [127.0.0.1:port_base + i]; other handles are unresolvable. *)
-
-val default_port_base : unit -> int
-(** [D2_NET_PORT_BASE] or 7000. *)
 
 val wake : t -> unit
 (** Interrupt a blocked {!Transport.S.poll} (self-pipe write; safe

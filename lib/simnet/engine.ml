@@ -12,7 +12,7 @@ type event = { time : float; seq : int; fn : unit -> unit; h : handle }
    bandwidth-paced arrivals — so those are posted as {e cells}: an
    unboxed (time, seq, tag, payload, sink) row in a struct-of-arrays
    pool, filed into a 3-level hierarchical timer wheel (256 slots per
-   level, [granularity] seconds per tick; [D2_WHEEL_G] overrides).
+   level, [granularity] seconds per tick).
    Timers beyond the wheel's 2^24-tick range fall back to the closure
    heap, so range never limits correctness.
 
@@ -60,27 +60,16 @@ let compare_events a b =
   let c = compare a.time b.time in
   if c <> 0 then c else compare a.seq b.seq
 
-let default_granularity () =
-  match Sys.getenv_opt "D2_WHEEL_G" with
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some g when g > 0.0 -> g
-      | _ -> invalid_arg "D2_WHEEL_G: expected a positive number")
-  | None -> 1.0
-
 let no_sink : int -> int -> unit = fun _ _ -> ()
 
-let create ?granularity () =
-  (match granularity with
-  | Some g when g <= 0.0 ->
-      invalid_arg "Engine.create: granularity must be positive"
-  | _ -> ());
+let create ?(granularity = 1.0) () =
+  if granularity <= 0.0 then
+    invalid_arg "Engine.create: granularity must be positive";
   {
     queue = Heap.create ~cmp:compare_events;
     clock = 0.0;
     next_seq = 0;
-    granularity =
-      (match granularity with Some g -> g | None -> default_granularity ());
+    granularity;
     cursor = 0;
     c_time = [||];
     c_seq = [||];

@@ -12,10 +12,10 @@ type handle
 (** A scheduled event, usable for cancellation. *)
 
 val create : ?granularity:float -> unit -> t
-(** [granularity] is the timer-wheel tick width in virtual seconds and
-    defaults to [D2_WHEEL_G] (else 1.0).  Firing order is identical at
-    any setting; the width only tunes how many cells share a wheel
-    slot (coarse) versus how often levels cascade (fine).  High-rate
+(** [granularity] is the timer-wheel tick width in virtual seconds
+    (default 1.0).  Firing order is identical at any setting; the
+    width only tunes how many cells share a wheel slot (coarse) versus
+    how often levels cascade (fine).  High-rate
     schedulers like the fleet layer pass a tick sized to a few cells
     per slot.  @raise Invalid_argument if not positive. *)
 
@@ -42,7 +42,7 @@ val pending : t -> int
     and transfer timers) avoid one closure + heap entry per timer by
     {e posting cells}: unboxed [(tag, payload)] pairs delivered to a
     pre-registered sink callback.  Cells are filed in a hierarchical
-    timer wheel (3 levels × 256 slots of [D2_WHEEL_G] seconds each,
+    timer wheel (3 levels × 256 slots of [granularity] seconds each,
     default 1.0; timers beyond the wheel's 2^24-tick horizon fall back
     to the event heap transparently).
 

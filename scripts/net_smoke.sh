@@ -18,6 +18,10 @@
 # the node refills, and on shutdown the restarted daemon must report a
 # non-empty store — every block it holds arrived over digest repair /
 # read-repair, not recovery.
+#
+# Before any cluster boots, a one-node daemon is started twice with
+# D2_REPAIR_INTERVAL set to 0 and to 2: both are valid intervals, and
+# the daemon must report each in its "listening on" line.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -35,6 +39,17 @@ CURVE="${SMOKE_CURVE:-/tmp/d2_net_smoke_curve.txt}"
 MIN_OPS_S="${SMOKE_MIN_OPS_S:-20000}"
 
 dune build bin/d2d.exe bin/d2load.exe
+
+# Environment defaults reach the daemon's flags unaltered.
+for interval in 0 2; do
+  out="$(D2_REPAIR_INTERVAL="$interval" ./_build/default/bin/d2d.exe \
+    --node 0 --nodes 1 --port-base $((PORT_BASE + 80)) --duration 0.3)"
+  if ! grep -q "repair=${interval}s)" <<<"$out"; then
+    echo "net_smoke: D2_REPAIR_INTERVAL=$interval not applied:" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+done
 
 pids=()
 cleanup() {

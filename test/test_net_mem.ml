@@ -36,8 +36,19 @@ type outcome = {
   failures : int;
 }
 
+(* Every node's final shard, as sorted (key, data) lists. *)
+let store_dump nodes =
+  List.map
+    (fun n ->
+      let blocks = ref [] in
+      D2_net.Blockstore.iter (Node.store n) (fun k d ->
+          blocks := (Key.to_string k, d) :: !blocks);
+      List.sort compare !blocks)
+    nodes
+
 (* One full scripted run; everything is seeded, so two calls must
-   produce identical traffic and identical counters. *)
+   produce identical traffic, identical counters and an identical
+   final store (returned as {!store_dump}). *)
 let run () =
   let engine = Engine.create () in
   let topology =
@@ -99,12 +110,13 @@ let run () =
     keys;
   List.iter Node.stop nodes;
   let cache = Client.cache client in
-  {
-    hits = Lookup_cache.hits cache;
-    misses = Lookup_cache.misses cache;
-    lookup_rpcs = Client.lookup_rpcs client;
-    failures = Client.failures client;
-  }
+  ( {
+      hits = Lookup_cache.hits cache;
+      misses = Lookup_cache.misses cache;
+      lookup_rpcs = Client.lookup_rpcs client;
+      failures = Client.failures client;
+    },
+    store_dump nodes )
 
 (* Counters for the scripted run above.  A change here means the
    protocol's message or cache behaviour changed — rerun twice, and if
@@ -191,15 +203,6 @@ let run_pipelined window =
     keys;
   drain ();
   List.iter Node.stop nodes;
-  let store_dump =
-    List.map
-      (fun n ->
-        let blocks = ref [] in
-        D2_net.Blockstore.iter (Node.store n) (fun k d ->
-            blocks := (Key.to_string k, d) :: !blocks);
-        List.sort compare !blocks)
-      nodes
-  in
   let cache = Client.cache client in
   ( {
       hits = Lookup_cache.hits cache;
@@ -207,14 +210,19 @@ let run_pipelined window =
       lookup_rpcs = Client.lookup_rpcs client;
       failures = Client.failures client;
     },
-    store_dump )
+    store_dump nodes )
 
 (* Pipelining depth is a pure throughput knob: window 1 must match the
-   synchronous pins bit-for-bit, and deeper windows may reorder wire
-   traffic but must land every node on the identical final store. *)
+   synchronous pins bit-for-bit and land on the synchronous run's final
+   store, and deeper windows may reorder wire traffic but must land
+   every node on the identical final store. *)
 let test_pipelined_depth_invariant () =
   let o1, dump1 = run_pipelined 1 in
   check_outcome "window 1 vs pin" pinned o1;
+  let _, sync_dump = run () in
+  Alcotest.(check bool)
+    "window 1: store state identical to the synchronous run" true
+    (sync_dump = dump1);
   List.iter
     (fun window ->
       let o, dump = run_pipelined window in
@@ -227,8 +235,8 @@ let test_pipelined_depth_invariant () =
     [ 4; 32 ]
 
 let test_churn_deterministic () =
-  let first = run () in
-  let second = run () in
+  let first, _ = run () in
+  let second, _ = run () in
   check_outcome "second run" first second;
   check_outcome "pin" pinned first
 
