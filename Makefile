@@ -9,14 +9,23 @@ test:
 	dune runtest
 
 # Configuration is read at the binary edge: no library reads the
-# environment except the worker-pool size (D2_JOBS, lib/util/pool.ml)
-# and the experiment scale (D2_SCALE, lib/experiments/config.ml).
-check-env:
-	@if grep -rn 'Sys\.getenv' lib/ \
-	  | grep -v -e '^lib/util/pool\.ml:' -e '^lib/experiments/config\.ml:'; then \
-	  echo "check-env: Sys.getenv in a library (read it in bin/ instead)" >&2; \
+# environment.  The binaries that read D2_SCALE and D2_JOBS must reject
+# a malformed value as a usage error: non-zero exit, nothing on stdout,
+# no experiment started.
+check-env: build
+	@if grep -rn 'getenv' lib/; then \
+	  echo "check-env: getenv in a library (read it in bin/ instead)" >&2; \
 	  exit 1; \
 	fi
+	@for v in D2_SCALE=bogus D2_JOBS=0; do \
+	  for exe in "bench/main.exe --no-micro" "bin/d2ctl.exe run"; do \
+	    if out=$$(env $$v timeout 60 ./_build/default/$$exe table1 2>/dev/null) \
+	       || [ -n "$$out" ]; then \
+	      echo "check-env: $$v $$exe was not a usage error" >&2; \
+	      exit 1; \
+	    fi; \
+	  done; \
+	done
 	@echo "check-env OK"
 
 bench:

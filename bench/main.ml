@@ -2,10 +2,11 @@
    paper's evaluation (via d2_experiments) and then runs Bechamel
    micro-benchmarks of the core data-structure operations.
 
-   Scale is controlled by D2_SCALE (paper | quick) and parallelism by
-   D2_JOBS (worker domains; default = recommended_domain_count - 1);
-   see lib/experiments/config.mli and lib/util/pool.mli.  Experiments
-   run concurrently but print deterministically in registry order.
+   Scale is controlled by D2_SCALE (paper | quick; default paper) and
+   parallelism by D2_JOBS (worker domains, a positive integer; default
+   recommended_domain_count - 1).  A malformed value of either is a
+   usage error (exit 2) before anything runs.  Experiments run
+   concurrently but print deterministically in registry order.
 
    Usage: dune exec bench/main.exe -- [ids...] [--no-micro] [--json FILE]
      ids         run a subset, e.g. `fig9 fig13` (default: everything)
@@ -895,9 +896,24 @@ let () =
   let ids, json_path, no_micro =
     parse [] "BENCH_results.json" false (List.tl (Array.to_list Sys.argv))
   in
+  let env name ~default parse =
+    match Sys.getenv_opt name with
+    | None -> default
+    | Some s -> (
+        match parse s with
+        | Some v -> v
+        | None ->
+            Printf.eprintf "bench: invalid %s=%S\n%!" name s;
+            exit 2)
+  in
+  let scale = env "D2_SCALE" ~default:Config.Paper Config.scale_of_string in
+  let jobs =
+    env "D2_JOBS" ~default:(Pool.default_jobs ()) (fun s ->
+        match int_of_string_opt (String.trim s) with
+        | Some n when n >= 1 -> Some n
+        | Some _ | None -> None)
+  in
   Gc_tune.apply ();
-  let scale = Config.of_env () in
-  let jobs = Pool.default_jobs () in
   let t0 = Unix.gettimeofday () in
   let outcomes = run_experiments scale ids ~jobs in
   let micros = if no_micro then [] else run_micro scale in

@@ -14,10 +14,9 @@ module Registry = D2_experiments.Registry
 
 let scale_arg =
   let parse s =
-    match s with
-    | "quick" -> Ok Config.Quick
-    | "paper" -> Ok Config.Paper
-    | _ -> Error (`Msg "scale must be `quick' or `paper'")
+    match Config.scale_of_string s with
+    | Some scale -> Ok scale
+    | None -> Error (`Msg "scale must be `quick' or `paper'")
   in
   let print fmt s = Format.pp_print_string fmt (Config.scale_name s) in
   Arg.conv (parse, print)
@@ -25,21 +24,19 @@ let scale_arg =
 let scale_term =
   Arg.(
     value
-    & opt scale_arg (Config.of_env ())
-      ~vopt:Config.Paper
-    & info [ "s"; "scale" ] ~docv:"SCALE"
-        ~doc:"Experiment scale: $(b,quick) or $(b,paper) (default from D2_SCALE).")
+    & opt scale_arg Config.Paper ~vopt:Config.Paper
+    & info [ "s"; "scale" ] ~env:(Cmd.Env.info "D2_SCALE") ~docv:"SCALE"
+        ~doc:"Experiment scale: $(b,quick) or $(b,paper).")
 
 let jobs_term =
   Arg.(
     value
     & opt int (D2_util.Pool.default_jobs ())
-    & info [ "j"; "jobs" ] ~docv:"JOBS"
+    & info [ "j"; "jobs" ] ~env:(Cmd.Env.info "D2_JOBS") ~docv:"JOBS"
         ~doc:
-          "Worker domains running experiments concurrently (default from \
-           D2_JOBS, else one less than the recommended domain count).  Output \
-           is printed in registry order and is byte-identical across job \
-           counts.")
+          "Worker domains running experiments concurrently (default one \
+           less than the recommended domain count).  Output is printed in \
+           registry order and is byte-identical across job counts.")
 
 let setup_log verbose =
   Fmt_tty.setup_std_outputs ();
@@ -69,6 +66,10 @@ let run_cmd =
   let ids = Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT") in
   let all = Arg.(value & flag & info [ "all" ] ~doc:"Run every experiment.") in
   let run scale jobs all ids () =
+    if jobs < 1 then begin
+      prerr_endline "d2ctl: --jobs must be >= 1";
+      exit 2
+    end;
     let entries =
       if all || ids = [] then Registry.all
       else

@@ -21,7 +21,7 @@ let stop_flag = Atomic.make false
 
 let run node nodes port_base replicas probe_interval rpc_timeout
     repair_interval duration domains policy_str store_kind store_dir fsync_str
-    segment_mb compact_live =
+    segment_mb =
   let policy =
     match D2_dht.Router.policy_of_string policy_str with
     | Some p -> p
@@ -71,7 +71,6 @@ let run node nodes port_base replicas probe_interval rpc_timeout
           D2_segstore.Store.default_config with
           segment_bytes = segment_mb lsl 20;
           fsync;
-          compact_live;
         }
       in
       let st = D2_segstore.Store.create ~dir ~config:cfg () in
@@ -271,14 +270,6 @@ let segment_mb_term =
     & info [ "segment-mb" ] ~env:(Cmd.Env.info "D2_SEGMENT_MB") ~docv:"MB"
         ~doc:"Segment rotation threshold in MiB.")
 
-let compact_live_term =
-  Arg.(
-    value & opt float 0.5
-    & info [ "compact-live" ] ~env:(Cmd.Env.info "D2_COMPACT_LIVE")
-        ~docv:"FRAC"
-        ~doc:"Sealed segments below this live-byte fraction are rewritten \
-              and deleted.")
-
 let cmd =
   let doc = "run one D2 storage node over TCP" in
   Cmd.v
@@ -287,6 +278,6 @@ let cmd =
       const run $ node_term $ nodes_term $ port_base_term $ replicas_term
       $ probe_term $ timeout_term $ repair_term $ duration_term $ domains_term
       $ policy_term $ store_term $ store_dir_term $ fsync_term
-      $ segment_mb_term $ compact_live_term)
+      $ segment_mb_term)
 
 let () = exit (Cmd.eval cmd)

@@ -135,8 +135,9 @@ let jobs =
   Arg.(
     value
     & opt int dflt.Fleet.jobs
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Worker domains (default $(b,D2_JOBS)); wall-clock only.")
+    & info [ "j"; "jobs" ] ~env:(Cmd.Env.info "D2_JOBS") ~docv:"N"
+        ~doc:"Worker domains (default one less than the recommended \
+              domain count); wall-clock only.")
 
 let fopt names doc =
   Arg.(value & opt (some float) None & info names ~docv:"X" ~doc)

@@ -1,127 +1,5 @@
 module Key = D2_keyspace.Key
 
-(* {1 Reference implementation}
-
-   The original [Map]-of-boxed-entries cache, kept verbatim as the
-   oracle for the randomized equivalence test: the flat arena below
-   must reproduce its answers — nodes, hit/miss counts, entry counts,
-   eviction timing — bit for bit. *)
-
-module Reference = struct
-  (* The range map is keyed by [(prefix, hi)] where [prefix] is the
-     62-bit head of [hi]: the pair order equals the plain key order, but
-     most comparisons on a search path resolve with one unboxed int
-     comparison instead of a byte-wise [String.compare]. *)
-  module HiKey = struct
-    type t = int * Key.t
-
-    let compare (p1, k1) (p2, k2) =
-      if p1 < p2 then -1 else if p1 > p2 then 1 else Key.compare k1 k2
-  end
-
-  module KeyMap = Map.Make (HiKey)
-
-  type entry = { lo : Key.t; node : int; expires : float }
-
-  type t = {
-    ttl : float;
-    mutable entries : entry KeyMap.t;  (** keyed by range upper bound [hi] *)
-    mutable mru : (HiKey.t * entry) option;
-        (** last entry that answered a hit: with locality-preserving keys
-            the next key usually lands in the same range, so this skips
-            the map search entirely.  Cleared on any mutation. *)
-    mutable hits : int;
-    mutable misses : int;
-    mutable last_purge : float;
-  }
-
-  let create ?(ttl = 4500.0) () =
-    if ttl <= 0.0 then invalid_arg "Lookup_cache.create: ttl must be positive";
-    { ttl; entries = KeyMap.empty; mru = None; hits = 0; misses = 0; last_purge = 0.0 }
-
-  let purge t ~now =
-    t.entries <- KeyMap.filter (fun _ e -> e.expires > now) t.entries;
-    t.mru <- None;
-    t.last_purge <- now
-
-  let lookup t ~now key =
-    if now -. t.last_purge > 4.0 *. t.ttl then purge t ~now;
-    match t.mru with
-    | Some ((_, hi), e) when e.expires > now && Key.in_interval key ~lo:e.lo ~hi ->
-        t.hits <- t.hits + 1;
-        Some e.node
-    | _ -> (
-        (* The candidate entry is the one with the smallest hi >= key. *)
-        let target = (Key.prefix_at key 0, key) in
-        let candidate =
-          KeyMap.find_first_opt (fun hk -> HiKey.compare hk target >= 0) t.entries
-        in
-        match candidate with
-        | Some (((_, hi) as hk), e) when Key.in_interval key ~lo:e.lo ~hi ->
-            if e.expires > now then begin
-              t.hits <- t.hits + 1;
-              t.mru <- Some (hk, e);
-              Some e.node
-            end
-            else begin
-              t.entries <- KeyMap.remove hk t.entries;
-              t.mru <- None;
-              t.misses <- t.misses + 1;
-              None
-            end
-        | Some _ | None ->
-            t.misses <- t.misses + 1;
-            None)
-
-  let insert_piece t ~lo ~hi ~node ~expires =
-    t.entries <- KeyMap.add (Key.prefix_at hi 0, hi) { lo; node; expires } t.entries;
-    t.mru <- None
-
-  let insert t ~now ~lo ~hi ~node =
-    let expires = now +. t.ttl in
-    let c = Key.compare lo hi in
-    if c = 0 then
-      (* Single node owns the whole ring. *)
-      insert_piece t ~lo:Key.max_key ~hi:Key.max_key ~node ~expires
-    else if c < 0 then insert_piece t ~lo ~hi ~node ~expires
-    else begin
-      (* Wrapping range (lo, max] ∪ [zero, hi]: two pieces.  The second
-         piece uses lo = max_key, for which [in_interval] accepts every
-         key ≤ hi. *)
-      insert_piece t ~lo ~hi:Key.max_key ~node ~expires;
-      insert_piece t ~lo:Key.max_key ~hi ~node ~expires
-    end
-
-  let invalidate t key =
-    let target = (Key.prefix_at key 0, key) in
-    match
-      KeyMap.find_first_opt (fun hk -> HiKey.compare hk target >= 0) t.entries
-    with
-    | Some (((_, hi) as hk), e) when Key.in_interval key ~lo:e.lo ~hi ->
-        t.entries <- KeyMap.remove hk t.entries;
-        t.mru <- None;
-        true
-    | Some _ | None -> false
-
-  let hits t = t.hits
-  let misses t = t.misses
-
-  let miss_rate t =
-    let total = t.hits + t.misses in
-    if total = 0 then 0.0 else float_of_int t.misses /. float_of_int total
-
-  let entry_count t = KeyMap.cardinal t.entries
-
-  let reset_stats t =
-    t.hits <- 0;
-    t.misses <- 0
-
-  let clear t =
-    t.entries <- KeyMap.empty;
-    t.mru <- None;
-    reset_stats t
-end
-
 (* {1 Flat range arena}
 
    Entries live in parallel columns sorted by range upper bound [hi]:

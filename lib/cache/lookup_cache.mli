@@ -57,21 +57,3 @@ val reset_stats : t -> unit
 
 val clear : t -> unit
 (** Drop entries and statistics. *)
-
-(** The original [Map]-based implementation, kept as the oracle for
-    the randomized equivalence test: same observable behaviour as the
-    flat arena, entry for entry and count for count. *)
-module Reference : sig
-  type t
-
-  val create : ?ttl:float -> unit -> t
-  val lookup : t -> now:float -> Key.t -> int option
-  val insert : t -> now:float -> lo:Key.t -> hi:Key.t -> node:int -> unit
-  val invalidate : t -> Key.t -> bool
-  val hits : t -> int
-  val misses : t -> int
-  val miss_rate : t -> float
-  val entry_count : t -> int
-  val reset_stats : t -> unit
-  val clear : t -> unit
-end

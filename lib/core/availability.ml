@@ -55,7 +55,7 @@ let replay ~trace ~failures ~mode ~seed ?params () =
     }
   in
   let system =
-    System.create ~engine ~mode ~rng:(Rng.split rng) ~nodes ~config ()
+    System.create ~engine ~rng:(Rng.split rng) ~nodes ~config ()
   in
   let plan = Plan.of_trace trace in
   (* This replay keys every read too (to test block availability), so

@@ -54,12 +54,9 @@ type result = {
 
 let mb x = x /. 1.0e6
 
-(* [replay = `Plan] consumes the trace's compiled {!D2_trace.Plan}
-   (columnar fields, precomputed keys); [`Legacy] walks the op records
-   and the keymap per op.  Both produce identical results — the plan
-   path only hoists work out of the loop — and the legacy path stays
-   exported as {!run_reference} so the equivalence test can say so. *)
-let run_internal ~replay ~trace ~setup ~params:p =
+(* Replays via the trace's compiled {!D2_trace.Plan}: columnar fields
+   and keys precomputed once per trace, shared across setups. *)
+let run ~trace ~setup ~params:p =
   let rng = Rng.create p.seed in
   let engine = Engine.create () in
   let config =
@@ -70,24 +67,13 @@ let run_internal ~replay ~trace ~setup ~params:p =
     }
   in
   let system =
-    System.create ~engine ~mode:(mode_of setup) ~rng:(Rng.split rng) ~nodes:p.nodes
-      ~config ()
+    System.create ~engine ~rng:(Rng.split rng) ~nodes:p.nodes ~config ()
   in
-  let planned =
-    match replay with
-    | `Legacy -> None
-    | `Plan ->
-        let plan = Plan.of_trace trace in
-        (* Only mutations touch the keymap in this replay (reads are
-           placement no-ops here), so slot assignment must skip them. *)
-        let keys =
-          Plan.replay_keys plan ~mode:(mode_of setup) ~policy:Plan.Writes_only
-        in
-        Some (plan, keys)
-  in
-  (match planned with
-  | None -> System.load_initial system trace
-  | Some (plan, keys) -> System.load_initial_plan system plan keys);
+  let plan = Plan.of_trace trace in
+  (* Only mutations touch the keymap in this replay (reads are
+     placement no-ops here), so slot assignment must skip them. *)
+  let keys = Plan.replay_keys plan ~mode:(mode_of setup) ~policy:Plan.Writes_only in
+  System.load_initial_plan system plan keys;
   let cluster = System.cluster system in
   let horizon = p.warmup +. trace.Op.duration +. 1.0 in
   let balancer =
@@ -121,22 +107,12 @@ let run_internal ~replay ~trace ~setup ~params:p =
     let at = p.warmup +. Float.min (float_of_int d *. 86400.0) trace.Op.duration in
     ignore (Engine.schedule engine ~at (snapshot d))
   done;
-  (match planned with
-  | None ->
-      Array.iter
-        (fun (o : Op.op) ->
-          Engine.run engine ~until:(p.warmup +. o.Op.time);
-          match o.Op.kind with
-          | Op.Read -> ()
-          | Op.Write | Op.Create | Op.Delete -> System.apply_op system o)
-        trace.Op.ops
-  | Some (plan, keys) ->
-      let times = plan.Plan.times in
-      let kinds = plan.Plan.kinds in
-      for i = 0 to plan.Plan.n - 1 do
-        Engine.run engine ~until:(p.warmup +. times.(i));
-        if kinds.(i) <> Plan.kind_read then System.apply_plan_op system plan keys i
-      done);
+  let times = plan.Plan.times in
+  let kinds = plan.Plan.kinds in
+  for i = 0 to plan.Plan.n - 1 do
+    Engine.run engine ~until:(p.warmup +. times.(i));
+    if kinds.(i) <> Plan.kind_read then System.apply_plan_op system plan keys i
+  done;
   Engine.run engine ~until:horizon;
   let daily delta =
     Array.init ndays (fun d -> mb (delta (d + 1) -. delta d))
@@ -154,8 +130,3 @@ let run_internal ~replay ~trace ~setup ~params:p =
       | Some b -> (D2_balance.Balancer.stats b).D2_balance.Balancer.moves
       | None -> 0);
   }
-
-let run ~trace ~setup ~params = run_internal ~replay:`Plan ~trace ~setup ~params
-
-let run_reference ~trace ~setup ~params =
-  run_internal ~replay:`Legacy ~trace ~setup ~params

@@ -48,7 +48,3 @@ type result = {
 val run : trace:D2_trace.Op.t -> setup:setup -> params:params -> result
 (** Replays via the trace's compiled {!D2_trace.Plan} (shared columnar
     fields and precomputed keys). *)
-
-val run_reference : trace:D2_trace.Op.t -> setup:setup -> params:params -> result
-(** The original per-op-record replay, kept as the oracle for the
-    plan-equivalence test; produces results identical to {!run}. *)

@@ -138,7 +138,7 @@ let run_pass ~trace ~mode ~config:cfg =
     { Cluster.default_config with Cluster.replicas = cfg.replicas }
   in
   let system =
-    System.create ~engine ~mode ~rng:(Rng.split mode_rng) ~nodes:cfg.nodes
+    System.create ~engine ~rng:(Rng.split mode_rng) ~nodes:cfg.nodes
       ~config:cluster_config ()
   in
   let cluster = System.cluster system in

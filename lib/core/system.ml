@@ -1,7 +1,5 @@
 module Key = D2_keyspace.Key
 module Cluster = D2_store.Cluster
-module Engine = D2_simnet.Engine
-module Op = D2_trace.Op
 module Plan = D2_trace.Plan
 module Rng = D2_util.Rng
 module Stats = D2_util.Stats
@@ -11,35 +9,19 @@ module Stats = D2_util.Stats
 type file_state = { blocks : (int, int * Key.t) Hashtbl.t }
 
 type t = {
-  mode : Keymap.mode;
   cluster : Cluster.t;
-  keymap : Keymap.t;
-  engine : Engine.t;
   files : (int, file_state) Hashtbl.t;
   mutable baseline : float;
 }
 
-let create ~engine ~mode ~rng ~nodes ?(config = Cluster.default_config)
-    ?(volume = "vol") () =
+let create ~engine ~rng ~nodes ?(config = Cluster.default_config) () =
   if nodes <= 0 then invalid_arg "System.create: nodes must be positive";
   let ids = Array.init nodes (fun _ -> Key.random rng) in
   let cluster = Cluster.create ~engine ~config ~ids in
-  {
-    mode;
-    cluster;
-    keymap = Keymap.create mode ~volume;
-    engine;
-    files = Hashtbl.create 1024;
-    baseline = 0.0;
-  }
+  { cluster; files = Hashtbl.create 1024; baseline = 0.0 }
 
 let cluster t = t.cluster
-let keymap t = t.keymap
-let mode t = t.mode
-let engine t = t.engine
 let baseline_written t = t.baseline
-
-let key_of_op t o = Keymap.key_of_op t.keymap o
 
 let file_state t ~file =
   match Hashtbl.find_opt t.files file with
@@ -49,13 +31,10 @@ let file_state t ~file =
       Hashtbl.replace t.files file fs;
       fs
 
-let put_block_key t ~file ~block ~size ~key =
+let put_block t ~file ~block ~size ~key =
   let fs = file_state t ~file in
   Hashtbl.replace fs.blocks block (size, key);
   Cluster.put t.cluster ~key ~size ()
-
-let put_block t ~path ~file ~block ~size =
-  put_block_key t ~file ~block ~size ~key:(Keymap.key_of t.keymap ~path ~block)
 
 let delete_file t ~file =
   match Hashtbl.find_opt t.files file with
@@ -66,24 +45,6 @@ let delete_file t ~file =
         fs.blocks;
       Hashtbl.remove t.files file
 
-let load_initial t (trace : Op.t) =
-  let before = Cluster.written_bytes t.cluster in
-  Array.iter
-    (fun (fi : Op.file_info) ->
-      let nblocks = Op.blocks_of_bytes fi.Op.file_bytes in
-      for b = 0 to nblocks - 1 do
-        let size =
-          if b = nblocks - 1 then begin
-            let rem = fi.Op.file_bytes - (b * Op.block_size) in
-            if rem = 0 then Op.block_size else rem
-          end
-          else Op.block_size
-        in
-        put_block t ~path:fi.Op.file_path ~file:fi.Op.file_id ~block:b ~size
-      done)
-    trace.Op.initial_files;
-  t.baseline <- t.baseline +. (Cluster.written_bytes t.cluster -. before)
-
 let load_initial_plan t (plan : Plan.t) (keys : Plan.keyset) =
   let before = Cluster.written_bytes t.cluster in
   let nf = Array.length plan.Plan.init_files in
@@ -91,41 +52,20 @@ let load_initial_plan t (plan : Plan.t) (keys : Plan.keyset) =
     let file = plan.Plan.init_files.(f) in
     let off = plan.Plan.init_offsets.(f) in
     for j = off to plan.Plan.init_offsets.(f + 1) - 1 do
-      put_block_key t ~file ~block:(j - off) ~size:plan.Plan.init_sizes.(j)
+      put_block t ~file ~block:(j - off) ~size:plan.Plan.init_sizes.(j)
         ~key:keys.Plan.init_keys.(j)
     done
   done;
   t.baseline <- t.baseline +. (Cluster.written_bytes t.cluster -. before)
 
-let apply_op t (o : Op.op) =
-  match o.Op.kind with
-  | Op.Read -> ()
-  | Op.Write | Op.Create ->
-      put_block t ~path:o.Op.path ~file:o.Op.file ~block:o.Op.block ~size:o.Op.bytes
-  | Op.Delete -> delete_file t ~file:o.Op.file
-
-(* Plan-column variant of {!apply_op}: everything the op's effect needs
-   is an unboxed array read plus the precomputed key — no record churn,
-   no keymap probe. *)
+(* One op's storage effect from the plan's columns: an unboxed array
+   read plus the precomputed key — no record churn, no keymap probe. *)
 let apply_plan_op t (plan : Plan.t) (keys : Plan.keyset) i =
   let k = plan.Plan.kinds.(i) in
   if k = Plan.kind_write || k = Plan.kind_create then
-    put_block_key t ~file:plan.Plan.files.(i) ~block:plan.Plan.blocks.(i)
+    put_block t ~file:plan.Plan.files.(i) ~block:plan.Plan.blocks.(i)
       ~size:plan.Plan.bytes.(i) ~key:keys.Plan.op_keys.(i)
   else if k = Plan.kind_delete then delete_file t ~file:plan.Plan.files.(i)
-
-(* Batched owner resolution over a Plan key column: one pass, one
-   unboxed int write per key, -1 for blocks that do not exist.  The
-   cluster-level counterpart of {!D2_cache.Lookup_cache.resolve_into}:
-   simulators resolving a whole task's keys call this once instead of
-   allocating an option per [owner_of] probe. *)
-let resolve_owners_into t keys out =
-  let len = Array.length keys in
-  if Array.length out < len then
-    invalid_arg "System.resolve_owners_into: output shorter than input";
-  for i = 0 to len - 1 do
-    out.(i) <- Cluster.find_owner t.cluster ~key:(Array.unsafe_get keys i)
-  done
 
 let file_blocks t ~file =
   match Hashtbl.find_opt t.files file with

@@ -1,62 +1,39 @@
-(** A complete simulated deployment: cluster + key policy + replay
-    bookkeeping.
+(** A complete simulated deployment: cluster + replay bookkeeping.
 
-    Wraps a {!D2_store.Cluster} with a {!Keymap} and tracks the live
-    block set of every file in a replayed trace, so that trace deletes
-    can remove all of a file's blocks and overwrites reuse keys.  The
-    §8 availability, §9 performance and §10 load-balance simulators
+    Wraps a {!D2_store.Cluster} and tracks the live block set of every
+    file in a replayed trace, so that trace deletes can remove all of a
+    file's blocks and overwrites reuse keys.  Keys come precomputed
+    from the trace's {!D2_trace.Plan} under the replay's key policy.
+    The §8 availability, §9 performance and §10 load-balance simulators
     all build on this. *)
-
-module Key = D2_keyspace.Key
 
 type t
 
 val create :
   engine:D2_simnet.Engine.t ->
-  mode:Keymap.mode ->
   rng:D2_util.Rng.t ->
   nodes:int ->
   ?config:D2_store.Cluster.config ->
-  ?volume:string ->
   unit ->
   t
 (** Fresh deployment of [nodes] nodes with uniformly random IDs drawn
     from [rng]. *)
 
 val cluster : t -> D2_store.Cluster.t
-val keymap : t -> Keymap.t
-val mode : t -> Keymap.mode
-val engine : t -> D2_simnet.Engine.t
-
-val load_initial : t -> D2_trace.Op.t -> unit
-(** Insert every block of the trace's initial files (without counting
-    them as user write traffic — see {!baseline_written}). *)
 
 val load_initial_plan : t -> D2_trace.Plan.t -> D2_trace.Plan.keyset -> unit
-(** Same effect as {!load_initial} on the plan's trace, but block sizes
-    and keys come from the compiled plan — no keymap walk. *)
+(** Insert every block of the plan's initial files under the keyset's
+    keys (without counting them as user write traffic — see
+    {!baseline_written}). *)
 
 val baseline_written : t -> float
-(** Bytes inserted by [load_initial]; subtract from
+(** Bytes inserted by [load_initial_plan]; subtract from
     [Cluster.written_bytes] to get replayed user writes. *)
 
-val apply_op : t -> D2_trace.Op.op -> unit
-(** Apply one trace op's storage effect: [Create]/[Write] put the
-    block, [Delete] removes every live block of the file, [Read] does
-    nothing. *)
-
 val apply_plan_op : t -> D2_trace.Plan.t -> D2_trace.Plan.keyset -> int -> unit
-(** [apply_plan_op t plan keys i] is {!apply_op} for the plan's [i]-th
-    op, reading columns and the precomputed key instead of an op
-    record. *)
-
-val key_of_op : t -> D2_trace.Op.op -> Key.t
-
-val resolve_owners_into : t -> Key.t array -> int array -> unit
-(** Batched owner resolution over a Plan key column: [out.(i)]
-    receives the current primary owner of [keys.(i)], or -1 when the
-    block does not exist.  Allocation-free; one pass.
-    @raise Invalid_argument if [out] is shorter than [keys]. *)
+(** Apply the storage effect of the plan's [i]-th op, keyed by
+    [keys]: [Create]/[Write] put the block, [Delete] removes every live
+    block of the file, [Read] does nothing. *)
 
 val file_blocks : t -> file:int -> (int * int) list
 (** Live (block index, size) pairs for a replayed file id, or [] —

@@ -395,33 +395,3 @@ let route_alpha t ~src ~key ~alpha =
     done;
     (!hops, !messages)
   end
-
-(* The original recursive list-building implementation (per-hop cons,
-   linear best-link scan), retained verbatim in shape as the oracle
-   for the equivalence test: the compiled kernel must produce the same
-   hop sequence on any ring the tables were built for.  It reads the
-   same jump tables, so it is policy-agnostic — one oracle for all
-   five policies. *)
-let route_reference t ~src ~key =
-  check_current t;
-  let n = Ring.size t.ring in
-  let owner = Ring.successor t.ring key in
-  let target = Ring.rank_of t.ring ~node:owner in
-  let rec go rank acc steps =
-    if steps > 2 * n then invalid_arg "Router.route: routing did not converge"
-    else begin
-      let d = ((target - rank) mod n + n) mod n in
-      if d = 0 then List.rev acc
-      else begin
-        (* Farthest link that does not overshoot the owner. *)
-        let best = ref 1 in
-        for i = t.jidx.(rank) to t.jidx.(rank + 1) - 1 do
-          let off = t.jt.(i) in
-          if off <= d && off > !best then best := off
-        done;
-        let next = (rank + !best) mod n in
-        go next (Ring.node_at t.ring next :: acc) (steps + 1)
-      end
-    end
-  in
-  go (Ring.rank_of t.ring ~node:src) [] 0

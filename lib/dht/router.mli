@@ -107,9 +107,3 @@ val route_alpha : t -> src:int -> key:D2_keyspace.Key.t -> alpha:int -> int * in
     double-counted).  [(0, 0)] when [src] owns the key.
     Allocation-free; [alpha] is clamped to 16.
     @raise Invalid_argument if [alpha < 1]. *)
-
-val route_reference : t -> src:int -> key:D2_keyspace.Key.t -> int list
-(** The original recursive list-building implementation, retained as
-    the oracle for the equivalence test; same answers as {!route} for
-    every policy (it reads the same compiled jump tables, so it is
-    policy-agnostic by construction). *)

@@ -4,13 +4,10 @@ module Web = D2_trace.Web
 
 type scale = Quick | Paper
 
-let of_env () =
-  match Sys.getenv_opt "D2_SCALE" with
-  | Some "quick" -> Quick
-  | Some "paper" | None -> Paper
-  | Some other ->
-      Printf.eprintf "warning: unknown D2_SCALE=%S, using paper\n%!" other;
-      Paper
+let scale_of_string = function
+  | "quick" -> Some Quick
+  | "paper" -> Some Paper
+  | _ -> None
 
 let scale_name = function Quick -> "quick" | Paper -> "paper"
 

@@ -4,13 +4,16 @@
     matches the paper while completing in minutes on a laptop: the
     full 83 users and 7 trace days, 247 availability nodes, 200–1000
     performance nodes.  [Quick] shrinks everything for CI-speed smoke
-    runs.  Selected by the [D2_SCALE] environment variable
-    ("quick" | "paper"; default "paper"). *)
+    runs.  The binaries select it with [--scale] or the [D2_SCALE]
+    environment variable ("quick" | "paper"; default "paper"). *)
 
 type scale = Quick | Paper
 
-val of_env : unit -> scale
+val scale_of_string : string -> scale option
+(** ["quick"] or ["paper"]; [None] for anything else. *)
+
 val scale_name : scale -> string
+(** Inverse of {!scale_of_string}. *)
 
 val master_seed : int
 (** All experiment randomness derives from this (and the trial id). *)

@@ -252,9 +252,3 @@ let print_outcome o =
   print_string o.output;
   if o.logs <> "" then print_string o.logs;
   Printf.printf "[%s: %.1fs]\n\n%!" o.o_entry.id o.wall
-
-let run_and_print scale entry =
-  let t0 = Unix.gettimeofday () in
-  let reports = entry.run scale in
-  List.iter D2_util.Report.print reports;
-  Printf.printf "[%s: %.1fs]\n\n%!" entry.id (Unix.gettimeofday () -. t0)

@@ -50,8 +50,7 @@ type outcome = {
 
 val run_entries : ?jobs:int -> Config.scale -> entry list -> outcome list
 (** Run the entries on [jobs] worker domains (default
-    {!D2_util.Pool.default_jobs}, i.e. the [D2_JOBS] environment
-    override) and return their outcomes {e in input order}.  All
+    {!D2_util.Pool.default_jobs}) and return their outcomes {e in input order}.  All
     distinct datapoint cells are submitted first (in entry order), then
     one render task per entry.  When only one effective worker would
     exist ([jobs = 1], or a single-core machine capping the pool — see
@@ -63,6 +62,3 @@ val run_entries : ?jobs:int -> Config.scale -> entry list -> outcome list
 val print_outcome : outcome -> unit
 (** Print the entry's tables, any captured log lines, and an
     "[id: 1.2s]" wall-time trailer. *)
-
-val run_and_print : Config.scale -> entry -> unit
-(** Run one entry sequentially, print its tables and elapsed time. *)

@@ -63,6 +63,7 @@ let validate cfg =
   if cfg.files * cfg.blocks > max_keys then fail "files * blocks too large";
   if cfg.burst < 1 then fail "burst must be positive";
   if cfg.duration <= 0.0 then fail "duration must be positive";
+  if cfg.jobs < 1 then fail "jobs must be positive";
   if sc.Scenario.think <= 0.0 then fail "think must be positive";
   if sc.Scenario.zipf_s < 0.0 then fail "zipf_s must be non-negative";
   if sc.Scenario.crowd_every < 1 then fail "crowd_every must be positive";

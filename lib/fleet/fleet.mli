@@ -17,7 +17,7 @@
     advance in lockstep between churn barriers via {!D2_util.Pool}.
     Because each shard's virtual timeline is self-contained and
     aggregation always walks shards in index order, the report is
-    byte-identical whatever [D2_JOBS] is — jobs scale wall-clock
+    byte-identical whatever [jobs] is — jobs scale wall-clock
     only. *)
 
 type config = {
@@ -36,8 +36,8 @@ type config = {
 
 val default_config : Scenario.t -> config
 (** 1M clients, 4 shards, 64 nodes, 8 ways, 4096 files x 16 blocks
-    read 8 per burst, 30 virtual seconds, seed 42, [D2_JOBS]
-    workers. *)
+    read 8 per burst, 30 virtual seconds, seed 42,
+    {!D2_util.Pool.default_jobs} workers. *)
 
 type report = {
   ops : int;  (** simulated client operations completed *)

@@ -14,10 +14,4 @@ let int64_of s =
   String.iter (fun c -> acc := Int64.(logor (shift_left !acc 8) (of_int (Char.code c)))) d;
   !acc
 
-let int32_of s =
-  let d = bytes 4 s in
-  let acc = ref 0l in
-  String.iter (fun c -> acc := Int32.(logor (shift_left !acc 8) (of_int (Char.code c)))) d;
-  !acc
-
 let uniform_key s = Key.of_string (bytes 64 s)

@@ -13,9 +13,6 @@ val int64_of : string -> int64
 (** First 8 digest bytes as a big-endian int64 (used for the Fig. 4
     "hash of path remainder" field). *)
 
-val int32_of : string -> int32
-(** First 4 digest bytes (used for the Fig. 4 version-hash field). *)
-
 val uniform_key : string -> Key.t
 (** Full 64-byte digest-derived key: the traditional configuration's
     content-hash key for a block. *)

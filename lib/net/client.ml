@@ -1,6 +1,12 @@
 module Key = D2_keyspace.Key
 module Lookup_cache = D2_cache.Lookup_cache
 
+(* Redirects an iterative lookup chain follows before giving up. *)
+let max_hops = 32
+
+(* Longest single poll while a synchronous operation waits. *)
+let quantum = 0.01
+
 module Make (T : Transport.S) = struct
   module L = Linkset.Make (T)
 
@@ -13,18 +19,15 @@ module Make (T : Transport.S) = struct
     quorum_r : int;
     quorum_w : int;
     rpc_timeout : float;
-    max_hops : int;
     retries : int;
-    quantum : float;
     alpha : int;
     mutable lookup_rpcs : int;
     mutable failures : int;
     mutable inflight : int;
   }
 
-  let create ep ?ttl ?(replicas = 3) ?(quorum_r = 1) ?(quorum_w = 1)
-      ?(rpc_timeout = 0.25) ?(max_hops = 32) ?(retries = 3) ?(quantum = 0.01)
-      ?(alpha = 1) ~seeds () =
+  let create ep ?(replicas = 3) ?(quorum_r = 1) ?(quorum_w = 1)
+      ?(rpc_timeout = 0.25) ?(retries = 3) ?(alpha = 1) ~seeds () =
     if seeds = [] then invalid_arg "Client.create: seeds must be non-empty";
     if alpha < 1 then invalid_arg "Client.create: alpha must be >= 1";
     if quorum_r < 1 || quorum_r > replicas then
@@ -33,16 +36,14 @@ module Make (T : Transport.S) = struct
       invalid_arg "Client.create: quorum_w outside 1..replicas";
     {
       ls = L.create ep;
-      cache = Lookup_cache.create ?ttl ();
+      cache = Lookup_cache.create ();
       seeds = Array.of_list seeds;
       seed_idx = 0;
       replicas;
       quorum_r;
       quorum_w;
       rpc_timeout;
-      max_hops;
       retries;
-      quantum;
       alpha;
       lookup_rpcs = 0;
       failures = 0;
@@ -111,7 +112,7 @@ module Make (T : Transport.S) = struct
         for j = 0 to live - 1 do
           race_iterate t key
             t.seeds.((start + base + j) mod ns)
-            t.max_hops settled (fun r ->
+            max_hops settled (fun r ->
               if not !settled then
                 match r with
                 | Some node ->
@@ -223,7 +224,7 @@ module Make (T : Transport.S) = struct
       match !result with
       | Some r -> r
       | None ->
-          L.poll t.ls ~timeout:t.quantum;
+          L.poll t.ls ~timeout:quantum;
           wait ()
     in
     wait ()

@@ -22,23 +22,20 @@ module Make (T : Transport.S) : sig
 
   val create :
     T.t ->
-    ?ttl:float ->
     ?replicas:int ->
     ?quorum_r:int ->
     ?quorum_w:int ->
     ?rpc_timeout:float ->
-    ?max_hops:int ->
     ?retries:int ->
-    ?quantum:float ->
     ?alpha:int ->
     seeds:int list ->
     unit ->
     t
   (** [seeds] are nodes to start iterative lookups from (rotated
       round-robin; must be non-empty).  [replicas] (default 3) is the
-      fan-out depth requested on puts; [quantum] bounds each poll step
-      while an operation waits.  [ttl] is the cache TTL (default
-      4500 s — virtual seconds under {!Transport_mem}).
+      fan-out depth requested on puts.  The lookup cache keeps
+      {!Lookup_cache.create}'s TTL (4500 s — virtual seconds under
+      {!Transport_mem}); a lookup chain follows at most 32 redirects.
 
       [quorum_w] (default 1) is the write quorum: a put whose ack
       reports fewer than [quorum_w] stored copies is treated as a
@@ -68,7 +65,7 @@ module Make (T : Transport.S) : sig
   (** {2 Synchronous operations}
 
       Each issues the matching [_async] operation and then polls (in
-      steps of at most [quantum]) until its continuation fires, so the
+      steps of at most 10 ms) until its continuation fires, so the
       sync and pipelined paths share one lookup and one retry ladder.
       The call returns once the operation concludes (reply, retry
       ladder exhausted, or timeout).  The polls also deliver replies to

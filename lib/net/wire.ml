@@ -81,32 +81,6 @@ let tag_of = function
   | Push_ack _ -> 23
   | Get_q _ -> 24
 
-let tag_name = function
-  | Lookup _ -> "lookup"
-  | Owner _ -> "owner"
-  | Redirect _ -> "redirect"
-  | Get _ -> "get"
-  | Found _ -> "found"
-  | Missing -> "missing"
-  | Put _ -> "put"
-  | Put_ack _ -> "put_ack"
-  | Remove _ -> "remove"
-  | Remove_ack _ -> "remove_ack"
-  | Join _ -> "join"
-  | Join_ack _ -> "join_ack"
-  | Probe -> "probe"
-  | Probe_ack _ -> "probe_ack"
-  | Error _ -> "error"
-  | Sync_digests _ -> "sync_digests"
-  | Sync_digests_ack _ -> "sync_digests_ack"
-  | Sync_keys _ -> "sync_keys"
-  | Sync_keys_ack _ -> "sync_keys_ack"
-  | Fetch _ -> "fetch"
-  | Fetch_ack _ -> "fetch_ack"
-  | Push _ -> "push"
-  | Push_ack _ -> "push_ack"
-  | Get_q _ -> "get_q"
-
 let body_length = function
   | Lookup _ | Get _ | Fetch _ -> Key.size
   | Owner _ -> 4 + Key.size + Key.size

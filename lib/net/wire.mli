@@ -96,8 +96,6 @@ val vv_empty : Vv.t
 val is_request : msg -> bool
 (** Requests expect a reply; everything else is a reply. *)
 
-val tag_name : msg -> string
-
 val frame_length : msg -> int
 (** Exact encoded size of the frame carrying [msg], prefix included. *)
 

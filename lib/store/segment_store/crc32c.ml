@@ -2,8 +2,7 @@
    the C stub (hardware crc32 instruction when the CPU has SSE4.2,
    slicing-by-8 tables otherwise): an 8 KB block costs ~30 us
    byte-at-a-time in OCaml — dominating the put path it protects —
-   and well under 1 us in the stub.  [string_ref] keeps the
-   table-driven OCaml loop as the cross-check oracle for tests. *)
+   and well under 1 us in the stub. *)
 
 external crc32c_stub : int -> Bytes.t -> int -> int -> int
   = "d2_segstore_crc32c"
@@ -21,23 +20,3 @@ let bytes ?(crc = 0) b ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length b then
     invalid_arg "Crc32c.bytes";
   finish (crc32c_stub (finish crc) b pos len)
-
-let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0x82F63B78 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let string_ref ?(crc = 0) s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Crc32c.string_ref";
-  let t = Lazy.force table in
-  let c = ref (finish crc) in
-  for i = pos to pos + len - 1 do
-    c := t.((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
-         lxor (!c lsr 8)
-  done;
-  finish !c

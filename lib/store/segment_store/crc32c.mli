@@ -8,7 +8,3 @@ val string : ?crc:int -> string -> pos:int -> len:int -> int
     digest as [crc] to extend it over a further slice. *)
 
 val bytes : ?crc:int -> Bytes.t -> pos:int -> len:int -> int
-
-val string_ref : ?crc:int -> string -> pos:int -> len:int -> int
-(** Byte-at-a-time table-driven reference implementation — the oracle
-    the stub is tested against. *)

@@ -342,7 +342,6 @@ let stop_flusher t =
 
 let on_durable t cb = t.durable_cb <- cb
 let durable_seq t = Atomic.get t.durable
-let last_seq t = t.next_seq - 1
 
 let checkpoint t = locked t (fun () -> check_open t; checkpoint_locked t)
 

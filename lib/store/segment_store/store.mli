@@ -115,7 +115,6 @@ val on_durable : t -> (unit -> unit) -> unit
     thread-safe; the default is a no-op. *)
 
 val durable_seq : t -> int
-val last_seq : t -> int
 
 val checkpoint : t -> unit
 (** Force an index checkpoint (flushes and syncs first, so the

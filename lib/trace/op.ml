@@ -54,9 +54,3 @@ let total_initial_bytes t =
 
 let count_kind t k =
   Array.fold_left (fun acc o -> if o.kind = k then acc + 1 else acc) 0 t.ops
-
-let pp_kind fmt = function
-  | Read -> Format.pp_print_string fmt "read"
-  | Write -> Format.pp_print_string fmt "write"
-  | Create -> Format.pp_print_string fmt "create"
-  | Delete -> Format.pp_print_string fmt "delete"

@@ -46,5 +46,3 @@ val validate : t -> unit
 val total_initial_bytes : t -> int
 
 val count_kind : t -> kind -> int
-
-val pp_kind : Format.formatter -> kind -> unit

@@ -71,8 +71,8 @@ let compile (tr : Op.t) =
         id
   in
   (* Initial files first: their paths (and, during key building, their
-     directory slots) come before any op's, matching the order
-     {!System.load_initial} touches the keymap. *)
+     directory slots) come before any op's, the order in which a
+     replay loads the initial data and then applies the ops. *)
   let init_files = Array.make nf 0 in
   let init_path_ids = Array.make nf 0 in
   let init_offsets = Array.make (nf + 1) 0 in
@@ -156,14 +156,13 @@ let of_trace tr =
       Mutex.unlock cache_mu;
       plan
 
-(* Walk a fresh keymap in exactly the order the legacy replay loops
-   touch it: every initial file's blocks in file order, then the ops in
+(* Walk a fresh keymap in replay order: every initial file's blocks in file order, then the ops in
    trace order.  Which op kinds assign directory slots depends on the
    consumer: the §10 balance replay only keys mutations, while the §8
    availability and §9 performance replays also key every read.  Reads
    of never-written paths then claim slots, so the two policies can
    yield different D2 slot paths — each consumer must ask for the
-   policy its legacy loop implemented. *)
+   policy that matches what it replays. *)
 let build_keys t ~mode ~volume ~policy =
   let km = Keymap.create mode ~volume in
   let nf = Array.length t.init_files in

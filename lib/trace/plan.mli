@@ -1,8 +1,8 @@
 (** Compiled, replay-ready form of a trace.
 
-    Replaying an {!Op.t} is the hot loop of every simulator, and the
-    legacy loops paid twice per op: a boxed record pattern-match per
-    field access, and a {!Keymap} walk (path split + per-directory slot
+    Replaying an {!Op.t} is the hot loop of every simulator, and a
+    replay over op records pays twice per op: a boxed record
+    pattern-match per field access, and a {!Keymap} walk (path split + per-directory slot
     table probes + key encoding) to recover the op's block key — work
     that is identical across the 4 setups × node counts × seeds that
     replay the same trace.  A plan hoists all of it out of the replay:
@@ -80,9 +80,9 @@ val path : t -> int -> string
 (** {1 Precomputed keys}
 
     Which kinds touch the keymap (and therefore claim D2 directory
-    slots, in first-touch order) must match the legacy replay loop
-    being replaced: the balance simulator only keyed mutations, the
-    availability/performance replays also keyed every read. *)
+    slots, in first-touch order) depends on the consumer: the balance
+    simulator keys only mutations, the availability/performance
+    replays also key every read. *)
 
 type key_policy =
   | Writes_only  (** writes/creates keyed; reads skipped (§10 replay) *)
@@ -90,10 +90,9 @@ type key_policy =
 
 val replay_keys : ?volume:string -> t -> mode:Keymap.mode -> policy:key_policy -> keyset
 (** Keys for a full replay: initial-file blocks first, then ops, walked
-    in trace order on a fresh keymap — byte-identical to what the
-    legacy per-op path computed.  [volume] defaults to ["vol"]
-    ({!System.create}'s default).  Memoized per (mode, volume,
-    policy). *)
+    in trace order on a fresh keymap — byte-identical to calling
+    {!Keymap.key_of} on that keymap in that order.  [volume] defaults
+    to ["vol"].  Memoized per (mode, volume, policy). *)
 
 val init_keys : t -> mode:Keymap.mode -> volume:string -> Key.t array
 (** Keys of the initial-file blocks only, for consumers that replicate

@@ -12,16 +12,7 @@ type 'a outcome = Value of 'a | Raised of exn * Printexc.raw_backtrace
 
 type 'a promise = { owner : t; mutable result : 'a outcome option }
 
-let default_jobs () =
-  let fallback () = max 1 (Domain.recommended_domain_count () - 1) in
-  match Sys.getenv_opt "D2_JOBS" with
-  | None -> fallback ()
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None ->
-          Printf.eprintf "warning: ignoring invalid D2_JOBS=%S\n%!" s;
-          fallback ())
+let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
 let effective_jobs jobs = min jobs (max 1 (Domain.recommended_domain_count ()))
 

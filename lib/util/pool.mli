@@ -22,10 +22,9 @@ val effective_jobs : int -> int
     this first. *)
 
 val default_jobs : unit -> int
-(** Worker count from the [D2_JOBS] environment variable when set to
-    a positive integer, otherwise [Domain.recommended_domain_count () - 1],
-    and never below 1.  A malformed [D2_JOBS] warns on stderr and
-    falls back to the default. *)
+(** [Domain.recommended_domain_count () - 1], and never below 1: one
+    core left for the submitting domain.  The binaries let [D2_JOBS]
+    override it. *)
 
 val create : ?jobs:int -> unit -> t
 (** Spawn a pool of [jobs] worker domains (default {!default_jobs}),

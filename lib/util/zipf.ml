@@ -3,8 +3,8 @@ type t = {
   cdf : float array;
   (* Walker alias table: bucket [i] returns [i] when the uniform
      fraction falls below [cut.(i)], otherwise [alias.(i)].  Built once
-     in O(n); each sample is O(1) — one table row — instead of the CDF
-     binary search, which the fleet generators pay on every op. *)
+     in O(n); each sample is O(1) — one table row — which matters
+     because the fleet generators sample on every op. *)
   cut : float array;
   alias : int array;
 }
@@ -64,26 +64,13 @@ let create ~n ~s =
 let n t = t.n
 
 (* One uniform draw feeds both the bucket index (integer part) and the
-   alias coin (fractional part) — the same Rng consumption as the CDF
-   search this replaces, with O(1) work instead of O(log n). *)
+   alias coin (fractional part): O(1) work per sample. *)
 let sample t rng =
   let u = Rng.float rng (float_of_int t.n) in
   let i = int_of_float u in
   let i = if i >= t.n then t.n - 1 else i in
   if u -. float_of_int i < Array.unsafe_get t.cut i then i
   else Array.unsafe_get t.alias i
-
-(* The original CDF binary search, kept as the reference the alias
-   table is validated against (frequency equivalence in test_util). *)
-let sample_reference t rng =
-  let u = Rng.float rng 1.0 in
-  (* Smallest index whose cdf >= u. *)
-  let lo = ref 0 and hi = ref (t.n - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.cdf.(mid) < u then lo := mid + 1 else hi := mid
-  done;
-  !lo
 
 let prob t i =
   if i < 0 || i >= t.n then invalid_arg "Zipf.prob: rank out of range";

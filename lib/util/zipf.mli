@@ -3,9 +3,8 @@
     Web object popularity and file access frequency are famously
     zipfian; the workload generators use this module to pick which
     file/URL an access touches.  Sampling is O(1) via a Walker alias
-    table (one uniform draw selects a bucket and the alias coin); the
-    original O(log n) CDF binary search is kept as
-    {!sample_reference}. *)
+    table (one uniform draw selects a bucket and the alias coin).
+    {!prob} gives the exact masses the sampler draws from. *)
 
 type t
 
@@ -19,12 +18,6 @@ val n : t -> int
 val sample : t -> Rng.t -> int
 (** Draw a rank; rank 0 is the most popular.  O(1): one uniform draw
     indexes the alias table. *)
-
-val sample_reference : t -> Rng.t -> int
-(** The CDF-binary-search sampler [sample] replaced.  Same
-    distribution (validated by a chi-square equivalence test), same
-    single uniform draw per call, different u → rank mapping — so the
-    two samplers produce different streams from the same [Rng]. *)
 
 val prob : t -> int -> float
 (** Probability mass of a rank. *)

@@ -130,8 +130,83 @@ let test_lookup_mru_streak () =
   Alcotest.(check (option int)) "cleared" None
     (Lookup_cache.lookup c ~now:201.0 (k_of_byte 15))
 
-(* The arena must behave exactly like the retained Map oracle over
-   arbitrary insert/probe sequences: same answers, same hit/miss
+(* {2 Map oracle}
+
+   The straightforward cache the flat arena replaced: a [Map] of
+   entries keyed by range upper bound [hi], the whole map filtered on
+   the 4*ttl purge, and an expired candidate evicted on the probe that
+   finds it.  Like the arena, it first retries the entry that answered
+   the last hit (until any mutation), which is observable when cached
+   ranges overlap. *)
+module Oracle = struct
+  module M = Map.Make (Key)
+
+  type entry = { lo : Key.t; node : int; expires : float }
+
+  type t = {
+    ttl : float;
+    mutable entries : entry M.t;
+    mutable mru : (Key.t * entry) option;
+    mutable hits : int;
+    mutable misses : int;
+    mutable last_purge : float;
+  }
+
+  let create ~ttl =
+    { ttl; entries = M.empty; mru = None; hits = 0; misses = 0; last_purge = 0.0 }
+
+  let set t entries =
+    t.entries <- entries;
+    t.mru <- None
+
+  (* The entry with the smallest hi >= key, if it covers the key. *)
+  let covering t key =
+    match M.find_first_opt (fun hi -> Key.compare hi key >= 0) t.entries with
+    | Some (hi, e) when Key.in_interval key ~lo:e.lo ~hi -> Some (hi, e)
+    | Some _ | None -> None
+
+  let search t ~now key =
+    match covering t key with
+    | Some ((_, e) as hit) when e.expires > now ->
+        t.hits <- t.hits + 1;
+        t.mru <- Some hit;
+        Some e.node
+    | Some (hi, _) ->
+        set t (M.remove hi t.entries);
+        t.misses <- t.misses + 1;
+        None
+    | None ->
+        t.misses <- t.misses + 1;
+        None
+
+  let lookup t ~now key =
+    if now -. t.last_purge > 4.0 *. t.ttl then begin
+      set t (M.filter (fun _ e -> e.expires > now) t.entries);
+      t.last_purge <- now
+    end;
+    match t.mru with
+    | Some (hi, e) when e.expires > now && Key.in_interval key ~lo:e.lo ~hi ->
+        t.hits <- t.hits + 1;
+        Some e.node
+    | Some _ | None -> search t ~now key
+
+  let insert t ~now ~lo ~hi ~node =
+    let e = { lo; node; expires = now +. t.ttl } in
+    let c = Key.compare lo hi in
+    if c = 0 then set t (M.add Key.max_key { e with lo = Key.max_key } t.entries)
+    else if c < 0 then set t (M.add hi e t.entries)
+    else set t (M.add hi { e with lo = Key.max_key } (M.add Key.max_key e t.entries))
+
+  let invalidate t key =
+    match covering t key with
+    | Some (hi, _) ->
+        set t (M.remove hi t.entries);
+        true
+    | None -> false
+end
+
+(* The arena must behave exactly like the Map oracle over arbitrary
+   insert/probe/invalidate sequences: same answers, same hit/miss
    counters, same live-entry counts (which pin the probe-time eviction
    of expired candidates), under adversarial TTLs, duplicate-hi
    replacement, wrapping ranges and time jumps big enough to trip the
@@ -154,6 +229,7 @@ let prop_arena_matches_reference =
           map
             (fun (lo, hi, node, dt) -> `Insert (lo, hi, node, dt))
             (quad gen_key gen_key (int_bound 31) (int_bound 400));
+          map (fun k -> `Invalidate k) gen_key;
           map (fun k -> `Jump k) (int_bound 3);
         ])
   in
@@ -161,16 +237,15 @@ let prop_arena_matches_reference =
     QCheck.(pair (oneofl [ 5.0; 97.0; 4500.0 ]) (list_of_size Gen.(0 -- 120) gen_op))
     (fun (ttl, ops) ->
       let arena = Lookup_cache.create ~ttl () in
-      let oracle = Lookup_cache.Reference.create ~ttl () in
+      let oracle = Oracle.create ~ttl in
       let now = ref 0.0 in
       let agreed = ref true in
       let check_counters () =
         agreed :=
           !agreed
-          && Lookup_cache.hits arena = Lookup_cache.Reference.hits oracle
-          && Lookup_cache.misses arena = Lookup_cache.Reference.misses oracle
-          && Lookup_cache.entry_count arena
-             = Lookup_cache.Reference.entry_count oracle
+          && Lookup_cache.hits arena = oracle.Oracle.hits
+          && Lookup_cache.misses arena = oracle.Oracle.misses
+          && Lookup_cache.entry_count arena = Oracle.M.cardinal oracle.Oracle.entries
       in
       List.iter
         (fun op ->
@@ -179,15 +254,20 @@ let prop_arena_matches_reference =
               now := !now +. float_of_int dt;
               let key = key_of k in
               let a = Lookup_cache.lookup arena ~now:!now key in
-              let o = Lookup_cache.Reference.lookup oracle ~now:!now key in
+              let o = Oracle.lookup oracle ~now:!now key in
               agreed := !agreed && a = o;
               check_counters ()
           | `Insert (lo, hi, node, dt) ->
               now := !now +. float_of_int dt;
               Lookup_cache.insert arena ~now:!now ~lo:(key_of lo) ~hi:(key_of hi)
                 ~node;
-              Lookup_cache.Reference.insert oracle ~now:!now ~lo:(key_of lo)
-                ~hi:(key_of hi) ~node;
+              Oracle.insert oracle ~now:!now ~lo:(key_of lo) ~hi:(key_of hi) ~node;
+              check_counters ()
+          | `Invalidate k ->
+              let key = key_of k in
+              agreed :=
+                !agreed
+                && Lookup_cache.invalidate arena key = Oracle.invalidate oracle key;
               check_counters ()
           | `Jump k ->
               (* Leap past k purge windows so lazy compaction fires. *)

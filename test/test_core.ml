@@ -3,6 +3,7 @@
 
 module Op = D2_trace.Op
 module Harvard = D2_trace.Harvard
+module Plan = D2_trace.Plan
 module Failure = D2_trace.Failure
 module Keymap = D2_core.Keymap
 module System = D2_core.System
@@ -80,62 +81,47 @@ let test_keymap_slot_overflow_hashes () =
 
 let test_system_load_and_ops () =
   let engine = Engine.create () in
-  let trace = Lazy.force tiny_trace in
+  let tiny = Lazy.force tiny_trace in
   let sys =
-    System.create ~engine ~mode:Keymap.D2 ~rng:(Rng.create 1) ~nodes:10 ()
+    System.create ~engine ~rng:(Rng.create 1) ~nodes:10 ()
   in
-  System.load_initial sys trace;
-  let cluster = System.cluster sys in
-  Alcotest.(check bool) "blocks loaded" true (Cluster.block_count cluster > 100);
-  Alcotest.(check bool) "baseline recorded" true (System.baseline_written sys > 0.0);
-  (* Apply a create and then delete its file. *)
-  let op =
+  (* The tiny trace's initial files, then a two-op plan: create a new
+     file's block, then delete the file. *)
+  let create =
     { Op.time = 0.0; user = 0; path = "/x/new"; file = 999_999; block = 0;
       kind = Op.Create; bytes = 4096 }
   in
-  System.apply_op sys op;
+  let trace =
+    { tiny with Op.ops = [| create; { create with Op.time = 1.0; kind = Op.Delete } |] }
+  in
+  let plan = Plan.of_trace trace in
+  let keys = Plan.replay_keys plan ~mode:Keymap.D2 ~policy:Plan.Writes_only in
+  System.load_initial_plan sys plan keys;
+  let cluster = System.cluster sys in
+  Alcotest.(check bool) "blocks loaded" true (Cluster.block_count cluster > 100);
+  Alcotest.(check bool) "baseline recorded" true (System.baseline_written sys > 0.0);
+  System.apply_plan_op sys plan keys 0;
   Alcotest.(check (list (pair int int))) "file tracked" [ (0, 4096) ]
     (System.file_blocks sys ~file:999_999);
-  let key = System.key_of_op sys op in
+  let key = keys.Plan.op_keys.(0) in
   Alcotest.(check bool) "block stored" true (Cluster.mem cluster ~key);
-  System.apply_op sys { op with Op.kind = Op.Delete };
+  (* The simulators resolve owners through the int kernel. *)
+  Alcotest.(check int) "find_owner = owner_of"
+    (Option.get (Cluster.owner_of cluster ~key))
+    (Cluster.find_owner cluster ~key);
+  System.apply_plan_op sys plan keys 1;
   Engine.run engine ~until:60.0;
   Alcotest.(check bool) "block removed" false (Cluster.mem cluster ~key);
+  Alcotest.(check int) "absent block has no owner" (-1) (Cluster.find_owner cluster ~key);
   Alcotest.(check (list (pair int int))) "untracked" []
     (System.file_blocks sys ~file:999_999)
 
-let test_system_resolve_owners_batch () =
-  let engine = Engine.create () in
-  let trace = Lazy.force tiny_trace in
-  let sys = System.create ~engine ~mode:Keymap.D2 ~rng:(Rng.create 1) ~nodes:10 () in
-  System.load_initial sys trace;
-  let cluster = System.cluster sys in
-  let km = System.keymap sys in
-  (* A column of existing keys plus one key that was never stored. *)
-  let keys =
-    Array.init 8 (fun b ->
-        if b = 5 then Keymap.key_of km ~path:"/no/such" ~block:0
-        else
-          Keymap.key_of km ~path:trace.Op.initial_files.(b).Op.file_path ~block:0)
-  in
-  let out = Array.make 8 min_int in
-  System.resolve_owners_into sys keys out;
-  Array.iteri
-    (fun i k ->
-      let expected = match Cluster.owner_of cluster ~key:k with Some n -> n | None -> -1 in
-      Alcotest.(check int) (Printf.sprintf "column slot %d" i) expected out.(i))
-    keys;
-  Alcotest.(check int) "absent key resolves to -1" (-1) out.(5);
-  Alcotest.check_raises "short output rejected"
-    (Invalid_argument "System.resolve_owners_into: output shorter than input")
-    (fun () -> System.resolve_owners_into sys keys (Array.make 3 0))
-
 let test_system_imbalance_metric () =
   let engine = Engine.create () in
-  let sys = System.create ~engine ~mode:Keymap.D2 ~rng:(Rng.create 1) ~nodes:10 () in
+  let sys = System.create ~engine ~rng:(Rng.create 1) ~nodes:10 () in
   (* Empty system: imbalance 0. *)
   Alcotest.(check (float 1e-9)) "empty" 0.0 (System.imbalance sys);
-  let km = System.keymap sys in
+  let km = Keymap.create Keymap.D2 ~volume:"vol" in
   (* All data on one replica group: high imbalance. *)
   for b = 0 to 9 do
     Cluster.put (System.cluster sys) ~key:(Keymap.key_of km ~path:"/f" ~block:b) ~size:8192 ()
@@ -391,43 +377,39 @@ let test_balance_sim_webcache_empty_start () =
   Alcotest.(check bool) "migration happened" true
     (Array.fold_left ( +. ) 0.0 r.Balance_sim.daily_migrated_mb > 0.0)
 
-(* The plan-compiled replay (run) must be observationally identical to
-   the original per-op-record replay (run_reference) for every setup:
-   same samples, same traffic accounting, same balancer moves. *)
-let test_balance_plan_matches_reference () =
+(* Digests of Balance_sim.run on the tiny trace, one per setup:
+   samples, time-averaged max/mean, the four daily columns (all as
+   exact %h floats) and the balancer's move count.  The pinned values
+   were captured while the per-op-record replay still existed and gave
+   the same digests, so they stand in for that equivalence check.  Any
+   drift in placement, traffic accounting or balancer decisions changes
+   a digest. *)
+let balance_digest (r : Balance_sim.result) =
+  let b = Buffer.create 4096 in
+  let f x = Printf.bprintf b "%h;" x in
+  Array.iter (fun (t, v) -> f t; f v) r.Balance_sim.samples;
+  f r.Balance_sim.max_over_mean;
+  List.iter (Array.iter f)
+    [ r.Balance_sim.daily_written_mb; r.Balance_sim.daily_removed_mb;
+      r.Balance_sim.daily_migrated_mb; r.Balance_sim.total_at_day_start_mb ];
+  Printf.bprintf b "%d" r.Balance_sim.balancer_moves;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_balance_run_pinned () =
   let trace = Lazy.force tiny_trace in
   let params = Balance_sim.default_params ~nodes:20 ~seed:5 in
-  let exact = Alcotest.float 0.0 in
   List.iter
-    (fun setup ->
-      let name = Balance_sim.setup_name setup in
-      let p = Balance_sim.run ~trace ~setup ~params in
-      let r = Balance_sim.run_reference ~trace ~setup ~params in
-      Alcotest.(check (list (pair exact exact)))
-        (name ^ " samples")
-        (Array.to_list r.Balance_sim.samples)
-        (Array.to_list p.Balance_sim.samples);
-      Alcotest.(check exact)
-        (name ^ " max/mean") r.Balance_sim.max_over_mean p.Balance_sim.max_over_mean;
-      Alcotest.(check (list exact))
-        (name ^ " written")
-        (Array.to_list r.Balance_sim.daily_written_mb)
-        (Array.to_list p.Balance_sim.daily_written_mb);
-      Alcotest.(check (list exact))
-        (name ^ " removed")
-        (Array.to_list r.Balance_sim.daily_removed_mb)
-        (Array.to_list p.Balance_sim.daily_removed_mb);
-      Alcotest.(check (list exact))
-        (name ^ " migrated")
-        (Array.to_list r.Balance_sim.daily_migrated_mb)
-        (Array.to_list p.Balance_sim.daily_migrated_mb);
-      Alcotest.(check (list exact))
-        (name ^ " day-start totals")
-        (Array.to_list r.Balance_sim.total_at_day_start_mb)
-        (Array.to_list p.Balance_sim.total_at_day_start_mb);
-      Alcotest.(check int)
-        (name ^ " moves") r.Balance_sim.balancer_moves p.Balance_sim.balancer_moves)
-    Balance_sim.all_setups
+    (fun (setup, pin) ->
+      Alcotest.(check string)
+        (Balance_sim.setup_name setup)
+        pin
+        (balance_digest (Balance_sim.run ~trace ~setup ~params)))
+    [
+      (Balance_sim.D2, "0774e8cea5819f912cd5a3d7907b0aa5");
+      (Balance_sim.Traditional, "15c0918dd8a8c01fa770dfc91161f51c");
+      (Balance_sim.Traditional_file, "400dbbee12810098d6d28bace0edaaea");
+      (Balance_sim.Traditional_merc, "c742b8e7ab18545e7847d4d67a437cdc");
+    ]
 
 let test_balance_sim_accounting () =
   let trace = Lazy.force tiny_trace in
@@ -455,7 +437,6 @@ let () =
       ( "system",
         [
           Alcotest.test_case "load + ops" `Quick test_system_load_and_ops;
-          Alcotest.test_case "batched owner column" `Quick test_system_resolve_owners_batch;
           Alcotest.test_case "imbalance metric" `Quick test_system_imbalance_metric;
         ] );
       ( "locality",
@@ -481,7 +462,7 @@ let () =
         [
           Alcotest.test_case "improves imbalance" `Quick test_balance_sim_improves_imbalance;
           Alcotest.test_case "webcache empty start" `Quick test_balance_sim_webcache_empty_start;
-          Alcotest.test_case "plan replay = reference" `Quick test_balance_plan_matches_reference;
+          Alcotest.test_case "run pinned digests" `Quick test_balance_run_pinned;
           Alcotest.test_case "accounting" `Quick test_balance_sim_accounting;
         ] );
     ]

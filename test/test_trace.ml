@@ -389,8 +389,8 @@ let test_plan_init_grid () =
   let plan = Plan.of_trace t in
   let nf = Array.length t.Op.initial_files in
   Alcotest.(check int) "offsets length" (nf + 1) (Array.length plan.Plan.init_offsets);
-  (* Per-block sizes follow the legacy load_initial formula: full
-     blocks except a last-block remainder (a full block when the size
+  (* Per-block sizes follow the file-size formula computed from the op
+     records directly: full blocks except a last-block remainder (a full block when the size
      divides evenly). *)
   let expected_size bytes b =
     let nblocks = Op.blocks_of_bytes bytes in

@@ -127,14 +127,14 @@ let test_zipf_uniform_when_s0 () =
     Alcotest.(check bool) "uniform mass" true (abs_float (Zipf.prob z i -. 0.1) < 1e-9)
   done
 
-(* Pearson chi-square statistic of [draws] samples from [f] against the
-   sampler's analytic masses. *)
-let chi_square z ~draws ~seed f =
+(* Pearson chi-square statistic of [draws] alias samples against the
+   sampler's analytic masses, with the per-rank counts. *)
+let chi_square z ~draws ~seed =
   let n = Zipf.n z in
   let rng = Rng.create seed in
   let counts = Array.make n 0 in
   for _ = 1 to draws do
-    let r = f z rng in
+    let r = Zipf.sample z rng in
     counts.(r) <- counts.(r) + 1
   done;
   let stat = ref 0.0 in
@@ -145,10 +145,9 @@ let chi_square z ~draws ~seed f =
   done;
   (!stat, counts)
 
-(* The alias sampler must draw from the same distribution the CDF
-   search does.  Chi-square against the analytic masses has n-1
-   degrees of freedom: mean n-1, stddev sqrt(2(n-1)), so a bound of
-   n + 8*sqrt(2n) leaves the false-failure probability negligible
+(* The alias sampler must draw from the exact Zipf distribution.
+   Chi-square against the analytic masses has n-1 degrees of freedom:
+   mean n-1, stddev sqrt(2(n-1)), so a bound of n + 8*sqrt(2n) leaves the false-failure probability negligible
    while still catching a swapped alias/cut entry (which shifts whole
    percent of mass and sends the statistic into the thousands). *)
 let prop_zipf_alias_chi_square =
@@ -158,38 +157,24 @@ let prop_zipf_alias_chi_square =
     (fun (n, s, seed) ->
       let z = Zipf.create ~n ~s in
       let draws = 20_000 in
-      let stat, _ = chi_square z ~draws ~seed Zipf.sample in
+      let stat, _ = chi_square z ~draws ~seed in
       let bound = float_of_int n +. (8.0 *. sqrt (2.0 *. float_of_int n)) in
       stat < bound)
 
-(* Frequency equivalence of the two samplers: every rank's empirical
-   frequency must agree between alias and reference to within normal
+(* Per-rank frequencies of the alias sampler against the exact masses
+   [Zipf.prob]: every rank's empirical frequency must lie within normal
    sampling noise (a few multiples of the binomial stddev). *)
 let test_zipf_alias_matches_reference () =
   let z = Zipf.create ~n:40 ~s:0.95 in
   let draws = 200_000 in
-  let _, alias_counts = chi_square z ~draws ~seed:1234 Zipf.sample in
-  let _, ref_counts = chi_square z ~draws ~seed:5678 Zipf.sample_reference in
+  let _, counts = chi_square z ~draws ~seed:1234 in
   for i = 0 to 39 do
-    let fa = float_of_int alias_counts.(i) /. float_of_int draws in
-    let fr = float_of_int ref_counts.(i) /. float_of_int draws in
+    let f = float_of_int counts.(i) /. float_of_int draws in
     let p = Zipf.prob z i in
     let sigma = sqrt (p *. (1.0 -. p) /. float_of_int draws) in
-    if abs_float (fa -. fr) > (8.0 *. sigma) +. 1e-4 then
-      Alcotest.failf "rank %d: alias %.5f vs reference %.5f (p=%.5f)" i fa fr p
+    if abs_float (f -. p) > (8.0 *. sigma) +. 1e-4 then
+      Alcotest.failf "rank %d: alias %.5f vs exact %.5f" i f p
   done
-
-let test_zipf_reference_skew () =
-  let z = Zipf.create ~n:1000 ~s:1.0 in
-  let rng = Rng.create 12 in
-  let counts = Array.make 1000 0 in
-  for _ = 1 to 100_000 do
-    let r = Zipf.sample_reference z rng in
-    counts.(r) <- counts.(r) + 1
-  done;
-  Alcotest.(check bool) "rank 0 most popular" true (counts.(0) > counts.(10));
-  Alcotest.(check bool) "rank 0 ~ 13%" true
-    (abs_float ((float_of_int counts.(0) /. 100_000.0) -. Zipf.prob z 0) < 0.01)
 
 let test_heap_ordering () =
   let h = Heap.create ~cmp:compare in
@@ -364,7 +349,6 @@ let () =
       ( "zipf",
         Alcotest.test_case "bounds" `Quick test_zipf_bounds
         :: Alcotest.test_case "skew" `Quick test_zipf_skew
-        :: Alcotest.test_case "reference skew" `Quick test_zipf_reference_skew
         :: Alcotest.test_case "prob sums to 1" `Quick test_zipf_prob_sums
         :: Alcotest.test_case "uniform when s=0" `Quick test_zipf_uniform_when_s0
         :: Alcotest.test_case "alias = reference frequencies" `Quick
