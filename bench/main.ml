@@ -306,8 +306,8 @@ let digest_build_4k_test () =
   let krng = Rng.create 0xd16 in
   for i = 0 to 4095 do
     ignore
-      (Vmap.stamp_put vmap ~key:(Key.random krng) ~node:(i land 31)
-         ~incoming:Vv.empty)
+      (Vmap.write vmap ~key:(Key.random krng) ~node:(i land 31)
+         ~incoming:Vv.empty ~data:(Some ""))
   done;
   Test.make ~name:"digest_build_4k" (Staged.stage (fun () ->
       let children =

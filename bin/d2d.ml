@@ -9,8 +9,8 @@
    logical node: every domain binds its own SO_REUSEPORT listener on
    the node's address and runs its own poll loop, the kernel spreading
    inbound connections across them.  Ring/router state is shared under
-   the node's membership lock and the shard is lock-partitioned, so
-   the get/put data path scales across domains. *)
+   the node's membership lock and the per-key table is
+   lock-partitioned, so the get/put data path scales across domains. *)
 
 open Cmdliner
 module T = D2_net.Transport_unix
@@ -19,36 +19,33 @@ module Bootstrap = D2_net.Bootstrap
 
 let stop_flag = Atomic.make false
 
+let usage msg =
+  Printf.eprintf "d2d: %s\n" msg;
+  exit 2
+
 let run node nodes port_base replicas probe_interval rpc_timeout
     repair_interval duration domains policy_str store_kind store_dir fsync_str
     segment_mb =
   let policy =
     match D2_dht.Router.policy_of_string policy_str with
     | Some p -> p
-    | None ->
-        Printf.eprintf "d2d: unknown --policy %s\n" policy_str;
-        exit 2
+    | None -> usage ("unknown --policy " ^ policy_str)
   in
   let fsync =
     match D2_segstore.Store.fsync_policy_of_string fsync_str with
     | Some p -> p
-    | None ->
-        Printf.eprintf "d2d: unknown --fsync %s\n" fsync_str;
-        exit 2
+    | None -> usage ("unknown --fsync " ^ fsync_str)
   in
-  (if store_kind <> "mem" && store_kind <> "disk" then begin
-     Printf.eprintf "d2d: unknown --store %s\n" store_kind;
-     exit 2
-   end);
-  if node < 0 || node >= nodes then (
-    Printf.eprintf "d2d: --node must be in [0, %d)\n" nodes;
-    exit 2);
-  if domains < 1 then (
-    Printf.eprintf "d2d: --domains must be >= 1\n";
-    exit 2);
-  if segment_mb < 1 then (
-    Printf.eprintf "d2d: --segment-mb must be >= 1\n";
-    exit 2);
+  if store_kind <> "mem" && store_kind <> "disk" then
+    usage ("unknown --store " ^ store_kind);
+  if node < 0 || node >= nodes then
+    usage (Printf.sprintf "--node must be in [0, %d)" nodes);
+  if replicas < 1 then usage "--replicas must be >= 1";
+  if not (probe_interval > 0.0) then usage "--probe-interval must be > 0";
+  if not (rpc_timeout > 0.0) then usage "--rpc-timeout must be > 0";
+  if not (repair_interval >= 0.0) then usage "--repair-interval must be >= 0";
+  if domains < 1 then usage "--domains must be >= 1";
+  if segment_mb < 1 then usage "--segment-mb must be >= 1";
   Sys.set_signal Sys.sigint
     (Sys.Signal_handle (fun _ -> Atomic.set stop_flag true));
   Sys.set_signal Sys.sigterm
@@ -174,8 +171,8 @@ let run node nodes port_base replicas probe_interval rpc_timeout
   Printf.printf "d2d: node %d served %d requests, %d blocks (%d bytes) stored\n%!"
     node
     (Node.requests_served n + Atomic.get served)
-    (D2_net.Blockstore.count (Node.store n))
-    (D2_net.Blockstore.stored_bytes (Node.store n))
+    (D2_sync.Vmap.blocks (Node.vmap n))
+    (D2_sync.Vmap.stored_bytes (Node.vmap n))
 
 let node_term =
   Arg.(
@@ -245,8 +242,8 @@ let store_term =
   Arg.(
     value & opt string "mem"
     & info [ "store" ] ~env:(Cmd.Env.info "D2_STORE") ~docv:"KIND"
-        ~doc:"Block backend: $(b,mem) (in-RAM shard) or $(b,disk) (durable \
-              segment log with group commit).")
+        ~doc:"Block backend: $(b,mem) (blocks held in RAM) or $(b,disk) \
+              (durable segment log with group commit).")
 
 let store_dir_term =
   Arg.(

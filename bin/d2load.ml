@@ -233,6 +233,12 @@ let run nodes port_base replicas quorum_r quorum_w duration users target_mb
   if inflight < 1 then (
     Printf.eprintf "d2load: --in-flight must be >= 1\n";
     exit 2);
+  if nodes < 1 then (
+    Printf.eprintf "d2load: --nodes must be >= 1\n";
+    exit 2);
+  if not (rpc_timeout > 0.0) then (
+    Printf.eprintf "d2load: --rpc-timeout must be > 0\n";
+    exit 2);
   if quorum_r < 1 || quorum_r > replicas || quorum_w < 1 || quorum_w > replicas
   then (
     Printf.eprintf "d2load: quorums must be in [1, --replicas]\n";

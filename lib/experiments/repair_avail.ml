@@ -102,7 +102,7 @@ let run_one scale ~interval =
       let holders =
         Ring.successors live key replicas
         |> List.filter (fun i ->
-               Blockstore.mem_block (Node.store nodes.(i)) ~key)
+               Blockstore.get (Node.store nodes.(i)) ~key <> None)
         |> List.length
       in
       if holders < replicas then incr degraded else incr fully;

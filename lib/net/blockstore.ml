@@ -1,45 +1,8 @@
 module Key = D2_keyspace.Key
-module Store = D2_segstore.Store
+module Vmap = D2_sync.Vmap
 
-type t = Mem of Shard.t | Disk of Store.t
+type t = Vmap.t
 
-let mem_store ?partitions () = Mem (Shard.create ?partitions ())
-let disk st = Disk st
-let is_disk = function Disk _ -> true | Mem _ -> false
-
-let put t ~key ~data =
-  match t with
-  | Mem s ->
-      Shard.put s ~key ~data;
-      0
-  | Disk s -> Store.put s ~key ~data
-
-let remove t ~key =
-  match t with
-  | Mem s -> (Shard.remove s ~key, 0)
-  | Disk s -> Store.remove s ~key
-
-let get t ~key =
-  match t with Mem s -> Shard.get s ~key | Disk s -> Store.get s ~key
-
-let mem_block t ~key =
-  match t with Mem s -> Shard.mem s ~key | Disk s -> Store.mem s ~key
-
-let durable_seq = function Mem _ -> max_int | Disk s -> Store.durable_seq s
-let flush = function Mem _ -> () | Disk s -> Store.flush s
-let flush_async = function Mem _ -> () | Disk s -> Store.flush_async s
-let needs_flush = function Mem _ -> false | Disk s -> Store.needs_flush s
-let maybe_compact = function Mem _ -> 0 | Disk s -> Store.maybe_compact s
-let count = function Mem s -> Shard.count s | Disk s -> Store.count s
-
-let stored_bytes = function
-  | Mem s -> Shard.stored_bytes s
-  | Disk s -> Store.stored_bytes s
-
-let iter t f = match t with Mem s -> Shard.iter s f | Disk s -> Store.iter s f
-
-let iter_keys t f =
-  match t with Mem s -> Shard.iter_keys s f | Disk s -> Store.iter_keys s f
-let close = function Mem _ -> () | Disk s -> Store.close s
-let shard = function Mem s -> Some s | Disk _ -> None
-let store = function Mem _ -> None | Disk s -> Some s
+let mem_store () = Vmap.create ()
+let disk st = Vmap.create ~disk:st ()
+let get = Vmap.get

@@ -1,67 +1,20 @@
-(** The node's storage seam: one type the runtime holds, two backends.
-
-    [Mem] is the original {!Shard} — partition-locked in-RAM tables,
-    every operation durable the instant it returns.  [Disk] is the
-    {!D2_segstore.Store} segment log, where a put is {e accepted}
-    immediately but {e durable} only once a group commit covers it.
-
-    The durability contract is expressed as sequence watermarks so the
-    node runtime can defer Put/Remove acks without knowing which
-    backend it holds: {!put} returns the operation's sequence, and the
-    ack may go out once {!durable_seq} has reached it.  A [Mem] store
-    reports [max_int] durable — acks fire inline, byte-for-byte the
-    pre-seam behaviour. *)
+(** The node's storage constructors.  A node's blocks live in its
+    per-key table, {!D2_sync.Vmap}: in RAM beside the version entries,
+    or in a {!D2_segstore.Store} segment log, where a write is
+    {e accepted} at once but {e durable} only once a group commit
+    covers it. *)
 
 module Key = D2_keyspace.Key
 
-type t = Mem of Shard.t | Disk of D2_segstore.Store.t
+type t = D2_sync.Vmap.t
 
-val mem_store : ?partitions:int -> unit -> t
+val mem_store : unit -> t
+(** An in-RAM table: every write is durable the instant it returns. *)
+
 val disk : D2_segstore.Store.t -> t
-
-val is_disk : t -> bool
-
-val put : t -> key:Key.t -> data:string -> int
-(** Store a block; returns its append sequence ([0] for [Mem] — always
-    already durable). *)
-
-val remove : t -> key:Key.t -> bool * int
-(** [(removed, seq)] — [removed] is whether a block was dropped, [seq]
-    the sequence the caller's ack must wait for ([0] when nothing was
-    appended). *)
+(** A table whose bytes live in the store; the blocks it already holds
+    (a restarted node) enter under the empty vector
+    ({!D2_sync.Vmap.create}). *)
 
 val get : t -> key:Key.t -> string option
-val mem_block : t -> key:Key.t -> bool
-
-val durable_seq : t -> int
-(** Highest sequence covered by a sync ([max_int] for [Mem]). *)
-
-val flush : t -> unit
-(** Synchronous group commit ([Disk]); no-op for [Mem]. *)
-
-val flush_async : t -> unit
-(** Request a group commit off-thread ([Disk]); the event loop's call
-    — {!durable_seq} advances when the disk settles.  No-op for
-    [Mem]. *)
-
-val needs_flush : t -> bool
-
-val maybe_compact : t -> int
-(** Collect under-live segments ([Disk]); 0 for [Mem]. *)
-
-val count : t -> int
-val stored_bytes : t -> int
-val iter : t -> (Key.t -> string -> unit) -> unit
-
-val iter_keys : t -> (Key.t -> unit) -> unit
-(** Visit every stored key without reading payloads — a pure index
-    walk on [Disk], so seeding the repair subsystem's version map at
-    boot never preads block data. *)
-
-val close : t -> unit
-(** Flush + checkpoint + close ([Disk]); no-op for [Mem]. *)
-
-val shard : t -> Shard.t option
-(** The underlying shard when [Mem] (tests poke it directly). *)
-
-val store : t -> D2_segstore.Store.t option
+(** A key's bytes ({!D2_sync.Vmap.get}). *)

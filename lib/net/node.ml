@@ -4,6 +4,7 @@ module Router = D2_dht.Router
 module Rng = D2_util.Rng
 module Vv = D2_sync.Version_vector
 module Vmap = D2_sync.Vmap
+module Store = D2_segstore.Store
 module Digest = D2_sync.Digest
 module Repair = D2_sync.Repair
 
@@ -30,6 +31,15 @@ type repair_stats = {
   mutable sessions : int;
 }
 
+let check_config c =
+  if c.replicas < 1 then invalid_arg "Node.create: replicas must be >= 1";
+  if not (c.probe_interval > 0.0) then
+    invalid_arg "Node.create: probe_interval must be > 0";
+  if not (c.rpc_timeout > 0.0) then
+    invalid_arg "Node.create: rpc_timeout must be > 0";
+  if not (c.repair_interval >= 0.0) then
+    invalid_arg "Node.create: repair_interval must be >= 0"
+
 let join_attempts = 5
 
 (* How often a serving disk-backed node group-commits and releases the
@@ -48,7 +58,6 @@ module Make (T : Transport.S) = struct
     my_id : Key.t;
     ring : Ring.t;
     router : Router.t;
-    store : Blockstore.t;
     pending : (int * (unit -> unit)) Queue.t;
         (** acks awaiting durability, per instance: each domain queues
             only completions for its own linkset and drains only its
@@ -56,7 +65,7 @@ module Make (T : Transport.S) = struct
             monotone order (handlers run sequentially per domain), so
             draining stops at the first still-volatile head. *)
     lock : Mutex.t;  (** guards [ring] and [router] (shared by siblings) *)
-    vmap : Vmap.t;  (** per-key version state, shared by siblings *)
+    vmap : Vmap.t;  (** per-key state, bytes included; shared by siblings *)
     repair : repair_stats;  (** anti-entropy counters, shared by siblings *)
     mutable probe_rank : int;
     mutable repair_rank : int;
@@ -65,7 +74,7 @@ module Make (T : Transport.S) = struct
   }
 
   let ring t = t.ring
-  let store t = t.store
+  let store t = t.vmap
   let id t = t.my_id
   let requests_served t = t.served
   let vmap t = t.vmap
@@ -75,18 +84,18 @@ module Make (T : Transport.S) = struct
      sequence 0, "nothing was appended") is durable now, so [k] runs
      inline — the pre-seam ack path, frame-for-frame. *)
   let ack_when_durable t seq k =
-    if Blockstore.durable_seq t.store >= seq then k ()
-    else begin
-      let first = Queue.is_empty t.pending in
-      Queue.push (seq, k) t.pending;
-      (* For the round's first deferred op, ask for the commit now
-         rather than at the end of the poll round: the fdatasync
-         starts while the loop is still draining frames and its
-         latency overlaps theirs.  Later ops ride the round-end flush
-         — signalling each one would chop the group commit back into
-         per-op syncs. *)
-      if first then Blockstore.flush_async t.store
-    end
+    match Vmap.disk t.vmap with
+    | Some st when Store.durable_seq st < seq ->
+        let first = Queue.is_empty t.pending in
+        Queue.push (seq, k) t.pending;
+        (* For the round's first deferred op, ask for the commit now
+           rather than at the end of the poll round: the fdatasync
+           starts while the loop is still draining frames and its
+           latency overlaps theirs.  Later ops ride the round-end flush
+           — signalling each one would chop the group commit back into
+           per-op syncs. *)
+        if first then Store.flush_async st
+    | _ -> k ()
 
   (* The group-commit turn: wake the store's background flusher (it
      stages one write and one fdatasync covering the whole window, off
@@ -94,20 +103,21 @@ module Make (T : Transport.S) = struct
      push the replies, and give compaction its chance.  Mem stores
      never need any of it. *)
   let flush_store t =
-    if Blockstore.is_disk t.store then begin
-      if Blockstore.needs_flush t.store then Blockstore.flush_async t.store;
-      let d = Blockstore.durable_seq t.store in
-      let drained = ref false in
-      while
-        (not (Queue.is_empty t.pending)) && fst (Queue.peek t.pending) <= d
-      do
-        let _, k = Queue.pop t.pending in
-        k ();
-        drained := true
-      done;
-      if !drained then L.flush_all t.ls;
-      ignore (Blockstore.maybe_compact t.store)
-    end
+    match Vmap.disk t.vmap with
+    | None -> ()
+    | Some st ->
+        if Store.needs_flush st then Store.flush_async st;
+        let d = Store.durable_seq st in
+        let drained = ref false in
+        while
+          (not (Queue.is_empty t.pending)) && fst (Queue.peek t.pending) <= d
+        do
+          let _, k = Queue.pop t.pending in
+          k ();
+          drained := true
+        done;
+        if !drained then L.flush_all t.ls;
+        ignore (Store.maybe_compact st)
 
   (* The membership view is shared by every sibling (one per domain),
      so all ring/router access is bracketed; the bracket must NOT
@@ -160,7 +170,7 @@ module Make (T : Transport.S) = struct
      and ack the originator once every forward has concluded AND the
      local copy is durable ([local_seq] — the coordinator's own copy
      rides the group-commit window like any other write). *)
-  let fan_out t l req ~key ~depth ~local_seq ~make_msg ~make_ack =
+  let fan_out t l req ~key ~depth ~local_seq ~msg ~make_ack =
     let targets =
       locked t (fun () ->
           Ring.successors t.ring key (depth + 1)
@@ -177,7 +187,7 @@ module Make (T : Transport.S) = struct
         finish ());
     List.iter
       (fun dst ->
-        L.rpc t.ls ~dst ~timeout:t.cfg.rpc_timeout (make_msg ()) (fun r ->
+        L.rpc t.ls ~dst ~timeout:t.cfg.rpc_timeout msg (fun r ->
             (match r with
             | Some (Wire.Put_ack _ | Wire.Remove_ack _) -> incr copies
             | Some _ -> ()
@@ -185,21 +195,41 @@ module Make (T : Transport.S) = struct
             finish ()))
       targets
 
-  (* Install a stamped copy arriving from elsewhere (fan-out, repair
-     push, read-repair): the version map resolves it against the local
-     entry under the key's partition lock, and only a winning copy
-     touches the blockstore — a stale or duplicate delivery is
-     version-ignored, never re-applied.  Returns whether the bytes were
-     installed, and the store sequence the caller's ack must wait for. *)
-  let apply_copy t ~key ~vv ~deleted ~data =
-    match Vmap.apply t.vmap ~key ~vv ~deleted with
-    | `Store _ ->
-        if deleted then begin
-          let _, seq = Blockstore.remove t.store ~key in
-          (true, seq)
-        end
-        else (true, Blockstore.put t.store ~key ~data)
-    | `Ignore _ -> (false, 0)
+  (* Put and Remove ([data = None]) share one path.  Coordinator or
+     fan-out copy?  A coordinator write either fans out ([depth > 0])
+     or comes unstamped from a client ([replicas = 1] clusters write at
+     depth 0 with an empty vector); a fan-out copy always carries the
+     coordinator's stamp.  The coordinator stamps exactly once, so
+     every replica of this write records the same vector; a replica
+     resolves the copy against its own entry, and a stale or duplicate
+     delivery is version-ignored, never re-applied. *)
+  let serve_write t l req ~key ~depth ~vv ~data =
+    let ack vv ~copies ~removed =
+      match data with
+      | Some _ -> Wire.Put_ack { copies; vv }
+      | None -> Wire.Remove_ack { removed }
+    in
+    if depth > 0 || Vv.is_empty vv then begin
+      let vv, removed, seq =
+        Vmap.write t.vmap ~key ~node:t.me ~incoming:vv ~data
+      in
+      if depth <= 0 then
+        ack_when_durable t seq (fun () ->
+            L.reply l ~req (ack vv ~copies:1 ~removed))
+      else
+        let msg =
+          match data with
+          | Some data -> Wire.Put { key; depth = 0; vv; data }
+          | None -> Wire.Remove { key; depth = 0; vv }
+        in
+        fan_out t l req ~key ~depth ~local_seq:seq ~msg
+          ~make_ack:(fun copies -> ack vv ~copies ~removed)
+    end
+    else begin
+      let installed, seq = Vmap.apply t.vmap ~key ~vv ~data in
+      ack_when_durable t seq (fun () ->
+          L.reply l ~req (ack vv ~copies:1 ~removed:installed))
+    end
 
   (* Quorum read: the owner fans [Fetch] to the next [q-1] replica
      holders, folds every copy that answers (its own included) through
@@ -208,9 +238,9 @@ module Make (T : Transport.S) = struct
      read-repair, off the reply path. *)
   let serve_get_q t l req ~key ~q =
     let local =
-      match Vmap.find t.vmap ~key with
-      | Some e -> (e.Vmap.vv, e.Vmap.deleted, Blockstore.get t.store ~key)
-      | None -> (Vv.empty, false, Blockstore.get t.store ~key)
+      match Vmap.read t.vmap ~key with
+      | Some (e, data) -> (e.Vmap.vv, e.Vmap.deleted, data)
+      | None -> (Vv.empty, false, None)
     in
     let targets =
       if q <= 1 then []
@@ -243,8 +273,8 @@ module Make (T : Transport.S) = struct
             if not (Vv.dominates rvv wvv) then
               if node = t.me then
                 ignore
-                  (apply_copy t ~key ~vv:wvv ~deleted:wdel
-                     ~data:(Option.value wdata ~default:""))
+                  (Vmap.apply t.vmap ~key ~vv:wvv
+                     ~data:(if wdel then None else wdata))
               else
                 L.rpc t.ls ~dst:node ~timeout:t.cfg.rpc_timeout
                   (Wire.Push
@@ -302,49 +332,13 @@ module Make (T : Transport.S) = struct
         in
         L.reply l ~req reply
     | Wire.Get { key } -> (
-        match Blockstore.get t.store ~key with
+        match Vmap.get t.vmap ~key with
         | Some data -> L.reply l ~req (Wire.Found { data })
         | None -> L.reply l ~req Wire.Missing)
     | Wire.Put { key; depth; vv; data } ->
-        (* Coordinator or fan-out copy?  A coordinator put either fans
-           out ([depth > 0]) or comes unstamped from a client
-           ([replicas = 1] clusters put at depth 0 with an empty
-           vector); a fan-out copy always carries the coordinator's
-           stamp.  The coordinator stamps exactly once, so every
-           replica of this write records the same vector. *)
-        if depth > 0 || Vv.is_empty vv then begin
-          let vv = Vmap.stamp_put t.vmap ~key ~node:t.me ~incoming:vv in
-          let seq = Blockstore.put t.store ~key ~data in
-          if depth <= 0 then
-            ack_when_durable t seq (fun () ->
-                L.reply l ~req (Wire.Put_ack { copies = 1; vv }))
-          else
-            fan_out t l req ~key ~depth ~local_seq:seq
-              ~make_msg:(fun () -> Wire.Put { key; depth = 0; vv; data })
-              ~make_ack:(fun copies -> Wire.Put_ack { copies; vv })
-        end
-        else begin
-          let _, seq = apply_copy t ~key ~vv ~deleted:false ~data in
-          ack_when_durable t seq (fun () ->
-              L.reply l ~req (Wire.Put_ack { copies = 1; vv }))
-        end
+        serve_write t l req ~key ~depth ~vv ~data:(Some data)
     | Wire.Remove { key; depth; vv } ->
-        if depth > 0 || Vv.is_empty vv then begin
-          let vv = Vmap.stamp_remove t.vmap ~key ~node:t.me ~incoming:vv in
-          let removed, seq = Blockstore.remove t.store ~key in
-          if depth <= 0 then
-            ack_when_durable t seq (fun () ->
-                L.reply l ~req (Wire.Remove_ack { removed }))
-          else
-            fan_out t l req ~key ~depth ~local_seq:seq
-              ~make_msg:(fun () -> Wire.Remove { key; depth = 0; vv })
-              ~make_ack:(fun _ -> Wire.Remove_ack { removed })
-        end
-        else begin
-          let stored, seq = apply_copy t ~key ~vv ~deleted:true ~data:"" in
-          ack_when_durable t seq (fun () ->
-              L.reply l ~req (Wire.Remove_ack { removed = stored }))
-        end
+        serve_write t l req ~key ~depth ~vv ~data:None
     | Wire.Join { node; id } ->
         let reply =
           locked t (fun () ->
@@ -378,22 +372,17 @@ module Make (T : Transport.S) = struct
         L.reply l ~req (Wire.Sync_keys_ack { items })
     | Wire.Fetch { key } ->
         let reply =
-          match Vmap.find t.vmap ~key with
-          | Some e when e.Vmap.deleted ->
-              Wire.Fetch_ack { vv = e.Vmap.vv; deleted = true; data = None }
-          | Some e ->
-              Wire.Fetch_ack
-                {
-                  vv = e.Vmap.vv;
-                  deleted = false;
-                  data = Blockstore.get t.store ~key;
-                }
+          match Vmap.read t.vmap ~key with
+          | Some (e, data) ->
+              Wire.Fetch_ack { vv = e.Vmap.vv; deleted = e.Vmap.deleted; data }
           | None ->
               Wire.Fetch_ack { vv = Vv.empty; deleted = false; data = None }
         in
         L.reply l ~req reply
     | Wire.Push { key; vv; deleted; data } ->
-        let stored, seq = apply_copy t ~key ~vv ~deleted ~data in
+        let stored, seq =
+          Vmap.apply t.vmap ~key ~vv ~data:(if deleted then None else Some data)
+        in
         ack_when_durable t seq (fun () ->
             L.reply l ~req (Wire.Push_ack { stored }))
     | Wire.Get_q { key; q } -> serve_get_q t l req ~key ~q
@@ -407,11 +396,10 @@ module Make (T : Transport.S) = struct
     L.set_on_peer_down t.ls (fun peer -> suspect t peer);
     T.on_accept ep (fun conn -> ignore (L.attach t.ls conn))
 
-  let create ep ?(policy = Router.Fingers) ?store ~config ~id ~peers () =
+  let create ep ?(policy = Router.Fingers) ?(store = Blockstore.mem_store ())
+      ~config ~id ~peers () =
+    check_config config;
     let me = T.node ep in
-    let store =
-      match store with Some s -> s | None -> Blockstore.mem_store ()
-    in
     let ring = Ring.create () in
     Ring.add ring ~id ~node:me;
     List.iter
@@ -422,11 +410,6 @@ module Make (T : Transport.S) = struct
     let router =
       Router.create ~ring ~policy ~rng:(Rng.create ((me * 0x9e3779b1) lor 1))
     in
-    let vmap = Vmap.create () in
-    (* Blocks already in the store (a disk store after restart) enter
-       the version map under the empty vector: visible to digests and
-       quorum reads, superseded by any stamped copy a peer holds. *)
-    Blockstore.iter_keys store (fun key -> Vmap.seed vmap ~key);
     let t =
       {
         ls = L.create ep;
@@ -435,10 +418,9 @@ module Make (T : Transport.S) = struct
         my_id = id;
         ring;
         router;
-        store;
         pending = Queue.create ();
         lock = Mutex.create ();
-        vmap;
+        vmap = store;
         repair =
           {
             repair_frames = 0;
@@ -457,13 +439,13 @@ module Make (T : Transport.S) = struct
     t
 
   (* A sibling shares the node's identity and state — ring, router,
-     shard, lock — behind its own endpoint and linkset.  One sibling
-     per extra domain: the kernel spreads inbound connections across
-     the domains' SO_REUSEPORT listeners, each domain drives only its
-     own poll loop, and the shared data path stays consistent (shard
-     partitions + the membership lock).  Siblings never announce or
-     probe; membership flows through whichever sibling a Join or a
-     broken stream happens to reach. *)
+     per-key table, lock — behind its own endpoint and linkset.  One
+     sibling per extra domain: the kernel spreads inbound connections
+     across the domains' SO_REUSEPORT listeners, each domain drives
+     only its own poll loop, and the shared data path stays consistent
+     (table partitions + the membership lock).  Siblings never
+     announce or probe; membership flows through whichever sibling a
+     Join or a broken stream happens to reach. *)
   let sibling t ep =
     let s =
       {
@@ -520,7 +502,7 @@ module Make (T : Transport.S) = struct
     hi : Key.t;
     probes : Repair.next Queue.t;
     pulls : Key.t Queue.t;
-    pushes : (Key.t * Vv.t * bool) Queue.t;
+    pushes : Key.t Queue.t;
   }
 
   (* One repair RPC, with traffic accounting: every frame sent or
@@ -574,7 +556,7 @@ module Make (T : Transport.S) = struct
                   in
                   let { Repair.pull; push } = Repair.diff ~local ~remote in
                   List.iter (fun k -> Queue.push k s.pulls) pull;
-                  List.iter (fun e -> Queue.push e s.pushes) push;
+                  List.iter (fun (k, _, _) -> Queue.push k s.pushes) push;
                   session_step t s
               | _ -> ())
       | None -> (
@@ -585,8 +567,8 @@ module Make (T : Transport.S) = struct
                   | Some (Wire.Fetch_ack { vv; deleted; data }) ->
                       if deleted || data <> None then begin
                         let stored, _ =
-                          apply_copy t ~key ~vv ~deleted
-                            ~data:(Option.value data ~default:"")
+                          Vmap.apply t.vmap ~key ~vv
+                            ~data:(if deleted then None else data)
                         in
                         if stored then t.repair.pulled <- t.repair.pulled + 1
                       end;
@@ -594,17 +576,25 @@ module Make (T : Transport.S) = struct
                   | _ -> ())
           | None -> (
               match Queue.take_opt s.pushes with
-              | Some (key, vv, deleted) -> (
-                  let data =
-                    if deleted then Some "" else Blockstore.get t.store ~key
+              | Some key -> (
+                  (* Ship the copy held now, vector and bytes read
+                     together: a write since the key exchange only
+                     makes it newer. *)
+                  let copy =
+                    match Vmap.read t.vmap ~key with
+                    | Some ({ Vmap.vv; deleted = true }, _) ->
+                        Some (vv, true, "")
+                    | Some ({ Vmap.vv; deleted = false }, Some data) ->
+                        Some (vv, false, data)
+                    | Some (_, None) | None -> None
                   in
-                  match data with
+                  match copy with
                   | None ->
-                      (* Version entry without bytes (lost block):
-                         nothing to ship; the peer's copy, if any,
-                         flows back on a later pull. *)
+                      (* An entry without bytes (lost block): nothing to
+                         ship; the peer's copy, if any, flows back on a
+                         later pull. *)
                       session_step t s
-                  | Some data ->
+                  | Some (vv, deleted, data) ->
                       repair_rpc t ~dst:s.peer
                         (Wire.Push { key; vv; deleted; data })
                         (function
@@ -693,7 +683,7 @@ module Make (T : Transport.S) = struct
     (* Disk-backed nodes also run the group-commit clock; callers that
        drive [T.poll] themselves may call [flush_store] more often (the
        daemon does, after every poll), this tick is the floor. *)
-    if Blockstore.is_disk t.store then begin
+    if Vmap.disk t.vmap <> None then begin
       let rec ftick () =
         if not t.stopped then begin
           flush_store t;

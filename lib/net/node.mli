@@ -1,18 +1,21 @@
 (** The live node runtime: one D2 storage node behind a transport.
 
     [Node.serve] wires together a membership ring view, a compiled
-    {!D2_dht.Router} for greedy forwarding, and a local {!Blockstore}
-    (the in-RAM {!Shard} or the durable {!D2_segstore.Store}) behind
-    any {!Transport.S}:
+    {!D2_dht.Router} for greedy forwarding, and the node's per-key
+    table {!D2_sync.Vmap} (version vector, tombstone and bytes per key;
+    the bytes in RAM or in a {!D2_segstore.Store}) behind any
+    {!Transport.S}:
 
     - {b Lookups} are iterative (§5): a node that owns the key answers
       [Owner (range, self)] — exactly what the client's range cache
       stores — and otherwise answers [Redirect next] with the best
       next hop from its own link table; the {e client} walks the path.
-    - {b Puts} fan out: the coordinator (normally the key's owner)
-      stores locally and forwards copies to the next [depth] distinct
-      successors, acking with the copy count once every forward has
-      acked or timed out.  Gets and removes serve from the shard.
+    - {b Puts and removes} share one path and fan out: the
+      coordinator (normally the key's owner) stamps and installs the
+      write in one table call, forwards copies to the next [depth]
+      distinct successors, and acks with the copy count once every
+      forward has acked or timed out.  A replica resolves each copy
+      against its own entry.  Gets serve from the table.
     - {b Join/probe}: a booting node announces itself to its bootstrap
       peers and merges their membership; every [probe_interval] a node
       probes its successor plus one rotating member, and an
@@ -27,10 +30,11 @@
     domains.  Domain 0 owns the canonical instance ([create] +
     [serve]); each extra domain drives a {!sibling} — its own endpoint
     (bound with [SO_REUSEPORT] to the same address) and linkset, but
-    the {e same} ring, router, shard and membership lock.  The kernel
-    spreads inbound connections across the listeners, so each domain
-    polls only its own sockets while reads and writes against the
-    partitioned shard proceed in parallel. *)
+    the {e same} ring, router, per-key table and membership lock.  The
+    kernel spreads inbound connections across the listeners, so each
+    domain polls only its own sockets while reads and writes against
+    the partitioned table proceed in parallel; a key's vector and
+    bytes change together under its partition lock. *)
 
 module Key = D2_keyspace.Key
 
@@ -71,15 +75,18 @@ module Make (T : Transport.S) : sig
       routing-link policy the node's redirects follow — set it
       uniformly across a cluster ([D2_ROUTE_POLICY] in [d2d]).
       [store] (default a fresh in-RAM {!Blockstore.mem_store}) is the
-      block backend; with a disk store, Put/Remove acks are withheld
-      until a group commit makes the write durable — drive
+      node's per-key table; with a disk store, Put/Remove acks are
+      withheld until a group commit makes the write durable — drive
       {!flush_store} (the daemon does, after every poll; [serve] also
-      ticks it) or acks stall. *)
+      ticks it) or acks stall.
+      @raise Invalid_argument when [config.replicas < 1],
+      [probe_interval <= 0], [rpc_timeout <= 0] or
+      [repair_interval < 0]. *)
 
   val sibling : t -> T.t -> t
   (** [sibling t ep] is a worker-domain view of the same logical node:
       handlers installed on [ep], sharing [t]'s identity, ring,
-      router and shard.  Siblings never announce or probe — drive them
+      router and table.  Siblings never announce or probe — drive them
       with [T.poll] only (no [serve]). *)
 
   val serve : t -> unit
@@ -100,14 +107,17 @@ module Make (T : Transport.S) : sig
       its own deferred acks. *)
 
   val ring : t -> D2_dht.Ring.t
+
   val store : t -> Blockstore.t
+  (** The node's per-key table, the same value as {!vmap}. *)
+
   val id : t -> Key.t
   val requests_served : t -> int
 
   val vmap : t -> D2_sync.Vmap.t
-  (** The node's version map (key -> vector + tombstone), shared with
-      siblings; seeded from the store at [create], stamped by every
-      write, folded by repair digests. *)
+  (** The node's per-key table (key -> vector, tombstone, bytes),
+      shared with siblings: every write goes through it, repair
+      digests fold over it. *)
 
   val repair_stats : t -> repair_stats
   (** Live anti-entropy counters (shared with siblings); the

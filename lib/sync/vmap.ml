@@ -1,26 +1,28 @@
 module Key = D2_keyspace.Key
 module Vv = Version_vector
+module Store = D2_segstore.Store
 
 type entry = { vv : Vv.t; deleted : bool }
 
-type partition = { tbl : entry Key.Table.t; lock : Mutex.t }
-type t = { parts : partition array; mask : int }
+(* A partition holds its keys' entries and, in RAM, their bytes, both
+   behind one lock.  The bytes sit in a table of their own, replaced in
+   place, rather than in the entry record: a record re-allocated on
+   every write grows the major heap of a busy daemon. *)
+type partition = {
+  entries : entry Key.Table.t;
+  blocks : string Key.Table.t;  (** in RAM only; empty on disk *)
+  lock : Mutex.t;
+  mutable bytes : int;  (** payload bytes in [blocks] *)
+}
 
-let default_partitions = 32
+type t = { parts : partition array; disk : Store.t option }
 
-let create ?(partitions = default_partitions) () =
-  if partitions < 1 then invalid_arg "Vmap.create: partitions < 1";
-  let n = ref 1 in
-  while !n < partitions do
-    n := !n * 2
-  done;
-  {
-    parts =
-      Array.init !n (fun _ -> { tbl = Key.Table.create 64; lock = Mutex.create () });
-    mask = !n - 1;
-  }
+(* A power of two, so partition selection is a mask: with a handful of
+   domains two writers almost never meet, and a single-domain node
+   pays one uncontended lock/unlock per operation. *)
+let partitions = 32
 
-let part t key = t.parts.(Key.hash key land t.mask)
+let part t key = t.parts.(Key.hash key land (partitions - 1))
 
 let locked p f =
   Mutex.lock p.lock;
@@ -32,64 +34,116 @@ let locked p f =
       Mutex.unlock p.lock;
       raise e
 
-let find t ~key = locked (part t key) (fun p -> Key.Table.find_opt p.tbl key)
+let recovered = { vv = Vv.empty; deleted = false }
 
-let count t =
-  Array.fold_left
-    (fun acc p -> acc + locked p (fun p -> Key.Table.length p.tbl))
-    0 t.parts
+let create ?disk () =
+  let t =
+    {
+      parts =
+        Array.init partitions (fun _ ->
+            {
+              entries = Key.Table.create 64;
+              blocks = Key.Table.create 64;
+              lock = Mutex.create ();
+              bytes = 0;
+            });
+      disk;
+    }
+  in
+  (* The walk holds the store's mutex, so it takes no partition lock:
+     nothing else can reach [t] yet. *)
+  Option.iter
+    (fun st ->
+      Store.iter_keys st (fun key ->
+          Key.Table.replace (part t key).entries key recovered))
+    disk;
+  t
 
-let stamp t ~key ~node ~incoming ~deleted =
+let disk t = t.disk
+
+(* Install [data] ([None]: a tombstone) as the key's bytes, under the
+   partition lock.  Returns whether a tombstone dropped a live block,
+   and the store sequence to wait for. *)
+let install t p key data =
+  match (t.disk, data) with
+  | Some st, Some data -> (false, Store.put st ~key ~data)
+  | Some st, None -> Store.remove st ~key
+  | None, _ ->
+      let old = Key.Table.find_opt p.blocks key in
+      Option.iter (fun old -> p.bytes <- p.bytes - String.length old) old;
+      (match data with
+      | Some data ->
+          Key.Table.replace p.blocks key data;
+          p.bytes <- p.bytes + String.length data
+      | None -> Key.Table.remove p.blocks key);
+      (data = None && old <> None, 0)
+
+let bytes_of t p key =
+  match t.disk with
+  | Some st -> Store.get st ~key
+  | None -> Key.Table.find_opt p.blocks key
+
+let write t ~key ~node ~incoming ~data =
   locked (part t key) (fun p ->
       let cur =
-        match Key.Table.find_opt p.tbl key with
+        match Key.Table.find_opt p.entries key with
         | Some e -> e.vv
         | None -> Vv.empty
       in
       let vv = Vv.bump (Vv.merge cur incoming) ~node in
-      Key.Table.replace p.tbl key { vv; deleted };
-      vv)
+      let removed, seq = install t p key data in
+      Key.Table.replace p.entries key { vv; deleted = data = None };
+      (vv, removed, seq))
 
-let stamp_put t ~key ~node ~incoming =
-  stamp t ~key ~node ~incoming ~deleted:false
-
-let stamp_remove t ~key ~node ~incoming =
-  stamp t ~key ~node ~incoming ~deleted:true
-
-let apply t ~key ~vv ~deleted =
+let apply t ~key ~vv ~data =
   locked (part t key) (fun p ->
-      match Key.Table.find_opt p.tbl key with
-      | None ->
-          Key.Table.replace p.tbl key { vv; deleted };
-          `Store vv
+      let win vv =
+        let _, seq = install t p key data in
+        Key.Table.replace p.entries key { vv; deleted = data = None };
+        (true, seq)
+      in
+      match Key.Table.find_opt p.entries key with
+      | None -> win vv
       | Some local -> (
           let merged = Vv.merge local.vv vv in
           match Vv.compare_vv vv local.vv with
-          | Vv.Equal | Vv.Dominated -> `Ignore merged
-          | Vv.Dominates ->
-              Key.Table.replace p.tbl key { vv = merged; deleted };
-              `Store merged
+          | Vv.Equal | Vv.Dominated -> (false, 0)
+          | Vv.Dominates -> win merged
           | Vv.Concurrent ->
               (* Both sides of a concurrent pair compute the same
                  winner, so after one exchange in either direction the
                  replicas hold the same (merged vector, bytes). *)
-              if Vv.winner vv local.vv = `Left then begin
-                Key.Table.replace p.tbl key { vv = merged; deleted };
-                `Store merged
-              end
+              if Vv.winner vv local.vv = `Left then win merged
               else begin
-                Key.Table.replace p.tbl key
-                  { vv = merged; deleted = local.deleted };
-                `Ignore merged
+                Key.Table.replace p.entries key { local with vv = merged };
+                (false, 0)
               end))
 
-let seed t ~key =
+let read t ~key =
   locked (part t key) (fun p ->
-      if not (Key.Table.mem p.tbl key) then
-        Key.Table.replace p.tbl key { vv = Vv.empty; deleted = false })
+      match Key.Table.find_opt p.entries key with
+      | None -> None
+      | Some e -> Some (e, if e.deleted then None else bytes_of t p key))
+
+let get t ~key = locked (part t key) (fun p -> bytes_of t p key)
+
+let sum t f =
+  Array.fold_left (fun acc p -> acc + locked p f) 0 t.parts
+
+let count t = sum t (fun p -> Key.Table.length p.entries)
+
+let blocks t =
+  match t.disk with
+  | Some st -> Store.count st
+  | None -> sum t (fun p -> Key.Table.length p.blocks)
+
+let stored_bytes t =
+  match t.disk with
+  | Some st -> Store.stored_bytes st
+  | None -> sum t (fun p -> p.bytes)
 
 let iter t f =
-  Array.iter (fun p -> locked p (fun p -> Key.Table.iter f p.tbl)) t.parts
+  Array.iter (fun p -> locked p (fun p -> Key.Table.iter f p.entries)) t.parts
 
 let iter_range t ~lo ~hi f =
   iter t (fun key e -> if Key.in_interval key ~lo ~hi then f key e)

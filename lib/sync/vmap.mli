@@ -1,17 +1,27 @@
-(** Per-node version state: key -> (version vector, tombstone flag).
+(** A live node's per-key table: key -> (version vector, tombstone
+    flag, bytes).
 
-    The node runtime keeps one [Vmap] beside its blockstore.  Writes
-    stamp it ({!stamp_put} on the coordinating node, {!apply} on a
-    replica receiving a stamped copy), removes leave tombstones (a
-    deleted key must keep its vector or anti-entropy would resurrect
-    it from a replica that missed the remove), and the repair digests
-    fold over it ({!iter} / {!iter_range}).
+    This is the one place a node's key state changes.  Writes stamp
+    and install in one step ({!write} on the coordinating node,
+    {!apply} on a replica receiving a stamped copy), removes leave
+    tombstones (a deleted key must keep its vector or anti-entropy
+    would resurrect it from a replica that missed the remove), reads
+    return a key's vector and bytes together ({!read}), and the repair
+    digests fold over the entries ({!iter} / {!iter_range}).
 
-    Thread-safe the same way {!D2_net.Shard} is: keys hash across
-    independently locked partitions, so the domain-sharded runtime's
-    write path updates versions in parallel.  {!apply} runs its
-    compare-and-resolve under the key's partition lock, so two domains
-    applying copies of the same key serialize correctly. *)
+    Only the bytes differ between backends.  An in-RAM table keeps
+    them beside the entries, in the same partition.  A disk table
+    ([create ~disk]) keeps them in the segment store, whose append
+    sequence {!write} and {!apply} return so the caller can hold its
+    ack until a group commit covers it.
+
+    Thread-safe: keys hash across 32 independently locked partitions,
+    so the domain-sharded runtime's data path runs in parallel across
+    domains.  Every read or write of a key's (vector, bytes) pair
+    happens under that key's partition lock, so two domains writing
+    one key can never leave its bytes and its vector naming different
+    writes.  Lock order: a partition lock, then the store's mutex —
+    never the other way round. *)
 
 module Key = D2_keyspace.Key
 
@@ -19,46 +29,62 @@ type t
 
 type entry = { vv : Version_vector.t; deleted : bool }
 
-val create : ?partitions:int -> unit -> t
-(** [partitions] (default 32) is rounded up to a power of two. *)
+val create : ?disk:D2_segstore.Store.t -> unit -> t
+(** An empty in-RAM table, or, with [disk], the table of a node whose
+    bytes live in that store.  Every block the store already holds (a
+    restarted node) enters under the empty vector, live: it is visible
+    to digests and quorum reads, so a sole surviving copy still
+    propagates, but it loses to any stamped copy a peer holds. *)
 
-val find : t -> key:Key.t -> entry option
+val disk : t -> D2_segstore.Store.t option
+(** The segment store holding the bytes; [None] in RAM.  Durability
+    (watermarks, group commit, compaction) is driven on it directly. *)
+
+val write :
+  t ->
+  key:Key.t ->
+  node:int ->
+  incoming:Version_vector.t ->
+  data:string option ->
+  Version_vector.t * bool * int
+(** Coordinator write path: merge [incoming] (empty for a client
+    write) into the key's vector, bump [node], and install [data] —
+    [None] writes a tombstone.  Returns [(vv, removed, seq)]: the new
+    vector (the one the fan-out copies and the client's ack carry),
+    whether a tombstone dropped a live block, and the store sequence
+    the ack must wait for ([0] in RAM or when nothing was appended). *)
+
+val apply :
+  t -> key:Key.t -> vv:Version_vector.t -> data:string option -> bool * int
+(** Replica path: resolve an incoming stamped copy ([None] = a
+    tombstone) against the local entry and install it if it wins — it
+    dominates, or it is concurrent and wins the deterministic
+    tiebreak.  Either way the entry ends at the merge of both vectors,
+    so a stale copy cannot resurface later, and both sides of a
+    concurrent pair converge on the same (vector, bytes).  A copy that
+    is dominated or equal changes nothing.  Returns
+    [(installed, seq)]. *)
+
+val read : t -> key:Key.t -> (entry * string option) option
+(** The key's entry and bytes, taken together; the bytes are [None]
+    for a tombstone.  [None] when the key has never been seen. *)
+
+val get : t -> key:Key.t -> string option
+(** The key's bytes alone (a plain get). *)
 
 val count : t -> int
 (** Entries held, tombstones included. *)
 
-val stamp_put : t -> key:Key.t -> node:int -> incoming:Version_vector.t -> Version_vector.t
-(** Coordinator write path: merge [incoming] (empty for a client put)
-    into the key's current vector, bump [node], record the result as
-    live, and return it — the vector the fan-out copies and the
-    client's ack carry. *)
+val blocks : t -> int
+(** Live blocks held. *)
 
-val stamp_remove : t -> key:Key.t -> node:int -> incoming:Version_vector.t -> Version_vector.t
-(** Same, but records a tombstone. *)
-
-val apply :
-  t ->
-  key:Key.t ->
-  vv:Version_vector.t ->
-  deleted:bool ->
-  [ `Store of Version_vector.t | `Ignore of Version_vector.t ]
-(** Replica path: resolve an incoming stamped copy against the local
-    entry.  [`Store vv'] — the incoming copy wins (it dominates, or
-    it is concurrent and wins the deterministic tiebreak): the caller
-    must install the incoming bytes (or tombstone), and the entry now
-    carries [vv'] (the merge of both vectors).  [`Ignore vv'] — the
-    local copy stands (entry still merged to [vv'], so a stale copy
-    cannot resurface later).  Either way both replicas of a concurrent
-    pair converge on the same (vector, bytes). *)
-
-val seed : t -> key:Key.t -> unit
-(** Register a key recovered from a restarted store under the empty
-    vector (only when no entry exists): the block becomes visible to
-    digests — so a sole-surviving copy still propagates — but loses
-    to any stamped copy a peer holds. *)
+val stored_bytes : t -> int
+(** Live payload bytes. *)
 
 val iter : t -> (Key.t -> entry -> unit) -> unit
 
 val iter_range : t -> lo:Key.t -> hi:Key.t -> (Key.t -> entry -> unit) -> unit
 (** Entries with key in the half-open ring interval [(lo, hi]]
-    ({!Key.in_interval}); the whole map when [lo = hi]. *)
+    ({!Key.in_interval}); the whole table when [lo = hi].  The
+    callback runs under a partition lock: it must not call back into
+    the table. *)

@@ -21,7 +21,9 @@
 #
 # Before any cluster boots, a one-node daemon is started twice with
 # D2_REPAIR_INTERVAL set to 0 and to 2: both are valid intervals, and
-# the daemon must report each in its "listening on" line.
+# the daemon must report each in its "listening on" line.  Then every
+# out-of-range runtime setting must be a usage error: d2d and d2load
+# exit 2 within 5 s, and the daemon never starts listening.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -46,6 +48,29 @@ for interval in 0 2; do
     --node 0 --nodes 1 --port-base $((PORT_BASE + 80)) --duration 0.3)"
   if ! grep -q "repair=${interval}s)" <<<"$out"; then
     echo "net_smoke: D2_REPAIR_INTERVAL=$interval not applied:" >&2
+    echo "$out" >&2
+    exit 1
+  fi
+done
+
+# Out-of-range settings are usage errors (exit 2), never a daemon that
+# spins, starts silently or dies on an uncaught exception.
+D2D="d2d.exe --node 0 --nodes 1"
+bad_flags=(
+  "$D2D --probe-interval 0 --duration 1"
+  "$D2D --rpc-timeout=-1"
+  "$D2D --repair-interval=-3"
+  "$D2D --replicas=0"
+  "d2load.exe --rpc-timeout=-1"
+  "d2load.exe --nodes=0"
+)
+for cmd in "${bad_flags[@]}"; do
+  code=0
+  # shellcheck disable=SC2086
+  out="$(timeout -k 1 5 ./_build/default/bin/$cmd \
+    --port-base $((PORT_BASE + 80)) 2>&1)" || code=$?
+  if [ "$code" -ne 2 ] || grep -q "listening" <<<"$out"; then
+    echo "net_smoke: '$cmd' exited $code, want a usage error (2):" >&2
     echo "$out" >&2
     exit 1
   fi

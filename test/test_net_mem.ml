@@ -36,14 +36,20 @@ type outcome = {
   failures : int;
 }
 
-(* Every node's final shard, as sorted (key, data) lists. *)
+(* Every node's final blocks, as sorted (key, data) lists. *)
 let store_dump nodes =
   List.map
     (fun n ->
-      let blocks = ref [] in
-      D2_net.Blockstore.iter (Node.store n) (fun k d ->
-          blocks := (Key.to_string k, d) :: !blocks);
-      List.sort compare !blocks)
+      let live = ref [] in
+      D2_sync.Vmap.iter (Node.vmap n) (fun k e ->
+          if not e.D2_sync.Vmap.deleted then live := k :: !live);
+      List.filter_map
+        (fun key ->
+          Option.map
+            (fun d -> (Key.to_string key, d))
+            (D2_net.Blockstore.get (Node.store n) ~key))
+        !live
+      |> List.sort compare)
     nodes
 
 (* One full scripted run; everything is seeded, so two calls must
@@ -131,7 +137,7 @@ let check_outcome label expected got =
 
 (* The same scripted churn run driven through the pipelined client
    with [window] operations in flight.  Returns the outcome plus a
-   full dump of every node's final shard — pipelining must change
+   full dump of every node's final blocks — pipelining must change
    throughput, never state: the dump has to be identical at any
    window depth, and window 1 must reproduce the synchronous run's
    pinned counters exactly. *)
@@ -335,12 +341,12 @@ let test_basic_lifecycle () =
   (match Client.put client ~key ~data:"hello" with
   | `Ok copies -> Alcotest.(check int) "copies" 3 copies
   | `Failed -> Alcotest.fail "put");
-  (* Every node's shard holds the block: 3 replicas on a 3-node ring. *)
+  (* Every node holds the block: 3 replicas on a 3-node ring. *)
   List.iter
     (fun n ->
       Alcotest.(check bool)
         "replica present" true
-        (D2_net.Blockstore.mem_block (Node.store n) ~key))
+        (D2_net.Blockstore.get (Node.store n) ~key <> None))
     nodes;
   (match Client.get client ~key with
   | `Found d -> Alcotest.(check string) "data" "hello" d
@@ -355,6 +361,27 @@ let test_basic_lifecycle () =
   Alcotest.(check int) "no failures" 0 (Client.failures client);
   List.iter Node.stop nodes
 
+(* Out-of-range runtime settings are rejected at [create], as
+   [Client.create] rejects its own, before the node binds anything. *)
+let test_create_rejects_bad_config () =
+  let engine = Engine.create () in
+  let topology = Topology.create ~rng:(Rng.create 0x7090) ~n:1 () in
+  let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x11 () in
+  let ep = Mem.endpoint net ~node:0 in
+  List.iter
+    (fun (label, config) ->
+      match
+        Node.create ep ~config ~id:(Bootstrap.node_id 0) ~peers:[] ()
+      with
+      | _ -> Alcotest.failf "%s accepted" label
+      | exception Invalid_argument _ -> ())
+    [
+      ("replicas 0", { config with replicas = 0 });
+      ("probe_interval 0", { config with probe_interval = 0.0 });
+      ("rpc_timeout -1", { config with rpc_timeout = -1.0 });
+      ("repair_interval -3", { config with repair_interval = -3.0 });
+    ]
+
 let () =
   Alcotest.run "net_mem"
     [
@@ -368,5 +395,7 @@ let () =
             test_pipelined_depth_invariant;
           Alcotest.test_case "alpha=2 races around a black-holed seed" `Quick
             test_alpha_race_survives_dead_seed;
+          Alcotest.test_case "create rejects out-of-range config" `Quick
+            test_create_rejects_bad_config;
         ] );
     ]

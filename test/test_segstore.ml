@@ -17,6 +17,8 @@ module Node = D2_net.Node.Make (D2_net.Transport_mem)
 module Client = D2_net.Client.Make (D2_net.Transport_mem)
 module Bootstrap = D2_net.Bootstrap
 module Blockstore = D2_net.Blockstore
+module Vmap = D2_sync.Vmap
+module Vv = D2_sync.Version_vector
 
 (* {1 Scratch directories}
 
@@ -594,7 +596,7 @@ let test_e2e_crash_restart () =
           Client.create (Mem.endpoint net ~node:3) ~replicas:3 ~rpc_timeout:2.0
             ~seeds:[ 0; 1; 2 ] ()
         in
-        let r = f client in
+        let r = f nodes client in
         List.iter Node.stop nodes;
         r
       in
@@ -603,7 +605,7 @@ let test_e2e_crash_restart () =
       let data_of key = "blk:" ^ Key.to_string key in
       (* Generation 1: load the cluster, then kill every node cold. *)
       let stores = open_stores () in
-      run_cluster stores (fun client ->
+      run_cluster stores (fun _ client ->
           Array.iter
             (fun key ->
               match Client.put client ~key ~data:(data_of key) with
@@ -630,7 +632,28 @@ let test_e2e_crash_restart () =
         (fun st ->
           Alcotest.(check int) "recovered block count" 19 (Store.count st))
         stores;
-      run_cluster stores (fun client ->
+      run_cluster stores (fun nodes client ->
+          (* Boot seeding, before any client traffic (repair is off):
+             every recovered block is a live entry under the empty
+             vector, and nothing else is in the table. *)
+          List.iter2
+            (fun n st ->
+              Alcotest.(check int) "seeded entries = recovered blocks"
+                (Store.count st)
+                (Vmap.count (Node.vmap n));
+              Array.iteri
+                (fun i key ->
+                  if i > 0 then
+                    match Vmap.read (Node.vmap n) ~key with
+                    | Some ({ Vmap.vv; deleted = false }, Some _)
+                      when Vv.is_empty vv ->
+                        ()
+                    | _ ->
+                        Alcotest.fail
+                          "recovered block not seeded live under the empty \
+                           vector")
+                keys)
+            nodes stores;
           Array.iteri
             (fun i key ->
               match Client.get client ~key with

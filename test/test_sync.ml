@@ -112,23 +112,80 @@ let prop_apply_order_independent =
       let key = Key.random (Rng.create 0x5eed) in
       let run copies =
         let m = Vmap.create () in
-        let bytes = ref None in
         List.iter
-          (fun (vv, data) ->
-            match Vmap.apply m ~key ~vv ~deleted:false with
-            | `Store _ -> bytes := Some data
-            | `Ignore _ -> ())
+          (fun (vv, data) -> ignore (Vmap.apply m ~key ~vv ~data:(Some data)))
           copies;
-        let final =
-          match Vmap.find m ~key with
-          | Some e -> e.Vmap.vv
-          | None -> Vv.empty
-        in
-        (!bytes, final)
+        match Vmap.read m ~key with
+        | Some (e, bytes) -> (bytes, e.Vmap.vv)
+        | None -> (None, Vv.empty)
       in
       let b1, v1 = run [ (va, "A"); (vb, "B") ] in
       let b2, v2 = run [ (vb, "B"); (va, "A") ] in
       b1 = b2 && vv_equal v1 v2)
+
+(* {1 Two domains, one key}
+
+   Domain siblings share one table and stamp with the same node id.
+   Two domains write one key while a third reads it throughout: every
+   read must return the bytes of the write whose counter its vector
+   holds, and the key must end with the bytes of the write that got
+   the highest counter. *)
+
+let test_two_domain_writes () =
+  let node = 7 and writes = 200 and trials = 50 in
+  let key = Key.random (Rng.create 0x2d0) in
+  for trial = 1 to trials do
+    let m = Vmap.create () in
+    let writer tag () =
+      List.init writes (fun i ->
+          let data = Printf.sprintf "%c%d.%d" tag trial i in
+          let vv, _, _ =
+            Vmap.write m ~key ~node ~incoming:Vv.empty ~data:(Some data)
+          in
+          (Vv.get vv node, data))
+    in
+    let stop = Atomic.make false in
+    let reader () =
+      let seen = ref [] in
+      while not (Atomic.get stop) do
+        match Vmap.read m ~key with
+        | Some (e, Some data) ->
+            seen := (Vv.get e.Vmap.vv node, data) :: !seen
+        | Some (_, None) ->
+            Alcotest.fail "two domains: live key read as a tombstone"
+        | None -> ()
+      done;
+      !seen
+    in
+    let r = Domain.spawn reader in
+    let a = Domain.spawn (writer 'a') and b = Domain.spawn (writer 'b') in
+    let log = Domain.join a @ Domain.join b in
+    Atomic.set stop true;
+    let seen = Domain.join r in
+    let by_counter = Hashtbl.create (2 * writes) in
+    List.iter
+      (fun (counter, data) ->
+        if Hashtbl.mem by_counter counter then
+          Alcotest.failf "two domains: counter %d stamped twice" counter;
+        Hashtbl.replace by_counter counter data)
+      log;
+    List.iter
+      (fun (counter, data) ->
+        Alcotest.(check (option string))
+          "two domains: read bytes match the vector's write"
+          (Hashtbl.find_opt by_counter counter)
+          (Some data))
+      seen;
+    let final =
+      match Vmap.read m ~key with
+      | Some (e, bytes) -> (Vv.get e.Vmap.vv node, bytes)
+      | None -> Alcotest.fail "two domains: key missing"
+    in
+    Alcotest.(check (pair int (option string)))
+      "two domains: the highest counter's bytes win"
+      (2 * writes, Hashtbl.find_opt by_counter (2 * writes))
+      final
+  done
 
 (* {1 Cluster harness} *)
 
@@ -165,8 +222,8 @@ let ring_of_live c ~dead =
   r
 
 let entry_vv c n key =
-  match Vmap.find (Node.vmap c.nodes.(n)) ~key with
-  | Some e -> e.Vmap.vv
+  match Vmap.read (Node.vmap c.nodes.(n)) ~key with
+  | Some (e, _) -> e.Vmap.vv
   | None -> Vv.empty
 
 (* Every key's replica group — the r successors on the live ring —
@@ -198,7 +255,9 @@ let total_copies c ~dead key =
   let n = ref 0 in
   Array.iteri
     (fun i node ->
-      if (not (List.mem i dead)) && Blockstore.mem_block (Node.store node) ~key
+      if
+        (not (List.mem i dead))
+        && Blockstore.get (Node.store node) ~key <> None
       then incr n)
     c.nodes;
   !n
@@ -420,10 +479,12 @@ let test_quorum_read_repair () =
   let vv2 = Vv.bump (entry_vv c owner key) ~node:owner in
   List.iter
     (fun n ->
-      (match Vmap.apply (Node.vmap c.nodes.(n)) ~key ~vv:vv2 ~deleted:false with
-      | `Store _ -> ()
-      | `Ignore _ -> Alcotest.fail "rr: injected copy lost the version race");
-      ignore (Blockstore.put (Node.store c.nodes.(n)) ~key ~data:(data_v 2 key)))
+      let installed, _ =
+        Vmap.apply (Node.vmap c.nodes.(n)) ~key ~vv:vv2
+          ~data:(Some (data_v 2 key))
+      in
+      if not installed then
+        Alcotest.fail "rr: injected copy lost the version race")
     [ owner; s2 ];
   (* A plain (quorum-1) read serves the owner's copy and fixes
      nothing: the control for the quorum read below. *)
@@ -496,6 +557,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_codec_roundtrip;
           QCheck_alcotest.to_alcotest prop_codec_truncation;
           QCheck_alcotest.to_alcotest prop_apply_order_independent;
+        ] );
+      ( "vmap",
+        [
+          Alcotest.test_case "two domains: bytes follow the vector" `Quick
+            test_two_domain_writes;
         ] );
       ( "e2e",
         [
