@@ -194,13 +194,15 @@ let availability_replay_1k_test () =
 let micro_batch = 1024
 
 (* Wire-codec throughput: encode a batch of representative frames
-   (lookup / owner / 256 B put / ack) into one preallocated buffer. *)
+   (lookup / owner / 256 B put / ack) into one reused output buffer,
+   then drain it — the coalescing path a link's sends take. *)
 let net_frame_encode_test () =
   let open Bechamel in
+  let module Bytebuf = D2_net.Transport.Bytebuf in
   let rng = Rng.create 0xd2f in
   let keys = Array.init 64 (fun _ -> Key.random rng) in
   let payload = String.make 256 'x' in
-  let buf = Bytes.create D2_net.Wire.max_frame in
+  let out = Bytebuf.create () in
   let msgs =
     Array.init micro_batch (fun i ->
         match i land 3 with
@@ -221,8 +223,9 @@ let net_frame_encode_test () =
   Test.make ~name:"net_frame_encode" (Staged.stage (fun () ->
       let acc = ref 0 in
       for i = 0 to micro_batch - 1 do
-        acc := !acc + D2_net.Wire.encode_into buf ~off:0 ~req:i msgs.(i)
+        acc := !acc + D2_net.Wire.write out ~req:i msgs.(i)
       done;
+      Bytebuf.consume out (Bytebuf.length out);
       ignore (Sys.opaque_identity !acc)))
 
 (* One replicated put + one get through the full protocol stack

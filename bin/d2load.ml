@@ -239,6 +239,9 @@ let run nodes port_base replicas quorum_r quorum_w duration users target_mb
   if not (rpc_timeout > 0.0) then (
     Printf.eprintf "d2load: --rpc-timeout must be > 0\n";
     exit 2);
+  if not (duration > 0.0) then (
+    Printf.eprintf "d2load: --duration must be > 0\n";
+    exit 2);
   if quorum_r < 1 || quorum_r > replicas || quorum_w < 1 || quorum_w > replicas
   then (
     Printf.eprintf "d2load: quorums must be in [1, --replicas]\n";

@@ -87,16 +87,6 @@ let bytes_cache ~capacity =
   { capacity; mu = Mutex.create (); tbl = KTbl.create 256; head = None;
     used = 0; bhits = 0; bmisses = 0; evictions = 0 }
 
-let with_mu c f =
-  Mutex.lock c.mu;
-  match f () with
-  | v ->
-      Mutex.unlock c.mu;
-      v
-  | exception e ->
-      Mutex.unlock c.mu;
-      raise e
-
 let cache_used c = c.used
 let cache_count c = KTbl.length c.tbl
 let cache_hits c = c.bhits
@@ -141,7 +131,7 @@ let evict_to_fit c =
 
 let cache_store c key data =
   if c.capacity > 0 && String.length data <= c.capacity then
-    with_mu c (fun () ->
+    Mutex.protect c.mu (fun () ->
         (match KTbl.find_opt c.tbl key with
         | Some e ->
             c.used <- c.used - String.length e.data + String.length data;
@@ -159,7 +149,7 @@ let cache_store c key data =
         evict_to_fit c)
 
 let cache_find c key =
-  with_mu c (fun () ->
+  Mutex.protect c.mu (fun () ->
       match KTbl.find_opt c.tbl key with
       | None ->
           if c.capacity > 0 then c.bmisses <- c.bmisses + 1;
@@ -174,7 +164,7 @@ let cache_find c key =
           Some e.data)
 
 let cache_remove c key =
-  with_mu c (fun () ->
+  Mutex.protect c.mu (fun () ->
       match KTbl.find_opt c.tbl key with
       | None -> ()
       | Some e -> drop_entry c e)

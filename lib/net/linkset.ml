@@ -32,9 +32,6 @@ module Make (T : Transport.S) = struct
     mutable dirty_links : link list;
     mutable on_request : link -> int -> Wire.msg -> unit;
     mutable on_peer_down : int -> unit;
-    mutable rpcs_sent : int;
-    mutable frames_queued : int;
-    mutable sends_flushed : int;
   }
 
   let create ep =
@@ -44,9 +41,6 @@ module Make (T : Transport.S) = struct
       dirty_links = [];
       on_request = (fun _ _ _ -> ());
       on_peer_down = ignore;
-      rpcs_sent = 0;
-      frames_queued = 0;
-      sends_flushed = 0;
     }
 
   let endpoint t = t.ep
@@ -58,8 +52,7 @@ module Make (T : Transport.S) = struct
     if not (Bytebuf.is_empty l.outbuf) then begin
       let buf, off, len = Bytebuf.peek l.outbuf in
       T.send l.conn buf ~off ~len;
-      Bytebuf.consume l.outbuf len;
-      l.owner.sends_flushed <- l.owner.sends_flushed + 1
+      Bytebuf.consume l.outbuf len
     end
 
   (* Flushing can fail a link, whose pending callbacks may queue new
@@ -74,10 +67,7 @@ module Make (T : Transport.S) = struct
 
   let send_msg l ~req msg =
     let t = l.owner in
-    let buf, off = Bytebuf.reserve l.outbuf (Wire.frame_length msg) in
-    let n = Wire.encode_into buf ~off ~req msg in
-    Bytebuf.commit l.outbuf n;
-    t.frames_queued <- t.frames_queued + 1;
+    ignore (Wire.write l.outbuf ~req msg);
     if not l.dirty then begin
       l.dirty <- true;
       t.dirty_links <- l :: t.dirty_links
@@ -104,9 +94,9 @@ module Make (T : Transport.S) = struct
   let drain_bytes l =
     let continue = ref true in
     while !continue do
-      let buf, off = Wire.Reader.reserve l.reader recv_chunk in
+      let buf, off = Bytebuf.reserve l.reader recv_chunk in
       let n = T.recv_into l.conn buf ~off ~len:recv_chunk in
-      if n > 0 then Wire.Reader.commit l.reader n else continue := false
+      if n > 0 then Bytebuf.commit l.reader n else continue := false
     done
 
   let dispatch t l =
@@ -137,7 +127,7 @@ module Make (T : Transport.S) = struct
         lpeer = T.peer conn;
         conn;
         owner = t;
-        reader = Wire.Reader.create ~capacity:recv_chunk ();
+        reader = Wire.Reader.create ();
         outbuf = Bytebuf.create ();
         dirty = false;
         pending = Hashtbl.create 8;
@@ -182,7 +172,6 @@ module Make (T : Transport.S) = struct
         let req = l.next_req in
         l.next_req <- req + 1;
         Hashtbl.replace l.pending req cb;
-        t.rpcs_sent <- t.rpcs_sent + 1;
         T.schedule t.ep ~delay:timeout (fun () ->
             match Hashtbl.find_opt l.pending req with
             | Some cb ->
@@ -199,8 +188,4 @@ module Make (T : Transport.S) = struct
     flush_all t;
     T.poll t.ep ~timeout;
     flush_all t
-
-  let rpcs_sent t = t.rpcs_sent
-  let frames_queued t = t.frames_queued
-  let sends_flushed t = t.sends_flushed
 end

@@ -120,20 +120,10 @@ module Make (T : Transport.S) = struct
         ignore (Store.maybe_compact st)
 
   (* The membership view is shared by every sibling (one per domain),
-     so all ring/router access is bracketed; the bracket must NOT
+     so all ring/router access holds [t.lock]; the bracket must NOT
      enclose linkset effects — failing a pending RPC runs its callback
      synchronously, which may re-enter [suspect] and deadlock on the
      (non-reentrant) mutex. *)
-  let locked t f =
-    Mutex.lock t.lock;
-    match f () with
-    | v ->
-        Mutex.unlock t.lock;
-        v
-    | exception e ->
-        Mutex.unlock t.lock;
-        raise e
-
   let add_member_locked t node id =
     if node <> t.me && (not (Ring.mem t.ring ~node)) && not (Ring.id_taken t.ring id)
     then begin
@@ -141,7 +131,8 @@ module Make (T : Transport.S) = struct
       Router.rebuild t.router
     end
 
-  let add_member t node id = locked t (fun () -> add_member_locked t node id)
+  let add_member t node id =
+    Mutex.protect t.lock (fun () -> add_member_locked t node id)
 
   (* A peer stopped answering (probe or RPC timeout, broken stream):
      drop it from the local view so lookups route around it.  Its
@@ -150,7 +141,7 @@ module Make (T : Transport.S) = struct
   let suspect t peer =
     if peer <> t.me then begin
       let removed =
-        locked t (fun () ->
+        Mutex.protect t.lock (fun () ->
             if Ring.mem t.ring ~node:peer then begin
               Ring.remove t.ring ~node:peer;
               Router.rebuild t.router;
@@ -164,7 +155,7 @@ module Make (T : Transport.S) = struct
   let members_locked t =
     List.map (fun n -> (n, Ring.id_of t.ring ~node:n)) (Ring.members t.ring)
 
-  let members t = locked t (fun () -> members_locked t)
+  let members t = Mutex.protect t.lock (fun () -> members_locked t)
 
   (* Fan a stored block out to the next [depth] distinct successors
      and ack the originator once every forward has concluded AND the
@@ -172,7 +163,7 @@ module Make (T : Transport.S) = struct
      rides the group-commit window like any other write). *)
   let fan_out t l req ~key ~depth ~local_seq ~msg ~make_ack =
     let targets =
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           Ring.successors t.ring key (depth + 1)
           |> List.filter (fun n -> n <> t.me)
           |> List.filteri (fun i _ -> i < depth))
@@ -210,20 +201,22 @@ module Make (T : Transport.S) = struct
       | None -> Wire.Remove_ack { removed }
     in
     if depth > 0 || Vv.is_empty vv then begin
-      let vv, removed, seq =
-        Vmap.write t.vmap ~key ~node:t.me ~incoming:vv ~data
-      in
-      if depth <= 0 then
-        ack_when_durable t seq (fun () ->
-            L.reply l ~req (ack vv ~copies:1 ~removed))
-      else
-        let msg =
-          match data with
-          | Some data -> Wire.Put { key; depth = 0; vv; data }
-          | None -> Wire.Remove { key; depth = 0; vv }
-        in
-        fan_out t l req ~key ~depth ~local_seq:seq ~msg
-          ~make_ack:(fun copies -> ack vv ~copies ~removed)
+      match Vmap.write t.vmap ~key ~node:t.me ~incoming:vv ~data with
+      | None ->
+          L.reply l ~req
+            (Wire.Error { code = 3; message = "version vector full" })
+      | Some (vv, removed, seq) ->
+          if depth <= 0 then
+            ack_when_durable t seq (fun () ->
+                L.reply l ~req (ack vv ~copies:1 ~removed))
+          else
+            let msg =
+              match data with
+              | Some data -> Wire.Put { key; depth = 0; vv; data }
+              | None -> Wire.Remove { key; depth = 0; vv }
+            in
+            fan_out t l req ~key ~depth ~local_seq:seq ~msg
+              ~make_ack:(fun copies -> ack vv ~copies ~removed)
     end
     else begin
       let installed, seq = Vmap.apply t.vmap ~key ~vv ~data in
@@ -245,7 +238,7 @@ module Make (T : Transport.S) = struct
     let targets =
       if q <= 1 then []
       else
-        locked t (fun () ->
+        Mutex.protect t.lock (fun () ->
             Ring.successors t.ring key q
             |> List.filter (fun n -> n <> t.me)
             |> List.filteri (fun i _ -> i < q - 1))
@@ -308,7 +301,7 @@ module Make (T : Transport.S) = struct
     match msg with
     | Wire.Lookup { key } ->
         let reply =
-          locked t (fun () ->
+          Mutex.protect t.lock (fun () ->
               let owner = Ring.successor t.ring key in
               if owner = t.me then
                 Wire.Owner
@@ -341,7 +334,7 @@ module Make (T : Transport.S) = struct
         serve_write t l req ~key ~depth ~vv ~data:None
     | Wire.Join { node; id } ->
         let reply =
-          locked t (fun () ->
+          Mutex.protect t.lock (fun () ->
               if
                 node = t.me
                 || (Ring.id_taken t.ring id && not (Ring.mem t.ring ~node))
@@ -353,7 +346,7 @@ module Make (T : Transport.S) = struct
         in
         L.reply l ~req reply
     | Wire.Probe ->
-        let epoch = locked t (fun () -> Ring.epoch t.ring) in
+        let epoch = Mutex.protect t.lock (fun () -> Ring.epoch t.ring) in
         L.reply l ~req (Wire.Probe_ack { node = t.me; epoch })
     | Wire.Sync_digests { lo; hi; prefix; bits } ->
         let children =
@@ -607,7 +600,7 @@ module Make (T : Transport.S) = struct
 
   let repair_tick t =
     let target =
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           let span = min (t.cfg.replicas - 1) (Ring.size t.ring - 1) in
           if span < 1 then None
           else begin
@@ -642,7 +635,7 @@ module Make (T : Transport.S) = struct
        rotating member so a dead node is eventually noticed by
        everyone, not only its predecessor. *)
     let succ, other =
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           let succ = Ring.nth_successor_of_node t.ring ~node:t.me 1 in
           let size = Ring.size t.ring in
           let other =

@@ -1,5 +1,7 @@
 module Key = D2_keyspace.Key
 module Vv = D2_sync.Version_vector
+module Digest = D2_sync.Digest
+module Bytebuf = Transport.Bytebuf
 
 (* Bumped whenever the frame set or a frame layout changes; exchanged
    in the transport hello so a mixed-version cluster fails fast with a
@@ -55,228 +57,221 @@ let is_request = function
   | Fetch_ack _ | Push_ack _ ->
       false
 
-let tag_of = function
-  | Lookup _ -> 1
-  | Owner _ -> 2
-  | Redirect _ -> 3
-  | Get _ -> 4
-  | Found _ -> 5
-  | Missing -> 6
-  | Put _ -> 7
-  | Put_ack _ -> 8
-  | Remove _ -> 9
-  | Remove_ack _ -> 10
-  | Join _ -> 11
-  | Join_ack _ -> 12
-  | Probe -> 13
-  | Probe_ack _ -> 14
-  | Error _ -> 15
-  | Sync_digests _ -> 16
-  | Sync_digests_ack _ -> 17
-  | Sync_keys _ -> 18
-  | Sync_keys_ack _ -> 19
-  | Fetch _ -> 20
-  | Fetch_ack _ -> 21
-  | Push _ -> 22
-  | Push_ack _ -> 23
-  | Get_q _ -> 24
+(* The deepest bucket each anti-entropy probe may name: a digest probe
+   must leave [Digest.fanout_bits] to split its children by, a key
+   probe may reach the last hash bit.  A prefix names one bucket at
+   its depth.  Both directions check a probe here, so a peer can never
+   hand the digest code a bucket it cannot address. *)
+let probe_error ~max_bits ~prefix ~bits =
+  if bits > max_bits then Some "probe below max_bits"
+  else if prefix >= 1 lsl bits then Some "prefix wider than bits"
+  else None
 
-let body_length = function
-  | Lookup _ | Get _ | Fetch _ -> Key.size
-  | Owner _ -> 4 + Key.size + Key.size
-  | Redirect _ -> 4
-  | Found { data } -> 4 + String.length data
-  | Missing | Probe -> 0
-  | Put { vv; data; _ } ->
-      Key.size + 1 + Vv.encoded_size vv + 4 + String.length data
-  | Put_ack { vv; _ } -> 4 + Vv.encoded_size vv
-  | Remove { vv; _ } -> Key.size + 1 + Vv.encoded_size vv
-  | Remove_ack _ -> 1
-  | Join _ -> 4 + Key.size
-  | Join_ack { members } -> 2 + (List.length members * (4 + Key.size))
-  | Probe_ack _ -> 8
-  | Error { message; _ } -> 4 + 2 + String.length message
-  | Sync_digests _ | Sync_keys _ -> Key.size + Key.size + 4 + 1
-  | Sync_digests_ack { children } -> 1 + (Array.length children * 8)
-  | Sync_keys_ack { items } ->
-      2
-      + List.fold_left
-          (fun acc (_, vv, _) -> acc + Key.size + Vv.encoded_size vv + 1)
-          0 items
-  | Fetch_ack { vv; data; _ } -> (
-      Vv.encoded_size vv + 1
-      + match data with None -> 0 | Some d -> 4 + String.length d)
-  | Push { vv; data; _ } ->
-      Key.size + Vv.encoded_size vv + 1 + 4 + String.length data
-  | Push_ack _ -> 1
-  | Get_q _ -> Key.size + 1
-
-let frame_length msg = 9 + body_length msg
+let max_digest_bits = Digest.max_bits - Digest.fanout_bits
 
 let u32_max = 0xffff_ffff
 
-let check_u32 what v =
-  if v < 0 || v > u32_max then
-    invalid_arg (Printf.sprintf "Wire.encode: %s %d outside u32" what v)
+(* Field writers: each appends one field at the buffer's write cursor
+   and checks the field's range or cap as it writes.  They fill the
+   buffer's record directly and leave this module only to grow it: a
+   frame has a dozen fields, and under dune's default profile every
+   call into another module is a real call (no cross-module inlining),
+   which doubled the encode micro's ns per frame. *)
+module W = struct
+  let[@inline never] out_of_range what v max =
+    invalid_arg (Printf.sprintf "Wire.encode: %s %d outside [0, %d]" what v max)
 
-let check_u8 what v =
-  if v < 0 || v > 0xff then
-    invalid_arg (Printf.sprintf "Wire.encode: %s %d outside u8" what v)
+  let[@inline] check what v ~max =
+    if v < 0 || v > max then out_of_range what v max
 
-let validate msg =
-  (match msg with
-  | Found { data } | Put { data; _ } | Push { data; _ }
-  | Fetch_ack { data = Some data; _ } ->
-      if String.length data > max_payload then
-        invalid_arg "Wire.encode: payload exceeds max_payload"
-  | Join_ack { members } ->
-      if List.length members > max_members then
-        invalid_arg "Wire.encode: membership list exceeds max_members";
-      List.iter (fun (n, _) -> check_u32 "member node" n) members
-  | Error { message; _ } ->
-      if String.length message > max_error then
-        invalid_arg "Wire.encode: error message exceeds max_error"
-  | Sync_keys_ack { items } ->
-      if List.length items > max_sync_items then
-        invalid_arg "Wire.encode: sync item list exceeds max_sync_items"
-  | _ -> ());
-  match msg with
-  | Owner { node; _ } -> check_u32 "node" node
-  | Redirect { next } -> check_u32 "next" next
-  | Put { depth; _ } | Remove { depth; _ } -> check_u8 "depth" depth
-  | Put_ack { copies; _ } -> check_u32 "copies" copies
-  | Join { node; _ } -> check_u32 "node" node
-  | Probe_ack { node; epoch } ->
-      check_u32 "node" node;
-      check_u32 "epoch" epoch
-  | Error { code; _ } -> check_u32 "code" code
-  | Sync_digests { prefix; bits; _ } | Sync_keys { prefix; bits; _ } ->
-      check_u32 "prefix" prefix;
-      check_u8 "bits" bits
-  | Sync_digests_ack { children } ->
-      if Array.length children <> 16 then
-        invalid_arg "Wire.encode: digest ack must carry 16 children";
-      Array.iter
-        (fun (sum, count) ->
-          check_u32 "digest sum" sum;
-          check_u32 "digest count" count)
-        children
-  | Get_q { q; _ } -> check_u8 "quorum" q
-  | _ -> ()
+  let check_cap what n ~cap =
+    if n > cap then
+      invalid_arg (Printf.sprintf "Wire.encode: %s %d exceeds %d" what n cap)
 
-let set_u32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
-let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land u32_max
+  (* Claim [n] bytes at the write cursor; returns their offset. *)
+  let[@inline] room (b : Bytebuf.t) n =
+    if Bytes.length b.buf - b.w < n then Bytebuf.ensure b n;
+    let o = b.w in
+    b.w <- o + n;
+    o
 
-let set_key b off k = Bytes.blit_string (Key.to_string k) 0 b off Key.size
+  let[@inline] byte b v =
+    let o = room b 1 in
+    Bytes.set_uint8 b.buf o v
 
-(* Returns the offset past the encoded vector, so callers thread it as
-   a cursor through variable-length bodies. *)
-let set_vv b off vv = off + Vv.encode_into vv b ~off
+  let tag = byte (* a constant, always in range *)
+  let flag b v = byte b (if v then 1 else 0)
 
-let encode_into buf ~off ~req msg =
-  check_u32 "request id" req;
-  validate msg;
-  let len = frame_length msg in
-  if off < 0 || off + len > Bytes.length buf then
-    invalid_arg "Wire.encode_into: buffer too small";
-  set_u32 buf off (len - 4);
-  set_u32 buf (off + 4) req;
-  Bytes.set_uint8 buf (off + 8) (tag_of msg);
-  let p = off + 9 in
-  (match msg with
-  | Lookup { key } | Get { key } -> set_key buf p key
-  | Owner { node; lo; hi } ->
-      set_u32 buf p node;
-      set_key buf (p + 4) lo;
-      set_key buf (p + 4 + Key.size) hi
-  | Redirect { next } -> set_u32 buf p next
-  | Found { data } ->
-      set_u32 buf p (String.length data);
-      Bytes.blit_string data 0 buf (p + 4) (String.length data)
-  | Missing | Probe -> ()
-  | Put { key; depth; vv; data } ->
-      set_key buf p key;
-      Bytes.set_uint8 buf (p + Key.size) depth;
-      let q = set_vv buf (p + Key.size + 1) vv in
-      set_u32 buf q (String.length data);
-      Bytes.blit_string data 0 buf (q + 4) (String.length data)
-  | Put_ack { copies; vv } ->
-      set_u32 buf p copies;
-      ignore (set_vv buf (p + 4) vv)
-  | Remove { key; depth; vv } ->
-      set_key buf p key;
-      Bytes.set_uint8 buf (p + Key.size) depth;
-      ignore (set_vv buf (p + Key.size + 1) vv)
-  | Remove_ack { removed } -> Bytes.set_uint8 buf p (if removed then 1 else 0)
-  | Join { node; id } ->
-      set_u32 buf p node;
-      set_key buf (p + 4) id
-  | Join_ack { members } ->
-      Bytes.set_uint16_be buf p (List.length members);
-      List.iteri
-        (fun i (n, id) ->
-          let q = p + 2 + (i * (4 + Key.size)) in
-          set_u32 buf q n;
-          set_key buf (q + 4) id)
-        members
-  | Probe_ack { node; epoch } ->
-      set_u32 buf p node;
-      set_u32 buf (p + 4) epoch
-  | Error { code; message } ->
-      set_u32 buf p code;
-      Bytes.set_uint16_be buf (p + 4) (String.length message);
-      Bytes.blit_string message 0 buf (p + 6) (String.length message)
-  | Sync_digests { lo; hi; prefix; bits } | Sync_keys { lo; hi; prefix; bits }
-    ->
-      set_key buf p lo;
-      set_key buf (p + Key.size) hi;
-      set_u32 buf (p + (2 * Key.size)) prefix;
-      Bytes.set_uint8 buf (p + (2 * Key.size) + 4) bits
-  | Sync_digests_ack { children } ->
-      Bytes.set_uint8 buf p (Array.length children);
-      Array.iteri
-        (fun i (sum, count) ->
-          set_u32 buf (p + 1 + (8 * i)) sum;
-          set_u32 buf (p + 5 + (8 * i)) count)
-        children
-  | Sync_keys_ack { items } ->
-      Bytes.set_uint16_be buf p (List.length items);
-      let q = ref (p + 2) in
-      List.iter
-        (fun (k, vv, deleted) ->
-          set_key buf !q k;
-          let r = set_vv buf (!q + Key.size) vv in
-          Bytes.set_uint8 buf r (if deleted then 1 else 0);
-          q := r + 1)
-        items
-  | Fetch { key } -> set_key buf p key
-  | Fetch_ack { vv; deleted; data } ->
-      let q = set_vv buf p vv in
-      let flags =
-        (if deleted then 1 else 0) lor match data with Some _ -> 2 | None -> 0
-      in
-      Bytes.set_uint8 buf q flags;
-      (match data with
-      | None -> ()
-      | Some d ->
-          set_u32 buf (q + 1) (String.length d);
-          Bytes.blit_string d 0 buf (q + 5) (String.length d))
-  | Push { key; vv; deleted; data } ->
-      set_key buf p key;
-      let q = set_vv buf (p + Key.size) vv in
-      Bytes.set_uint8 buf q (if deleted then 1 else 0);
-      set_u32 buf (q + 1) (String.length data);
-      Bytes.blit_string data 0 buf (q + 5) (String.length data)
-  | Push_ack { stored } -> Bytes.set_uint8 buf p (if stored then 1 else 0)
-  | Get_q { key; q } ->
-      set_key buf p key;
-      Bytes.set_uint8 buf (p + Key.size) q);
-  len
+  let u8 b what v =
+    check what v ~max:0xff;
+    byte b v
+
+  let u16 b what v =
+    check what v ~max:0xffff;
+    let o = room b 2 in
+    Bytes.set_uint16_be b.buf o v
+
+  let u32 b what v =
+    check what v ~max:u32_max;
+    let o = room b 4 in
+    Bytes.set_int32_be b.buf o (Int32.of_int v)
+
+  let raw b s =
+    let n = String.length s in
+    let o = room b n in
+    Bytes.blit_string s 0 b.buf o n
+
+  let key b k = raw b (Key.to_string k)
+
+  (* [Vv.encode_into] refuses a vector over [Vv.max_entries] entries
+     or with a field outside u32. *)
+  let vv b v =
+    let o = room b (Vv.encoded_size v) in
+    ignore (Vv.encode_into v b.buf ~off:o)
+
+  (* u16 element count of a capped list (or string). *)
+  let count b what n ~cap =
+    check_cap what n ~cap;
+    u16 b what n
+
+  let payload b s =
+    check_cap "payload" (String.length s) ~cap:max_payload;
+    u32 b "payload length" (String.length s);
+    raw b s
+
+  let probe b ~max_bits ~lo ~hi ~prefix ~bits =
+    key b lo;
+    key b hi;
+    u32 b "prefix" prefix;
+    u8 b "bits" bits;
+    Option.iter
+      (fun why -> invalid_arg ("Wire.encode: " ^ why))
+      (probe_error ~max_bits ~prefix ~bits)
+end
+
+let write b ~req msg =
+  let start = Bytebuf.length b in
+  match
+    W.u32 b "frame length" 0 (* patched below *);
+    W.u32 b "request id" req;
+    match msg with
+    | Lookup { key } -> W.tag b 1; W.key b key
+    | Owner { node; lo; hi } ->
+        W.tag b 2;
+        W.u32 b "node" node;
+        W.key b lo;
+        W.key b hi
+    | Redirect { next } -> W.tag b 3; W.u32 b "next" next
+    | Get { key } -> W.tag b 4; W.key b key
+    | Found { data } -> W.tag b 5; W.payload b data
+    | Missing -> W.tag b 6
+    | Put { key; depth; vv; data } ->
+        W.tag b 7;
+        W.key b key;
+        W.u8 b "depth" depth;
+        W.vv b vv;
+        W.payload b data
+    | Put_ack { copies; vv } ->
+        W.tag b 8;
+        W.u32 b "copies" copies;
+        W.vv b vv
+    | Remove { key; depth; vv } ->
+        W.tag b 9;
+        W.key b key;
+        W.u8 b "depth" depth;
+        W.vv b vv
+    | Remove_ack { removed } -> W.tag b 10; W.flag b removed
+    | Join { node; id } ->
+        W.tag b 11;
+        W.u32 b "node" node;
+        W.key b id
+    | Join_ack { members } ->
+        W.tag b 12;
+        W.count b "members" (List.length members) ~cap:max_members;
+        List.iter
+          (fun (n, id) ->
+            W.u32 b "member node" n;
+            W.key b id)
+          members
+    | Probe -> W.tag b 13
+    | Probe_ack { node; epoch } ->
+        W.tag b 14;
+        W.u32 b "node" node;
+        W.u32 b "epoch" epoch
+    | Error { code; message } ->
+        W.tag b 15;
+        W.u32 b "code" code;
+        W.count b "error message" (String.length message) ~cap:max_error;
+        W.raw b message
+    | Sync_digests { lo; hi; prefix; bits } ->
+        W.tag b 16;
+        W.probe b ~max_bits:max_digest_bits ~lo ~hi ~prefix ~bits
+    | Sync_digests_ack { children } ->
+        W.tag b 17;
+        if Array.length children <> Digest.fanout then
+          invalid_arg "Wire.encode: digest ack must carry 16 children";
+        W.u8 b "children" Digest.fanout;
+        Array.iter
+          (fun (sum, count) ->
+            W.u32 b "digest sum" sum;
+            W.u32 b "digest count" count)
+          children
+    | Sync_keys { lo; hi; prefix; bits } ->
+        W.tag b 18;
+        W.probe b ~max_bits:Digest.max_bits ~lo ~hi ~prefix ~bits
+    | Sync_keys_ack { items } ->
+        W.tag b 19;
+        W.count b "sync items" (List.length items) ~cap:max_sync_items;
+        List.iter
+          (fun (k, vv, deleted) ->
+            W.key b k;
+            W.vv b vv;
+            W.flag b deleted)
+          items
+    | Fetch { key } -> W.tag b 20; W.key b key
+    | Fetch_ack { vv; deleted; data } -> (
+        W.tag b 21;
+        W.vv b vv;
+        W.u8 b "flags"
+          ((if deleted then 1 else 0) lor if Option.is_some data then 2 else 0);
+        match data with None -> () | Some d -> W.payload b d)
+    | Push { key; vv; deleted; data } ->
+        W.tag b 22;
+        W.key b key;
+        W.vv b vv;
+        W.flag b deleted;
+        W.payload b data
+    | Push_ack { stored } -> W.tag b 23; W.flag b stored
+    | Get_q { key; q } ->
+        W.tag b 24;
+        W.key b key;
+        W.u8 b "quorum" q
+  with
+  | () ->
+      let len = Bytebuf.length b - start in
+      Bytebuf.patch_u32 b ~at:start (len - 4);
+      len
+  | exception (Invalid_argument _ as e) ->
+      Bytebuf.truncate b start;
+      raise e
 
 let encode ~req msg =
-  let buf = Bytes.create (frame_length msg) in
-  ignore (encode_into buf ~off:0 ~req msg);
-  buf
+  let b = Bytebuf.create () in
+  let n = write b ~req msg in
+  let buf, off, _ = Bytebuf.peek b in
+  Bytes.sub buf off n
+
+let encode_into buf ~off ~req msg =
+  let frame = encode ~req msg in
+  let n = Bytes.length frame in
+  if off < 0 || off + n > Bytes.length buf then
+    invalid_arg "Wire.encode_into: buffer too small";
+  Bytes.blit frame 0 buf off n;
+  n
+
+let frame_length msg = Bytes.length (encode ~req:0 msg)
+
+let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land u32_max
 
 type error = Short | Malformed of string
 
@@ -312,9 +307,14 @@ let decode buf ~off ~len =
       let u16 () = Bytes.get_uint16_be buf (need 2) in
       let u32 () = get_u32 buf (need 4) in
       let key () = Key.of_string (Bytes.sub_string buf (need Key.size) Key.size) in
-      let payload ~cap what =
-        let n = u32 () in
+      let count ~cap what =
+        let n = u16 () in
         if n > cap then raise (Bad (what ^ " exceeds cap"));
+        n
+      in
+      let payload () =
+        let n = u32 () in
+        if n > max_payload then raise (Bad "payload exceeds cap");
         Bytes.sub_string buf (need n) n
       in
       let vv () =
@@ -323,6 +323,15 @@ let decode buf ~off ~len =
         | Some (v, consumed) ->
             pos := !pos + consumed;
             v
+      in
+      let probe ~max_bits =
+        let lo = key () in
+        let hi = key () in
+        let prefix = u32 () in
+        let bits = u8 () in
+        match probe_error ~max_bits ~prefix ~bits with
+        | Some why -> raise (Bad why)
+        | None -> (lo, hi, prefix, bits)
       in
       match
         let msg =
@@ -335,13 +344,13 @@ let decode buf ~off ~len =
               Owner { node; lo; hi }
           | 3 -> Redirect { next = u32 () }
           | 4 -> Get { key = key () }
-          | 5 -> Found { data = payload ~cap:max_payload "payload" }
+          | 5 -> Found { data = payload () }
           | 6 -> Missing
           | 7 ->
               let key = key () in
               let depth = u8 () in
               let vv = vv () in
-              Put { key; depth; vv; data = payload ~cap:max_payload "payload" }
+              Put { key; depth; vv; data = payload () }
           | 8 ->
               let copies = u32 () in
               Put_ack { copies; vv = vv () }
@@ -354,8 +363,7 @@ let decode buf ~off ~len =
               let node = u32 () in
               Join { node; id = key () }
           | 12 ->
-              let count = u16 () in
-              if count > max_members then raise (Bad "membership list exceeds cap");
+              let count = count ~cap:max_members "membership list" in
               let members =
                 List.init count (fun _ ->
                     let n = u32 () in
@@ -369,19 +377,15 @@ let decode buf ~off ~len =
               Probe_ack { node; epoch = u32 () }
           | 15 ->
               let code = u32 () in
-              let n = u16 () in
-              if n > max_error then raise (Bad "error message exceeds cap");
+              let n = count ~cap:max_error "error message" in
               Error { code; message = Bytes.sub_string buf (need n) n }
-          | 16 | 18 ->
-              let lo = key () in
-              let hi = key () in
-              let prefix = u32 () in
-              let bits = u8 () in
-              if tag = 16 then Sync_digests { lo; hi; prefix; bits }
-              else Sync_keys { lo; hi; prefix; bits }
+          | 16 ->
+              let lo, hi, prefix, bits = probe ~max_bits:max_digest_bits in
+              Sync_digests { lo; hi; prefix; bits }
           | 17 ->
               let n = u8 () in
-              if n <> 16 then raise (Bad "digest ack child count must be 16");
+              if n <> Digest.fanout then
+                raise (Bad "digest ack child count must be 16");
               let children = Array.make n (0, 0) in
               for i = 0 to n - 1 do
                 let sum = u32 () in
@@ -389,10 +393,11 @@ let decode buf ~off ~len =
                 children.(i) <- (sum, count)
               done;
               Sync_digests_ack { children }
+          | 18 ->
+              let lo, hi, prefix, bits = probe ~max_bits:Digest.max_bits in
+              Sync_keys { lo; hi; prefix; bits }
           | 19 ->
-              let count = u16 () in
-              if count > max_sync_items then
-                raise (Bad "sync item list exceeds cap");
+              let count = count ~cap:max_sync_items "sync item list" in
               let items =
                 List.init count (fun _ ->
                     let k = key () in
@@ -406,17 +411,13 @@ let decode buf ~off ~len =
               let vv = vv () in
               let flags = u8 () in
               if flags land lnot 3 <> 0 then raise (Bad "unknown fetch flags");
-              let data =
-                if flags land 2 <> 0 then
-                  Some (payload ~cap:max_payload "payload")
-                else None
-              in
+              let data = if flags land 2 <> 0 then Some (payload ()) else None in
               Fetch_ack { vv; deleted = flags land 1 <> 0; data }
           | 22 ->
               let key = key () in
               let vv = vv () in
               let deleted = u8 () <> 0 in
-              Push { key; vv; deleted; data = payload ~cap:max_payload "payload" }
+              Push { key; vv; deleted; data = payload () }
           | 23 -> Push_ack { stored = u8 () <> 0 }
           | 24 ->
               let key = key () in
@@ -431,76 +432,21 @@ let decode buf ~off ~len =
     end
 
 module Reader = struct
-  type t = {
-    mutable buf : Bytes.t;
-    mutable r : int;
-    mutable w : int;
-    floor : int;  (** capacity the buffer settles back to when drained *)
-  }
+  type t = Bytebuf.t
 
-  let initial_capacity = 4096
-
-  let create ?(capacity = initial_capacity) () =
-    let floor = max capacity max_frame in
-    { buf = Bytes.create floor; r = 0; w = 0; floor }
-
-  let pending_bytes t = t.w - t.r
-  let capacity t = Bytes.length t.buf
-
-  (* A pipelined burst can grow the buffer far past the steady-state
-     capacity; once the stream drains, give the memory back gradually
-     (halving per drain) instead of holding the high-water mark
-     forever.  The floor is the creation capacity (at least
-     [max_frame], past which a single in-progress frame never needs
-     the buffer to grow), so a reader sized for its transport's read
-     chunk does not oscillate between shrink and regrow on every
-     batch. *)
-  let shrink_drained t =
-    let cap = Bytes.length t.buf in
-    if cap > t.floor then t.buf <- Bytes.create (max (cap / 2) t.floor)
-
-  let compact t =
-    if t.r > 0 then begin
-      let n = t.w - t.r in
-      Bytes.blit t.buf t.r t.buf 0 n;
-      t.r <- 0;
-      t.w <- n
-    end
-
-  let reserve t n =
-    if Bytes.length t.buf - t.w < n then begin
-      compact t;
-      if Bytes.length t.buf - t.w < n then begin
-        let cap = max (2 * Bytes.length t.buf) (t.w + n) in
-        let nb = Bytes.create cap in
-        Bytes.blit t.buf 0 nb 0 t.w;
-        t.buf <- nb
-      end
-    end;
-    (t.buf, t.w)
-
-  let commit t n =
-    if n < 0 || t.w + n > Bytes.length t.buf then
-      invalid_arg "Wire.Reader.commit: bad count";
-    t.w <- t.w + n
-
-  let feed t src ~off ~len =
-    let buf, o = reserve t len in
-    Bytes.blit src off buf o len;
-    commit t len
+  let create () = Bytebuf.create ~capacity:max_frame ()
 
   let next t =
-    match decode t.buf ~off:t.r ~len:(t.w - t.r) with
+    let buf, off, len = Bytebuf.peek t in
+    match decode buf ~off ~len with
     | Ok (req, msg, consumed) ->
-        t.r <- t.r + consumed;
-        if t.r = t.w then begin
-          t.r <- 0;
-          t.w <- 0;
-          shrink_drained t
-        end;
+        Bytebuf.consume t consumed;
+        Bytebuf.shrink t ~floor:max_frame;
         `Msg (req, msg)
     | Stdlib.Error Short ->
-        compact t;
+        (* The partial frame moves to the front, so the next read
+           lands behind it without growing the buffer. *)
+        Bytebuf.compact t;
         `Awaiting
     | Stdlib.Error (Malformed why) -> `Corrupt why
 end

@@ -10,12 +10,18 @@
                    node handles u32, block payloads u32 length + bytes)
     v}
 
-    The codec is total: {!decode} classifies any byte string as a
-    message, a {!Short} prefix (wait for more bytes), or {!Malformed}
-    (protocol violation — drop the connection); it never raises.
-    Payloads are capped at {!max_payload} (the 8 KB D2-Store block),
-    frames at {!max_frame}, so a malicious length field cannot force
-    an allocation. *)
+    Each frame is stated once per direction: {!write} walks it field
+    by field into a byte buffer, checking every field's range or cap as
+    it writes, and {!decode} walks the same layout back, checking the
+    same bounds.  The decoder is total: it classifies any byte string
+    as a message, a {!Short} prefix (wait for more bytes), or
+    {!Malformed} (protocol violation — drop the connection); it never
+    raises.  Payloads are capped at {!max_payload} (the 8 KB D2-Store
+    block), frames at {!max_frame}, so a malicious length field cannot
+    force an allocation; an anti-entropy probe must name a bucket the
+    digest trie can address ([Sync_digests]: [bits + 4 <= 28];
+    [Sync_keys]: [bits <= 28]; both: [prefix < 2^bits]), so a peer
+    cannot make the node that serves it fail. *)
 
 module Key = D2_keyspace.Key
 module Vv = D2_sync.Version_vector
@@ -96,17 +102,24 @@ val vv_empty : Vv.t
 val is_request : msg -> bool
 (** Requests expect a reply; everything else is a reply. *)
 
-val frame_length : msg -> int
-(** Exact encoded size of the frame carrying [msg], prefix included. *)
-
-val encode_into : Bytes.t -> off:int -> req:int -> msg -> int
-(** Write the frame at [off]; returns the number of bytes written
-    (= {!frame_length}).
-    @raise Invalid_argument if the buffer is too small, the request id
-    is outside u32, or the message violates a size cap. *)
+val write : Transport.Bytebuf.t -> req:int -> msg -> int
+(** Append the frame carrying [msg] at the buffer's write cursor (a
+    link's output buffer, where frames coalesce into one send);
+    returns its length, prefix included.
+    @raise Invalid_argument if the request id is outside u32 or a
+    field breaks its range or cap.  The buffer is then left exactly as
+    it was: the frames before it stay intact. *)
 
 val encode : req:int -> msg -> Bytes.t
-(** Fresh-buffer convenience over {!encode_into}. *)
+(** The frame in a fresh buffer.  Raises as {!write} does. *)
+
+val encode_into : Bytes.t -> off:int -> req:int -> msg -> int
+(** Copy the frame into [buf] at [off]; returns its length.
+    @raise Invalid_argument if the buffer is too small, or as {!write}
+    does. *)
+
+val frame_length : msg -> int
+(** Encoded size of the frame carrying [msg], prefix included. *)
 
 type error =
   | Short  (** not enough bytes yet — read more and retry *)
@@ -119,41 +132,24 @@ val decode : Bytes.t -> off:int -> len:int -> (int * msg * int, error) result
 
 (** {1 Stream reassembly}
 
-    A per-connection buffer that turns a byte stream back into frames.
-    The transport reads {e directly into} the reader's buffer
-    ({!reserve} / {!commit} expose the writable region, so bytes go
-    from the socket into the decode buffer with no intermediate copy),
-    then {!next} yields decoded messages. *)
+    A connection's receive buffer turns the byte stream back into
+    frames.  The transport reads {e directly into} it
+    ({!Transport.Bytebuf.reserve} / {!Transport.Bytebuf.commit}), so
+    bytes go from the socket into the decode buffer with no
+    intermediate copy; then {!Reader.next} yields decoded messages. *)
 
 module Reader : sig
-  type t
+  type t = Transport.Bytebuf.t
 
-  val create : ?capacity:int -> unit -> t
-  (** [capacity] (default 4096, clamped up to {!max_frame}) is the
-      steady-state buffer size — size it to the transport's read chunk
-      so draining a batch does not shrink below what the next read
-      will reserve anyway. *)
-
-  val reserve : t -> int -> Bytes.t * int
-  (** [reserve r n] grows the buffer as needed and returns [(buf, off)]
-      with at least [n] writable bytes at [off]. *)
-
-  val commit : t -> int -> unit
-  (** Declare that [n] bytes were written at the reserved offset. *)
-
-  val feed : t -> Bytes.t -> off:int -> len:int -> unit
-  (** Copying convenience: append bytes (for transports that already
-      own a buffer). *)
+  val create : unit -> t
+  (** A buffer holding {!max_frame} bytes, so a single frame in
+      progress never makes it grow.  A pipelined burst can; once the
+      stream drains, each drained {!next} halves it back toward
+      {!max_frame}, so it does not hold the high-water mark forever. *)
 
   val next : t -> [ `Msg of int * msg | `Awaiting | `Corrupt of string ]
-  (** Pop the next complete frame, if any.  After [`Corrupt] the
-      stream is unrecoverable and the connection should be closed. *)
-
-  val pending_bytes : t -> int
-
-  val capacity : t -> int
-  (** Current backing-buffer size.  Grows to hold a pipelined burst,
-      then halves back toward the creation capacity (at least
-      {!max_frame}) each time the stream drains — it does not hold
-      the high-water mark forever. *)
+  (** Pop the next complete frame, if any.  On [`Awaiting] the partial
+      frame has moved to the front of the buffer.  After [`Corrupt]
+      the stream is unrecoverable and the connection should be
+      closed. *)
 end

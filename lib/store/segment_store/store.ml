@@ -91,16 +91,6 @@ let config t = t.cfg
 let recovery t = t.recovered
 let ckpt_path dir = Filename.concat dir "index.ckpt"
 
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-      Mutex.unlock t.lock;
-      v
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
-
 let check_open t = if t.closed then invalid_arg "Segment_store: closed"
 
 (* The flusher thread advances the watermark without the store lock,
@@ -173,7 +163,7 @@ let maybe_rotate_locked t =
 let put t ~key ~data =
   if String.length data > Record.max_data then
     invalid_arg "Segment_store.put: block exceeds max record payload";
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       check_open t;
       let st = t.active in
       let off = Segment.append st.seg ~kind:Record.kind_put ~key ~data in
@@ -200,7 +190,7 @@ let put t ~key ~data =
       seq)
 
 let remove t ~key =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       check_open t;
       match Log_index.remove t.index key with
       | None -> (false, 0)
@@ -230,7 +220,7 @@ let get t ~key =
   match Cache.cache_find t.bcache key with
   | Some data -> Some data
   | None ->
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           check_open t;
           let s = Log_index.find t.index key in
           if s < 0 then None
@@ -248,10 +238,11 @@ let get t ~key =
             Some data
           end)
 
-let mem t ~key = locked t (fun () -> Log_index.find t.index key >= 0)
+let mem t ~key =
+  Mutex.protect t.lock (fun () -> Log_index.find t.index key >= 0)
 
 let flush t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       if not t.closed then
         match t.cfg.fsync with
         | Always -> () (* every put synced inline; nothing pending *)
@@ -286,7 +277,7 @@ let rec flusher_loop t =
   Mutex.unlock t.f_mu;
   if not stop then begin
     let work =
-      locked t (fun () ->
+      Mutex.protect t.lock (fun () ->
           if t.closed then None
           else begin
             Segment.flush t.active.seg ~fsync:false;
@@ -305,7 +296,7 @@ let rec flusher_loop t =
            retired this very segment in the window; that path already
            synced it, so the records are durable either way. *)
         (try Segment.datasync seg with Unix.Unix_error _ -> ());
-        locked t (fun () ->
+        Mutex.protect t.lock (fun () ->
             if not t.closed then begin
               Segment.mark_synced seg ~upto;
               t.n_fsyncs <- t.n_fsyncs + 1;
@@ -343,7 +334,10 @@ let stop_flusher t =
 let on_durable t cb = t.durable_cb <- cb
 let durable_seq t = Atomic.get t.durable
 
-let checkpoint t = locked t (fun () -> check_open t; checkpoint_locked t)
+let checkpoint t =
+  Mutex.protect t.lock (fun () ->
+      check_open t;
+      checkpoint_locked t)
 
 (* {1 Incremental compaction}
 
@@ -473,7 +467,7 @@ let compact_step_locked t ~budget =
       else false
 
 let compact t ~force =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       check_open t;
       let done_ = ref 0 in
       let continue = ref true in
@@ -487,7 +481,7 @@ let compact t ~force =
 let maybe_compact t =
   if t.compacting = None && not t.compact_check then 0
   else
-    locked t (fun () ->
+    Mutex.protect t.lock (fun () ->
         if t.closed then 0
         else begin
           if t.compacting = None then ignore (pick_victim_locked t ~force:false);
@@ -502,7 +496,7 @@ let maybe_compact t =
    waiting on that very lock, and it must not race the fd close. *)
 let close t =
   stop_flusher t;
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       if not t.closed then begin
         (* A clean close makes everything durable whatever the policy
            ([Never] included — this is the one sync that mode pays). *)
@@ -514,7 +508,7 @@ let close t =
 
 let crash t =
   stop_flusher t;
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       if not t.closed then begin
         let empty_active =
           Segment.file_length t.active.seg = 0
@@ -526,17 +520,17 @@ let crash t =
         t.closed <- true
       end)
 
-let count t = locked t (fun () -> Log_index.count t.index)
-let stored_bytes t = locked t (fun () -> t.payload_bytes)
+let count t = Mutex.protect t.lock (fun () -> Log_index.count t.index)
+let stored_bytes t = Mutex.protect t.lock (fun () -> t.payload_bytes)
 
 let file_bytes t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.fold (fun _ st acc -> acc + Segment.length st.seg) t.segs 0)
 
-let segment_count t = locked t (fun () -> Hashtbl.length t.segs)
+let segment_count t = Mutex.protect t.lock (fun () -> Hashtbl.length t.segs)
 
 let iter t f =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       check_open t;
       Log_index.iter t.index (fun ~key ~seg ~off ~len ->
           let st = Hashtbl.find t.segs seg in
@@ -547,7 +541,7 @@ let iter t f =
           f key (Bytes.unsafe_to_string buf)))
 
 let iter_keys t f =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       check_open t;
       Log_index.iter t.index (fun ~key ~seg:_ ~off:_ ~len:_ -> f key))
 

@@ -172,15 +172,19 @@ let u32_max = 0xffff_ffff
 
 let encoded_size t = 1 + (8 * Array.length t.nodes)
 
+let encodable t =
+  Array.length t.nodes <= max_entries
+  && Array.for_all (fun n -> n <= u32_max) t.nodes
+  && Array.for_all (fun c -> c <= u32_max) t.counts
+
 let encode_into t buf ~off =
   let n = Array.length t.nodes in
-  if n > max_entries then invalid_arg "Version_vector.encode_into: too many entries";
+  if not (encodable t) then
+    invalid_arg "Version_vector.encode_into: not encodable";
   if off < 0 || off + encoded_size t > Bytes.length buf then
     invalid_arg "Version_vector.encode_into: buffer too small";
   Bytes.set_uint8 buf off n;
   for i = 0 to n - 1 do
-    if t.nodes.(i) > u32_max || t.counts.(i) > u32_max then
-      invalid_arg "Version_vector.encode_into: entry outside u32";
     Bytes.set_int32_be buf (off + 1 + (8 * i)) (Int32.of_int t.nodes.(i));
     Bytes.set_int32_be buf (off + 5 + (8 * i)) (Int32.of_int t.counts.(i))
   done;

@@ -53,6 +53,10 @@ val max_entries : int
     coordinators that ever stamped the block, so hitting the cap means
     a protocol bug, not organic growth. *)
 
+val encodable : t -> bool
+(** Whether {!encode_into} can write [t]: at most {!max_entries}
+    entries, every node handle and counter within u32. *)
+
 val encoded_size : t -> int
 (** Bytes {!encode_into} writes: 1 + 8 x entries. *)
 

@@ -23,16 +23,7 @@ type t = { parts : partition array; disk : Store.t option }
 let partitions = 32
 
 let part t key = t.parts.(Key.hash key land (partitions - 1))
-
-let locked p f =
-  Mutex.lock p.lock;
-  match f p with
-  | v ->
-      Mutex.unlock p.lock;
-      v
-  | exception e ->
-      Mutex.unlock p.lock;
-      raise e
+let locked p f = Mutex.protect p.lock (fun () -> f p)
 
 let recovered = { vv = Vv.empty; deleted = false }
 
@@ -83,6 +74,8 @@ let bytes_of t p key =
   | Some st -> Store.get st ~key
   | None -> Key.Table.find_opt p.blocks key
 
+(* A vector the wire cannot carry would make every later frame about
+   the key fail to encode, so neither write path ever stores one. *)
 let write t ~key ~node ~incoming ~data =
   locked (part t key) (fun p ->
       let cur =
@@ -91,29 +84,36 @@ let write t ~key ~node ~incoming ~data =
         | None -> Vv.empty
       in
       let vv = Vv.bump (Vv.merge cur incoming) ~node in
-      let removed, seq = install t p key data in
-      Key.Table.replace p.entries key { vv; deleted = data = None };
-      (vv, removed, seq))
+      if not (Vv.encodable vv) then None
+      else begin
+        let removed, seq = install t p key data in
+        Key.Table.replace p.entries key { vv; deleted = data = None };
+        Some (vv, removed, seq)
+      end)
 
 let apply t ~key ~vv ~data =
   locked (part t key) (fun p ->
-      let win vv =
+      let local = Key.Table.find_opt p.entries key in
+      let merged =
+        match local with Some l -> Vv.merge l.vv vv | None -> vv
+      in
+      let win () =
         let _, seq = install t p key data in
-        Key.Table.replace p.entries key { vv; deleted = data = None };
+        Key.Table.replace p.entries key { vv = merged; deleted = data = None };
         (true, seq)
       in
-      match Key.Table.find_opt p.entries key with
-      | None -> win vv
+      match local with
+      | _ when not (Vv.encodable merged) -> (false, 0)
+      | None -> win ()
       | Some local -> (
-          let merged = Vv.merge local.vv vv in
           match Vv.compare_vv vv local.vv with
           | Vv.Equal | Vv.Dominated -> (false, 0)
-          | Vv.Dominates -> win merged
+          | Vv.Dominates -> win ()
           | Vv.Concurrent ->
               (* Both sides of a concurrent pair compute the same
                  winner, so after one exchange in either direction the
                  replicas hold the same (merged vector, bytes). *)
-              if Vv.winner vv local.vv = `Left then win merged
+              if Vv.winner vv local.vv = `Left then win ()
               else begin
                 Key.Table.replace p.entries key { local with vv = merged };
                 (false, 0)

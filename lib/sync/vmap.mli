@@ -46,13 +46,15 @@ val write :
   node:int ->
   incoming:Version_vector.t ->
   data:string option ->
-  Version_vector.t * bool * int
+  (Version_vector.t * bool * int) option
 (** Coordinator write path: merge [incoming] (empty for a client
     write) into the key's vector, bump [node], and install [data] —
-    [None] writes a tombstone.  Returns [(vv, removed, seq)]: the new
-    vector (the one the fan-out copies and the client's ack carry),
-    whether a tombstone dropped a live block, and the store sequence
-    the ack must wait for ([0] in RAM or when nothing was appended). *)
+    [None] writes a tombstone.  Returns [Some (vv, removed, seq)]: the
+    new vector (the one the fan-out copies and the client's ack
+    carry), whether a tombstone dropped a live block, and the store
+    sequence the ack must wait for ([0] in RAM or when nothing was
+    appended).  [None], with nothing installed, when the new vector
+    would not be {!Version_vector.encodable}. *)
 
 val apply :
   t -> key:Key.t -> vv:Version_vector.t -> data:string option -> bool * int
@@ -62,7 +64,8 @@ val apply :
     tiebreak.  Either way the entry ends at the merge of both vectors,
     so a stale copy cannot resurface later, and both sides of a
     concurrent pair converge on the same (vector, bytes).  A copy that
-    is dominated or equal changes nothing.  Returns
+    is dominated or equal changes nothing, and so does one whose merge
+    would not be {!Version_vector.encodable}.  Returns
     [(installed, seq)]. *)
 
 val read : t -> key:Key.t -> (entry * string option) option

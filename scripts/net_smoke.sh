@@ -63,6 +63,7 @@ bad_flags=(
   "$D2D --replicas=0"
   "d2load.exe --rpc-timeout=-1"
   "d2load.exe --nodes=0"
+  "d2load.exe --duration 0"
 )
 for cmd in "${bad_flags[@]}"; do
   code=0

@@ -3,6 +3,7 @@
    stream reader reassembles frames across arbitrary chunking. *)
 
 module Wire = D2_net.Wire
+module Bytebuf = D2_net.Transport.Bytebuf
 module Key = D2_keyspace.Key
 module Rng = D2_util.Rng
 
@@ -28,6 +29,12 @@ let random_payload rng =
     | _ -> Rng.int rng Wire.max_payload
   in
   String.init n (fun _ -> Char.chr (Rng.int rng 256))
+
+(* A probe the digest trie can address: at most [max_bits] deep, with
+   a prefix that names one bucket at that depth. *)
+let random_probe rng ~max_bits =
+  let bits = Rng.int rng (max_bits + 1) in
+  (bits, Rng.int rng (1 lsl bits))
 
 let random_msg rng =
   match Rng.int rng 24 with
@@ -66,13 +73,10 @@ let random_msg rng =
           message = String.init (Rng.int rng 64) (fun _ -> Char.chr (32 + Rng.int rng 90));
         }
   | 15 ->
-      Wire.Sync_digests
-        {
-          lo = key_of_rng rng;
-          hi = key_of_rng rng;
-          prefix = Rng.int rng 0x10000;
-          bits = Rng.int rng 29;
-        }
+      let lo = key_of_rng rng in
+      let hi = key_of_rng rng in
+      let bits, prefix = random_probe rng ~max_bits:24 in
+      Wire.Sync_digests { lo; hi; prefix; bits }
   | 16 ->
       Wire.Sync_digests_ack
         {
@@ -81,13 +85,10 @@ let random_msg rng =
                 (Rng.int rng 0x4000_0000, Rng.int rng 10_000));
         }
   | 17 ->
-      Wire.Sync_keys
-        {
-          lo = key_of_rng rng;
-          hi = key_of_rng rng;
-          prefix = Rng.int rng 0x10000;
-          bits = Rng.int rng 29;
-        }
+      let lo = key_of_rng rng in
+      let hi = key_of_rng rng in
+      let bits, prefix = random_probe rng ~max_bits:28 in
+      Wire.Sync_keys { lo; hi; prefix; bits }
   | 18 ->
       let n = Rng.int rng 20 in
       Wire.Sync_keys_ack
@@ -241,7 +242,7 @@ let reader_chunking_prop seed =
   while !pos < total && !ok do
     let chunk = 1 + Rng.int rng 97 in
     let len = min chunk (total - !pos) in
-    Wire.Reader.feed reader stream ~off:!pos ~len;
+    Bytebuf.write reader stream ~off:!pos ~len;
     pos := !pos + len;
     let drained = ref false in
     while not !drained do
@@ -271,16 +272,16 @@ let reader_pipelined_burst_prop seed =
   let buf = Buffer.create 4096 in
   List.iteri (fun i m -> Buffer.add_bytes buf (Wire.encode ~req:i m)) msgs;
   let stream = Buffer.to_bytes buf in
-  let reader = Wire.Reader.create ~capacity:4096 () in
+  let reader = Wire.Reader.create () in
   let out = ref [] in
   let pos = ref 0 in
   let total = Bytes.length stream in
   let ok = ref true in
   while !pos < total && !ok do
     let len = min (1 + Rng.int rng 16384) (total - !pos) in
-    let dst, off = Wire.Reader.reserve reader len in
+    let dst, off = Bytebuf.reserve reader len in
     Bytes.blit stream !pos dst off len;
-    Wire.Reader.commit reader len;
+    Bytebuf.commit reader len;
     pos := !pos + len;
     let drained = ref false in
     while not !drained do
@@ -299,14 +300,12 @@ let reader_pipelined_burst_prop seed =
        (List.mapi (fun i m -> (i, m)) msgs)
 
 (* A burst grows the buffer past its creation capacity; each full
-   drain halves it back, and it settles exactly at the creation floor
-   — never below, never stuck at the high-water mark. *)
+   drain halves it back, and it settles exactly at the creation floor,
+   [max_frame] — never below, never stuck at the high-water mark. *)
 let test_reader_capacity_floor () =
-  let requested = 65536 in
-  let reader = Wire.Reader.create ~capacity:requested () in
-  let floor = Wire.Reader.capacity reader in
-  Alcotest.(check bool) "floor covers requested capacity" true
-    (floor >= requested);
+  let reader = Wire.Reader.create () in
+  let floor = Bytebuf.capacity reader in
+  Alcotest.(check int) "floor is max_frame" Wire.max_frame floor;
   let key = Key.random (Rng.create 0x51) in
   let frame =
     Wire.encode ~req:9
@@ -321,13 +320,13 @@ let test_reader_capacity_floor () =
   let flen = Bytes.length frame in
   let burst_n = ((4 * floor) / flen) + 1 in
   let need = burst_n * flen in
-  let dst, off = Wire.Reader.reserve reader need in
+  let dst, off = Bytebuf.reserve reader need in
   for i = 0 to burst_n - 1 do
     Bytes.blit frame 0 dst (off + (i * flen)) flen
   done;
-  Wire.Reader.commit reader need;
+  Bytebuf.commit reader need;
   Alcotest.(check bool) "burst grew past the floor" true
-    (Wire.Reader.capacity reader > floor);
+    (Bytebuf.capacity reader > floor);
   let drained = ref 0 in
   let continue = ref true in
   while !continue do
@@ -340,15 +339,106 @@ let test_reader_capacity_floor () =
   (* One halving per drained batch: a dozen single-frame rounds is far
      more than log2(high-water / floor). *)
   for _ = 1 to 12 do
-    let dst, off = Wire.Reader.reserve reader flen in
-    Bytes.blit frame 0 dst off flen;
-    Wire.Reader.commit reader flen;
+    Bytebuf.write reader frame ~off:0 ~len:flen;
     match Wire.Reader.next reader with
     | `Msg _ -> ()
     | `Awaiting | `Corrupt _ -> Alcotest.fail "single frame must decode"
   done;
   Alcotest.(check int) "settled exactly at the creation floor" floor
-    (Wire.Reader.capacity reader)
+    (Bytebuf.capacity reader)
+
+(* The frame bytes themselves are pinned: 20,000 seeded frames from
+   [random_msg] (request id = index) hash to a fixed digest, so any
+   change to any frame's bytes fails here. *)
+let test_wire_bytes_pinned () =
+  let rng = Rng.create 12345 in
+  let buf = Buffer.create (1 lsl 24) in
+  for i = 0 to 19_999 do
+    Buffer.add_bytes buf (Wire.encode ~req:i (random_msg rng))
+  done;
+  Alcotest.(check int) "stream length" 12_969_772 (Buffer.length buf);
+  Alcotest.(check string) "stream MD5" "c23fc214fa0289057e4f1169ed6ed7b0"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* A frame that breaks a bound raises and leaves the output buffer as
+   it found it: the frame queued before it still decodes, alone. *)
+let test_failed_write_leaves_buffer () =
+  let key = Key.random (Rng.create 0x52) in
+  let lo = key and hi = key in
+  let b = Bytebuf.create () in
+  let first = Wire.write b ~req:1 (Wire.Get { key }) in
+  let rec wide_vv vv node =
+    if node = 100 + Vv.max_entries + 1 then vv
+    else wide_vv (Vv.bump vv ~node) (node + 1)
+  in
+  List.iter
+    (fun (label, msg) ->
+      (match Wire.write b ~req:2 msg with
+      | _ -> Alcotest.failf "%s encoded" label
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) (label ^ ": length unchanged") first
+        (Bytebuf.length b))
+    [
+      ( "payload over max_payload",
+        Wire.Put
+          {
+            key;
+            depth = 1;
+            vv = Vv.empty;
+            data = String.make (Wire.max_payload + 1) 'x';
+          } );
+      ( "vector over max_entries",
+        Wire.Put_ack { copies = 1; vv = wide_vv Vv.empty 100 } );
+      ("depth outside u8", Wire.Remove { key; depth = 256; vv = Vv.empty });
+      ("node outside u32", Wire.Redirect { next = 1 lsl 32 });
+      ( "digest probe too deep",
+        Wire.Sync_digests { lo; hi; prefix = 0; bits = 25 } );
+      ("key probe too deep", Wire.Sync_keys { lo; hi; prefix = 0; bits = 29 });
+      ( "prefix wider than bits",
+        Wire.Sync_keys { lo; hi; prefix = 4; bits = 2 } );
+    ];
+  (match Wire.write b ~req:(1 lsl 32) Wire.Probe with
+  | _ -> Alcotest.fail "request id outside u32 encoded"
+  | exception Invalid_argument _ -> ());
+  let buf, off, len = Bytebuf.peek b in
+  match Wire.decode buf ~off ~len with
+  | Ok (1, Wire.Get { key = k }, used) ->
+      Alcotest.(check bool) "same key" true (Key.equal k key);
+      Alcotest.(check int) "only frame" len used
+  | _ -> Alcotest.fail "earlier frame lost"
+
+(* A probe the digest trie cannot address decodes as [Malformed]: a
+   node serving it would fail inside [Digest]. *)
+let test_probe_bounds () =
+  let key = Key.random (Rng.create 0x53) in
+  let frame ~tag ~prefix ~bits =
+    (* Encode an in-bounds probe, then rewrite its prefix and bits. *)
+    let msg =
+      if tag = 16 then
+        Wire.Sync_digests { lo = key; hi = key; prefix = 0; bits = 0 }
+      else Wire.Sync_keys { lo = key; hi = key; prefix = 0; bits = 0 }
+    in
+    let f = Wire.encode ~req:5 msg in
+    let at = 9 + (2 * Key.size) in
+    Bytes.set_int32_be f at (Int32.of_int prefix);
+    Bytes.set_uint8 f (at + 4) bits;
+    f
+  in
+  List.iter
+    (fun (label, tag, prefix, bits, ok) ->
+      let f = frame ~tag ~prefix ~bits in
+      match (Wire.decode f ~off:0 ~len:(Bytes.length f), ok) with
+      | Ok _, true | Error (Wire.Malformed _), false -> ()
+      | _ -> Alcotest.failf "%s: wrong verdict" label)
+    [
+      ("digests at 24 bits", 16, (1 lsl 24) - 1, 24, true);
+      ("digests at 25 bits", 16, 0, 25, false);
+      ("digests at 30 bits", 16, 0, 30, false);
+      ("keys at 28 bits", 18, (1 lsl 28) - 1, 28, true);
+      ("keys at 29 bits", 18, 0, 29, false);
+      ("digests prefix 2^bits", 16, 1 lsl 8, 8, false);
+      ("keys prefix 2^bits", 18, 1, 0, false);
+    ]
 
 let prop name f =
   QCheck.Test.make ~count:500 ~name QCheck.(small_nat) (fun seed -> f (seed + 1))
@@ -363,6 +453,10 @@ let () =
           QCheck_alcotest.to_alcotest (prop "corruption never raises" corruption_prop);
           Alcotest.test_case "oversize/undersize length" `Quick test_oversize_length;
           Alcotest.test_case "unknown tag" `Quick test_unknown_tag;
+          Alcotest.test_case "probe bounds" `Quick test_probe_bounds;
+          Alcotest.test_case "wire bytes pinned" `Quick test_wire_bytes_pinned;
+          Alcotest.test_case "failed write leaves the buffer" `Quick
+            test_failed_write_leaves_buffer;
         ] );
       ( "reader",
         [

@@ -382,6 +382,100 @@ let test_create_rejects_bad_config () =
       ("repair_interval -3", { config with repair_interval = -3.0 });
     ]
 
+(* A bare endpoint that speaks raw frame bytes to one node: frames a
+   well-behaved client would never send still reach the daemon. *)
+let raw_pair () =
+  let engine = Engine.create () in
+  let topology = Topology.create ~rng:(Rng.create 0x31) ~n:3 () in
+  let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x5 () in
+  let nodes =
+    List.map
+      (fun (i, id) ->
+        Node.create (Mem.endpoint net ~node:i) ~config ~id
+          ~peers:(Bootstrap.peers 2) ())
+      (Bootstrap.peers 2)
+  in
+  List.iter Node.serve nodes;
+  Engine.run engine ~until:2.0;
+  let ep = Mem.endpoint net ~node:2 in
+  (* Send [frame] to node 0 on a fresh connection; the node's replies. *)
+  let exchange frame =
+    let conn = Option.get (Mem.connect ep ~dst:0) in
+    let reader = D2_net.Wire.Reader.create () in
+    let replies = ref [] in
+    Mem.on_readable conn (fun () ->
+        let n = ref 1 in
+        while !n > 0 do
+          let buf, off = D2_net.Transport.Bytebuf.reserve reader 4096 in
+          n := Mem.recv_into conn buf ~off ~len:4096;
+          D2_net.Transport.Bytebuf.commit reader !n
+        done;
+        let rec loop () =
+          match D2_net.Wire.Reader.next reader with
+          | `Msg (_, m) ->
+              replies := m :: !replies;
+              loop ()
+          | `Awaiting | `Corrupt _ -> ()
+        in
+        loop ());
+    Mem.send conn frame ~off:0 ~len:(Bytes.length frame);
+    Engine.run engine ~until:(Engine.now engine +. 2.0);
+    Mem.close conn;
+    List.rev !replies
+  in
+  let still_serving () =
+    match exchange (D2_net.Wire.encode ~req:1 D2_net.Wire.Probe) with
+    | [ D2_net.Wire.Probe_ack { node = 0; _ } ] -> ()
+    | _ -> Alcotest.fail "node stopped answering probes"
+  in
+  (nodes, exchange, still_serving)
+
+(* An anti-entropy probe deeper than the digest trie is a protocol
+   violation: the node drops the connection and keeps serving. *)
+let test_deep_probe_keeps_serving () =
+  let _, exchange, still_serving = raw_pair () in
+  let key = Key.random (Rng.create 0x54) in
+  List.iter
+    (fun (label, msg, bits) ->
+      let frame = D2_net.Wire.encode ~req:7 msg in
+      Bytes.set_uint8 frame (9 + (2 * Key.size) + 4) bits;
+      Alcotest.(check int) (label ^ ": no reply") 0
+        (List.length (exchange frame));
+      still_serving ())
+    [
+      ( "Sync_digests bits 30",
+        D2_net.Wire.Sync_digests { lo = key; hi = key; prefix = 0; bits = 0 },
+        30 );
+      ( "Sync_keys bits 29",
+        D2_net.Wire.Sync_keys { lo = key; hi = key; prefix = 0; bits = 0 },
+        29 );
+    ]
+
+(* A write whose stamped vector the wire cannot carry (65 entries) is
+   refused with [Error] and installs nothing; the node keeps serving. *)
+let test_full_vector_refused () =
+  let nodes, exchange, still_serving = raw_pair () in
+  let wide =
+    List.fold_left
+      (fun vv node -> D2_sync.Version_vector.bump vv ~node)
+      D2_sync.Version_vector.empty
+      (List.init D2_sync.Version_vector.max_entries (fun i -> 100 + i))
+  in
+  let key = Key.random (Rng.create 0x55) in
+  (match
+     exchange
+       (D2_net.Wire.encode ~req:3
+          (D2_net.Wire.Put { key; depth = 1; vv = wide; data = "x" }))
+   with
+  | [ D2_net.Wire.Error _ ] -> ()
+  | _ -> Alcotest.fail "want one Error reply");
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) "nothing installed" true
+        (D2_sync.Vmap.read (Node.vmap n) ~key = None))
+    nodes;
+  still_serving ()
+
 let () =
   Alcotest.run "net_mem"
     [
@@ -397,5 +491,9 @@ let () =
             test_alpha_race_survives_dead_seed;
           Alcotest.test_case "create rejects out-of-range config" `Quick
             test_create_rejects_bad_config;
+          Alcotest.test_case "a too-deep repair probe leaves the node serving"
+            `Quick test_deep_probe_keeps_serving;
+          Alcotest.test_case "a vector the wire cannot carry is refused"
+            `Quick test_full_vector_refused;
         ] );
     ]

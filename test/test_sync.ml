@@ -123,6 +123,42 @@ let prop_apply_order_independent =
       let b2, v2 = run [ (vb, "B"); (va, "A") ] in
       b1 = b2 && vv_equal v1 v2)
 
+(* Neither write path stores a vector the wire cannot carry: more
+   than [Vv.max_entries] entries, or a counter past u32.  The refused
+   write installs nothing, so the key keeps serving its old copy. *)
+let test_vmap_refuses_unencodable () =
+  let key = Key.random (Rng.create 0x6e) in
+  let wide =
+    List.fold_left
+      (fun vv node -> Vv.bump vv ~node)
+      Vv.empty
+      (List.init Vv.max_entries (fun i -> 100 + i))
+  in
+  let m = Vmap.create () in
+  Alcotest.(check bool) "65th entry refused" true
+    (Vmap.write m ~key ~node:1 ~incoming:wide ~data:(Some "a") = None);
+  Alcotest.(check bool) "nothing installed" true (Vmap.read m ~key = None);
+  (* {1: 2^32 - 1}, built from its wire form. *)
+  let top =
+    let b = Bytes.create 9 in
+    Bytes.set_uint8 b 0 1;
+    Bytes.set_int32_be b 1 1l;
+    Bytes.set_int32_be b 5 0xffff_ffffl;
+    fst (Option.get (Vv.decode b ~off:0 ~stop:9))
+  in
+  Alcotest.(check bool) "counter past u32 refused" true
+    (Vmap.write m ~key ~node:1 ~incoming:top ~data:(Some "a") = None);
+  (* A replica holding {1:1} receives the 64-entry copy: the merge
+     would hold 65 entries, so neither bytes nor vector change. *)
+  let own = Vv.bump Vv.empty ~node:1 in
+  Alcotest.(check bool) "own copy applied" true
+    (fst (Vmap.apply m ~key ~vv:own ~data:(Some "own")));
+  Alcotest.(check bool) "65-entry merge not applied" false
+    (fst (Vmap.apply m ~key ~vv:wide ~data:(Some "wide")));
+  match Vmap.read m ~key with
+  | Some (e, Some "own") when vv_equal e.Vmap.vv own -> ()
+  | _ -> Alcotest.fail "refused copy changed the entry"
+
 (* {1 Two domains, one key}
 
    Domain siblings share one table and stamp with the same node id.
@@ -140,7 +176,8 @@ let test_two_domain_writes () =
       List.init writes (fun i ->
           let data = Printf.sprintf "%c%d.%d" tag trial i in
           let vv, _, _ =
-            Vmap.write m ~key ~node ~incoming:Vv.empty ~data:(Some data)
+            Option.get
+              (Vmap.write m ~key ~node ~incoming:Vv.empty ~data:(Some data))
           in
           (Vv.get vv node, data))
     in
@@ -562,6 +599,8 @@ let () =
         [
           Alcotest.test_case "two domains: bytes follow the vector" `Quick
             test_two_domain_writes;
+          Alcotest.test_case "unencodable vectors are refused" `Quick
+            test_vmap_refuses_unencodable;
         ] );
       ( "e2e",
         [
