@@ -73,9 +73,9 @@ let attach ~cluster ~rng ?(config = default_config) ~until () =
           if do_probe ~cluster ~cfg ~prober:node ~target then
             t.moves <- t.moves + 1
         end;
-        ignore (Engine.schedule_in engine ~delay:cfg.probe_interval tick)
+        Engine.schedule_in engine ~delay:cfg.probe_interval tick
       end
     in
-    ignore (Engine.schedule_in engine ~delay:first tick)
+    Engine.schedule_in engine ~delay:first tick
   done;
   t

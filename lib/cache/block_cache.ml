@@ -1,24 +1,19 @@
 module Key = D2_keyspace.Key
 module KTbl = Key.Table
-module KeyMap = Map.Make (Key)
 
-type dirty = { size : int; due : float }
+let window = 30.0
 
 type t = {
-  win : float;
   warm : float KTbl.t;  (** key -> last access time *)
-  mutable dirty : dirty KeyMap.t;
   mutable accesses_since_purge : int;
 }
 
-let create ?(window = 30.0) () =
-  if window <= 0.0 then invalid_arg "Block_cache.create: window must be positive";
-  { win = window; warm = KTbl.create 256; dirty = KeyMap.empty; accesses_since_purge = 0 }
+let create () = { warm = KTbl.create 256; accesses_since_purge = 0 }
 
 let purge_warm t ~now =
   let stale =
     KTbl.fold
-      (fun k last acc -> if now -. last >= t.win then k :: acc else acc)
+      (fun k last acc -> if now -. last >= window then k :: acc else acc)
       t.warm []
   in
   List.iter (KTbl.remove t.warm) stale
@@ -30,34 +25,20 @@ let maybe_purge t ~now =
     purge_warm t ~now
   end
 
-let is_warm t ~now key =
-  match KTbl.find_opt t.warm key with
-  | Some last -> now -. last < t.win
-  | None -> false
-
 let touch t ~now key =
   maybe_purge t ~now;
-  let hit = is_warm t ~now key in
+  let hit =
+    match KTbl.find_opt t.warm key with
+    | Some last -> now -. last < window
+    | None -> false
+  in
   KTbl.replace t.warm key now;
   hit
 
-let write t ~now key ~size =
-  KTbl.replace t.warm key now;
-  t.dirty <- KeyMap.add key { size; due = now +. t.win } t.dirty
-
-let cancel t key = t.dirty <- KeyMap.remove key t.dirty
-
-let flush_due t ~now =
-  let due, keep = KeyMap.partition (fun _ d -> d.due <= now) t.dirty in
-  t.dirty <- keep;
-  KeyMap.fold (fun k d acc -> (k, d.size) :: acc) due []
-
-let dirty_count t = KeyMap.cardinal t.dirty
-let window t = t.win
-
 (* {1 Hot-block byte cache}
 
-   The disk store's front: retains whole block payloads up to a byte
+   The disk store's front and the hot-spot ablation's per-node
+   retrieval cache: retains whole block payloads up to a byte
    capacity, evicting least-recently-used.  An intrusive doubly-linked
    list over interned entry records keeps store/find/evict O(1) with
    no per-access allocation beyond the table probe. *)
@@ -129,24 +110,30 @@ let evict_to_fit c =
         c.evictions <- c.evictions + 1
   done
 
+(* A payload too big to retain still drops the key's older copy:
+   the cache must never answer with a value the caller has replaced. *)
 let cache_store c key data =
-  if c.capacity > 0 && String.length data <= c.capacity then
+  if c.capacity > 0 then
     Mutex.protect c.mu (fun () ->
-        (match KTbl.find_opt c.tbl key with
-        | Some e ->
-            c.used <- c.used - String.length e.data + String.length data;
-            e.data <- data;
-            (match c.head with
-            | Some h when h == e -> ()
-            | _ ->
-                unlink_entry e;
-                push_front c e)
-        | None ->
-            let rec e = { ekey = key; data; prev = e; next = e } in
-            KTbl.replace c.tbl key e;
-            c.used <- c.used + String.length data;
-            push_front c e);
-        evict_to_fit c)
+        let found = KTbl.find_opt c.tbl key in
+        if String.length data > c.capacity then Option.iter (drop_entry c) found
+        else begin
+          (match found with
+          | Some e ->
+              c.used <- c.used - String.length e.data + String.length data;
+              e.data <- data;
+              (match c.head with
+              | Some h when h == e -> ()
+              | _ ->
+                  unlink_entry e;
+                  push_front c e)
+          | None ->
+              let rec e = { ekey = key; data; prev = e; next = e } in
+              KTbl.replace c.tbl key e;
+              c.used <- c.used + String.length data;
+              push_front c e);
+          evict_to_fit c
+        end)
 
 let cache_find c key =
   Mutex.protect c.mu (fun () ->

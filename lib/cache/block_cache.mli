@@ -1,45 +1,26 @@
-(** The 30-second buffer / write-back cache of D2-FS (paper §3).
+(** The 30-second warm window of D2-FS's buffer cache (paper §3).
 
-    Reads of a block within [window] of a previous access are served
-    locally (no DHT fetch); writes are buffered for up to [window]
-    before being flushed, which absorbs short-lived temporary files.
-    This module is the bookkeeping both the file-system layer and the
-    performance simulator share: it answers "is this block still warm"
-    and tracks dirty blocks awaiting flush. *)
+    A read of a block within 30 s of a previous access is served
+    locally (no DHT fetch).  The file-system layer and the performance
+    simulator share this bookkeeping: it answers "is this block still
+    warm".  (D2-FS buffers its writes for the same window itself; see
+    [D2_fs.Fs].) *)
 
 module Key = D2_keyspace.Key
 
 type t
 
-val create : ?window:float -> unit -> t
-(** [window] defaults to 30 s. *)
+val create : unit -> t
 
 val touch : t -> now:float -> Key.t -> bool
 (** Record a read access; returns [true] if the block was already warm
-    (a cache hit — no fetch needed). *)
-
-val is_warm : t -> now:float -> Key.t -> bool
-(** Non-mutating warmth check. *)
-
-val write : t -> now:float -> Key.t -> size:int -> unit
-(** Buffer a dirty block. Overwrites of a buffered block are absorbed
-    (only the last version will flush). *)
-
-val cancel : t -> Key.t -> unit
-(** Drop a dirty block before it flushes (file deleted in window —
-    the write never reaches the DHT). *)
-
-val flush_due : t -> now:float -> (Key.t * int) list
-(** Dirty blocks whose window has elapsed, removed from the buffer, in
-    flush order. *)
-
-val dirty_count : t -> int
-val window : t -> float
+    (accessed less than 30 s before [now]: a hit, no fetch needed). *)
 
 (** {1 Hot-block byte cache}
 
-    The front the durable segment store reads through: whole block
-    payloads retained up to a byte capacity with O(1) LRU eviction.
+    A byte-bounded LRU of whole block payloads with O(1) eviction: the
+    front the durable segment store reads through, and the per-node
+    retrieval cache of the hot-spot ablation.
     A zero capacity disables retention entirely (every find misses,
     stores are dropped) — the cold-read benchmark configuration. *)
 
@@ -49,8 +30,8 @@ val bytes_cache : capacity:int -> bytes_cache
 
 val cache_store : bytes_cache -> Key.t -> string -> unit
 (** Insert or refresh a payload (becomes MRU); evicts LRU entries
-    until the capacity holds.  Payloads above the capacity are not
-    retained. *)
+    until the capacity holds.  A payload above the capacity is not
+    retained, and it drops the key's older cached copy. *)
 
 val cache_find : bytes_cache -> Key.t -> string option
 (** Hit promotes to MRU and counts toward {!cache_hits}. *)

@@ -72,10 +72,9 @@ let replay ~trace ~failures ~mode ~seed ?params () =
   let cluster = System.cluster system in
   Array.iter
     (fun (e : Failure.event) ->
-      ignore
-        (Engine.schedule engine ~at:(p.warmup +. e.Failure.time) (fun () ->
-             if e.Failure.up then Cluster.recover cluster ~node:e.Failure.node
-             else Cluster.fail cluster ~node:e.Failure.node)))
+      Engine.schedule engine ~at:(p.warmup +. e.Failure.time) (fun () ->
+          if e.Failure.up then Cluster.recover cluster ~node:e.Failure.node
+          else Cluster.fail cluster ~node:e.Failure.node))
     failures.Failure.events;
   let n_ops = plan.Plan.n in
   let op_ok = Array.make n_ops true in

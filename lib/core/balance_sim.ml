@@ -105,7 +105,7 @@ let run ~trace ~setup ~params:p =
   in
   for d = 0 to ndays do
     let at = p.warmup +. Float.min (float_of_int d *. 86400.0) trace.Op.duration in
-    ignore (Engine.schedule engine ~at (snapshot d))
+    Engine.schedule engine ~at (snapshot d)
   done;
   let times = plan.Plan.times in
   let kinds = plan.Plan.kinds in

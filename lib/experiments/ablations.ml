@@ -103,7 +103,7 @@ let hotspot _scale =
   let module Router = D2_dht.Router in
   let module Cluster = D2_store.Cluster in
   let module Engine = D2_simnet.Engine in
-  let module Retrieval_cache = D2_cache.Retrieval_cache in
+  let module Block_cache = D2_cache.Block_cache in
   let module Zipf = D2_util.Zipf in
   let nodes = 100 in
   let engine = Engine.create () in
@@ -120,10 +120,13 @@ let hotspot _scale =
   let router = Router.create ~ring ~policy:Router.Fingers ~rng:(Rng.split rng) in
   let zipf = Zipf.create ~n:256 ~s:0.9 in
   let requests = 20_000 in
+  (* Every simulated 8 KB block shares one payload: only sizes matter. *)
+  let block = String.make 8192 '\000' in
+  let cached c key = Block_cache.cache_find c key <> None in
   let run ~with_caches =
     let served = Array.make nodes 0 in
     let caches =
-      Array.init nodes (fun _ -> Retrieval_cache.create ~capacity:(128 * 8192))
+      Array.init nodes (fun _ -> Block_cache.bytes_cache ~capacity:(128 * 8192))
     in
     let req_rng = Rng.create (Config.master_seed + 501) in
     for _ = 1 to requests do
@@ -132,12 +135,12 @@ let hotspot _scale =
       (* CFS-style: the client's own cache first, then the first node
          along the lookup path with a cached copy, else a replica; the
          whole reply path caches the block. *)
-      if with_caches && Retrieval_cache.mem caches.(client) key then ()
+      if with_caches && cached caches.(client) key then ()
       else begin
         let path = Router.route router ~src:client ~key in
         let server =
           if with_caches then
-            List.find_opt (fun n -> Retrieval_cache.mem caches.(n) key) path
+            List.find_opt (fun n -> cached caches.(n) key) path
           else None
         in
         (match server with
@@ -147,8 +150,8 @@ let hotspot _scale =
             let n = List.nth holders (Rng.int req_rng (List.length holders)) in
             served.(n) <- served.(n) + 8192);
         if with_caches then begin
-          Retrieval_cache.insert caches.(client) key ~size:8192;
-          List.iter (fun n -> Retrieval_cache.insert caches.(n) key ~size:8192) path
+          Block_cache.cache_store caches.(client) key block;
+          List.iter (fun n -> Block_cache.cache_store caches.(n) key block) path
         end
       end
     done;

@@ -299,14 +299,13 @@ let run cfg =
             ~tag:0 ~payload:c
       done;
       if flash && sc.Scenario.flash_at < cfg.duration then
-        ignore
-          (Engine.schedule eng ~at:sc.Scenario.flash_at (fun () ->
-               for c = st.lo to st.hi - 1 do
-                 if is_crowd c then
-                   Engine.post_in eng ~sink
-                     ~delay:(Rng.float st.rng sc.Scenario.crowd_think)
-                     ~tag:0 ~payload:c
-               done))
+        Engine.schedule eng ~at:sc.Scenario.flash_at (fun () ->
+            for c = st.lo to st.hi - 1 do
+              if is_crowd c then
+                Engine.post_in eng ~sink
+                  ~delay:(Rng.float st.rng sc.Scenario.crowd_think)
+                  ~tag:0 ~payload:c
+            done)
     in
     (st, init)
   in

@@ -438,11 +438,10 @@ let write_file t ~path ~data =
     let token = t.next_token in
     Hashtbl.replace t.pending path { data; token };
     let engine = Cluster.engine t.cluster in
-    ignore
-      (Engine.schedule_in engine ~delay:t.wb_window (fun () ->
-           match Hashtbl.find_opt t.pending path with
-           | Some pw when pw.token = token -> flush_one t path
-           | Some _ | None -> ()))
+    Engine.schedule_in engine ~delay:t.wb_window (fun () ->
+        match Hashtbl.find_opt t.pending path with
+        | Some pw when pw.token = token -> flush_one t path
+        | Some _ | None -> ())
   end
 
 let flush t =

@@ -93,7 +93,7 @@ let on_accept t cb = t.accept_cb <- cb
 let on_readable c cb = c.readable_cb <- cb
 let on_close c cb = c.close_cb <- cb
 
-let schedule t ~delay f = ignore (Engine.schedule_in t.net.eng ~delay f)
+let schedule t ~delay f = Engine.schedule_in t.net.eng ~delay f
 
 let delay_of net src dst = Topology.one_way net.topo src dst
 
@@ -105,14 +105,13 @@ let shutdown_remote c =
   match c.remote with
   | None -> ()
   | Some r ->
-      ignore
-        (Engine.schedule_in c.cnet.eng ~delay:(delay_of c.cnet c.src c.dst)
-           (fun () ->
-             if r.copen && not (severed_since c.cnet c.src c.dst ~since:sent)
-             then begin
-               r.copen <- false;
-               r.close_cb ()
-             end))
+      Engine.schedule_in c.cnet.eng ~delay:(delay_of c.cnet c.src c.dst)
+        (fun () ->
+          if r.copen && not (severed_since c.cnet c.src c.dst ~since:sent)
+          then begin
+            r.copen <- false;
+            r.close_cb ()
+          end)
 
 let close c =
   if c.copen then begin
@@ -126,7 +125,7 @@ let reset c =
   if c.copen then begin
     c.copen <- false;
     shutdown_remote c;
-    ignore (Engine.schedule_in c.cnet.eng ~delay:0.0 (fun () -> c.close_cb ()))
+    Engine.schedule_in c.cnet.eng ~delay:0.0 (fun () -> c.close_cb ())
   end
 
 let send c buf ~off ~len =
@@ -138,16 +137,15 @@ let send c buf ~off ~len =
       let data = Bytes.sub buf off len in
       let net = c.cnet in
       let sent = Engine.now net.eng in
-      ignore
-        (Engine.schedule_in net.eng ~delay:(delay_of net c.src c.dst) (fun () ->
-             match c.remote with
-             | Some r
-               when r.copen && is_up net c.dst
-                    && not (severed_since net c.src c.dst ~since:sent)
-               ->
-                 Bytebuf.write r.inbox data ~off:0 ~len:(Bytes.length data);
-                 r.readable_cb ()
-             | _ -> ()))
+      Engine.schedule_in net.eng ~delay:(delay_of net c.src c.dst) (fun () ->
+          match c.remote with
+          | Some r
+            when r.copen && is_up net c.dst
+                 && not (severed_since net c.src c.dst ~since:sent)
+            ->
+              Bytebuf.write r.inbox data ~off:0 ~len:(Bytes.length data);
+              r.readable_cb ()
+          | _ -> ())
     end
   end
 
@@ -191,12 +189,11 @@ let connect t ~dst =
            only comes alive if the path stayed clear for the whole
            flight and the peer is still up when it arrives. *)
         let sent = Engine.now net.eng in
-        ignore
-          (Engine.schedule_in net.eng ~delay:(delay_of net t.enode dst) (fun () ->
-               if b.copen then
-                 if dep.up && not (severed_since net t.enode dst ~since:sent)
-                 then dep.accept_cb b
-                 else b.copen <- false));
+        Engine.schedule_in net.eng ~delay:(delay_of net t.enode dst) (fun () ->
+            if b.copen then
+              if dep.up && not (severed_since net t.enode dst ~since:sent)
+              then dep.accept_cb b
+              else b.copen <- false);
         Some a
 
 let kill net n =

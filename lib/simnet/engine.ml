@@ -1,32 +1,26 @@
-module Heap = D2_util.Heap
+(* {1 Cells}
 
-type handle = { mutable cancelled : bool }
+   Every event is a {e cell}: an unboxed (time, seq, tag, payload,
+   sink) row in a struct-of-arrays pool, filed into a 3-level
+   hierarchical timer wheel (256 slots per level, [granularity]
+   seconds per tick).  The block store and the fleet post hundreds of
+   thousands of uniform timers per simulation — expiries,
+   pointer-stabilization fetches, bandwidth-paced arrivals — so a
+   posted cell costs no allocation: it names a registered sink that
+   receives [(tag, payload)].  A scheduled closure is a cell with sink
+   -1 whose closure sits in the [c_fn] column.  Cells beyond the
+   wheel's 2^24-tick horizon go straight to the ready-heap, so range
+   never limits correctness.
 
-type event = { time : float; seq : int; fn : unit -> unit; h : handle }
-
-(* {1 Timer-wheel cells}
-
-   Closure events (above) pay one heap entry plus a closure allocation
-   each.  The block store schedules hundreds of thousands of uniform
-   timers per simulation — expiries, pointer-stabilization fetches,
-   bandwidth-paced arrivals — so those are posted as {e cells}: an
-   unboxed (time, seq, tag, payload, sink) row in a struct-of-arrays
-   pool, filed into a 3-level hierarchical timer wheel (256 slots per
-   level, [granularity] seconds per tick).
-   Timers beyond the wheel's 2^24-tick range fall back to the closure
-   heap, so range never limits correctness.
-
-   Determinism: cells draw their [seq] from the same counter as
-   closure events, and the run loop merges the wheel's due cells with
-   the heap by exact (time, seq) — a cell and a closure scheduled for
-   the same instant fire in scheduling order, exactly as two closures
-   would.  The wheel only buckets by coarse tick; due cells are
-   re-ordered precisely through a small ready-heap before firing. *)
+   Determinism: every cell draws its [seq] from one counter, and the
+   ready-heap orders by exact (time, seq).  The wheel only buckets by
+   coarse tick; {!run} surfaces every wheel cell up to the ready top's
+   tick before firing it, so events fire in exact (time,
+   scheduling-order) order whichever way they were filed. *)
 
 type sink = int
 
 type t = {
-  queue : event Heap.t;
   mutable clock : float;
   mutable next_seq : int;
   granularity : float;
@@ -36,7 +30,8 @@ type t = {
   mutable c_seq : int array;
   mutable c_tag : int array;
   mutable c_payload : int array;
-  mutable c_sink : int array;
+  mutable c_sink : int array;  (* -1 for a scheduled closure *)
+  mutable c_fn : (unit -> unit) array;  (* [ignore] unless a live closure *)
   mutable c_next : int array;
   mutable c_tick : int array;
   mutable pool_used : int;  (* high-water mark of the pool *)
@@ -48,17 +43,13 @@ type t = {
   mutable n0 : int;
   mutable n1 : int;
   mutable n2 : int;
-  (* cells whose tick has been reached, as a binary min-heap of pool
-     ids ordered by (time, seq) *)
+  (* cells whose tick has been reached, or lies beyond the horizon, as
+     a binary min-heap of pool ids ordered by (time, seq) *)
   mutable ready : int array;
   mutable nready : int;
   mutable sinks : (int -> int -> unit) array;
   mutable nsinks : int;
 }
-
-let compare_events a b =
-  let c = compare a.time b.time in
-  if c <> 0 then c else compare a.seq b.seq
 
 let no_sink : int -> int -> unit = fun _ _ -> ()
 
@@ -66,7 +57,6 @@ let create ?(granularity = 1.0) () =
   if granularity <= 0.0 then
     invalid_arg "Engine.create: granularity must be positive";
   {
-    queue = Heap.create ~cmp:compare_events;
     clock = 0.0;
     next_seq = 0;
     granularity;
@@ -76,6 +66,7 @@ let create ?(granularity = 1.0) () =
     c_tag = [||];
     c_payload = [||];
     c_sink = [||];
+    c_fn = [||];
     c_next = [||];
     c_tick = [||];
     pool_used = 0;
@@ -94,21 +85,6 @@ let create ?(granularity = 1.0) () =
 
 let now t = t.clock
 
-let schedule t ~at fn =
-  if at < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule: time %g is before now (%g)" at t.clock);
-  let h = { cancelled = false } in
-  Heap.push t.queue { time = at; seq = t.next_seq; fn; h };
-  t.next_seq <- t.next_seq + 1;
-  h
-
-let schedule_in t ~delay fn =
-  if delay < 0.0 then invalid_arg "Engine.schedule_in: negative delay";
-  schedule t ~at:(t.clock +. delay) fn
-
-let cancel h = h.cancelled <- true
-
 (* {1 Cell pool and ready-heap plumbing} *)
 
 let register_sink t fn =
@@ -125,15 +101,15 @@ let register_sink t fn =
 let grow_pool t =
   let cap = Array.length t.c_time in
   let ncap = max 64 (2 * cap) in
-  let gf a = let n = Array.make ncap 0.0 in Array.blit a 0 n 0 cap; n in
-  let gi a = let n = Array.make ncap 0 in Array.blit a 0 n 0 cap; n in
-  t.c_time <- gf t.c_time;
-  t.c_seq <- gi t.c_seq;
-  t.c_tag <- gi t.c_tag;
-  t.c_payload <- gi t.c_payload;
-  t.c_sink <- gi t.c_sink;
-  t.c_next <- gi t.c_next;
-  t.c_tick <- gi t.c_tick
+  let grow a fill = let n = Array.make ncap fill in Array.blit a 0 n 0 cap; n in
+  t.c_time <- grow t.c_time 0.0;
+  t.c_seq <- grow t.c_seq 0;
+  t.c_tag <- grow t.c_tag 0;
+  t.c_payload <- grow t.c_payload 0;
+  t.c_sink <- grow t.c_sink 0;
+  t.c_fn <- grow t.c_fn ignore;
+  t.c_next <- grow t.c_next 0;
+  t.c_tick <- grow t.c_tick 0
 
 let alloc_cell t =
   if t.free_cell >= 0 then begin
@@ -212,8 +188,8 @@ let ready_pop t =
    Level l holds cells whose tick agrees with the cursor on all digit
    positions above l (base 256) — so a slot is drained exactly when
    the cursor's digit reaches it, and a cascaded cell always re-files
-   strictly below.  Inserts past level 2's horizon (2^24 ticks) fall
-   back to the closure heap at {!post}. *)
+   strictly below.  Cells past level 2's horizon (2^24 ticks) skip the
+   wheel for the ready-heap (see [file]). *)
 
 let wheel_count t = t.n0 + t.n1 + t.n2
 
@@ -222,8 +198,8 @@ let push_slot t (arr : int array) slot c =
   arr.(slot) <- c
 
 (* File a cell whose tick is already known; tick <= cursor goes
-   straight to ready.  Never called for out-of-range ticks (post
-   filters those to the heap; cascades only shorten the range). *)
+   straight to ready.  Never called for out-of-range ticks ([file]
+   sends those to ready; cascades only shorten the range). *)
 let insert_cell t c =
   let tick = t.c_tick.(c) in
   if tick <= t.cursor then ready_push t c
@@ -278,17 +254,21 @@ let advance_one t =
     done
   end
 
-(* Surface every cell with tick <= target into [ready].  Empty levels
-   let the cursor jump whole 256- or 65536-tick strides, so idle
-   stretches cost O(1) per cascade boundary rather than per tick. *)
-let advance_to t target =
-  while t.cursor < target && wheel_count t > 0 do
+let top_tick t = if t.nready = 0 then max_int else t.c_tick.(t.ready.(0))
+
+(* Surface the wheel until the ready top is the earliest cell anywhere:
+   every cell up to the top's tick or, with nothing ready, up to the
+   first due slot.  Empty levels let the cursor jump whole 256- or
+   65536-tick strides, so idle stretches cost O(1) per cascade boundary
+   rather than per tick. *)
+let surface t =
+  while wheel_count t > 0 && t.cursor < top_tick t do
     if t.n0 = 0 then begin
       let next_boundary =
         if t.n1 = 0 then ((t.cursor lsr 16) + 1) lsl 16
         else ((t.cursor lsr 8) + 1) lsl 8
       in
-      if target < next_boundary then t.cursor <- target
+      if top_tick t < next_boundary then t.cursor <- top_tick t
       else begin
         t.cursor <- next_boundary - 1;
         advance_one t
@@ -296,107 +276,85 @@ let advance_to t target =
     end
     else advance_one t
   done;
-  if wheel_count t = 0 && t.cursor < target then t.cursor <- target
+  if wheel_count t = 0 && t.nready > 0 && t.cursor < top_tick t then
+    t.cursor <- top_tick t
 
-(* Advance until some cell is due (wheel known non-empty). *)
-let surface_next t =
-  while t.nready = 0 && wheel_count t > 0 do
-    if t.n0 = 0 then begin
-      let next_boundary =
-        if t.n1 = 0 then ((t.cursor lsr 16) + 1) lsl 16
-        else ((t.cursor lsr 8) + 1) lsl 8
-      in
-      t.cursor <- next_boundary - 1;
-      advance_one t
-    end
-    else advance_one t
-  done
+(* Huge times clamp to the last tick instead of overflowing; such a
+   cell is beyond the horizon, so only its exact time orders it. *)
+let tick_of t at =
+  let x = at /. t.granularity in
+  if x < 0x1p61 then int_of_float x else max_int
 
-let tick_of t at = int_of_float (at /. t.granularity)
+(* Stamp a fresh cell with the next seq and file it: into the wheel,
+   or, beyond the wheel's horizon, straight into the ready-heap, whose
+   exact (time, seq) order needs no tick. *)
+let file t ~at ~sink ~tag ~payload =
+  let c = alloc_cell t in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let tick = tick_of t at in
+  t.c_time.(c) <- at;
+  t.c_seq.(c) <- seq;
+  t.c_tag.(c) <- tag;
+  t.c_payload.(c) <- payload;
+  t.c_sink.(c) <- sink;
+  t.c_tick.(c) <- tick;
+  if tick - t.cursor >= 1 lsl 24 then ready_push t c else insert_cell t c;
+  c
+
+let schedule t ~at fn =
+  if at < t.clock then
+    invalid_arg
+      (Printf.sprintf "Engine.schedule: time %g is before now (%g)" at t.clock);
+  let c = file t ~at ~sink:(-1) ~tag:0 ~payload:0 in
+  t.c_fn.(c) <- fn
+
+let schedule_in t ~delay fn =
+  if delay < 0.0 then invalid_arg "Engine.schedule_in: negative delay";
+  schedule t ~at:(t.clock +. delay) fn
 
 let post t ~sink ~at ~tag ~payload =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.post: time %g is before now (%g)" at t.clock);
   if sink < 0 || sink >= t.nsinks then invalid_arg "Engine.post: unknown sink";
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let tick = tick_of t at in
-  if tick - t.cursor >= 1 lsl 24 then begin
-    (* Beyond the wheel's horizon: fall back to a closure event.  Same
-       seq draw, so ordering is unchanged. *)
-    let fire = t.sinks.(sink) in
-    let h = { cancelled = false } in
-    Heap.push t.queue { time = at; seq; fn = (fun () -> fire tag payload); h }
-  end
-  else begin
-    let c = alloc_cell t in
-    t.c_time.(c) <- at;
-    t.c_seq.(c) <- seq;
-    t.c_tag.(c) <- tag;
-    t.c_payload.(c) <- payload;
-    t.c_sink.(c) <- sink;
-    t.c_tick.(c) <- tick;
-    insert_cell t c
-  end
+  ignore (file t ~at ~sink ~tag ~payload)
 
 let post_in t ~sink ~delay ~tag ~payload =
   if delay < 0.0 then invalid_arg "Engine.post_in: negative delay";
   post t ~sink ~at:(t.clock +. delay) ~tag ~payload
 
-let pending t = Heap.length t.queue + wheel_count t + t.nready
+let pending t = wheel_count t + t.nready
 
 let run ?until t =
   let continue = ref true in
   while !continue do
-    (* Surface wheel cells up to the earliest known candidate, so the
-       pick below sees every cell that could fire before it. *)
-    if wheel_count t > 0 then begin
-      let bound = ref infinity in
-      (match Heap.peek t.queue with Some e -> bound := e.time | None -> ());
-      if t.nready > 0 && t.c_time.(t.ready.(0)) < !bound then
-        bound := t.c_time.(t.ready.(0));
-      if !bound < infinity then advance_to t (tick_of t !bound)
-      else surface_next t
-    end;
-    let hm = Heap.peek t.queue in
-    let cm = if t.nready > 0 then t.ready.(0) else -1 in
-    let take_event =
-      match (hm, cm) with
-      | None, -1 -> `None
-      | Some _, -1 -> `Event
-      | None, _ -> `Cell
-      | Some e, c ->
-          if e.time < t.c_time.(c) || (e.time = t.c_time.(c) && e.seq < t.c_seq.(c))
-          then `Event
-          else `Cell
-    in
-    match take_event with
-    | `None ->
-        (match until with Some u when u > t.clock -> t.clock <- u | _ -> ());
-        continue := false
-    | `Event -> (
-        let ev = Option.get hm in
-        match until with
-        | Some u when ev.time > u ->
-            t.clock <- u;
-            continue := false
-        | _ ->
-            ignore (Heap.pop t.queue);
-            t.clock <- ev.time;
-            if not ev.h.cancelled then ev.fn ())
-    | `Cell -> (
-        match until with
-        | Some u when t.c_time.(cm) > u ->
-            t.clock <- u;
-            continue := false
-        | _ ->
-            let c = ready_pop t in
-            t.clock <- t.c_time.(c);
-            let fire = t.sinks.(t.c_sink.(c)) in
+    surface t;
+    if t.nready = 0 then begin
+      (match until with Some u when u > t.clock -> t.clock <- u | _ -> ());
+      continue := false
+    end
+    else
+      let c = t.ready.(0) in
+      match until with
+      | Some u when t.c_time.(c) > u ->
+          t.clock <- u;
+          continue := false
+      | _ ->
+          ignore (ready_pop t);
+          t.clock <- t.c_time.(c);
+          let sink = t.c_sink.(c) in
+          if sink < 0 then begin
+            let fn = t.c_fn.(c) in
+            t.c_fn.(c) <- ignore;
+            free_cell t c;
+            fn ()
+          end
+          else begin
             let tag = t.c_tag.(c) and payload = t.c_payload.(c) in
             free_cell t c;
-            fire tag payload)
+            t.sinks.(sink) tag payload
+          end
   done
 
 let every t ~period ?until fn =
@@ -406,9 +364,8 @@ let every t ~period ?until fn =
     match until with
     | Some u when next > u -> ()
     | _ ->
-        ignore
-          (schedule t ~at:next (fun () ->
-               fn ();
-               tick ()))
+        schedule t ~at:next (fun () ->
+            fn ();
+            tick ())
   in
   tick ()

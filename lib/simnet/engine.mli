@@ -8,9 +8,6 @@
 
 type t
 
-type handle
-(** A scheduled event, usable for cancellation. *)
-
 val create : ?granularity:float -> unit -> t
 (** [granularity] is the timer-wheel tick width in virtual seconds
     (default 1.0).  Firing order is identical at any setting; the
@@ -22,35 +19,32 @@ val create : ?granularity:float -> unit -> t
 val now : t -> float
 (** Current virtual time, in seconds. Starts at 0. *)
 
-val schedule : t -> at:float -> (unit -> unit) -> handle
+val schedule : t -> at:float -> (unit -> unit) -> unit
 (** Fire a callback at an absolute time.
     @raise Invalid_argument if [at] is in the past. *)
 
-val schedule_in : t -> delay:float -> (unit -> unit) -> handle
+val schedule_in : t -> delay:float -> (unit -> unit) -> unit
 (** Fire a callback [delay] seconds from now ([delay] ≥ 0). *)
 
-val cancel : handle -> unit
-(** Cancelled events are skipped when their time comes. Idempotent. *)
-
 val pending : t -> int
-(** Number of events still queued (including cancelled ones not yet
-    reaped, and posted cells not yet fired). *)
+(** Number of events (closures and posted cells) not yet fired. *)
 
-(** {1 Timer-wheel cells}
+(** {1 Posted cells}
 
-    High-volume schedulers (the block store's expiry, stabilization
-    and transfer timers) avoid one closure + heap entry per timer by
-    {e posting cells}: unboxed [(tag, payload)] pairs delivered to a
-    pre-registered sink callback.  Cells are filed in a hierarchical
-    timer wheel (3 levels × 256 slots of [granularity] seconds each,
-    default 1.0; timers beyond the wheel's 2^24-tick horizon fall back
-    to the event heap transparently).
+    Every event lives in one queue: a pool of cells filed in a
+    hierarchical timer wheel (3 levels × 256 slots of [granularity]
+    seconds each, default 1.0) with a ready-heap in exact (time,
+    scheduling-order) order; cells beyond the wheel's 2^24-tick horizon
+    go straight to the ready-heap.  A scheduled closure is one such
+    cell.  High-volume schedulers (the block store's expiry,
+    stabilization and transfer timers, the fleet's client wakes) skip
+    the closure by {e posting cells}: unboxed [(tag, payload)] pairs
+    delivered to a pre-registered sink callback.
 
-    Cells interleave deterministically with closure events: both draw
-    sequence numbers from the same counter, and {!run} fires the
-    merged streams in exact (time, scheduling-order) order.  Cells
-    cannot be cancelled — encode revocation in the payload (the block
-    store uses generation counters). *)
+    Closures and posted cells draw sequence numbers from the same
+    counter, so they interleave deterministically.  No event can be
+    cancelled — encode revocation in the payload (the block store uses
+    generation counters). *)
 
 type sink
 (** A registered cell-delivery callback. *)

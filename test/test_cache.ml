@@ -304,54 +304,16 @@ let prop_resolve_into_matches_sequential =
 (* {1 Block cache} *)
 
 let test_block_warmth () =
-  let c = Block_cache.create ~window:30.0 () in
+  let c = Block_cache.create () in
   let k = k_of_byte 1 in
   Alcotest.(check bool) "cold" false (Block_cache.touch c ~now:0.0 k);
   Alcotest.(check bool) "warm" true (Block_cache.touch c ~now:10.0 k);
   Alcotest.(check bool) "warm extends" true (Block_cache.touch c ~now:35.0 k);
-  Alcotest.(check bool) "expires" false (Block_cache.touch c ~now:100.0 k)
+  Alcotest.(check bool) "expires" false (Block_cache.touch c ~now:100.0 k);
+  Alcotest.(check bool) "warm inside 30 s" true (Block_cache.touch c ~now:129.5 k);
+  Alcotest.(check bool) "cold at 30 s" false (Block_cache.touch c ~now:159.5 k)
 
-let test_block_is_warm_nonmutating () =
-  let c = Block_cache.create () in
-  let k = k_of_byte 1 in
-  Alcotest.(check bool) "cold check" false (Block_cache.is_warm c ~now:0.0 k);
-  Alcotest.(check bool) "still cold (no touch)" false (Block_cache.is_warm c ~now:0.0 k)
-
-let test_block_writeback_flush () =
-  let c = Block_cache.create ~window:30.0 () in
-  Block_cache.write c ~now:0.0 (k_of_byte 1) ~size:100;
-  Block_cache.write c ~now:5.0 (k_of_byte 2) ~size:200;
-  Alcotest.(check int) "dirty" 2 (Block_cache.dirty_count c);
-  Alcotest.(check int) "nothing due yet" 0 (List.length (Block_cache.flush_due c ~now:20.0));
-  let due = Block_cache.flush_due c ~now:31.0 in
-  Alcotest.(check int) "first due" 1 (List.length due);
-  Alcotest.(check int) "size carried" 100 (snd (List.hd due));
-  Alcotest.(check int) "one left" 1 (Block_cache.dirty_count c);
-  let due2 = Block_cache.flush_due c ~now:36.0 in
-  Alcotest.(check int) "second due" 1 (List.length due2);
-  Alcotest.(check int) "drained" 0 (Block_cache.dirty_count c)
-
-let test_block_write_absorbed () =
-  (* Overwriting a buffered block keeps one dirty entry with the new
-     size and a pushed-back deadline — temp-file writes never flush. *)
-  let c = Block_cache.create ~window:30.0 () in
-  let k = k_of_byte 1 in
-  Block_cache.write c ~now:0.0 k ~size:100;
-  Block_cache.write c ~now:10.0 k ~size:999;
-  Alcotest.(check int) "single entry" 1 (Block_cache.dirty_count c);
-  Alcotest.(check int) "not due at 31" 0 (List.length (Block_cache.flush_due c ~now:31.0));
-  let due = Block_cache.flush_due c ~now:41.0 in
-  Alcotest.(check int) "latest size" 999 (snd (List.hd due))
-
-let test_block_cancel () =
-  let c = Block_cache.create () in
-  let k = k_of_byte 1 in
-  Block_cache.write c ~now:0.0 k ~size:100;
-  Block_cache.cancel c k;
-  Alcotest.(check int) "cancelled" 0 (Block_cache.dirty_count c);
-  Alcotest.(check int) "nothing flushes" 0 (List.length (Block_cache.flush_due c ~now:60.0))
-
-(* {1 Hot-block byte cache (disk store front)} *)
+(* {1 Hot-block byte cache} *)
 
 let test_bytes_cache_basics () =
   let c = Block_cache.bytes_cache ~capacity:100 in
@@ -405,6 +367,17 @@ let test_bytes_cache_degenerate () =
   Block_cache.cache_store c (k_of_byte 1) (String.make 11 'x');
   Alcotest.(check int) "oversized ignored" 0 (Block_cache.cache_count c)
 
+let test_bytes_cache_oversized_overwrite () =
+  (* Replacing a cached payload with one too big to retain must drop
+     the old copy, not leave it to be served as the current value. *)
+  let c = Block_cache.bytes_cache ~capacity:100 in
+  Block_cache.cache_store c (k_of_byte 1) "short";
+  Block_cache.cache_store c (k_of_byte 1) (String.make 200 'x');
+  Alcotest.(check (option string)) "no stale copy" None
+    (Block_cache.cache_find c (k_of_byte 1));
+  Alcotest.(check int) "no bytes held" 0 (Block_cache.cache_used c);
+  Alcotest.(check int) "no entries" 0 (Block_cache.cache_count c)
+
 let test_bytes_cache_capacity_never_exceeded () =
   let c = Block_cache.bytes_cache ~capacity:1000 in
   let rng = Rng.create 7 in
@@ -423,47 +396,54 @@ let test_bytes_cache_capacity_never_exceeded () =
   done;
   Alcotest.(check int) "used = sum of retained" !total (Block_cache.cache_used c)
 
-(* {1 Retrieval cache (LRU)} *)
+(* {1 Retrieval cache}
 
-module Retrieval_cache = D2_cache.Retrieval_cache
+   The per-node retrieval cache of [ablation_hotspot] is a
+   [bytes_cache] used as the ablation uses it: a simulated block of
+   [size] bytes is one shared payload of that length, membership is a
+   [cache_find] hit, and a fetch along the reply path is a
+   [cache_store]. *)
+
+let block size = String.make size '\000'
+let cached c k = Block_cache.cache_find c k <> None
 
 let test_lru_basics () =
-  let c = Retrieval_cache.create ~capacity:100 in
-  Retrieval_cache.insert c (k_of_byte 1) ~size:40;
-  Retrieval_cache.insert c (k_of_byte 2) ~size:40;
-  Alcotest.(check bool) "present" true (Retrieval_cache.mem c (k_of_byte 1));
-  Alcotest.(check int) "bytes" 80 (Retrieval_cache.bytes_used c);
-  Alcotest.(check int) "count" 2 (Retrieval_cache.entry_count c)
+  let c = Block_cache.bytes_cache ~capacity:100 in
+  Block_cache.cache_store c (k_of_byte 1) (block 40);
+  Block_cache.cache_store c (k_of_byte 2) (block 40);
+  Alcotest.(check bool) "present" true (cached c (k_of_byte 1));
+  Alcotest.(check int) "bytes" 80 (Block_cache.cache_used c);
+  Alcotest.(check int) "count" 2 (Block_cache.cache_count c)
 
 let test_lru_eviction_order () =
-  let c = Retrieval_cache.create ~capacity:100 in
-  Retrieval_cache.insert c (k_of_byte 1) ~size:40;
-  Retrieval_cache.insert c (k_of_byte 2) ~size:40;
-  (* Touch 1 so 2 becomes the LRU, then overflow. *)
-  ignore (Retrieval_cache.mem c (k_of_byte 1));
-  Retrieval_cache.insert c (k_of_byte 3) ~size:40;
-  Alcotest.(check bool) "lru evicted" false (Retrieval_cache.mem c (k_of_byte 2));
-  Alcotest.(check bool) "recent kept" true (Retrieval_cache.mem c (k_of_byte 1));
-  Alcotest.(check int) "one eviction" 1 (Retrieval_cache.evictions c)
+  let c = Block_cache.bytes_cache ~capacity:100 in
+  Block_cache.cache_store c (k_of_byte 1) (block 40);
+  Block_cache.cache_store c (k_of_byte 2) (block 40);
+  (* A hit on 1 makes 2 the LRU, then overflow. *)
+  ignore (cached c (k_of_byte 1));
+  Block_cache.cache_store c (k_of_byte 3) (block 40);
+  Alcotest.(check bool) "lru evicted" false (cached c (k_of_byte 2));
+  Alcotest.(check bool) "recent kept" true (cached c (k_of_byte 1));
+  Alcotest.(check int) "one eviction" 1 (Block_cache.cache_evictions c)
 
 let test_lru_reinsert_updates_size () =
-  let c = Retrieval_cache.create ~capacity:100 in
-  Retrieval_cache.insert c (k_of_byte 1) ~size:40;
-  Retrieval_cache.insert c (k_of_byte 1) ~size:60;
-  Alcotest.(check int) "size replaced" 60 (Retrieval_cache.bytes_used c);
-  Alcotest.(check int) "single entry" 1 (Retrieval_cache.entry_count c)
+  let c = Block_cache.bytes_cache ~capacity:100 in
+  Block_cache.cache_store c (k_of_byte 1) (block 40);
+  Block_cache.cache_store c (k_of_byte 1) (block 60);
+  Alcotest.(check int) "size replaced" 60 (Block_cache.cache_used c);
+  Alcotest.(check int) "single entry" 1 (Block_cache.cache_count c)
 
 let test_lru_oversized_ignored () =
-  let c = Retrieval_cache.create ~capacity:100 in
-  Retrieval_cache.insert c (k_of_byte 1) ~size:500;
-  Alcotest.(check int) "ignored" 0 (Retrieval_cache.entry_count c)
+  let c = Block_cache.bytes_cache ~capacity:100 in
+  Block_cache.cache_store c (k_of_byte 1) (block 500);
+  Alcotest.(check int) "ignored" 0 (Block_cache.cache_count c)
 
 let test_lru_capacity_never_exceeded () =
-  let c = Retrieval_cache.create ~capacity:1000 in
+  let c = Block_cache.bytes_cache ~capacity:1000 in
   let rng = Rng.create 3 in
   for _ = 1 to 500 do
-    Retrieval_cache.insert c (k_of_byte (Rng.int rng 256)) ~size:(1 + Rng.int rng 300);
-    if Retrieval_cache.bytes_used c > 1000 then Alcotest.fail "capacity exceeded"
+    Block_cache.cache_store c (k_of_byte (Rng.int rng 256)) (block (1 + Rng.int rng 300));
+    if Block_cache.cache_used c > 1000 then Alcotest.fail "capacity exceeded"
   done
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
@@ -497,10 +477,6 @@ let () =
       ( "block_cache",
         [
           Alcotest.test_case "warmth" `Quick test_block_warmth;
-          Alcotest.test_case "is_warm nonmutating" `Quick test_block_is_warm_nonmutating;
-          Alcotest.test_case "write-back flush" `Quick test_block_writeback_flush;
-          Alcotest.test_case "overwrite absorbed" `Quick test_block_write_absorbed;
-          Alcotest.test_case "cancel" `Quick test_block_cancel;
         ] );
       ( "bytes_cache",
         [
@@ -508,6 +484,8 @@ let () =
           Alcotest.test_case "lru eviction" `Quick test_bytes_cache_lru_eviction;
           Alcotest.test_case "degenerate capacities" `Quick
             test_bytes_cache_degenerate;
+          Alcotest.test_case "oversized overwrite drops the old copy" `Quick
+            test_bytes_cache_oversized_overwrite;
           Alcotest.test_case "capacity bound + accounting" `Quick
             test_bytes_cache_capacity_never_exceeded;
         ] );

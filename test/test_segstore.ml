@@ -290,6 +290,17 @@ let test_cache_serves_hot_reads () =
         (Store.get st ~key:(key_of 1));
       Store.close st)
 
+let test_oversized_overwrite_not_stale () =
+  with_dir "cache-stale" (fun dir ->
+      let config = { Store.default_config with cache_bytes = 100 } in
+      let st = Store.create ~dir ~config () in
+      ignore (Store.put st ~key:(key_of 1) ~data:"short");
+      let big = String.make 200 'b' in
+      ignore (Store.put st ~key:(key_of 1) ~data:big);
+      Alcotest.(check (option string)) "the overwrite, not the cached copy"
+        (Some big) (Store.get st ~key:(key_of 1));
+      Store.close st)
+
 (* {1 Compaction} *)
 
 let test_compaction_reclaims_and_preserves () =
@@ -696,6 +707,8 @@ let () =
             test_rotation_and_pread;
           Alcotest.test_case "byte cache serves hot reads" `Quick
             test_cache_serves_hot_reads;
+          Alcotest.test_case "oversized overwrite is not served stale" `Quick
+            test_oversized_overwrite_not_stale;
           Alcotest.test_case "compaction reclaims, preserves, no resurrection"
             `Quick test_compaction_reclaims_and_preserves;
         ] );
