@@ -201,7 +201,7 @@ let net_frame_encode_test () =
   let module Bytebuf = D2_net.Transport.Bytebuf in
   let rng = Rng.create 0xd2f in
   let keys = Array.init 64 (fun _ -> Key.random rng) in
-  let payload = String.make 256 'x' in
+  let payload = D2_util.Slice.of_string (String.make 256 'x') in
   let out = Bytebuf.create () in
   let msgs =
     Array.init micro_batch (fun i ->
@@ -310,7 +310,7 @@ let digest_build_4k_test () =
   for i = 0 to 4095 do
     ignore
       (Vmap.write vmap ~key:(Key.random krng) ~node:(i land 31)
-         ~incoming:Vv.empty ~data:(Some ""))
+         ~incoming:Vv.empty ~data:(Some (D2_util.Slice.of_string "")))
   done;
   Test.make ~name:"digest_build_4k" (Staged.stage (fun () ->
       let children =

@@ -22,7 +22,14 @@ val touch : t -> now:float -> Key.t -> bool
     front the durable segment store reads through, and the per-node
     retrieval cache of the hot-spot ablation.
     A zero capacity disables retention entirely (every find misses,
-    stores are dropped) — the cold-read benchmark configuration. *)
+    stores are dropped) — the cold-read benchmark configuration.
+
+    Payloads of half a page (2 KB) or more are kept off the OCaml heap,
+    in one arena of 4 KB pages sized at twice the capacity (address
+    space: only as many pages as were ever in use at once get touched,
+    and so resident).  Stores and
+    {!cache_find_into} copy bytes in and out and allocate nothing;
+    {!cache_find} returns a fresh copy. *)
 
 type bytes_cache
 
@@ -33,8 +40,17 @@ val cache_store : bytes_cache -> Key.t -> string -> unit
     until the capacity holds.  A payload above the capacity is not
     retained, and it drops the key's older cached copy. *)
 
+val cache_store_slice : bytes_cache -> Key.t -> D2_util.Slice.t -> unit
+(** {!cache_store} from a window of a buffer: the bytes are copied, so
+    the slice may be reused as soon as this returns. *)
+
 val cache_find : bytes_cache -> Key.t -> string option
 (** Hit promotes to MRU and counts toward {!cache_hits}. *)
+
+val cache_find_into : bytes_cache -> Key.t -> Bytes.t -> int
+(** {!cache_find} into [buf] at offset 0: the payload length on a hit,
+    [-1] on a miss.
+    @raise Invalid_argument if a hit does not fit in [buf]. *)
 
 val cache_remove : bytes_cache -> Key.t -> unit
 
@@ -45,3 +61,7 @@ val cache_count : bytes_cache -> int
 val cache_hits : bytes_cache -> int
 val cache_misses : bytes_cache -> int
 val cache_evictions : bytes_cache -> int
+
+val cache_arena_bytes : bytes_cache -> int
+(** Arena bytes held by cached payloads: whole pages, so at least the
+    arena-resident share of {!cache_used}. *)

@@ -122,7 +122,8 @@ let hotspot _scale =
   let requests = 20_000 in
   (* Every simulated 8 KB block shares one payload: only sizes matter. *)
   let block = String.make 8192 '\000' in
-  let cached c key = Block_cache.cache_find c key <> None in
+  let scratch = Bytes.create 8192 in
+  let cached c key = Block_cache.cache_find_into c key scratch >= 0 in
   let run ~with_caches =
     let served = Array.make nodes 0 in
     let caches =

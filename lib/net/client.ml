@@ -182,7 +182,13 @@ module Make (T : Transport.S) = struct
       invalid_arg "Client.put: data exceeds Wire.max_payload";
     awith_owner t key ~k ~f:(fun owner k' ->
         arpc t owner
-          (Wire.Put { key; depth = t.replicas - 1; vv = Wire.vv_empty; data })
+          (Wire.Put
+             {
+               key;
+               depth = t.replicas - 1;
+               vv = Wire.vv_empty;
+               data = D2_util.Slice.of_string data;
+             })
           (fun r ->
             k'
               (match r with
@@ -199,7 +205,10 @@ module Make (T : Transport.S) = struct
         arpc t owner msg (fun r ->
             k'
               (match r with
-              | Some (Wire.Found { data }) -> `Done (`Found data)
+              | Some (Wire.Found { data }) ->
+                  (* The payload borrows the link's receive buffer:
+                     the caller gets its own copy. *)
+                  `Done (`Found (D2_util.Slice.to_string data))
               | Some Wire.Missing -> `Stale `Missing
               | Some _ | None -> `Retry)))
 

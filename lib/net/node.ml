@@ -7,6 +7,7 @@ module Vmap = D2_sync.Vmap
 module Store = D2_segstore.Store
 module Digest = D2_sync.Digest
 module Repair = D2_sync.Repair
+module Slice = D2_util.Slice
 
 type config = {
   replicas : int;
@@ -42,6 +43,9 @@ let check_config c =
 
 let join_attempts = 5
 
+(* The payload of a frame that carries none (a tombstone's push). *)
+let no_bytes = Slice.of_string ""
+
 (* How often a serving disk-backed node group-commits and releases the
    acks riding the window.  Not a [config] field: the mem path never
    uses it, and the window is a property of the store seam, not of the
@@ -67,6 +71,10 @@ module Make (T : Transport.S) = struct
     lock : Mutex.t;  (** guards [ring] and [router] (shared by siblings) *)
     vmap : Vmap.t;  (** per-key state, bytes included; shared by siblings *)
     repair : repair_stats;  (** anti-entropy counters, shared by siblings *)
+    scratch : Bytes.t;
+        (** per instance: a disk block read to be sent lands here, is
+            encoded into a link's output buffer, and is overwritten by
+            the next read — a served block allocates nothing *)
     mutable probe_rank : int;
     mutable repair_rank : int;
     mutable stopped : bool;
@@ -195,10 +203,9 @@ module Make (T : Transport.S) = struct
      resolves the copy against its own entry, and a stale or duplicate
      delivery is version-ignored, never re-applied. *)
   let serve_write t l req ~key ~depth ~vv ~data =
+    let is_put = Option.is_some data in
     let ack vv ~copies ~removed =
-      match data with
-      | Some _ -> Wire.Put_ack { copies; vv }
-      | None -> Wire.Remove_ack { removed }
+      if is_put then Wire.Put_ack { copies; vv } else Wire.Remove_ack { removed }
     in
     if depth > 0 || Vv.is_empty vv then begin
       match Vmap.write t.vmap ~key ~node:t.me ~incoming:vv ~data with
@@ -228,12 +235,21 @@ module Make (T : Transport.S) = struct
      holders, folds every copy that answers (its own included) through
      the version order, replies with the dominating copy, and pushes
      that copy back to any replica that reported an older one —
-     read-repair, off the reply path. *)
+     read-repair, off the reply path.
+
+     Each [Fetch] carries the owner's vector, so a replica holding the
+     same copy (the common case) answers with its version alone.  Such
+     an answer takes part in read-repair but never wins the fold: the
+     owner's copy covers it, and the fold hands an equal vector to the
+     peer.  The owner reads its own bytes only if it wins, when the
+     last reply is in, into [scratch]; a replica's payload (a newer
+     copy) is copied out of the receive buffer on arrival, because the
+     fold runs in a later callback than the one that received it. *)
   let serve_get_q t l req ~key ~q =
-    let local =
-      match Vmap.read t.vmap ~key with
-      | Some (e, data) -> (e.Vmap.vv, e.Vmap.deleted, data)
-      | None -> (Vv.empty, false, None)
+    let lvv, ldel =
+      match Vmap.find t.vmap ~key with
+      | Some e -> (e.Vmap.vv, e.Vmap.deleted)
+      | None -> (Vv.empty, false)
     in
     let targets =
       if q <= 1 then []
@@ -243,16 +259,30 @@ module Make (T : Transport.S) = struct
             |> List.filter (fun n -> n <> t.me)
             |> List.filteri (fun i _ -> i < q - 1))
     in
-    let replies = ref [ (t.me, local) ] in
+    let replies = ref [ (t.me, (lvv, ldel, None)) ] in
     let remaining = ref (List.length targets) in
+    let version_only (node, (vv, deleted, data)) =
+      node <> t.me && (not deleted) && data = None && Vv.dominates lvv vv
+    in
     let finish () =
+      let contenders = List.filter (fun r -> not (version_only r)) !replies in
       let winner =
         List.fold_left
           (fun ((_, (avv, _, _)) as a) ((_, (bvv, _, _)) as b) ->
             match Vv.winner avv bvv with `Left -> a | `Right -> b)
-          (List.hd !replies) (List.tl !replies)
+          (List.hd contenders) (List.tl contenders)
       in
-      let _, (wvv, wdel, wdata) = winner in
+      let wvv, wdel, wdata =
+        match winner with
+        | node, (vv, deleted, data) when node <> t.me ->
+            (vv, deleted, Option.map Slice.of_string data)
+        | _ -> (
+            (* Read now, vector and bytes together: a write since the
+               fan-out only made the owner's copy newer. *)
+            match Vmap.read t.vmap ~key t.scratch with
+            | Some (e, data) -> (e.Vmap.vv, e.Vmap.deleted, data)
+            | None -> (Vv.empty, false, None))
+      in
       (match (wdel, wdata) with
       | false, Some data -> L.reply l ~req (Wire.Found { data })
       | _ -> L.reply l ~req Wire.Missing);
@@ -275,7 +305,7 @@ module Make (T : Transport.S) = struct
                        key;
                        vv = wvv;
                        deleted = wdel;
-                       data = Option.value wdata ~default:"";
+                       data = Option.value wdata ~default:no_bytes;
                      })
                   (fun _ -> ()))
           !replies
@@ -284,12 +314,15 @@ module Make (T : Transport.S) = struct
     else
       List.iter
         (fun dst ->
-          L.rpc t.ls ~dst ~timeout:t.cfg.rpc_timeout (Wire.Fetch { key })
+          L.rpc t.ls ~dst ~timeout:t.cfg.rpc_timeout
+            (Wire.Fetch { key; have = lvv })
             (fun r ->
               (match r with
               | Some (Wire.Fetch_ack { vv; deleted; data }) ->
                   if not (Vv.is_empty vv && data = None) then
-                    replies := (dst, (vv, deleted, data)) :: !replies
+                    replies :=
+                      (dst, (vv, deleted, Option.map Slice.to_string data))
+                      :: !replies
               | Some _ -> ()
               | None -> suspect t dst);
               decr remaining;
@@ -325,9 +358,9 @@ module Make (T : Transport.S) = struct
         in
         L.reply l ~req reply
     | Wire.Get { key } -> (
-        match Vmap.get t.vmap ~key with
-        | Some data -> L.reply l ~req (Wire.Found { data })
-        | None -> L.reply l ~req Wire.Missing)
+        match Vmap.read t.vmap ~key t.scratch with
+        | Some (_, Some data) -> L.reply l ~req (Wire.Found { data })
+        | _ -> L.reply l ~req Wire.Missing)
     | Wire.Put { key; depth; vv; data } ->
         serve_write t l req ~key ~depth ~vv ~data:(Some data)
     | Wire.Remove { key; depth; vv } ->
@@ -363,9 +396,9 @@ module Make (T : Transport.S) = struct
            and the next session finishes the job. *)
         let items = List.filteri (fun i _ -> i < Wire.max_sync_items) items in
         L.reply l ~req (Wire.Sync_keys_ack { items })
-    | Wire.Fetch { key } ->
+    | Wire.Fetch { key; have } ->
         let reply =
-          match Vmap.read t.vmap ~key with
+          match Vmap.read t.vmap ~key ~have t.scratch with
           | Some (e, data) ->
               Wire.Fetch_ack { vv = e.Vmap.vv; deleted = e.Vmap.deleted; data }
           | None ->
@@ -414,6 +447,7 @@ module Make (T : Transport.S) = struct
         pending = Queue.create ();
         lock = Mutex.create ();
         vmap = store;
+        scratch = Bytes.create Wire.max_payload;
         repair =
           {
             repair_frames = 0;
@@ -445,6 +479,7 @@ module Make (T : Transport.S) = struct
         t with
         ls = L.create ep;
         pending = Queue.create ();
+        scratch = Bytes.create Wire.max_payload;
         probe_rank = 0;
         repair_rank = 0;
         stopped = false;
@@ -555,7 +590,15 @@ module Make (T : Transport.S) = struct
       | None -> (
           match Queue.take_opt s.pulls with
           | Some key ->
-              repair_rpc t ~dst:s.peer (Wire.Fetch { key })
+              (* Our vector rides along: a copy we already cover (a
+                 write since the key exchange) comes back without its
+                 bytes. *)
+              let have =
+                match Vmap.find t.vmap ~key with
+                | Some e -> e.Vmap.vv
+                | None -> Vv.empty
+              in
+              repair_rpc t ~dst:s.peer (Wire.Fetch { key; have })
                 (function
                   | Some (Wire.Fetch_ack { vv; deleted; data }) ->
                       if deleted || data <> None then begin
@@ -574,9 +617,9 @@ module Make (T : Transport.S) = struct
                      together: a write since the key exchange only
                      makes it newer. *)
                   let copy =
-                    match Vmap.read t.vmap ~key with
+                    match Vmap.read t.vmap ~key t.scratch with
                     | Some ({ Vmap.vv; deleted = true }, _) ->
-                        Some (vv, true, "")
+                        Some (vv, true, no_bytes)
                     | Some ({ Vmap.vv; deleted = false }, Some data) ->
                         Some (vv, false, data)
                     | Some (_, None) | None -> None

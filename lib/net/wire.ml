@@ -2,13 +2,14 @@ module Key = D2_keyspace.Key
 module Vv = D2_sync.Version_vector
 module Digest = D2_sync.Digest
 module Bytebuf = Transport.Bytebuf
+module Slice = D2_util.Slice
 
 (* Bumped whenever the frame set or a frame layout changes; exchanged
    in the transport hello so a mixed-version cluster fails fast with a
    clear error instead of a mid-stream decode error.  2: version
    vectors on Put/Put_ack/Remove plus the anti-entropy messages
-   (tags 16-24). *)
-let protocol_version = 2
+   (tags 16-24).  3: [Fetch] carries the reader's vector. *)
+let protocol_version = 3
 let vv_empty = Vv.empty
 
 let max_payload = 8192
@@ -27,9 +28,9 @@ type msg =
   | Owner of { node : int; lo : Key.t; hi : Key.t }
   | Redirect of { next : int }
   | Get of { key : Key.t }
-  | Found of { data : string }
+  | Found of { data : Slice.t }
   | Missing
-  | Put of { key : Key.t; depth : int; vv : Vv.t; data : string }
+  | Put of { key : Key.t; depth : int; vv : Vv.t; data : Slice.t }
   | Put_ack of { copies : int; vv : Vv.t }
   | Remove of { key : Key.t; depth : int; vv : Vv.t }
   | Remove_ack of { removed : bool }
@@ -42,9 +43,9 @@ type msg =
   | Sync_digests_ack of { children : (int * int) array }
   | Sync_keys of { lo : Key.t; hi : Key.t; prefix : int; bits : int }
   | Sync_keys_ack of { items : (Key.t * Vv.t * bool) list }
-  | Fetch of { key : Key.t }
-  | Fetch_ack of { vv : Vv.t; deleted : bool; data : string option }
-  | Push of { key : Key.t; vv : Vv.t; deleted : bool; data : string }
+  | Fetch of { key : Key.t; have : Vv.t }
+  | Fetch_ack of { vv : Vv.t; deleted : bool; data : Slice.t option }
+  | Push of { key : Key.t; vv : Vv.t; deleted : bool; data : Slice.t }
   | Push_ack of { stored : bool }
   | Get_q of { key : Key.t; q : int }
 
@@ -134,10 +135,11 @@ module W = struct
     check_cap what n ~cap;
     u16 b what n
 
-  let payload b s =
-    check_cap "payload" (String.length s) ~cap:max_payload;
-    u32 b "payload length" (String.length s);
-    raw b s
+  let payload b (s : Slice.t) =
+    check_cap "payload" s.len ~cap:max_payload;
+    u32 b "payload length" s.len;
+    let o = room b s.len in
+    Bytes.blit s.buf s.off b.buf o s.len
 
   let probe b ~max_bits ~lo ~hi ~prefix ~bits =
     key b lo;
@@ -228,7 +230,10 @@ let write b ~req msg =
             W.vv b vv;
             W.flag b deleted)
           items
-    | Fetch { key } -> W.tag b 20; W.key b key
+    | Fetch { key; have } ->
+        W.tag b 20;
+        W.key b key;
+        W.vv b have
     | Fetch_ack { vv; deleted; data } -> (
         W.tag b 21;
         W.vv b vv;
@@ -269,7 +274,16 @@ let encode_into buf ~off ~req msg =
   Bytes.blit frame 0 buf off n;
   n
 
-let frame_length msg = Bytes.length (encode ~req:0 msg)
+(* Measured by encoding into a per-domain scratch buffer, so counting
+   a block-carrying frame's bytes (repair accounting) copies the block
+   once more but allocates nothing. *)
+let measure = Domain.DLS.new_key (fun () -> Bytebuf.create ())
+
+let frame_length msg =
+  let b = Domain.DLS.get measure in
+  let n = write b ~req:0 msg in
+  Bytebuf.truncate b 0;
+  n
 
 let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land u32_max
 
@@ -312,10 +326,11 @@ let decode buf ~off ~len =
         if n > cap then raise (Bad (what ^ " exceeds cap"));
         n
       in
+      (* Borrowed, not copied: see [Reader.next]. *)
       let payload () =
         let n = u32 () in
         if n > max_payload then raise (Bad "payload exceeds cap");
-        Bytes.sub_string buf (need n) n
+        Slice.v buf ~off:(need n) ~len:n
       in
       let vv () =
         match Vv.decode buf ~off:!pos ~stop with
@@ -406,7 +421,9 @@ let decode buf ~off ~len =
                     (k, v, deleted))
               in
               Sync_keys_ack { items }
-          | 20 -> Fetch { key = key () }
+          | 20 ->
+              let key = key () in
+              Fetch { key; have = vv () }
           | 21 ->
               let vv = vv () in
               let flags = u8 () in

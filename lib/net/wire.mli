@@ -21,7 +21,17 @@
     force an allocation; an anti-entropy probe must name a bucket the
     digest trie can address ([Sync_digests]: [bits + 4 <= 28];
     [Sync_keys]: [bits <= 28]; both: [prefix < 2^bits]), so a peer
-    cannot make the node that serves it fail. *)
+    cannot make the node that serves it fail.
+
+    Block payloads are {!D2_util.Slice.t}s.  {!decode} does not copy
+    them: a decoded payload is a window of the buffer it decoded from,
+    valid only until that buffer is next written — for a connection,
+    until the dispatch callback that received the message returns
+    (see {!Reader.next}).  A receiver that keeps the bytes copies them
+    (the per-key table does, into the store; the client does, for its
+    caller).  This is safe because every reply and forward encodes
+    synchronously: {!write} has copied a payload into the output
+    buffer before the callback returns. *)
 
 module Key = D2_keyspace.Key
 module Vv = D2_sync.Version_vector
@@ -53,9 +63,9 @@ type msg =
           what the client's range cache stores (§5). *)
   | Redirect of { next : int }
   | Get of { key : Key.t }
-  | Found of { data : string }
+  | Found of { data : D2_util.Slice.t }
   | Missing
-  | Put of { key : Key.t; depth : int; vv : Vv.t; data : string }
+  | Put of { key : Key.t; depth : int; vv : Vv.t; data : D2_util.Slice.t }
       (** [depth > 0]: the receiver coordinates and fans the block out
           to its [depth] follow-up replica holders; [depth = 0]: store
           locally only (a fan-out copy).  A client sends [vv] empty and
@@ -80,13 +90,16 @@ type msg =
       (** Leaf exchange: list the bucket's (key, version, tombstone)
           entries. *)
   | Sync_keys_ack of { items : (Key.t * Vv.t * bool) list }
-  | Fetch of { key : Key.t }
+  | Fetch of { key : Key.t; have : Vv.t }
       (** Versioned read of one local entry (repair pull / quorum
           sub-read); unlike [Get] it never redirects and returns the
-          vector. *)
-  | Fetch_ack of { vv : Vv.t; deleted : bool; data : string option }
-      (** [data = None] with [vv] empty: entry unknown. *)
-  | Push of { key : Key.t; vv : Vv.t; deleted : bool; data : string }
+          vector.  [have] is the reader's own vector for the key: a
+          non-empty [have] that dominates the entry's vector is
+          answered with the version only, no payload. *)
+  | Fetch_ack of { vv : Vv.t; deleted : bool; data : D2_util.Slice.t option }
+      (** [data = None] with [vv] empty: entry unknown; with [vv]
+          covered by the request's [have]: a version-only answer. *)
+  | Push of { key : Key.t; vv : Vv.t; deleted : bool; data : D2_util.Slice.t }
       (** Store this versioned copy if it does not lose to yours
           (repair push / read-repair). *)
   | Push_ack of { stored : bool }
@@ -151,5 +164,7 @@ module Reader : sig
   (** Pop the next complete frame, if any.  On [`Awaiting] the partial
       frame has moved to the front of the buffer.  After [`Corrupt]
       the stream is unrecoverable and the connection should be
-      closed. *)
+      closed.  A [`Msg]'s payload borrows the reader's buffer: it is
+      valid until the next [next] or the next write into the reader,
+      whichever comes first. *)
 end

@@ -18,13 +18,13 @@ let get_u32 b off =
   lor (Char.code (Bytes.unsafe_get b (off + 2)) lsl 16)
   lor (Char.code (Bytes.unsafe_get b (off + 3)) lsl 24)
 
-let encode_into buf ~off ~kind ~key ~data =
-  let n = String.length data in
+let encode_into buf ~off ~kind ~key ~(data : D2_util.Slice.t) =
+  let n = data.len in
   if n > max_data then invalid_arg "Record.encode_into: payload too large";
   put_u32 buf off n;
   Bytes.unsafe_set buf (off + 8) (Char.unsafe_chr kind);
   Bytes.blit_string (Key.to_string key) 0 buf (off + 9) Key.size;
-  Bytes.blit_string data 0 buf (off + header_len) n;
+  Bytes.blit data.buf data.off buf (off + header_len) n;
   let crc = Crc32c.bytes buf ~pos:(off + 8) ~len:(1 + Key.size + n) in
   put_u32 buf (off + 4) crc;
   header_len + n

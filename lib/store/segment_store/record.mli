@@ -34,7 +34,7 @@ val encoded_len : data_len:int -> int
 (** [header_len + data_len]. *)
 
 val encode_into :
-  Bytes.t -> off:int -> kind:int -> key:Key.t -> data:string -> int
+  Bytes.t -> off:int -> kind:int -> key:Key.t -> data:D2_util.Slice.t -> int
 (** Write one record at [off]; returns the encoded length.  The caller
     reserves [encoded_len] bytes first. *)
 

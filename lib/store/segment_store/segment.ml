@@ -65,14 +65,23 @@ let reserve t n =
     t.wbuf <- nb
   end
 
-let append t ~kind ~key ~data =
+(* Make room for [n] more bytes; returns their logical offset.  The
+   caller fills [wbuf] at [wlen] and then advances [wlen]. *)
+let claim t n =
   if not t.writable then failwith "Segment.append: sealed segment";
-  let n = Record.encoded_len ~data_len:(String.length data) in
   reserve t n;
-  let w = Record.encode_into t.wbuf ~off:t.wlen ~kind ~key ~data in
-  let off = t.written + t.wlen in
-  t.wlen <- t.wlen + w;
+  t.written + t.wlen
+
+let append t ~kind ~key ~(data : D2_util.Slice.t) =
+  let off = claim t (Record.encoded_len ~data_len:data.len) in
+  t.wlen <- t.wlen + Record.encode_into t.wbuf ~off:t.wlen ~kind ~key ~data;
   off
+
+let append_encoded t buf ~off ~len =
+  let at = claim t len in
+  Bytes.blit buf off t.wbuf t.wlen len;
+  t.wlen <- t.wlen + len;
+  at
 
 let write_fully fd buf off len =
   let o = ref off and remaining = ref len in

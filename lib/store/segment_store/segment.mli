@@ -34,8 +34,14 @@ val file_length : t -> int
 val synced : t -> int
 (** Bytes covered by the last fdatasync. *)
 
-val append : t -> kind:int -> key:Key.t -> data:string -> int
+val append : t -> kind:int -> key:Key.t -> data:D2_util.Slice.t -> int
 (** Stage one record; returns its offset.  No syscall happens here. *)
+
+val append_encoded : t -> Bytes.t -> off:int -> len:int -> int
+(** Stage a record that is already encoded ([buf.[off .. off+len-1]],
+    CRC included) — compaction relocating a live record — as is;
+    returns its offset.  A record's bytes do not depend on where it
+    sits, so nothing is re-encoded or re-checksummed. *)
 
 val flush : t -> fsync:bool -> unit
 (** Drain the write buffer with one [write(2)]; with [fsync], follow

@@ -1,5 +1,6 @@
 module Key = D2_keyspace.Key
 module Cache = D2_cache.Block_cache
+module Slice = D2_util.Slice
 
 type fsync_policy = Always | Batch | Never
 
@@ -160,14 +161,14 @@ let rotate_locked t =
 let maybe_rotate_locked t =
   if Segment.length t.active.seg >= t.cfg.segment_bytes then rotate_locked t
 
-let put t ~key ~data =
-  if String.length data > Record.max_data then
+let put_slice t ~key ~(data : Slice.t) =
+  if data.len > Record.max_data then
     invalid_arg "Segment_store.put: block exceeds max record payload";
   Mutex.protect t.lock (fun () ->
       check_open t;
       let st = t.active in
       let off = Segment.append st.seg ~kind:Record.kind_put ~key ~data in
-      let rlen = Record.encoded_len ~data_len:(String.length data) in
+      let rlen = Record.encoded_len ~data_len:data.len in
       (match
          Log_index.bind t.index ~key ~seg:(Segment.id st.seg) ~off ~len:rlen
        with
@@ -176,8 +177,8 @@ let put t ~key ~data =
           t.payload_bytes <- t.payload_bytes - (olen - Record.header_len)
       | None -> ());
       st.live <- st.live + rlen;
-      t.payload_bytes <- t.payload_bytes + String.length data;
-      Cache.cache_store t.bcache key data;
+      t.payload_bytes <- t.payload_bytes + data.len;
+      Cache.cache_store_slice t.bcache key data;
       let seq = t.next_seq in
       t.next_seq <- seq + 1;
       (match t.cfg.fsync with
@@ -189,6 +190,8 @@ let put t ~key ~data =
       maybe_rotate_locked t;
       seq)
 
+let put t ~key ~data = put_slice t ~key ~data:(Slice.of_string data)
+
 let remove t ~key =
   Mutex.protect t.lock (fun () ->
       check_open t;
@@ -199,7 +202,9 @@ let remove t ~key =
           t.payload_bytes <- t.payload_bytes - (olen - Record.header_len);
           Cache.cache_remove t.bcache key;
           let st = t.active in
-          ignore (Segment.append st.seg ~kind:Record.kind_remove ~key ~data:"");
+          ignore
+            (Segment.append st.seg ~kind:Record.kind_remove ~key
+               ~data:(Slice.of_string ""));
           (* The tombstone itself is dead weight from birth: it exists
              only for tail replay, so it never counts as live. *)
           let seq = t.next_seq in
@@ -214,29 +219,48 @@ let remove t ~key =
 (* The cache probe runs before the store lock (the cache has its own):
    with domain-sharded serving, hot reads never contend with writers,
    flushes, or each other's index lookups.  A get racing a remove may
-   return the pre-remove value — it linearizes just before it. *)
+   return the pre-remove value — it linearizes just before it.
+
+   A miss preads the payload into the buffer [into] supplies for its
+   length and warms the cache from it; -1 when the key is absent. *)
+let read_through t ~key ~into =
+  Mutex.protect t.lock (fun () ->
+      check_open t;
+      let s = Log_index.find t.index key in
+      if s < 0 then -1
+      else begin
+        let st = Hashtbl.find t.segs (Log_index.seg t.index s) in
+        let dlen = Log_index.len t.index s - Record.header_len in
+        let buf = into dlen in
+        Segment.read_into st.seg
+          ~off:(Log_index.off t.index s + Record.header_len)
+          ~len:dlen buf ~dst_off:0;
+        Cache.cache_store_slice t.bcache key (Slice.v buf ~off:0 ~len:dlen);
+        dlen
+      end)
+
 let get t ~key =
   check_open t;
   match Cache.cache_find t.bcache key with
-  | Some data -> Some data
+  | Some _ as hit -> hit
   | None ->
-      Mutex.protect t.lock (fun () ->
-          check_open t;
-          let s = Log_index.find t.index key in
-          if s < 0 then None
-          else begin
-            let sid = Log_index.seg t.index s in
-            let off = Log_index.off t.index s in
-            let rlen = Log_index.len t.index s in
-            let st = Hashtbl.find t.segs sid in
-            let dlen = rlen - Record.header_len in
-            let buf = Bytes.create dlen in
-            Segment.read_into st.seg ~off:(off + Record.header_len) ~len:dlen
-              buf ~dst_off:0;
-            let data = Bytes.unsafe_to_string buf in
-            Cache.cache_store t.bcache key data;
-            Some data
-          end)
+      let buf = ref Bytes.empty in
+      let into n =
+        buf := Bytes.create n;
+        !buf
+      in
+      if read_through t ~key ~into < 0 then None
+      else Some (Bytes.unsafe_to_string !buf)
+
+let get_into t ~key buf =
+  check_open t;
+  match Cache.cache_find_into t.bcache key buf with
+  | -1 ->
+      read_through t ~key ~into:(fun n ->
+          if n > Bytes.length buf then
+            invalid_arg "Segment_store.get_into: buffer too small";
+          buf)
+  | n -> n
 
 let mem t ~key =
   Mutex.protect t.lock (fun () -> Log_index.find t.index key >= 0)
@@ -424,13 +448,9 @@ let compact_step_locked t ~budget =
                      && Log_index.seg t.index s = sid
                      && Log_index.off t.index s = c.c_pos + !pos
                    then begin
-                     let data =
-                       Bytes.sub_string c.c_buf r.Record.d_data_off
-                         r.Record.d_data_len
-                     in
                      let off =
-                       Segment.append t.active.seg ~kind:Record.kind_put
-                         ~key:r.Record.d_key ~data
+                       Segment.append_encoded t.active.seg c.c_buf ~off:!pos
+                         ~len:r.Record.d_total
                      in
                      ignore
                        (Log_index.bind t.index ~key:r.Record.d_key

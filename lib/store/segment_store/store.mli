@@ -16,8 +16,10 @@
 
     {b Read path.}  A get probes the byte cache, then does one
     positional [pread(2)] at the (segment, offset, length) the index
-    records — datasets larger than RAM serve at page-cache/disk speed
-    with no per-block heap residency beyond the cache.
+    records — datasets larger than RAM serve at page-cache/disk speed.
+    The cache keeps its blocks off the OCaml heap
+    ({!D2_cache.Block_cache}), and {!get_into} reads into the caller's
+    buffer, so a served block costs no heap allocation.
 
     {b Recovery.}  Startup loads the newest index checkpoint, replays
     only log records past its watermark, and truncates a torn or
@@ -29,7 +31,8 @@
     {b Compaction.}  Overwrites and removes strand dead bytes in
     sealed segments; once a sealed segment's live fraction drops below
     [compact_live], {!maybe_compact} rewrites its live records into
-    the active segment, checkpoints, and deletes the file.
+    the active segment (each record's encoded bytes copied as they
+    are), checkpoints, and deletes the file.
 
     Thread-safe: one store-wide mutex brackets every operation (reads
     included — compaction may retire a segment under a concurrent
@@ -82,11 +85,23 @@ val put : t -> key:Key.t -> data:string -> int
     [durable_seq] reaches it — immediately under [Always]/[Never]).
     @raise Invalid_argument if [data] exceeds {!Record.max_data}. *)
 
+val put_slice : t -> key:Key.t -> data:D2_util.Slice.t -> int
+(** {!put} from a window of a buffer (a decoded frame's payload): the
+    bytes are copied into the log and the cache before this returns. *)
+
 val remove : t -> key:Key.t -> bool * int
 (** [(removed, seq)].  A remove of an absent key appends nothing and
     returns [(false, 0)] — sequence 0 is always durable. *)
 
 val get : t -> key:Key.t -> string option
+(** A fresh copy of the key's payload. *)
+
+val get_into : t -> key:Key.t -> Bytes.t -> int
+(** The payload copied into [buf] at offset 0, from the cache or by
+    one pread on a miss: its length, or [-1] when the key is absent.
+    Nothing is allocated.
+    @raise Invalid_argument if the payload does not fit in [buf]. *)
+
 val mem : t -> key:Key.t -> bool
 
 val flush : t -> unit

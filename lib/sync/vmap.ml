@@ -1,6 +1,7 @@
 module Key = D2_keyspace.Key
 module Vv = Version_vector
 module Store = D2_segstore.Store
+module Slice = D2_util.Slice
 
 type entry = { vv : Vv.t; deleted : bool }
 
@@ -53,19 +54,21 @@ let create ?disk () =
 let disk t = t.disk
 
 (* Install [data] ([None]: a tombstone) as the key's bytes, under the
-   partition lock.  Returns whether a tombstone dropped a live block,
-   and the store sequence to wait for. *)
-let install t p key data =
+   partition lock: copied into the store, or into a string the table
+   keeps, so the caller's slice may be reused once this returns.
+   Returns whether a tombstone dropped a live block, and the store
+   sequence to wait for. *)
+let install t p key (data : Slice.t option) =
   match (t.disk, data) with
-  | Some st, Some data -> (false, Store.put st ~key ~data)
+  | Some st, Some data -> (false, Store.put_slice st ~key ~data)
   | Some st, None -> Store.remove st ~key
   | None, _ ->
       let old = Key.Table.find_opt p.blocks key in
       Option.iter (fun old -> p.bytes <- p.bytes - String.length old) old;
       (match data with
       | Some data ->
-          Key.Table.replace p.blocks key data;
-          p.bytes <- p.bytes + String.length data
+          Key.Table.replace p.blocks key (Slice.to_string data);
+          p.bytes <- p.bytes + data.len
       | None -> Key.Table.remove p.blocks key);
       (data = None && old <> None, 0)
 
@@ -73,6 +76,15 @@ let bytes_of t p key =
   match t.disk with
   | Some st -> Store.get st ~key
   | None -> Key.Table.find_opt p.blocks key
+
+(* The bytes without a fresh copy: read into [scratch] on disk, the
+   table's own (immutable) string in RAM. *)
+let borrow t p key scratch =
+  match t.disk with
+  | Some st ->
+      let n = Store.get_into st ~key scratch in
+      if n < 0 then None else Some (Slice.v scratch ~off:0 ~len:n)
+  | None -> Option.map Slice.of_string (Key.Table.find_opt p.blocks key)
 
 (* A vector the wire cannot carry would make every later frame about
    the key fail to encode, so neither write path ever stores one. *)
@@ -119,11 +131,17 @@ let apply t ~key ~vv ~data =
                 (false, 0)
               end))
 
-let read t ~key =
+let find t ~key = locked (part t key) (fun p -> Key.Table.find_opt p.entries key)
+
+(* An empty [have] claims nothing: a recovered block sits under the
+   empty vector, and a reader holding no entry at all sends it too. *)
+let read ?(have = Vv.empty) t ~key scratch =
   locked (part t key) (fun p ->
       match Key.Table.find_opt p.entries key with
       | None -> None
-      | Some e -> Some (e, if e.deleted then None else bytes_of t p key))
+      | Some e ->
+          let covered = (not (Vv.is_empty have)) && Vv.dominates have e.vv in
+          Some (e, if e.deleted || covered then None else borrow t p key scratch))
 
 let get t ~key = locked (part t key) (fun p -> bytes_of t p key)
 

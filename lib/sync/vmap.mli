@@ -45,7 +45,7 @@ val write :
   key:Key.t ->
   node:int ->
   incoming:Version_vector.t ->
-  data:string option ->
+  data:D2_util.Slice.t option ->
   (Version_vector.t * bool * int) option
 (** Coordinator write path: merge [incoming] (empty for a client
     write) into the key's vector, bump [node], and install [data] —
@@ -54,10 +54,16 @@ val write :
     carry), whether a tombstone dropped a live block, and the store
     sequence the ack must wait for ([0] in RAM or when nothing was
     appended).  [None], with nothing installed, when the new vector
-    would not be {!Version_vector.encodable}. *)
+    would not be {!Version_vector.encodable}.  The bytes are copied
+    before this returns (into the store, or a string in RAM), so
+    [data] may be a borrowed slice. *)
 
 val apply :
-  t -> key:Key.t -> vv:Version_vector.t -> data:string option -> bool * int
+  t ->
+  key:Key.t ->
+  vv:Version_vector.t ->
+  data:D2_util.Slice.t option ->
+  bool * int
 (** Replica path: resolve an incoming stamped copy ([None] = a
     tombstone) against the local entry and install it if it wins — it
     dominates, or it is concurrent and wins the deterministic
@@ -66,14 +72,32 @@ val apply :
     concurrent pair converge on the same (vector, bytes).  A copy that
     is dominated or equal changes nothing, and so does one whose merge
     would not be {!Version_vector.encodable}.  Returns
-    [(installed, seq)]. *)
+    [(installed, seq)].  Copies [data] as {!write} does. *)
 
-val read : t -> key:Key.t -> (entry * string option) option
-(** The key's entry and bytes, taken together; the bytes are [None]
-    for a tombstone.  [None] when the key has never been seen. *)
+val find : t -> key:Key.t -> entry option
+(** The key's entry alone, no bytes read.  [None] when the key has
+    never been seen. *)
+
+val read :
+  ?have:Version_vector.t ->
+  t ->
+  key:Key.t ->
+  Bytes.t ->
+  (entry * D2_util.Slice.t option) option
+(** [read t ~key scratch]: the key's entry and bytes, taken together.
+    The bytes are [None] for a tombstone, and when [have] is a
+    non-empty vector dominating the entry's — the reader already holds
+    this copy or a newer one, so only the version is worth sending.
+    [None] when the key has never been seen.
+
+    The bytes are borrowed, not copied out: on disk they are read into
+    [scratch] (from the block cache or one pread) and stay valid until
+    [scratch] is next written; in RAM they are the table's own string.
+    @raise Invalid_argument if a disk payload does not fit in
+    [scratch]. *)
 
 val get : t -> key:Key.t -> string option
-(** The key's bytes alone (a plain get). *)
+(** The key's bytes alone, as a fresh copy (a plain get). *)
 
 val count : t -> int
 (** Entries held, tombstones included. *)

@@ -6,7 +6,9 @@
 # to $SMOKE_CURVE so CI can upload it as an artifact.
 #
 # A second leg reruns the cluster on the durable segment store: a
-# group-commit throughput floor on tmpfs, then a kill -9 of every
+# group-commit throughput floor on tmpfs (where each daemon's top GC
+# heap, from its shutdown line, must also stay under a bound), then a
+# kill -9 of every
 # daemon mid-load on a real-disk store dir, a restart from the same
 # directories, and a byte-exact verification that every acked
 # pre-crash block survived.  The combined report lands in
@@ -140,6 +142,12 @@ TMPFS_STORE="${SMOKE_STORE_DIR:-$TMPFS_ROOT_DEFAULT}"
 DISK_STORE="${SMOKE_DISK_STORE_DIR:-$(mktemp -d)/store}"
 DUR_LOG="${SMOKE_DURABLE_LOG:-/tmp/d2_net_smoke_durability.txt}"
 MIN_DURABLE_OPS_S="${SMOKE_MIN_DURABLE_OPS_S:-12000}"
+# Block payloads live off the OCaml heap (the store cache's page arena,
+# borrowed frame payloads), so a daemon's GC heap holds only its
+# tables.  Measured on this leg: 4.5-6.0 MB per daemon, against
+# 25-26 MB when every cached and decoded 8 KB block was a heap string.
+MAX_HEAP_MB=16
+THROUGHPUT_LOGS="$(mktemp -d)"
 VERIFY_OPS="${SMOKE_VERIFY_OPS:-4000}"
 VERIFY_SEED="${SMOKE_VERIFY_SEED:-77}"
 RESTART_LOGS="$(mktemp -d)"
@@ -150,7 +158,7 @@ REPAIR_LOGS="$(mktemp -d)"
 cleanup_durable() {
   cleanup
   rm -rf "$TMPFS_STORE" "$DISK_STORE" "$RESTART_LOGS" \
-    "$REPAIR_STORE" "$REPAIR_LOGS"
+    "$REPAIR_STORE" "$REPAIR_LOGS" "$THROUGHPUT_LOGS"
 }
 trap cleanup_durable EXIT
 
@@ -185,11 +193,24 @@ stop_cluster() { # signal
 # Phase 1: group-commit throughput floor (tmpfs store, fsync=batch).
 echo "== durable throughput (store on ${TMPFS_STORE}, fsync=batch) ==" \
   | tee -a "$DUR_LOG"
-boot_disk_cluster $((PORT_BASE + 20)) "$TMPFS_STORE" batch
+boot_disk_cluster $((PORT_BASE + 20)) "$TMPFS_STORE" batch "$THROUGHPUT_LOGS"
 ./_build/default/bin/d2load.exe --nodes "$NODES" \
   --port-base $((PORT_BASE + 20)) --duration "$DURATION" --sweep 16 \
   --min-ops-s "$MIN_DURABLE_OPS_S" | tee -a "$DUR_LOG"
 stop_cluster TERM
+for i in $(seq 0 $((NODES - 1))); do
+  log="$THROUGHPUT_LOGS/d2d-$i.log"
+  cat "$log" >> "$DUR_LOG"
+  heap="$(sed -n 's/.*top heap \([0-9.]*\) MB.*/\1/p' "$log" | tail -1)"
+  if [ -z "$heap" ] || ! awk -v h="$heap" -v max="$MAX_HEAP_MB" \
+       'BEGIN { exit !(h < max) }'; then
+    echo "net_smoke: node $i top heap '${heap}' MB, want < $MAX_HEAP_MB MB" >&2
+    cat "$log" >&2
+    exit 1
+  fi
+  echo "net_smoke: node $i top heap $heap MB (< $MAX_HEAP_MB MB)" \
+    | tee -a "$DUR_LOG"
+done
 
 # Phase 2: crash durability on a real-disk store.  A deterministic
 # --ops run pins the expected final state; an interfering load on a

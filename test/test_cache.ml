@@ -396,6 +396,138 @@ let test_bytes_cache_capacity_never_exceeded () =
   done;
   Alcotest.(check int) "used = sum of retained" !total (Block_cache.cache_used c)
 
+(* The page arena against a reference: a string LRU kept here, with
+   the same byte accounting and counters.  Sizes run from empty to
+   three whole pages, so overwrites move a key across the heap/arena
+   line and between page counts; capacities include zero and ones that
+   a single payload overflows.  After every step the find results,
+   [cache_used], hits, misses and evictions agree, and the arena holds
+   exactly the pages the retained payloads need (none leak). *)
+module Ref_lru = struct
+  type t = {
+    cap : int;
+    mutable items : (int * string) list;  (** MRU first *)
+    mutable used : int;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evictions : int;
+  }
+
+  let create cap = { cap; items = []; used = 0; hits = 0; misses = 0; evictions = 0 }
+
+  let remove t k =
+    match List.assoc_opt k t.items with
+    | None -> ()
+    | Some d ->
+        t.items <- List.remove_assoc k t.items;
+        t.used <- t.used - String.length d
+
+  let store t k d =
+    if t.cap > 0 then
+      if String.length d > t.cap then remove t k
+      else begin
+        remove t k;
+        t.items <- (k, d) :: t.items;
+        t.used <- t.used + String.length d;
+        while t.used > t.cap do
+          let lk, _ = List.nth t.items (List.length t.items - 1) in
+          remove t lk;
+          t.evictions <- t.evictions + 1
+        done
+      end
+
+  let find t k =
+    match List.assoc_opt k t.items with
+    | Some d ->
+        t.hits <- t.hits + 1;
+        t.items <- (k, d) :: List.remove_assoc k t.items;
+        Some d
+    | None ->
+        if t.cap > 0 then t.misses <- t.misses + 1;
+        None
+
+  (* Whole 4 KB pages for payloads of half a page or more. *)
+  let arena_bytes t =
+    List.fold_left
+      (fun acc (_, d) ->
+        let n = String.length d in
+        if n < 2048 then acc else acc + ((n + 4095) / 4096 * 4096))
+      0 t.items
+end
+
+let prop_arena_cache_matches_reference =
+  let page = 4096 in
+  let gen_size =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl
+            [ 0; 1; 2047; 2048; 2049; page - 1; page; page + 1; (2 * page) - 1;
+              2 * page; (2 * page) + 1; (3 * page) - 1; 3 * page ];
+          int_bound (3 * page);
+        ])
+  in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map3 (fun k n salt -> `Store (k, n, salt)) (int_bound 5) gen_size nat);
+          (3, map (fun k -> `Find k) (int_bound 5));
+          (2, map (fun k -> `Find_into k) (int_bound 5));
+          (1, map (fun k -> `Remove k) (int_bound 5));
+        ])
+  in
+  let print_op = function
+    | `Store (k, n, salt) -> Printf.sprintf "store %d %dB/%d" k n salt
+    | `Find k -> Printf.sprintf "find %d" k
+    | `Find_into k -> Printf.sprintf "find_into %d" k
+    | `Remove k -> Printf.sprintf "remove %d" k
+  in
+  QCheck.Test.make ~name:"arena cache agrees with a reference LRU" ~count:300
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat "; " (List.map print_op ops)))
+       QCheck.Gen.(
+         pair
+           (oneofl [ 0; 1000; page; 9000; 20000; 40000 ])
+           (list_size (0 -- 150) gen_op)))
+    (fun (cap, ops) ->
+      let c = Block_cache.bytes_cache ~capacity:cap in
+      let r = Ref_lru.create cap in
+      let buf = Bytes.create (3 * page) in
+      let payload k n salt =
+        String.init n (fun i -> Char.chr (((k * 37) + (salt * 11) + i) land 0xff))
+      in
+      List.for_all
+        (fun op ->
+          let found_agrees =
+            match op with
+            | `Store (k, n, salt) ->
+                let d = payload k n salt in
+                Block_cache.cache_store c (k_of_byte k) d;
+                Ref_lru.store r k d;
+                true
+            | `Find k -> Block_cache.cache_find c (k_of_byte k) = Ref_lru.find r k
+            | `Find_into k -> (
+                let n = Block_cache.cache_find_into c (k_of_byte k) buf in
+                match Ref_lru.find r k with
+                | None -> n = -1
+                | Some d -> n = String.length d && Bytes.sub_string buf 0 n = d)
+            | `Remove k ->
+                Block_cache.cache_remove c (k_of_byte k);
+                Ref_lru.remove r k;
+                true
+          in
+          found_agrees
+          && Block_cache.cache_used c = r.Ref_lru.used
+          && Block_cache.cache_count c = List.length r.Ref_lru.items
+          && Block_cache.cache_hits c = r.Ref_lru.hits
+          && Block_cache.cache_misses c = r.Ref_lru.misses
+          && Block_cache.cache_evictions c = r.Ref_lru.evictions
+          && Block_cache.cache_arena_bytes c = Ref_lru.arena_bytes r)
+        ops)
+
 (* {1 Retrieval cache}
 
    The per-node retrieval cache of [ablation_hotspot] is a
@@ -488,5 +620,6 @@ let () =
             test_bytes_cache_oversized_overwrite;
           Alcotest.test_case "capacity bound + accounting" `Quick
             test_bytes_cache_capacity_never_exceeded;
-        ] );
+        ]
+        @ qcheck [ prop_arena_cache_matches_reference ] );
     ]

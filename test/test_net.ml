@@ -6,6 +6,7 @@ module Wire = D2_net.Wire
 module Bytebuf = D2_net.Transport.Bytebuf
 module Key = D2_keyspace.Key
 module Rng = D2_util.Rng
+module Slice = D2_util.Slice
 
 module Vv = D2_sync.Version_vector
 
@@ -28,7 +29,7 @@ let random_payload rng =
     | 2 -> Wire.max_payload
     | _ -> Rng.int rng Wire.max_payload
   in
-  String.init n (fun _ -> Char.chr (Rng.int rng 256))
+  Slice.of_string (String.init n (fun _ -> Char.chr (Rng.int rng 256)))
 
 (* A probe the digest trie can address: at most [max_bits] deep, with
    a prefix that names one bucket at that depth. *)
@@ -36,7 +37,9 @@ let random_probe rng ~max_bits =
   let bits = Rng.int rng (max_bits + 1) in
   (bits, Rng.int rng (1 lsl bits))
 
-let random_msg rng =
+(* [Fetch]'s vector is drawn from [have_rng] when one is given: drawn
+   from [rng], it would shift every later frame of a seeded stream. *)
+let random_msg ?have_rng rng =
   match Rng.int rng 24 with
   | 0 -> Wire.Lookup { key = key_of_rng rng }
   | 1 ->
@@ -97,7 +100,9 @@ let random_msg rng =
             List.init n (fun _ ->
                 (key_of_rng rng, random_vv rng, Rng.bool rng));
         }
-  | 19 -> Wire.Fetch { key = key_of_rng rng }
+  | 19 ->
+      let key = key_of_rng rng in
+      Wire.Fetch { key; have = random_vv (Option.value have_rng ~default:rng) }
   | 20 ->
       Wire.Fetch_ack
         {
@@ -116,6 +121,8 @@ let random_msg rng =
   | 22 -> Wire.Push_ack { stored = Rng.bool rng }
   | _ -> Wire.Get_q { key = key_of_rng rng; q = 1 + Rng.int rng 7 }
 
+let slice_equal a b = String.equal (Slice.to_string a) (Slice.to_string b)
+
 let equal_msg (a : Wire.msg) (b : Wire.msg) =
   match (a, b) with
   | Wire.Lookup { key = k1 }, Wire.Lookup { key = k2 } -> Key.equal k1 k2
@@ -124,11 +131,11 @@ let equal_msg (a : Wire.msg) (b : Wire.msg) =
       n1 = n2 && Key.equal l1 l2 && Key.equal h1 h2
   | Wire.Redirect { next = n1 }, Wire.Redirect { next = n2 } -> n1 = n2
   | Wire.Get { key = k1 }, Wire.Get { key = k2 } -> Key.equal k1 k2
-  | Wire.Found { data = d1 }, Wire.Found { data = d2 } -> String.equal d1 d2
+  | Wire.Found { data = d1 }, Wire.Found { data = d2 } -> slice_equal d1 d2
   | Wire.Missing, Wire.Missing | Wire.Probe, Wire.Probe -> true
   | ( Wire.Put { key = k1; depth = e1; vv = v1; data = d1 },
       Wire.Put { key = k2; depth = e2; vv = v2; data = d2 } ) ->
-      Key.equal k1 k2 && e1 = e2 && v1 = v2 && String.equal d1 d2
+      Key.equal k1 k2 && e1 = e2 && v1 = v2 && slice_equal d1 d2
   | ( Wire.Put_ack { copies = c1; vv = v1 },
       Wire.Put_ack { copies = c2; vv = v2 } ) ->
       c1 = c2 && v1 = v2
@@ -161,13 +168,14 @@ let equal_msg (a : Wire.msg) (b : Wire.msg) =
            (fun (k1, v1, d1) (k2, v2, d2) ->
              Key.equal k1 k2 && v1 = v2 && d1 = d2)
            i1 i2
-  | Wire.Fetch { key = k1 }, Wire.Fetch { key = k2 } -> Key.equal k1 k2
+  | Wire.Fetch { key = k1; have = h1 }, Wire.Fetch { key = k2; have = h2 } ->
+      Key.equal k1 k2 && h1 = h2
   | ( Wire.Fetch_ack { vv = v1; deleted = d1; data = b1 },
       Wire.Fetch_ack { vv = v2; deleted = d2; data = b2 } ) ->
-      v1 = v2 && d1 = d2 && b1 = b2
+      v1 = v2 && d1 = d2 && Option.equal slice_equal b1 b2
   | ( Wire.Push { key = k1; vv = v1; deleted = d1; data = b1 },
       Wire.Push { key = k2; vv = v2; deleted = d2; data = b2 } ) ->
-      Key.equal k1 k2 && v1 = v2 && d1 = d2 && String.equal b1 b2
+      Key.equal k1 k2 && v1 = v2 && d1 = d2 && slice_equal b1 b2
   | Wire.Push_ack { stored = s1 }, Wire.Push_ack { stored = s2 } -> s1 = s2
   | Wire.Get_q { key = k1; q = q1 }, Wire.Get_q { key = k2; q = q2 } ->
       Key.equal k1 k2 && q1 = q2
@@ -226,6 +234,20 @@ let test_unknown_tag () =
   | Error (Wire.Malformed _) -> ()
   | _ -> Alcotest.fail "unknown tag must be malformed"
 
+(* In-order arrival check for a stream of [msgs] (request id = index).
+   A decoded payload borrows the reader's buffer until the next
+   [Reader.next], so each message is compared as it arrives; the
+   closing call [check (-1) _] says whether all of them came. *)
+let arrivals msgs =
+  let msgs = Array.of_list msgs in
+  let next = ref 0 in
+  fun req m ->
+    if req < 0 then !next = Array.length msgs
+    else
+      let ok = req = !next && req < Array.length msgs && equal_msg msgs.(req) m in
+      incr next;
+      ok
+
 let reader_chunking_prop seed =
   let rng = Rng.create seed in
   let msgs = List.init (1 + Rng.int rng 12) (fun _ -> random_msg rng) in
@@ -235,7 +257,7 @@ let reader_chunking_prop seed =
     msgs;
   let stream = Buffer.to_bytes buf in
   let reader = Wire.Reader.create () in
-  let out = ref [] in
+  let check = arrivals msgs in
   let pos = ref 0 in
   let total = Bytes.length stream in
   let ok = ref true in
@@ -247,18 +269,14 @@ let reader_chunking_prop seed =
     let drained = ref false in
     while not !drained do
       match Wire.Reader.next reader with
-      | `Msg (req, m) -> out := (req, m) :: !out
+      | `Msg (req, m) -> if not (check req m) then ok := false
       | `Awaiting -> drained := true
       | `Corrupt _ ->
           ok := false;
           drained := true
     done
   done;
-  let out = List.rev !out in
-  !ok
-  && List.length out = List.length msgs
-  && List.for_all2 (fun (req, m) (i, m') -> req = i && equal_msg m m') out
-       (List.mapi (fun i m -> (i, m)) msgs)
+  !ok && check (-1) Wire.Probe
 
 (* Pipelined-runtime property: a whole window of K frames lands
    back-to-back in the reader through the zero-copy [reserve]/[commit]
@@ -273,7 +291,7 @@ let reader_pipelined_burst_prop seed =
   List.iteri (fun i m -> Buffer.add_bytes buf (Wire.encode ~req:i m)) msgs;
   let stream = Buffer.to_bytes buf in
   let reader = Wire.Reader.create () in
-  let out = ref [] in
+  let check = arrivals msgs in
   let pos = ref 0 in
   let total = Bytes.length stream in
   let ok = ref true in
@@ -286,18 +304,14 @@ let reader_pipelined_burst_prop seed =
     let drained = ref false in
     while not !drained do
       match Wire.Reader.next reader with
-      | `Msg (req, m) -> out := (req, m) :: !out
+      | `Msg (req, m) -> if not (check req m) then ok := false
       | `Awaiting -> drained := true
       | `Corrupt _ ->
           ok := false;
           drained := true
     done
   done;
-  let out = List.rev !out in
-  !ok
-  && List.length out = k
-  && List.for_all2 (fun (req, m) (i, m') -> req = i && equal_msg m m') out
-       (List.mapi (fun i m -> (i, m)) msgs)
+  !ok && check (-1) Wire.Probe
 
 (* A burst grows the buffer past its creation capacity; each full
    drain halves it back, and it settles exactly at the creation floor,
@@ -314,7 +328,7 @@ let test_reader_capacity_floor () =
            key;
            depth = 0;
            vv = Vv.empty;
-           data = String.make Wire.max_payload 'x';
+           data = Slice.of_string (String.make Wire.max_payload 'x');
          })
   in
   let flen = Bytes.length frame in
@@ -349,16 +363,28 @@ let test_reader_capacity_floor () =
 
 (* The frame bytes themselves are pinned: 20,000 seeded frames from
    [random_msg] (request id = index) hash to a fixed digest, so any
-   change to any frame's bytes fails here. *)
+   change to any frame's bytes fails here.  [Fetch]'s vector (protocol
+   3) comes from a second generator, so the stream without its [Fetch]
+   frames is still the one protocol 2 pinned: same length, same MD5. *)
 let test_wire_bytes_pinned () =
   let rng = Rng.create 12345 in
+  let have_rng = Rng.create 54321 in
   let buf = Buffer.create (1 lsl 24) in
+  let others = Buffer.create (1 lsl 24) in
   for i = 0 to 19_999 do
-    Buffer.add_bytes buf (Wire.encode ~req:i (random_msg rng))
+    let msg = random_msg ~have_rng rng in
+    let frame = Wire.encode ~req:i msg in
+    Buffer.add_bytes buf frame;
+    match msg with Wire.Fetch _ -> () | _ -> Buffer.add_bytes others frame
   done;
-  Alcotest.(check int) "stream length" 12_969_772 (Buffer.length buf);
-  Alcotest.(check string) "stream MD5" "c23fc214fa0289057e4f1169ed6ed7b0"
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+  Alcotest.(check int) "stream length" 13_001_935 (Buffer.length buf);
+  Alcotest.(check string) "stream MD5" "151a997585dffa3bb2e69370193a19b2"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)));
+  Alcotest.(check int) "non-Fetch length (protocol 2)" 12_908_233
+    (Buffer.length others);
+  Alcotest.(check string) "non-Fetch MD5 (protocol 2)"
+    "76d9ebe88b7c4a31ff0f55bda1af0909"
+    (Digest.to_hex (Digest.string (Buffer.contents others)))
 
 (* A frame that breaks a bound raises and leaves the output buffer as
    it found it: the frame queued before it still decodes, alone. *)
@@ -385,7 +411,7 @@ let test_failed_write_leaves_buffer () =
             key;
             depth = 1;
             vv = Vv.empty;
-            data = String.make (Wire.max_payload + 1) 'x';
+            data = Slice.of_string (String.make (Wire.max_payload + 1) 'x');
           } );
       ( "vector over max_entries",
         Wire.Put_ack { copies = 1; vv = wide_vv Vv.empty 100 } );

@@ -465,14 +465,15 @@ let test_full_vector_refused () =
   (match
      exchange
        (D2_net.Wire.encode ~req:3
-          (D2_net.Wire.Put { key; depth = 1; vv = wide; data = "x" }))
+          (D2_net.Wire.Put
+             { key; depth = 1; vv = wide; data = D2_util.Slice.of_string "x" }))
    with
   | [ D2_net.Wire.Error _ ] -> ()
   | _ -> Alcotest.fail "want one Error reply");
   List.iter
     (fun n ->
       Alcotest.(check bool) "nothing installed" true
-        (D2_sync.Vmap.read (Node.vmap n) ~key = None))
+        (D2_sync.Vmap.find (Node.vmap n) ~key = None))
     nodes;
   still_serving ()
 

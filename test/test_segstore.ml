@@ -10,6 +10,7 @@ module Crc32c = D2_segstore.Crc32c
 module Cache = D2_cache.Block_cache
 module Key = D2_keyspace.Key
 module Rng = D2_util.Rng
+module Slice = D2_util.Slice
 module Engine = D2_simnet.Engine
 module Topology = D2_simnet.Topology
 module Mem = D2_net.Transport_mem
@@ -108,7 +109,10 @@ let test_record_roundtrip () =
   let key = key_of 7 and data = "hello, segment" in
   let len = Record.encoded_len ~data_len:(String.length data) in
   let buf = Bytes.make (len + 8) '\xff' in
-  let n = Record.encode_into buf ~off:3 ~kind:Record.kind_put ~key ~data in
+  let n =
+    Record.encode_into buf ~off:3 ~kind:Record.kind_put ~key
+      ~data:(Slice.of_string data)
+  in
   Alcotest.(check int) "encoded length" len n;
   match Record.decode buf ~off:3 ~avail:(len + 5) with
   | `Bad -> Alcotest.fail "decode rejected a good record"
@@ -123,7 +127,9 @@ let test_record_torn_and_corrupt () =
   let key = key_of 9 and data = "abcdefgh" in
   let len = Record.encoded_len ~data_len:(String.length data) in
   let buf = Bytes.create len in
-  ignore (Record.encode_into buf ~off:0 ~kind:Record.kind_put ~key ~data);
+  ignore
+    (Record.encode_into buf ~off:0 ~kind:Record.kind_put ~key
+       ~data:(Slice.of_string data));
   (* Torn: any prefix shorter than the full record is [`Bad]. *)
   List.iter
     (fun avail ->
@@ -146,7 +152,9 @@ let test_record_torn_and_corrupt () =
   (* Removes carry no payload. *)
   let rlen = Record.encoded_len ~data_len:0 in
   let rb = Bytes.create rlen in
-  ignore (Record.encode_into rb ~off:0 ~kind:Record.kind_remove ~key ~data:"");
+  ignore
+    (Record.encode_into rb ~off:0 ~kind:Record.kind_remove ~key
+       ~data:(Slice.of_string ""));
   match Record.decode rb ~off:0 ~avail:rlen with
   | `Record r ->
       Alcotest.(check int) "remove kind" Record.kind_remove r.Record.d_kind;
@@ -349,6 +357,64 @@ let test_compaction_reclaims_and_preserves () =
           (Store.get st2 ~key:(key_of i))
       done;
       Store.close st2)
+
+(* Compaction copies each live record's encoded bytes as they are
+   ([Segment.append_encoded]): a relocated record must still frame and
+   checksum exactly, so both recovery paths — the checkpoint, and a full
+   scan of the log with the checkpoint gone — read back the same bytes.
+   Overwrites only: a full scan cannot honour tombstones that compaction
+   has already collected (that is what the checkpoint is for). *)
+let test_compaction_relocates_encoded () =
+  with_dir "relocate" (fun dir ->
+      let config =
+        { Store.default_config with segment_bytes = 16384; cache_bytes = 0 }
+      in
+      let st = Store.create ~dir ~config () in
+      let rng = Rng.create 0x2e10 in
+      let model = Hashtbl.create 32 in
+      let n = 24 in
+      for round = 0 to 5 do
+        for _ = 1 to 40 do
+          let i = Rng.int rng n in
+          let data =
+            String.init (Rng.int rng 6000) (fun j ->
+                Char.chr (((i * 7) + (round * 13) + j) land 0xff))
+          in
+          ignore (Store.put st ~key:(key_of i) ~data);
+          Hashtbl.replace model i data
+        done;
+        ignore (Store.compact st ~force:true)
+      done;
+      Alcotest.(check bool) "records were relocated" true
+        (Store.compactions st > 0);
+      let check label st =
+        Alcotest.(check int) (label ^ ": count") (Hashtbl.length model)
+          (Store.count st);
+        Hashtbl.iter
+          (fun i data ->
+            Alcotest.(check (option string))
+              (Printf.sprintf "%s: key %d" label i)
+              (Some data)
+              (Store.get st ~key:(key_of i)))
+          model
+      in
+      let recovered_from_checkpoint st =
+        match Store.recovery st with
+        | Some r -> r.Store.r_checkpoint_blocks
+        | None -> Alcotest.fail "reopen saw a fresh directory"
+      in
+      check "compacted" st;
+      Store.close st;
+      let st = Store.create ~dir ~config () in
+      Alcotest.(check int) "checkpoint path taken" (Hashtbl.length model)
+        (recovered_from_checkpoint st);
+      check "checkpoint recovery" st;
+      Store.close st;
+      Sys.remove (Filename.concat dir "index.ckpt");
+      let st = Store.create ~dir ~config () in
+      Alcotest.(check int) "full scan taken" 0 (recovered_from_checkpoint st);
+      check "full-scan recovery" st;
+      Store.close st)
 
 (* {1 Recovery paths} *)
 
@@ -655,7 +721,7 @@ let test_e2e_crash_restart () =
               Array.iteri
                 (fun i key ->
                   if i > 0 then
-                    match Vmap.read (Node.vmap n) ~key with
+                    match Vmap.read (Node.vmap n) ~key (Bytes.create 8192) with
                     | Some ({ Vmap.vv; deleted = false }, Some _)
                       when Vv.is_empty vv ->
                         ()
@@ -676,6 +742,187 @@ let test_e2e_crash_restart () =
               | `Failed -> Alcotest.fail "get failed after restart")
             keys;
           Alcotest.(check int) "no client failures" 0 (Client.failures client));
+      List.iter Store.close stores)
+
+(* {1 Borrowed payloads}
+
+   A decoded payload is a window of a link's receive buffer, valid
+   only until the dispatch callback returns, and a disk node reads a
+   block it serves into one scratch buffer per sibling.  Keeping
+   either past its callback corrupts some later reply, so this run
+   interleaves every path a block travels — puts and their fan-out,
+   plain gets, quorum-2 reads (version-only answers, a newer remote
+   copy, read-repair pushes) and anti-entropy pulls — over nodes on
+   both backends, each with a sibling serving the client connections,
+   and checks every read byte for byte.  Payloads differ per key and
+   version, so a stale window never passes for the right bytes. *)
+
+module Ring = D2_dht.Ring
+
+let test_borrowed_payloads () =
+  with_dir "borrowed" (fun root ->
+      let n = 4 in
+      let engine = Engine.create () in
+      let topology = Topology.create ~rng:(Rng.create 0x5c1) ~n:(n + 2) () in
+      let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x7 () in
+      let peers = Bootstrap.peers n in
+      (* Nodes 0 and 1 on disk, with a block cache too small to hold the
+         working set (reads mix arena hits and preads); 2 and 3 in RAM. *)
+      let stores =
+        List.init 2 (fun i ->
+            Store.create
+              ~dir:(Filename.concat root (string_of_int i))
+              ~config:
+                {
+                  Store.default_config with
+                  fsync = Store.Never;
+                  cache_bytes = 24 * 1024;
+                }
+              ())
+      in
+      let config =
+        {
+          D2_net.Node.replicas = 3;
+          probe_interval = 0.5;
+          rpc_timeout = 2.0;
+          repair_interval = 0.5;
+        }
+      in
+      let eps = List.map (fun (i, _) -> Mem.endpoint net ~node:i) peers in
+      let nodes =
+        List.map2
+          (fun (i, id) ep ->
+            let store =
+              if i < 2 then Blockstore.disk (List.nth stores i)
+              else Blockstore.mem_store ()
+            in
+            Node.create ep ~store ~config ~id ~peers ())
+          peers eps
+        |> Array.of_list
+      in
+      Array.iter Node.serve nodes;
+      Engine.run engine ~until:2.0;
+      (* Transport_mem binds one endpoint per node, so each sibling
+         shares its node's: connections accepted from now on are the
+         sibling's to serve (the clients', and the quorum reads' and
+         fan-outs' the siblings open), while the boot-time links and
+         the repair sessions stay with the first instance. *)
+      List.iteri (fun i ep -> ignore (Node.sibling nodes.(i) ep)) eps;
+      let client q slot =
+        Client.create (Mem.endpoint net ~node:slot) ~replicas:3 ~quorum_r:q
+          ~quorum_w:2 ~rpc_timeout:2.0 ~seeds:(List.init n Fun.id) ()
+      in
+      let c1 = client 1 n and c2 = client 2 (n + 1) in
+      let ring = Ring.create () in
+      List.iter (fun (i, id) -> Ring.add ring ~id ~node:i) peers;
+      let krng = Rng.create 0xb0b in
+      let keys = Array.init 48 (fun _ -> Key.random krng) in
+      let version = Array.make (Array.length keys) 0 in
+      let payload k v =
+        let len = (((k * 2654435761) + (v * 40503)) land 0x1fff) + (k land 1) in
+        String.init len (fun j -> Char.chr ((k + (v * 31) + (j * 7)) land 0xff))
+      in
+      let expect k = payload k version.(k) in
+      (* One batch of async ops on distinct keys, then drain.  Frames
+         leave in pairs: a node dispatches several requests per
+         delivery (reusing its scratch within one dispatch), and the
+         deliveries of one batch land back to back at one virtual
+         instant, so the next one rewrites a link's receive buffer
+         before any timer or later delivery could read a kept window. *)
+      let batch ops =
+        List.iteri
+          (fun i op ->
+            op ();
+            if i land 1 = 1 then begin
+              Client.poll c1 ~timeout:0.0;
+              Client.poll c2 ~timeout:0.0
+            end)
+          ops;
+        while Client.in_flight c1 + Client.in_flight c2 > 0 do
+          Client.poll c1 ~timeout:0.005;
+          Client.poll c2 ~timeout:0.005
+        done
+      in
+      let put k =
+        version.(k) <- version.(k) + 1;
+        let data = expect k in
+        fun () ->
+          Client.put_async c1 ~key:keys.(k) ~data (function
+            | `Ok _ -> ()
+            | `Failed -> Alcotest.failf "put %d failed" k)
+      in
+      let get c label k =
+        let want = expect k in
+        fun () ->
+          Client.get_async c ~key:keys.(k) (function
+            | `Found d ->
+                if not (String.equal d want) then
+                  Alcotest.failf "%s of key %d: wrong bytes (%d B, want %d B)"
+                    label k (String.length d) (String.length want)
+            | `Missing | `Failed -> Alcotest.failf "%s of key %d lost" label k)
+      in
+      (* Every replica holds the last bytes of every key. *)
+      let check_replicas label =
+        Array.iteri
+          (fun k key ->
+            List.iter
+              (fun i ->
+                Alcotest.(check (option string))
+                  (Printf.sprintf "%s: replica %d of key %d" label i k)
+                  (Some (expect k))
+                  (Blockstore.get (Node.store nodes.(i)) ~key))
+              (Ring.successors ring key 3))
+          keys
+      in
+      let all = List.init (Array.length keys) Fun.id in
+      batch (List.map put all);
+      let rng = Rng.create 0x1ab in
+      for _ = 1 to 30 do
+        let ks = List.filter (fun _ -> Rng.int rng 3 > 0) all in
+        batch
+          (List.map
+             (fun k ->
+               match Rng.int rng 3 with
+               | 0 -> put k
+               | 1 -> get c1 "get" k
+               | _ -> get c2 "quorum read" k)
+             ks)
+      done;
+      check_replicas "fanned out";
+      (* A newer copy on the owner's first successor only, as a lost
+         fan-out would leave it: stamped there, so it dominates. *)
+      let diverge k =
+        let owner_succ = List.nth (Ring.successors ring keys.(k) 2) 1 in
+        version.(k) <- version.(k) + 1;
+        ignore
+          (Vmap.write (Node.vmap nodes.(owner_succ)) ~key:keys.(k)
+             ~node:owner_succ ~incoming:Vv.empty
+             ~data:(Some (Slice.of_string (expect k))))
+      in
+      (* Quorum reads find the newer remote copy, answer with it and
+         push it back (read-repair); then plain gets at the owner see
+         the repaired copy. *)
+      let evens = List.filter (fun k -> k mod 2 = 0) all in
+      List.iter diverge evens;
+      batch (List.map (get c2 "diverged quorum read") evens);
+      batch (List.map (get c1 "read-repaired get") evens);
+      (* Anti-entropy: each owner pulls the newer copy, then pushes it
+         on to its other successor. *)
+      let odds = List.filter (fun k -> k mod 2 = 1) all in
+      List.iter diverge odds;
+      let pulled () =
+        Array.fold_left
+          (fun acc nd -> acc + (Node.repair_stats nd).D2_net.Node.pulled)
+          0 nodes
+      in
+      let before = pulled () in
+      Engine.run engine ~until:(Engine.now engine +. 8.0);
+      Alcotest.(check bool) "repair pulled every newer copy" true
+        (pulled () - before >= List.length odds);
+      batch (List.map (get c1 "repair-pulled get") odds);
+      batch (List.map (get c2 "final quorum read") all);
+      check_replicas "converged";
+      Array.iter Node.stop nodes;
       List.iter Store.close stores)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
@@ -711,6 +958,8 @@ let () =
             test_oversized_overwrite_not_stale;
           Alcotest.test_case "compaction reclaims, preserves, no resurrection"
             `Quick test_compaction_reclaims_and_preserves;
+          Alcotest.test_case "compaction relocates encoded records" `Quick
+            test_compaction_relocates_encoded;
         ] );
       ( "recovery",
         [
@@ -726,5 +975,7 @@ let () =
         [
           Alcotest.test_case "disk cluster: kill -9, restart, serve" `Quick
             test_e2e_crash_restart;
+          Alcotest.test_case "borrowed payloads: siblings, disk + mem" `Quick
+            test_borrowed_payloads;
         ] );
     ]

@@ -18,6 +18,16 @@ module Bootstrap = D2_net.Bootstrap
 module Blockstore = D2_net.Blockstore
 module Vv = D2_sync.Version_vector
 module Vmap = D2_sync.Vmap
+module Slice = D2_util.Slice
+
+(* The table's string-facing view, for assertions: [read] copies the
+   borrowed bytes out, [some] lends a string as a write's bytes. *)
+let read m ~key =
+  Option.map
+    (fun (e, d) -> (e, Option.map Slice.to_string d))
+    (Vmap.read m ~key (Bytes.create 8192))
+
+let some s = Some (Slice.of_string s)
 
 (* {1 Version-vector laws} *)
 
@@ -113,9 +123,9 @@ let prop_apply_order_independent =
       let run copies =
         let m = Vmap.create () in
         List.iter
-          (fun (vv, data) -> ignore (Vmap.apply m ~key ~vv ~data:(Some data)))
+          (fun (vv, data) -> ignore (Vmap.apply m ~key ~vv ~data:(some data)))
           copies;
-        match Vmap.read m ~key with
+        match read m ~key with
         | Some (e, bytes) -> (bytes, e.Vmap.vv)
         | None -> (None, Vv.empty)
       in
@@ -136,8 +146,8 @@ let test_vmap_refuses_unencodable () =
   in
   let m = Vmap.create () in
   Alcotest.(check bool) "65th entry refused" true
-    (Vmap.write m ~key ~node:1 ~incoming:wide ~data:(Some "a") = None);
-  Alcotest.(check bool) "nothing installed" true (Vmap.read m ~key = None);
+    (Vmap.write m ~key ~node:1 ~incoming:wide ~data:(some "a") = None);
+  Alcotest.(check bool) "nothing installed" true (read m ~key = None);
   (* {1: 2^32 - 1}, built from its wire form. *)
   let top =
     let b = Bytes.create 9 in
@@ -147,15 +157,15 @@ let test_vmap_refuses_unencodable () =
     fst (Option.get (Vv.decode b ~off:0 ~stop:9))
   in
   Alcotest.(check bool) "counter past u32 refused" true
-    (Vmap.write m ~key ~node:1 ~incoming:top ~data:(Some "a") = None);
+    (Vmap.write m ~key ~node:1 ~incoming:top ~data:(some "a") = None);
   (* A replica holding {1:1} receives the 64-entry copy: the merge
      would hold 65 entries, so neither bytes nor vector change. *)
   let own = Vv.bump Vv.empty ~node:1 in
   Alcotest.(check bool) "own copy applied" true
-    (fst (Vmap.apply m ~key ~vv:own ~data:(Some "own")));
+    (fst (Vmap.apply m ~key ~vv:own ~data:(some "own")));
   Alcotest.(check bool) "65-entry merge not applied" false
-    (fst (Vmap.apply m ~key ~vv:wide ~data:(Some "wide")));
-  match Vmap.read m ~key with
+    (fst (Vmap.apply m ~key ~vv:wide ~data:(some "wide")));
+  match read m ~key with
   | Some (e, Some "own") when vv_equal e.Vmap.vv own -> ()
   | _ -> Alcotest.fail "refused copy changed the entry"
 
@@ -177,7 +187,7 @@ let test_two_domain_writes () =
           let data = Printf.sprintf "%c%d.%d" tag trial i in
           let vv, _, _ =
             Option.get
-              (Vmap.write m ~key ~node ~incoming:Vv.empty ~data:(Some data))
+              (Vmap.write m ~key ~node ~incoming:Vv.empty ~data:(some data))
           in
           (Vv.get vv node, data))
     in
@@ -185,7 +195,7 @@ let test_two_domain_writes () =
     let reader () =
       let seen = ref [] in
       while not (Atomic.get stop) do
-        match Vmap.read m ~key with
+        match read m ~key with
         | Some (e, Some data) ->
             seen := (Vv.get e.Vmap.vv node, data) :: !seen
         | Some (_, None) ->
@@ -214,7 +224,7 @@ let test_two_domain_writes () =
           (Some data))
       seen;
     let final =
-      match Vmap.read m ~key with
+      match read m ~key with
       | Some (e, bytes) -> (Vv.get e.Vmap.vv node, bytes)
       | None -> Alcotest.fail "two domains: key missing"
     in
@@ -259,7 +269,7 @@ let ring_of_live c ~dead =
   r
 
 let entry_vv c n key =
-  match Vmap.read (Node.vmap c.nodes.(n)) ~key with
+  match read (Node.vmap c.nodes.(n)) ~key with
   | Some (e, _) -> e.Vmap.vv
   | None -> Vv.empty
 
@@ -518,7 +528,7 @@ let test_quorum_read_repair () =
     (fun n ->
       let installed, _ =
         Vmap.apply (Node.vmap c.nodes.(n)) ~key ~vv:vv2
-          ~data:(Some (data_v 2 key))
+          ~data:(some (data_v 2 key))
       in
       if not installed then
         Alcotest.fail "rr: injected copy lost the version race")
