@@ -1,6 +1,6 @@
 SHELL := /bin/bash
 
-.PHONY: build test check-env bench bench-quick bakeoff clean
+.PHONY: build test check-env bench bench-quick bakeoff net-lines clean
 
 build:
 	dune build
@@ -58,6 +58,12 @@ bench-quick: build
 # CI runs the quick-scale version via scripts/routing_bakeoff_smoke.sh.
 bakeoff: build
 	D2_SCALE=paper dune exec bench/main.exe -- bakeoff_routing --no-micro
+
+# Added, removed and net lines per top-level directory against REF
+# (default HEAD); new files count once staged.
+REF ?= HEAD
+net-lines:
+	@scripts/net_lines.sh $(REF)
 
 clean:
 	dune clean

@@ -696,38 +696,26 @@ module Make (T : Transport.S) = struct
   let serve t =
     List.iter (fun (n, _) -> if n <> t.me then announce t n) (members t);
     let ep = L.endpoint t.ls in
-    let rec tick () =
-      if not t.stopped then begin
-        probe_tick t;
-        T.schedule ep ~delay:t.cfg.probe_interval tick
-      end
+    (* A clock that runs [f] every [period] seconds until [stop]. *)
+    let every period f =
+      let rec tick () =
+        if not t.stopped then begin
+          f t;
+          T.schedule ep ~delay:period tick
+        end
+      in
+      T.schedule ep ~delay:period tick
     in
-    T.schedule ep ~delay:t.cfg.probe_interval tick;
+    every t.cfg.probe_interval probe_tick;
     (* Anti-entropy clock: one repair session per interval, rotating
        across the successor set.  An interval of 0 disables repair
        (the control arm of the availability experiment, and tests that
        pin exact frame counts). *)
-    if t.cfg.repair_interval > 0.0 then begin
-      let rec rtick () =
-        if not t.stopped then begin
-          repair_tick t;
-          T.schedule ep ~delay:t.cfg.repair_interval rtick
-        end
-      in
-      T.schedule ep ~delay:t.cfg.repair_interval rtick
-    end;
+    if t.cfg.repair_interval > 0.0 then every t.cfg.repair_interval repair_tick;
     (* Disk-backed nodes also run the group-commit clock; callers that
        drive [T.poll] themselves may call [flush_store] more often (the
        daemon does, after every poll), this tick is the floor. *)
-    if Vmap.disk t.vmap <> None then begin
-      let rec ftick () =
-        if not t.stopped then begin
-          flush_store t;
-          T.schedule ep ~delay:flush_interval ftick
-        end
-      in
-      T.schedule ep ~delay:flush_interval ftick
-    end
+    if Vmap.disk t.vmap <> None then every flush_interval flush_store
 
   let stop t = t.stopped <- true
 end

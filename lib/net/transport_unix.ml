@@ -1,61 +1,6 @@
 module Bytebuf = Transport.Bytebuf
 
-(* Pending timers, as a binary min-heap on (deadline, seq).  The RPC
-   layer schedules one timeout per in-flight request, so under a
-   pipelined load thousands are live at once and insertion must not
-   touch them all (a sorted list rebuilt per insert collapses the
-   whole client to GC churn).  [seq] breaks deadline ties in FIFO
-   order so same-instant timers fire in the order scheduled. *)
-module Theap = struct
-  type entry = { at : float; seq : int; fn : unit -> unit }
-  type t = { mutable a : entry array; mutable n : int; mutable seq : int }
-
-  let dummy = { at = 0.0; seq = 0; fn = ignore }
-  let create () = { a = Array.make 64 dummy; n = 0; seq = 0 }
-  let is_empty t = t.n = 0
-  let min_at t = t.a.(0).at
-
-  let before x y = x.at < y.at || (x.at = y.at && x.seq < y.seq)
-
-  let push t ~at fn =
-    if t.n = Array.length t.a then begin
-      let b = Array.make (2 * t.n) dummy in
-      Array.blit t.a 0 b 0 t.n;
-      t.a <- b
-    end;
-    let e = { at; seq = t.seq; fn } in
-    t.seq <- t.seq + 1;
-    let i = ref t.n in
-    t.n <- t.n + 1;
-    while !i > 0 && before e t.a.((!i - 1) / 2) do
-      t.a.(!i) <- t.a.((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done;
-    t.a.(!i) <- e
-
-  let pop t =
-    let top = t.a.(0) in
-    t.n <- t.n - 1;
-    let e = t.a.(t.n) in
-    t.a.(t.n) <- dummy;
-    if t.n > 0 then begin
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let s = ref !i in
-        t.a.(!i) <- e;
-        if l < t.n && before t.a.(l) t.a.(!s) then s := l;
-        if r < t.n && before t.a.(r) t.a.(!s) then s := r;
-        if !s = !i then continue := false
-        else begin
-          t.a.(!i) <- t.a.(!s);
-          i := !s
-        end
-      done
-    end;
-    top.fn
-end
+module Engine = D2_simnet.Engine
 
 let hello_magic = "D2N1"
 
@@ -77,7 +22,6 @@ type conn = {
   outq : Bytebuf.t;
   hello_buf : Bytes.t;
   mutable hello_got : int;
-  mutable accepted : bool;  (** [on_accept] delivered (inbound only) *)
   mutable want_write : bool;  (** write interest currently registered *)
   mutable readable_cb : unit -> unit;
   mutable close_cb : unit -> unit;
@@ -90,8 +34,10 @@ and t = {
   ps : Pollset.t;
   by_fd : (int, conn) Hashtbl.t;
   mutable accept_cb : conn -> unit;
-  mutable conns : conn list;
-  timers : Theap.t;
+  (* Timers (RPC timeouts, node ticks) share the simulator's wheel, at
+     a 1 ms tick, clocked in seconds since [t0]: see {!clock}. *)
+  timers : Engine.t;
+  t0 : float;
   (* Self-pipe: {!wake} (any thread) writes a byte, a blocked {!poll}
      wakes and drains it.  How a background fsync completion gets the
      loop to release the acks it was holding. *)
@@ -109,9 +55,14 @@ let on_accept t cb = t.accept_cb <- cb
 let on_readable c cb = c.readable_cb <- cb
 let on_close c cb = c.close_cb <- cb
 
+(* The wheel's clock: wall time since creation, never behind the
+   engine's own clock, so a wall-clock step back files no timer in the
+   engine's past (it only delays them). *)
+let clock t = Float.max (Engine.now t.timers) (Unix.gettimeofday () -. t.t0)
+
 let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Transport_unix.schedule: negative delay";
-  Theap.push t.timers ~at:(Unix.gettimeofday () +. delay) f
+  Engine.schedule t.timers ~at:(clock t +. delay) f
 
 (* Readiness interest is persistent: read is always armed on an open
    stream, write only while connecting or while [outq] holds bytes the
@@ -123,16 +74,12 @@ let set_interest c =
     Pollset.set c.owner.ps c.fd ~read:true ~write:want
   end
 
-let drop_conn t c =
-  t.conns <- List.filter (fun x -> x != c) t.conns;
-  Hashtbl.remove t.by_fd (fd_int c.fd)
-
 let teardown c =
   if c.copen then begin
     c.copen <- false;
     Pollset.remove c.owner.ps c.fd;
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
-    drop_conn c.owner c
+    Hashtbl.remove c.owner.by_fd (fd_int c.fd)
   end
 
 (* The stream died under us: tear down and tell the owner. *)
@@ -196,7 +143,6 @@ let recv_into c buf ~off ~len =
   end
 
 let register t c =
-  t.conns <- c :: t.conns;
   Hashtbl.replace t.by_fd (fd_int c.fd) c;
   c.want_write <- c.connecting || not (Bytebuf.is_empty c.outq);
   Pollset.set t.ps c.fd ~read:true ~write:c.want_write
@@ -211,7 +157,6 @@ let mk_conn owner fd ~cpeer ~connecting =
     outq = Bytebuf.create ();
     hello_buf = Bytes.create hello_len;
     hello_got = (if cpeer >= 0 then hello_len else 0);
-    accepted = cpeer >= 0;
     want_write = false;
     readable_cb = ignore;
     close_cb = ignore;
@@ -281,8 +226,8 @@ let create ~node ~addr_of ?(listen = true) ?(reuseport = false) () =
     ps;
     by_fd = Hashtbl.create 64;
     accept_cb = ignore;
-    conns = [];
-    timers = Theap.create ();
+    timers = Engine.create ~granularity:0.001 ();
+    t0 = Unix.gettimeofday ();
     wake_r;
     wake_w;
   }
@@ -306,7 +251,8 @@ let shutdown t =
   (match t.listen_fd with
   | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
   | None -> ());
-  List.iter close t.conns;
+  (* [close] removes from [by_fd]: snapshot before closing. *)
+  List.iter close (Hashtbl.fold (fun _ c acc -> c :: acc) t.by_fd []);
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   Pollset.close t.ps
@@ -337,7 +283,6 @@ let pump_hello t c =
               c.cpeer <-
                 Int32.to_int (Bytes.get_int32_be c.hello_buf 4)
                 land 0xffff_ffff;
-              c.accepted <- true;
               t.accept_cb c
             end
           end
@@ -356,25 +301,11 @@ let accept_ready t =
             Unix.set_nonblock fd;
             (try Unix.setsockopt fd TCP_NODELAY true
              with Unix.Unix_error _ -> ());
-            let c = mk_conn t fd ~cpeer:(-1) ~connecting:false in
-            c.hello_got <- 0;
-            c.accepted <- false;
-            register t c
+            register t (mk_conn t fd ~cpeer:(-1) ~connecting:false)
         | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
             continue := false
         | exception Unix.Unix_error _ -> continue := false
       done
-
-let run_timers t =
-  let rec loop () =
-    if (not (Theap.is_empty t.timers))
-       && Theap.min_at t.timers <= Unix.gettimeofday ()
-    then begin
-      (Theap.pop t.timers) ();
-      loop ()
-    end
-  in
-  loop ()
 
 (* One wakeup: wait on the persistent pollset, then drain every ready
    descriptor — completed connects and pending writes flush first
@@ -383,10 +314,10 @@ let run_timers t =
    reader handles back-to-back pipelined frames from one read). *)
 let poll t ~timeout =
   if timeout < 0.0 then invalid_arg "Transport_unix.poll: negative timeout";
-  let now_ = Unix.gettimeofday () in
   let wait_s =
-    if Theap.is_empty t.timers then timeout
-    else max 0.0 (min timeout (Theap.min_at t.timers -. now_))
+    match Engine.next_at t.timers with
+    | None -> timeout
+    | Some at -> Float.max 0.0 (Float.min timeout (at -. clock t))
   in
   let timeout_ms = int_of_float (ceil (wait_s *. 1000.0)) in
   (match Pollset.wait t.ps ~timeout_ms with
@@ -421,8 +352,7 @@ let poll t ~timeout =
                   else flush c;
                 if c.copen && Pollset.readable t.ps i then
                   if c.hello_got < hello_len then pump_hello t c
-                  else if c.accepted || c.connecting = false then
-                    c.readable_cb ()
+                  else c.readable_cb ()
               end
       done);
-  run_timers t
+  Engine.run t.timers ~until:(clock t)

@@ -16,10 +16,15 @@
     kernel spreads inbound connections across their listen sockets
     (the [d2d] daemon's domain-sharded mode).
 
-    Each direction of a stream begins with an 8-byte hello
-    ([magic ++ node handle]) injected and consumed by the transport
-    itself, so [on_accept] fires only once the peer's identity is
-    known and protocol code never sees transport framing. *)
+    Each direction of a stream begins with a 9-byte hello
+    ([magic ++ node handle ++ protocol version]) injected and consumed
+    by the transport itself, so [on_accept] fires only once the peer's
+    identity is known (a peer of another version is dropped first) and
+    protocol code never sees transport framing.
+
+    Timers file into a {!D2_simnet.Engine} wheel, the queue
+    {!Transport_mem} and the simulator use: they fire in (deadline,
+    scheduling order), never early. *)
 
 include Transport.S
 

@@ -326,6 +326,10 @@ let post_in t ~sink ~delay ~tag ~payload =
 
 let pending t = wheel_count t + t.nready
 
+let next_at t =
+  surface t;
+  if t.nready = 0 then None else Some t.c_time.(t.ready.(0))
+
 let run ?until t =
   let continue = ref true in
   while !continue do

@@ -29,6 +29,11 @@ val schedule_in : t -> delay:float -> (unit -> unit) -> unit
 val pending : t -> int
 (** Number of events (closures and posted cells) not yet fired. *)
 
+val next_at : t -> float option
+(** Time of the event {!run} would fire next, or [None] when nothing is
+    pending.  A real-time loop bounds its blocking wait with it, then
+    calls [run ~until:now]. *)
+
 (** {1 Posted cells}
 
     Every event lives in one queue: a pool of cells filed in a

@@ -124,14 +124,8 @@ let read_into t ~off ~len buf ~dst_off =
     Bytes.blit t.wbuf (off + file_n - t.written) buf (dst_off + file_n) buf_n
 
 let read_all t =
-  let n = t.written in
-  let buf = Bytes.create n in
-  let got = ref 0 in
-  while !got < n do
-    let r = pread_stub t.fd buf !got (n - !got) !got in
-    if r = 0 then failwith "Segment.read_all: short read";
-    got := !got + r
-  done;
+  let buf = Bytes.create t.written in
+  read_into t ~off:0 ~len:t.written buf ~dst_off:0;
   buf
 
 let truncate_to t len =

@@ -129,6 +129,14 @@ let checkpoint_locked t =
     ~tail_off:(Segment.file_length t.active.seg);
   t.n_checkpoints <- t.n_checkpoints + 1
 
+(* A segment is worth rewriting once it is sealed and either fully
+   dead or holding less than [compact_live] of its bytes live. *)
+let compactable cfg st =
+  st.sealed
+  && (st.live = 0
+     || float_of_int st.live
+        < cfg.compact_live *. float_of_int (Segment.file_length st.seg))
+
 (* Bytes in segment [sid] just died (overwrite or remove).  Flag a
    compaction check once a sealed segment crosses the threshold. *)
 let note_dead t sid rlen =
@@ -136,10 +144,7 @@ let note_dead t sid rlen =
   | None -> ()
   | Some st ->
       st.live <- st.live - rlen;
-      if st.sealed then
-        let total = Segment.file_length st.seg in
-        if st.live = 0 || float_of_int st.live < t.cfg.compact_live *. float_of_int total
-        then t.compact_check <- true
+      if compactable t.cfg st then t.compact_check <- true
 
 let rotate_locked t =
   settle_active t;
@@ -152,14 +157,24 @@ let rotate_locked t =
   t.active <- st;
   (* Checkpointing here bounds tail replay to the (empty) new segment. *)
   checkpoint_locked t;
-  if
-    old.live = 0
-    || float_of_int old.live
-       < t.cfg.compact_live *. float_of_int (Segment.file_length old.seg)
-  then t.compact_check <- true
+  if compactable t.cfg old then t.compact_check <- true
 
 let maybe_rotate_locked t =
   if Segment.length t.active.seg >= t.cfg.segment_bytes then rotate_locked t
+
+(* Every mutation ends the same way: take the next sequence, make it
+   as durable as the fsync policy asks, and rotate a full segment. *)
+let commit_locked t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  (match t.cfg.fsync with
+  | Always -> sync_active t
+  | Never ->
+      (* Durability is the kernel's problem; report it done. *)
+      Atomic.set t.durable seq
+  | Batch -> ());
+  maybe_rotate_locked t;
+  seq
 
 let put_slice t ~key ~(data : Slice.t) =
   if data.len > Record.max_data then
@@ -179,16 +194,7 @@ let put_slice t ~key ~(data : Slice.t) =
       st.live <- st.live + rlen;
       t.payload_bytes <- t.payload_bytes + data.len;
       Cache.cache_store_slice t.bcache key data;
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
-      (match t.cfg.fsync with
-      | Always -> sync_active t
-      | Never ->
-          (* Durability is the kernel's problem; report it done. *)
-          Atomic.set t.durable seq
-      | Batch -> ());
-      maybe_rotate_locked t;
-      seq)
+      commit_locked t)
 
 let put t ~key ~data = put_slice t ~key ~data:(Slice.of_string data)
 
@@ -207,14 +213,7 @@ let remove t ~key =
                ~data:(Slice.of_string ""));
           (* The tombstone itself is dead weight from birth: it exists
              only for tail replay, so it never counts as live. *)
-          let seq = t.next_seq in
-          t.next_seq <- seq + 1;
-          (match t.cfg.fsync with
-          | Always -> sync_active t
-          | Never -> Atomic.set t.durable seq
-          | Batch -> ());
-          maybe_rotate_locked t;
-          (true, seq))
+          (true, commit_locked t))
 
 (* The cache probe runs before the store lock (the cache has its own):
    with domain-sharded serving, hot reads never contend with writers,
@@ -388,22 +387,15 @@ let pick_victim_locked t ~force =
   let best = ref None in
   Hashtbl.iter
     (fun _ st ->
-      if st.sealed then begin
-        let total = Segment.file_length st.seg in
+      let total = Segment.file_length st.seg in
+      if compactable t.cfg st || (force && st.sealed && st.live < total) then
         let frac =
           if total = 0 then 0.0
           else float_of_int st.live /. float_of_int total
         in
-        let eligible =
-          st.live = 0
-          || frac < t.cfg.compact_live
-          || (force && st.live < total)
-        in
-        if eligible then
-          match !best with
-          | Some (bf, _) when bf <= frac -> ()
-          | _ -> best := Some (frac, st)
-      end)
+        match !best with
+        | Some (bf, _) when bf <= frac -> ()
+        | _ -> best := Some (frac, st))
     t.segs;
   match !best with
   | None ->
@@ -738,14 +730,7 @@ let create ~dir ?(config = default_config) () =
     Mutex.lock t.lock;
     checkpoint_locked t;
     Hashtbl.iter
-      (fun _ st ->
-        if
-          st.sealed
-          && (st.live = 0
-             || float_of_int st.live
-                < config.compact_live *. float_of_int (Segment.file_length st.seg)
-             )
-        then t.compact_check <- true)
+      (fun _ st -> if compactable config st then t.compact_check <- true)
       t.segs;
     Mutex.unlock t.lock
   end;

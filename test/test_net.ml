@@ -466,6 +466,187 @@ let test_probe_bounds () =
       ("keys prefix 2^bits", 18, 1, 0, false);
     ]
 
+(* {1 The TCP transport}
+
+   Real loopback sockets and wall-clock timers.  Timer deadlines are
+   read from the wall clock around each [schedule] call, so a check
+   bounds the transport's own deadline between [lo] and [hi]. *)
+
+module Tu = D2_net.Transport_unix
+
+(* Pump [eps] until [cond] holds; fails after [limit] seconds. *)
+let pump ?(limit = 10.0) what eps cond =
+  let stop = Unix.gettimeofday () +. limit in
+  while not (cond ()) do
+    if Unix.gettimeofday () > stop then Alcotest.failf "timed out: %s" what;
+    List.iter (fun ep -> Tu.poll ep ~timeout:0.01) eps
+  done
+
+type timer_spec = After of int * timer_spec list  (** ms, then children *)
+
+(* Mixed and equal delays, some scheduled from inside a firing
+   callback.  One batch (timers scheduled by the same code, in a row)
+   must fire in (delay, scheduling order); across batches consecutive
+   fires have non-decreasing deadlines; none fires before it is due. *)
+
+let test_tcp_timers () =
+  let ep = Tu.create ~node:0 ~addr_of:(fun _ -> None) ~listen:false () in
+  let timers = Hashtbl.create 16 and fired = ref [] and next = ref 0 in
+  let rec schedule_batch batch specs =
+    List.iter
+      (fun (After (ms, children)) ->
+        let id = !next in
+        incr next;
+        let delay = float_of_int ms /. 1000.0 in
+        let lo = Unix.gettimeofday () +. delay in
+        Tu.schedule ep ~delay (fun () ->
+            fired := (id, Unix.gettimeofday ()) :: !fired;
+            schedule_batch id children);
+        let hi = Unix.gettimeofday () +. delay in
+        Hashtbl.replace timers id (batch, ms, lo, hi))
+      specs
+  in
+  schedule_batch (-1)
+    ([
+      After (30, []);
+      After (10, [ After (0, []); After (10, []); After (0, []) ]);
+      After (20, [ After (5, []); After (5, []) ]);
+      After (10, []);
+      After (0, [ After (20, []); After (0, []) ]);
+      After (30, []);
+      After (20, []);
+      After (0, []);
+    ]
+    (* A burst of equal delays: back-to-back calls share a clock
+       reading, so only scheduling order can order them. *)
+    @ List.init 32 (fun _ -> After (15, [])));
+  pump "every timer fired" [ ep ] (fun () -> List.length !fired = !next);
+  let order = List.rev !fired in
+  let ids = List.map fst order in
+  Alcotest.(check (list int))
+    "each fired once"
+    (List.init !next Fun.id)
+    (List.sort compare ids);
+  List.iter
+    (fun (id, at) ->
+      let _, ms, lo, _ = Hashtbl.find timers id in
+      if at < lo -. 1e-6 then
+        Alcotest.failf "timer %d (%d ms) fired %.6f s early" id ms (lo -. at))
+    order;
+  let batch id = let b, _, _, _ = Hashtbl.find timers id in b in
+  let delay_then_seq id = let _, ms, _, _ = Hashtbl.find timers id in (ms, id) in
+  List.iter
+    (fun b ->
+      let members = List.filter (fun id -> batch id = b) ids in
+      Alcotest.(check (list int))
+        (Printf.sprintf "batch %d fires in (delay, scheduling order)" b)
+        (List.sort (fun x y -> compare (delay_then_seq x) (delay_then_seq y)) members)
+        members)
+    (List.sort_uniq compare (List.map batch ids));
+  let rec consecutive = function
+    | a :: (b :: _ as rest) ->
+        let _, _, lo_a, _ = Hashtbl.find timers a
+        and _, _, _, hi_b = Hashtbl.find timers b in
+        if lo_a > hi_b +. 1e-6 then
+          Alcotest.failf "timer %d fired before %d, whose deadline is earlier" a b;
+        consecutive rest
+    | _ -> ()
+  in
+  consecutive ids;
+  (* An idle poll with a long timeout wakes for the earliest timer. *)
+  let due = ref false in
+  Tu.schedule ep ~delay:0.05 (fun () -> due := true);
+  let t0 = Unix.gettimeofday () in
+  Tu.poll ep ~timeout:5.0;
+  let waited = Unix.gettimeofday () -. t0 in
+  if waited > 1.0 then
+    Alcotest.failf "poll slept %.3f s past a timer due in 0.05 s" waited;
+  pump "the 50 ms timer fired" [ ep ] (fun () -> !due);
+  Tu.shutdown ep
+
+(* A port the kernel just handed out: bind port 0, read it, close. *)
+let free_port () =
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let port =
+    match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+  in
+  Unix.close fd;
+  port
+
+let two_node_addrs () =
+  let ports = [| free_port (); free_port () |] in
+  fun i ->
+    if i < 0 || i > 1 then None
+    else Some (Unix.ADDR_INET (Unix.inet_addr_loopback, ports.(i)))
+
+let test_tcp_loopback () =
+  let addr_of = two_node_addrs () in
+  let a = Tu.create ~node:0 ~addr_of () and b = Tu.create ~node:1 ~addr_of () in
+  let peers = ref [] and got = Buffer.create 1024 and closed = ref false in
+  let scratch = Bytes.create 4096 in
+  Tu.on_accept b (fun c ->
+      peers := Tu.peer c :: !peers;
+      Tu.on_readable c (fun () ->
+          let continue = ref true in
+          while !continue do
+            let n = Tu.recv_into c scratch ~off:0 ~len:(Bytes.length scratch) in
+            if n > 0 then Buffer.add_subbytes got scratch 0 n else continue := false
+          done);
+      Tu.on_close c (fun () -> closed := true));
+  let rng = Rng.create 0x7c9 in
+  let payload = Bytes.init 300_000 (fun _ -> Char.chr (Rng.int rng 256)) in
+  let c =
+    match Tu.connect a ~dst:1 with
+    | Some c -> c
+    | None -> Alcotest.fail "connect to a listening peer failed"
+  in
+  Alcotest.(check int) "outbound peer" 1 (Tu.peer c);
+  (* Odd-sized sends, so the kernel splits them at its own boundaries. *)
+  let off = ref 0 in
+  while !off < Bytes.length payload do
+    let len = min 7_919 (Bytes.length payload - !off) in
+    Tu.send c payload ~off:!off ~len;
+    off := !off + len
+  done;
+  pump "payload delivered" [ a; b ] (fun () ->
+      Buffer.length got >= Bytes.length payload);
+  Alcotest.(check (list int)) "on_accept names the dialer" [ 0 ] !peers;
+  Alcotest.(check bool) "bytes arrive exact" true
+    (Bytes.equal payload (Buffer.to_bytes got));
+  Tu.close c;
+  Alcotest.(check bool) "closed locally" false (Tu.is_open c);
+  pump "peer sees the close" [ a; b ] (fun () -> !closed);
+  Tu.shutdown a;
+  Tu.shutdown b
+
+(* A hello carrying another protocol version is dropped before
+   [on_accept]: the listener closes the stream. *)
+let test_tcp_version_mismatch () =
+  let addr_of = two_node_addrs () in
+  let b = Tu.create ~node:1 ~addr_of () in
+  let accepted = ref 0 in
+  Tu.on_accept b (fun _ -> incr accepted);
+  let raw = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.connect raw (Option.get (addr_of 1));
+  let hello = Bytes.create 9 in
+  Bytes.blit_string "D2N1" 0 hello 0 4;
+  Bytes.set_int32_be hello 4 0l;
+  Bytes.set_uint8 hello 8 ((Wire.protocol_version + 1) land 0xff);
+  ignore (Unix.write raw hello 0 9);
+  Unix.set_nonblock raw;
+  let eof = ref false in
+  pump "listener drops the stream" [ b ] (fun () ->
+      (match Unix.read raw (Bytes.create 16) 0 16 with
+      | 0 -> eof := true
+      | _ -> ()
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
+      | exception Unix.Unix_error _ -> eof := true);
+      !eof);
+  Alcotest.(check int) "no on_accept" 0 !accepted;
+  Unix.close raw;
+  Tu.shutdown b
+
 let prop name f =
   QCheck.Test.make ~count:500 ~name QCheck.(small_nat) (fun seed -> f (seed + 1))
 
@@ -491,5 +672,14 @@ let () =
             (prop "pipelined burst, random boundaries" reader_pipelined_burst_prop);
           Alcotest.test_case "capacity settles at creation floor" `Quick
             test_reader_capacity_floor;
+        ] );
+      ( "transport_unix",
+        [
+          Alcotest.test_case "timers in (deadline, scheduling order)" `Quick
+            test_tcp_timers;
+          Alcotest.test_case "loopback accept, bytes, close" `Quick
+            test_tcp_loopback;
+          Alcotest.test_case "hello of another version dropped" `Quick
+            test_tcp_version_mismatch;
         ] );
     ]

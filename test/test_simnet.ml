@@ -81,7 +81,9 @@ let test_engine_every () =
    wheel level and beyond the wheel's 2^24-tick horizon (a 1 us tick
    puts 17 s past it), scheduled from inside firing events and
    between [until] slices.  Delays are drawn from a few discrete steps
-   so that equal times are common. *)
+   so that equal times are common.  Before each slice, [next_at] names
+   the time of the first event the slice fires (or lies past [until]
+   when it fires none), and is [None] exactly when nothing is pending. *)
 let prop_engine_fire_order =
   QCheck.Test.make ~name:"fires in (time, scheduling order)" ~count:300
     QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
@@ -99,10 +101,12 @@ let prop_engine_fire_order =
         | _ -> 16.0 +. k (* beyond the horizon *)
       in
       let scheduled = ref [] and fired = ref [] in
+      let slice_first = ref None and next_ok = ref true in
       let next_id = ref 0 in
       let spawn = ref (fun () -> ()) in
       let fire id =
         fired := (Engine.now e, id) :: !fired;
+        if !slice_first = None then slice_first := Some (Engine.now e);
         for _ = 1 to Rng.int rng 3 do
           !spawn ()
         done
@@ -118,17 +122,30 @@ let prop_engine_fire_order =
              if Rng.bool rng then Engine.post e ~sink ~at ~tag:id ~payload:0
              else Engine.schedule e ~at (fun () -> fire id)
            end);
-      for _ = 1 to 20 do
+      for _ = 1 to 1 + Rng.int rng 20 do
         !spawn ()
       done;
       for _ = 1 to 1 + Rng.int rng 8 do
-        Engine.run e ~until:(Engine.now e +. delay ());
+        let until = Engine.now e +. delay () in
+        let next = Engine.next_at e and pending = Engine.pending e in
+        slice_first := None;
+        Engine.run e ~until;
+        let next_ok_here =
+          (next = None) = (pending = 0)
+          &&
+          match !slice_first, next with
+          | Some first, _ -> next = Some first
+          | None, None -> true
+          | None, Some at -> at > until
+        in
+        next_ok := !next_ok && next_ok_here;
         for _ = 1 to Rng.int rng 4 do
           !spawn ()
         done
       done;
       Engine.run e;
-      Engine.pending e = 0
+      !next_ok && Engine.next_at e = None
+      && Engine.pending e = 0
       && List.rev !fired = List.sort compare !scheduled)
 
 (* {1 Topology} *)
