@@ -297,26 +297,62 @@ let vv_merge_test () =
       done;
       ignore (Sys.opaque_identity !acc)))
 
-(* Root-level digest build over a 4096-entry version map: one full
-   CRC-32C fold into 16 buckets, the fixed cost every repair session
-   pays per round regardless of how little diverged. *)
-let digest_build_4k_test () =
-  let open Bechamel in
+(* A version map of [n] random keys, each stamped once. *)
+let filled_vmap n =
   let module Vv = D2_sync.Version_vector in
   let module Vmap = D2_sync.Vmap in
-  let module Digest = D2_sync.Digest in
   let vmap = Vmap.create () in
   let krng = Rng.create 0xd16 in
-  for i = 0 to 4095 do
-    ignore
-      (Vmap.write vmap ~key:(Key.random krng) ~node:(i land 31)
-         ~incoming:Vv.empty ~data:(Some (D2_util.Slice.of_string "")))
-  done;
+  let keys = Array.init n (fun _ -> Key.random krng) in
+  Array.iteri
+    (fun i key ->
+      ignore
+        (Vmap.write vmap ~key ~node:(i land 31) ~incoming:Vv.empty
+           ~data:(Some (D2_util.Slice.of_string ""))))
+    keys;
+  (vmap, keys)
+
+(* Root-level digest build over a 4096-entry version map: one full
+   CRC-32C fold into 16 buckets, what a range's first probe costs. *)
+let digest_build_4k_test () =
+  let open Bechamel in
+  let module Vmap = D2_sync.Vmap in
+  let module Digest = D2_sync.Digest in
+  let vmap, _ = filled_vmap 4096 in
   Test.make ~name:"digest_build_4k" (Staged.stage (fun () ->
       let children =
         Digest.children ~iter:(fun f -> Vmap.iter vmap f) ~prefix:0 ~bits:0
       in
       ignore (Sys.opaque_identity children)))
+
+(* A root probe of a range the map already keeps summed: what every
+   later probe costs, whatever the key count.  The map is built when
+   this micro starts and dropped when it ends, so the large one does
+   not weigh on the other micros' heap. *)
+let digest_probe_test ~name n =
+  let open Bechamel in
+  let module Vmap = D2_sync.Vmap in
+  let probe vmap = Vmap.children vmap ~lo:Key.zero ~hi:Key.zero ~prefix:0 ~bits:0 in
+  Test.make_with_resource ~name Test.uniq
+    ~allocate:(fun () ->
+      let vmap, _ = filled_vmap n in
+      ignore (probe vmap);
+      vmap)
+    ~free:ignore
+    (Staged.stage (fun vmap -> ignore (Sys.opaque_identity (probe vmap))))
+
+(* Entry lookups in a 16k-key map, a batch of [micro_batch] per run:
+   the partition lock plus one hash-table probe. *)
+let vmap_find_16k_test () =
+  let open Bechamel in
+  let module Vmap = D2_sync.Vmap in
+  Test.make_with_resource ~name:"vmap_find_16k" Test.uniq
+    ~allocate:(fun () -> filled_vmap 16384)
+    ~free:ignore
+    (Staged.stage (fun (vmap, keys) ->
+         for i = 0 to micro_batch - 1 do
+           ignore (Sys.opaque_identity (Vmap.find vmap ~key:keys.(i * 16)))
+         done))
 
 (* One quorum-2 get through the full stack on a 3-node cluster: the
    owner consults a replica and folds version vectors before
@@ -784,6 +820,9 @@ let micro_tests ~full () =
       (`Quick, 2, net_mem_rpc_test ());
       (`Quick, micro_batch, vv_merge_test ());
       (`Quick, 1, digest_build_4k_test ());
+      (`Quick, 1, digest_probe_test ~name:"digest_probe_4k" 4096);
+      (`Quick, 1, digest_probe_test ~name:"digest_probe_262k" 262_144);
+      (`Quick, micro_batch, vmap_find_16k_test ());
       (* one quorum-2 get per staged run *)
       (`Quick, 1, quorum_get_test ());
       (`Quick, micro_batch, net_write_coalesce_test ());

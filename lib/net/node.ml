@@ -382,14 +382,10 @@ module Make (T : Transport.S) = struct
         let epoch = Mutex.protect t.lock (fun () -> Ring.epoch t.ring) in
         L.reply l ~req (Wire.Probe_ack { node = t.me; epoch })
     | Wire.Sync_digests { lo; hi; prefix; bits } ->
-        let children =
-          Digest.children ~iter:(Vmap.iter_range t.vmap ~lo ~hi) ~prefix ~bits
-        in
+        let children = Vmap.children t.vmap ~lo ~hi ~prefix ~bits in
         L.reply l ~req (Wire.Sync_digests_ack { children })
     | Wire.Sync_keys { lo; hi; prefix; bits } ->
-        let items =
-          Digest.items ~iter:(Vmap.iter_range t.vmap ~lo ~hi) ~prefix ~bits
-        in
+        let items = Vmap.items t.vmap ~lo ~hi ~prefix ~bits in
         (* A bucket this deep holding more than the frame cap would
            take ~2^28 hash collisions; truncating (sorted, so both
            sides drop the same tail region) keeps the frame bounded
@@ -548,8 +544,6 @@ module Make (T : Transport.S) = struct
         | None -> ());
         cb r)
 
-  let range_iter t s = Vmap.iter_range t.vmap ~lo:s.lo ~hi:s.hi
-
   (* Sequential session driver: one outstanding RPC, digest narrowing
      first, then pulls, then pushes.  A timeout or unexpected reply
      abandons the session — the next tick starts over. *)
@@ -563,8 +557,8 @@ module Make (T : Transport.S) = struct
             (function
               | Some (Wire.Sync_digests_ack { children = remote }) ->
                   let local =
-                    Digest.children ~iter:(range_iter t s) ~prefix:p.Repair.prefix
-                      ~bits:p.Repair.bits
+                    Vmap.children t.vmap ~lo:s.lo ~hi:s.hi
+                      ~prefix:p.Repair.prefix ~bits:p.Repair.bits
                   in
                   List.iter
                     (fun n -> Queue.push n s.probes)
@@ -578,8 +572,8 @@ module Make (T : Transport.S) = struct
             (function
               | Some (Wire.Sync_keys_ack { items = remote }) ->
                   let local =
-                    Digest.items ~iter:(range_iter t s) ~prefix:p.Repair.prefix
-                      ~bits:p.Repair.bits
+                    Vmap.items t.vmap ~lo:s.lo ~hi:s.hi
+                      ~prefix:p.Repair.prefix ~bits:p.Repair.bits
                     |> List.filteri (fun i _ -> i < Wire.max_sync_items)
                   in
                   let { Repair.pull; push } = Repair.diff ~local ~remote in

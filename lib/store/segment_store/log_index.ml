@@ -11,6 +11,7 @@ type t = {
   mutable high : int;  (** slots ever touched *)
   mutable n : int;  (** live bindings *)
   mutable free_head : int;
+  mutable ckpt : Bytes.t;  (** the checkpoint encoder's buffer, reused *)
 }
 
 let create ?(capacity = 1024) () =
@@ -24,6 +25,7 @@ let create ?(capacity = 1024) () =
     high = 0;
     n = 0;
     free_head = -1;
+    ckpt = Bytes.empty;
   }
 
 let count t = t.n
@@ -100,16 +102,11 @@ let iter t f =
 
 let magic = "D2SEGIDX1\n"
 
-let add_u32 b v =
-  Buffer.add_char b (Char.unsafe_chr (v land 0xff));
-  Buffer.add_char b (Char.unsafe_chr ((v lsr 8) land 0xff));
-  Buffer.add_char b (Char.unsafe_chr ((v lsr 16) land 0xff));
-  Buffer.add_char b (Char.unsafe_chr ((v lsr 24) land 0xff))
+let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
-let add_u48 b v =
-  add_u32 b (v land 0xFFFFFFFF);
-  Buffer.add_char b (Char.unsafe_chr ((v lsr 32) land 0xff));
-  Buffer.add_char b (Char.unsafe_chr ((v lsr 40) land 0xff))
+let set_u48 b off v =
+  set_u32 b off v;
+  Bytes.set_uint16_le b (off + 4) ((v lsr 32) land 0xffff)
 
 let get_u32 s off =
   Char.code s.[off]
@@ -123,31 +120,37 @@ let get_u48 s off =
   lor (Char.code s.[off + 5] lsl 40)
 
 let entry_len = Key.size + 4 + 6 + 4
+let header_len = String.length magic + 4 + 4 + 6
 
+(* Encoded in place into the buffer the index keeps: a checkpoint
+   rewrites the whole index every few seconds, and a fresh
+   index-sized block per checkpoint would be major-heap garbage. *)
 let save t ~path ~tail_seg ~tail_off =
-  let b = Buffer.create (64 + (t.n * entry_len)) in
-  Buffer.add_string b magic;
-  add_u32 b t.n;
-  add_u32 b tail_seg;
-  add_u48 b tail_off;
+  let size = header_len + (t.n * entry_len) + 4 in
+  if Bytes.length t.ckpt < size then t.ckpt <- Bytes.create (size + (size / 4));
+  let b = t.ckpt in
+  let ml = String.length magic in
+  Bytes.blit_string magic 0 b 0 ml;
+  set_u32 b ml t.n;
+  set_u32 b (ml + 4) tail_seg;
+  set_u48 b (ml + 8) tail_off;
+  let o = ref header_len in
   iter t (fun ~key ~seg ~off ~len ->
-      Buffer.add_string b (Key.to_string key);
-      add_u32 b seg;
-      add_u48 b off;
-      add_u32 b len);
-  let body = Buffer.contents b in
-  let crc = Crc32c.string body ~pos:0 ~len:(String.length body) in
-  add_u32 b crc;
+      Bytes.blit_string (Key.to_string key) 0 b !o Key.size;
+      set_u32 b (!o + Key.size) seg;
+      set_u48 b (!o + Key.size + 4) off;
+      set_u32 b (!o + Key.size + 10) len;
+      o := !o + entry_len);
+  set_u32 b !o (Crc32c.bytes b ~pos:0 ~len:!o);
   let tmp = path ^ ".tmp" in
   let fd =
     Unix.openfile tmp
       [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
       0o644
   in
-  let data = Buffer.to_bytes b in
   let o = ref 0 in
-  while !o < Bytes.length data do
-    o := !o + Unix.write fd data !o (Bytes.length data - !o)
+  while !o < size do
+    o := !o + Unix.write fd b !o (size - !o)
   done;
   (* The rename must not land before the bytes: fsync, then swap. *)
   (try Unix.fsync fd with Unix.Unix_error _ -> ());
@@ -163,8 +166,7 @@ let load ~path =
   with
   | exception _ -> None
   | s ->
-      let ml = String.length magic in
-      let fixed = ml + 4 + 4 + 6 in
+      let ml = String.length magic and fixed = header_len in
       if String.length s < fixed + 4 || not (String.sub s 0 ml = magic) then
         None
       else

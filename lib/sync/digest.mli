@@ -18,6 +18,10 @@
 
 module Key = D2_keyspace.Key
 
+type entry = { vv : Version_vector.t; deleted : bool }
+(** One key's repair state: its version vector and tombstone flag
+    ({!Vmap.entry} is this type). *)
+
 val fanout : int
 (** Children per digest level (16 = 4 hash bits per round). *)
 
@@ -27,25 +31,34 @@ val max_bits : int
 (** Hash bits available for bucketing (28); a probe at [max_bits]
     cannot recurse further and must exchange keys. *)
 
+val hash_bits : Key.t -> int
+(** The key's top {!max_bits} hash bits: the trie path every bucket
+    and child index is read from. *)
+
 val entry_crc : Key.t -> Version_vector.t -> bool -> int
 (** CRC-32C over the key bytes, the encoded vector, and the tombstone
-    flag — the unit the bucket sums are built from. *)
+    flag — the unit the bucket sums are built from.  Allocates
+    nothing: the pieces are laid out in a per-domain buffer.
+    @raise Invalid_argument if the vector is not
+    {!Version_vector.encodable}. *)
 
 val in_bucket : Key.t -> prefix:int -> bits:int -> bool
 (** Whether the key's hash starts with [prefix] (its top [bits] bits). *)
 
 val children :
-  iter:((Key.t -> Vmap.entry -> unit) -> unit) ->
+  iter:((Key.t -> entry -> unit) -> unit) ->
   prefix:int ->
   bits:int ->
   (int * int) array
 (** [fanout] child buckets of the node ([prefix], [bits]) as
-    (CRC sum mod 2^32, entry count) pairs, folded from whatever range
-    iterator the caller supplies (normally {!Vmap.iter_range}
-    partially applied). *)
+    (CRC sum mod 2^32, entry count) pairs, folded from whatever
+    iterator the caller supplies.  This is the definition of a digest;
+    a live node answers probes with {!Vmap.children}, which keeps the
+    shallow levels summed as entries change and folds only one
+    partition for the deep ones. *)
 
 val items :
-  iter:((Key.t -> Vmap.entry -> unit) -> unit) ->
+  iter:((Key.t -> entry -> unit) -> unit) ->
   prefix:int ->
   bits:int ->
   (Key.t * Version_vector.t * bool) list

@@ -172,10 +172,15 @@ let u32_max = 0xffff_ffff
 
 let encoded_size t = 1 + (8 * Array.length t.nodes)
 
+(* A top-level loop, not [Array.for_all]: it is checked on every
+   stamp and every digest CRC, and allocates no closure. *)
+let rec fits_u32 nodes counts i =
+  i = Array.length nodes
+  || (nodes.(i) <= u32_max && counts.(i) <= u32_max
+     && fits_u32 nodes counts (i + 1))
+
 let encodable t =
-  Array.length t.nodes <= max_entries
-  && Array.for_all (fun n -> n <= u32_max) t.nodes
-  && Array.for_all (fun c -> c <= u32_max) t.counts
+  Array.length t.nodes <= max_entries && fits_u32 t.nodes t.counts 0
 
 let encode_into t buf ~off =
   let n = Array.length t.nodes in

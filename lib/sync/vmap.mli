@@ -6,8 +6,8 @@
     {!apply} on a replica receiving a stamped copy), removes leave
     tombstones (a deleted key must keep its vector or anti-entropy
     would resurrect it from a replica that missed the remove), reads
-    return a key's vector and bytes together ({!read}), and the repair
-    digests fold over the entries ({!iter} / {!iter_range}).
+    return a key's vector and bytes together ({!read}), and repair
+    probes are answered from it ({!children} / {!items}).
 
     Only the bytes differ between backends.  An in-RAM table keeps
     them beside the entries, in the same partition.  A disk table
@@ -15,19 +15,29 @@
     sequence {!write} and {!apply} return so the caller can hold its
     ack until a group commit covers it.
 
-    Thread-safe: keys hash across 32 independently locked partitions,
-    so the domain-sharded runtime's data path runs in parallel across
-    domains.  Every read or write of a key's (vector, bytes) pair
-    happens under that key's partition lock, so two domains writing
-    one key can never leave its bytes and its vector naming different
-    writes.  Lock order: a partition lock, then the store's mutex —
-    never the other way round. *)
+    Thread-safe: keys spread over 32 independently locked partitions
+    by the top 5 of their {!Digest.hash_bits}, so the domain-sharded
+    runtime's data path runs in parallel across domains.  Every read
+    or write of a key's (vector, bytes) pair happens under that key's
+    partition lock, so two domains writing one key can never leave its
+    bytes and its vector naming different writes.  Lock order: a
+    partition lock, then the store's mutex — never the other way
+    round.
+
+    Repair digests are kept, not folded.  For each ring range it has
+    been probed on (at most 8, least recently probed evicted), the
+    table keeps the {!Digest} sum and count of every 12-bit hash
+    prefix, a cell.  A cell lies inside one partition, and a change to
+    an entry moves its CRC between cells under the partition lock the
+    change already holds, so the sums add no lock.  A probe at most 8
+    bits deep adds up cells; a deeper one, and a key listing, walks
+    only the partitions the bucket spans (one, from 5 bits down). *)
 
 module Key = D2_keyspace.Key
 
 type t
 
-type entry = { vv : Version_vector.t; deleted : bool }
+type entry = Digest.entry = { vv : Version_vector.t; deleted : bool }
 
 val create : ?disk:D2_segstore.Store.t -> unit -> t
 (** An empty in-RAM table, or, with [disk], the table of a node whose
@@ -108,10 +118,37 @@ val blocks : t -> int
 val stored_bytes : t -> int
 (** Live payload bytes. *)
 
-val iter : t -> (Key.t -> entry -> unit) -> unit
+val longest_chain : t -> int
+(** The longest bucket chain in any partition's hash table: a check
+    that the partition rule leaves each table's bucket bits free. *)
 
-val iter_range : t -> lo:Key.t -> hi:Key.t -> (Key.t -> entry -> unit) -> unit
-(** Entries with key in the half-open ring interval [(lo, hi]]
-    ({!Key.in_interval}); the whole table when [lo = hi].  The
-    callback runs under a partition lock: it must not call back into
-    the table. *)
+val iter : t -> (Key.t -> entry -> unit) -> unit
+(** Every entry.  The callback runs under a partition lock: it must
+    not call back into the table. *)
+
+(** {1 Repair probes}
+
+    Both answer for the entries with key in the half-open ring
+    interval [(lo, hi]] ({!Key.in_interval}), the whole table when
+    [lo = hi], exactly as the {!Digest} folds over those entries
+    would. *)
+
+val children :
+  t -> lo:Key.t -> hi:Key.t -> prefix:int -> bits:int -> (int * int) array
+(** {!Digest.children} of the bucket ([prefix], [bits]).  At most 8
+    bits deep this sums the range's cells: the first such probe of a
+    range folds each partition it reaches once, and writes keep the
+    cells current after that.  A deeper probe folds the bucket's one
+    partition.
+    @raise Invalid_argument when [bits + Digest.fanout_bits] exceeds
+    {!Digest.max_bits}. *)
+
+val items :
+  t ->
+  lo:Key.t ->
+  hi:Key.t ->
+  prefix:int ->
+  bits:int ->
+  (Key.t * Version_vector.t * bool) list
+(** {!Digest.items} of the bucket ([prefix], [bits]), walking only
+    the partitions it spans. *)

@@ -7,6 +7,7 @@
 module Store = D2_segstore.Store
 module Record = D2_segstore.Record
 module Crc32c = D2_segstore.Crc32c
+module Log_index = D2_segstore.Log_index
 module Cache = D2_cache.Block_cache
 module Key = D2_keyspace.Key
 module Rng = D2_util.Rng
@@ -415,6 +416,63 @@ let test_compaction_relocates_encoded () =
       Alcotest.(check int) "full scan taken" 0 (recovered_from_checkpoint st);
       check "full-scan recovery" st;
       Store.close st)
+
+(* {1 Index checkpoints} *)
+
+(* The checkpoint format as a [Buffer] encoder: magic, then u32 count,
+   u32 tail segment and u48 tail offset, then per binding the key, u32
+   segment, u48 offset and u32 length, all little-endian, then the
+   CRC-32C of everything before it. *)
+let reference_checkpoint idx ~tail_seg ~tail_off =
+  let b = Buffer.create 1024 in
+  let u32 v = Buffer.add_int32_le b (Int32.of_int v) in
+  let u48 v =
+    u32 v;
+    Buffer.add_uint16_le b ((v lsr 32) land 0xffff)
+  in
+  Buffer.add_string b "D2SEGIDX1\n";
+  u32 (Log_index.count idx);
+  u32 tail_seg;
+  u48 tail_off;
+  Log_index.iter idx (fun ~key ~seg ~off ~len ->
+      Buffer.add_string b (Key.to_string key);
+      u32 seg;
+      u48 off;
+      u32 len);
+  u32 (Crc32c.string (Buffer.contents b) ~pos:0 ~len:(Buffer.length b));
+  Buffer.contents b
+
+(* [save] encodes into a buffer the index keeps: each file must match
+   the format byte for byte, a smaller second save included (no stale
+   tail from the first), and load back. *)
+let test_checkpoint_bytes () =
+  with_dir "ckpt" (fun dir ->
+      Unix.mkdir dir 0o755;
+      let path = Filename.concat dir "index" in
+      let idx = Log_index.create ~capacity:16 () in
+      for i = 0 to 99 do
+        ignore
+          (Log_index.bind idx ~key:(key_of i) ~seg:(i mod 7)
+             ~off:((i * 0x1_0000_0001) land 0xffff_ffff_ffff)
+             ~len:(Record.header_len + i))
+      done;
+      let saved ~tail_seg ~tail_off =
+        Log_index.save idx ~path ~tail_seg ~tail_off;
+        Alcotest.(check string) "checkpoint bytes"
+          (reference_checkpoint idx ~tail_seg ~tail_off)
+          (In_channel.with_open_bin path In_channel.input_all);
+        match Log_index.load ~path with
+        | Some (back, ts, toff) ->
+            Alcotest.(check (triple int int int)) "loaded header"
+              (Log_index.count idx, tail_seg, tail_off)
+              (Log_index.count back, ts, toff)
+        | None -> Alcotest.fail "checkpoint did not load"
+      in
+      saved ~tail_seg:6 ~tail_off:0x1234_5678_9a;
+      for i = 0 to 59 do
+        ignore (Log_index.remove idx (key_of (i * 3 mod 100)))
+      done;
+      saved ~tail_seg:7 ~tail_off:12)
 
 (* {1 Recovery paths} *)
 
@@ -963,6 +1021,8 @@ let () =
         ] );
       ( "recovery",
         [
+          Alcotest.test_case "checkpoint bytes match the format" `Quick
+            test_checkpoint_bytes;
           Alcotest.test_case "checkpoint vs tail replay" `Quick
             test_recovery_checkpoint_vs_replay;
           Alcotest.test_case "crash loses only the volatile tail" `Quick
