@@ -593,10 +593,11 @@ let fleet_step_test () =
 (* {2 Segment-store micros}
 
    The durable-store kernels: buffered append + group commit, the
-   out-of-core read (pread, cache off), the cache-hit read, and
-   recovery's log replay.  Stores live on tmpfs when the machine has
-   one so the numbers gate the store's own code path, not the CI
-   runner's disk (the smoke test measures real devices end-to-end). *)
+   out-of-core read (pread, cache off), the cache-hit read, recovery's
+   log replay, and compaction's relocation of live records.  Stores
+   live on tmpfs when the machine has one so the numbers gate the
+   store's own code path, not the CI runner's disk (the smoke test
+   measures real devices end-to-end). *)
 
 module Seg_store = D2_segstore.Store
 
@@ -628,6 +629,10 @@ let bench_store_root =
 let bench_store_dir name =
   Filename.concat (Lazy.force bench_store_root) name
 
+(* The store writes slices; the micros write whole strings. *)
+let store_put st ~key ~data =
+  Seg_store.put st ~key ~data:(D2_util.Slice.of_string data)
+
 (* Wire-realistic keys (the trace keymap produces well-spread digests;
    a counter-in-ASCII key would defeat [Key.hash]'s designed blind
    spots and benchmark a collision chain instead of the store). *)
@@ -644,7 +649,7 @@ let store_append_batch_test () =
   let data = String.make 256 'a' in
   Test.make ~name:"store_append_batch" (Staged.stage (fun () ->
       for i = 0 to micro_batch - 1 do
-        ignore (Seg_store.put st ~key:keys.(i) ~data)
+        ignore (store_put st ~key:keys.(i) ~data)
       done;
       (* One group commit covers the whole batch: the amortized
          fdatasync is part of the per-op cost being gated. *)
@@ -657,7 +662,7 @@ let store_read_test ~name ~cache_bytes =
   let keys = Lazy.force store_keys in
   let data = String.make 256 'r' in
   for i = 0 to micro_batch - 1 do
-    ignore (Seg_store.put st ~key:keys.(i) ~data)
+    ignore (store_put st ~key:keys.(i) ~data)
   done;
   Seg_store.flush st;
   (* Prime the cache (a no-op when it is disabled). *)
@@ -684,7 +689,7 @@ let store_recovery_replay_test () =
   let rng = Rng.create 0x4ec0 in
   let data = String.make 256 'v' in
   for _ = 1 to store_recovery_records do
-    ignore (Seg_store.put st ~key:(Key.random rng) ~data)
+    ignore (store_put st ~key:(Key.random rng) ~data)
   done;
   Seg_store.flush st;
   Seg_store.crash st;
@@ -698,6 +703,46 @@ let store_recovery_replay_test () =
       Seg_store.crash st;
       (* Drop the reopen's checkpoint so the next run replays again. *)
       try Sys.remove ckpt with Sys_error _ -> ()))
+
+(* Per-record relocation cost: each run links one half-live sealed
+   segment — [store_compact_records] live 8 KB records among as many
+   removed ones — into a fresh directory beside its checkpoint, opens
+   the store, and compacts it away.  Linking (not copying) keeps the
+   fixture out of the measurement; compaction only reads the victim
+   and then unlinks its own link. *)
+let store_compact_records = 1024
+
+let store_compact_test () =
+  let open Bechamel in
+  let fixture = bench_store_dir "compact-fixture" in
+  let config =
+    { Seg_store.default_config with cache_bytes = 0; fsync = Seg_store.Never }
+  in
+  let st = Seg_store.create ~dir:fixture ~config () in
+  let rng = Rng.create 0xc0c7 in
+  let data = String.make 8192 'c' in
+  for _ = 1 to store_compact_records do
+    let dead = Key.random rng in
+    ignore (store_put st ~key:(Key.random rng) ~data);
+    ignore (store_put st ~key:dead ~data);
+    ignore (Seg_store.remove st ~key:dead)
+  done;
+  Seg_store.close st;
+  let files = Sys.readdir fixture in
+  let run = bench_store_dir "compact-run" in
+  Test.make ~name:"store_compact" (Staged.stage (fun () ->
+      Unix.mkdir run 0o755;
+      Array.iter
+        (fun f -> Unix.link (Filename.concat fixture f) (Filename.concat run f))
+        files;
+      let st = Seg_store.create ~dir:run ~config () in
+      if Seg_store.compact st ~force:false <> 1 then
+        failwith "store_compact: the half-live segment was not collected";
+      Seg_store.crash st;
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat run f))
+        (Sys.readdir run);
+      Unix.rmdir run))
 
 let micro_tests ~full () =
   let open Bechamel in
@@ -834,6 +879,7 @@ let micro_tests ~full () =
       (`Quick, micro_batch,
        store_read_test ~name:"store_get_cached" ~cache_bytes:(64 lsl 20));
       (`Quick, store_recovery_records, store_recovery_replay_test ());
+      (`Quick, store_compact_records, store_compact_test ());
     ]
   in
   let selected =

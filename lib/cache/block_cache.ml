@@ -214,7 +214,7 @@ let evict_to_fit c =
    the cache must never answer with a value the caller has replaced.
    The entry gives its old pages back and is accounted at its new
    size before eviction runs, so the pages it then takes are free. *)
-let cache_store_slice c key (s : Slice.t) =
+let cache_store c key (s : Slice.t) =
   if c.capacity > 0 then
     Mutex.protect c.mu (fun () ->
         let found = KTbl.find_opt c.tbl key in
@@ -240,8 +240,6 @@ let cache_store_slice c key (s : Slice.t) =
           evict_to_fit c;
           fill c e s
         end)
-
-let cache_store c key data = cache_store_slice c key (Slice.of_string data)
 
 (* A probe: counts a hit or a miss and promotes a hit to MRU. *)
 let lookup c key =

@@ -27,22 +27,19 @@ val touch : t -> now:float -> Key.t -> bool
     Payloads of half a page (2 KB) or more are kept off the OCaml heap,
     in one arena of 4 KB pages sized at twice the capacity (address
     space: only as many pages as were ever in use at once get touched,
-    and so resident).  Stores and
-    {!cache_find_into} copy bytes in and out and allocate nothing;
-    {!cache_find} returns a fresh copy. *)
+    and so resident).  {!cache_store} and {!cache_find_into} copy
+    bytes in and out and allocate nothing; {!cache_find} returns a
+    fresh copy. *)
 
 type bytes_cache
 
 val bytes_cache : capacity:int -> bytes_cache
 
-val cache_store : bytes_cache -> Key.t -> string -> unit
+val cache_store : bytes_cache -> Key.t -> D2_util.Slice.t -> unit
 (** Insert or refresh a payload (becomes MRU); evicts LRU entries
-    until the capacity holds.  A payload above the capacity is not
-    retained, and it drops the key's older cached copy. *)
-
-val cache_store_slice : bytes_cache -> Key.t -> D2_util.Slice.t -> unit
-(** {!cache_store} from a window of a buffer: the bytes are copied, so
-    the slice may be reused as soon as this returns. *)
+    until the capacity holds.  The bytes are copied, so the slice may
+    be reused as soon as this returns.  A payload above the capacity
+    is not retained, and it drops the key's older cached copy. *)
 
 val cache_find : bytes_cache -> Key.t -> string option
 (** Hit promotes to MRU and counts toward {!cache_hits}. *)

@@ -121,7 +121,7 @@ let hotspot _scale =
   let zipf = Zipf.create ~n:256 ~s:0.9 in
   let requests = 20_000 in
   (* Every simulated 8 KB block shares one payload: only sizes matter. *)
-  let block = String.make 8192 '\000' in
+  let block = D2_util.Slice.of_string (String.make 8192 '\000') in
   let scratch = Bytes.create 8192 in
   let cached c key = Block_cache.cache_find_into c key scratch >= 0 in
   let run ~with_caches =

@@ -79,6 +79,12 @@ let bind t ~key ~seg ~off ~len =
       t.n <- t.n + 1;
       None
 
+let move t s ~seg ~off =
+  t.segs.(s) <- seg;
+  t.offs.(s) <- off
+
+let slots t = t.high
+
 let remove t k =
   match Key.Table.find_opt t.tbl k with
   | None -> None
@@ -148,12 +154,18 @@ let save t ~path ~tail_seg ~tail_off =
       [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
       0o644
   in
-  let o = ref 0 in
-  while !o < size do
-    o := !o + Unix.write fd b !o (size - !o)
-  done;
-  (* The rename must not land before the bytes: fsync, then swap. *)
-  (try Unix.fsync fd with Unix.Unix_error _ -> ());
+  (* The rename must not land before the bytes: fsync, then swap.  A
+     failed write or fsync leaves the old checkpoint in place. *)
+  (try
+     let o = ref 0 in
+     while !o < size do
+       o := !o + Unix.write fd b !o (size - !o)
+     done;
+     Unix.fsync fd
+   with e ->
+     Unix.close fd;
+     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+     raise e);
   Unix.close fd;
   Unix.rename tmp path
 

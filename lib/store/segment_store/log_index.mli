@@ -31,6 +31,13 @@ val bind : t -> key:Key.t -> seg:int -> off:int -> len:int -> (int * int) option
     key was already bound (the caller moves those bytes from live to
     dead). *)
 
+val move : t -> int -> seg:int -> off:int -> unit
+(** Re-point slot [s] at a copy of its record (same length) —
+    compaction relocating it; the key's hash entry is untouched. *)
+
+val slots : t -> int
+(** Slot ids in use are below this. *)
+
 val remove : t -> Key.t -> (int * int) option
 (** Drop a binding; returns the dead [(seg, len)] if it existed. *)
 
@@ -42,7 +49,9 @@ val save : t -> path:string -> tail_seg:int -> tail_off:int -> unit
 (** Atomically (write-tmp, fsync, rename) persist the index.  The
     watermark [(tail_seg, tail_off)] promises: every record at or past
     it is {e not} reflected in the saved bindings, and every record
-    before it is — so recovery = load + replay the tail. *)
+    before it is — so recovery = load + replay the tail.  A failed
+    write or fsync removes the tmp file and raises before the rename:
+    the previous checkpoint stays. *)
 
 val load : path:string -> (t * int * int) option
 (** [Some (index, tail_seg, tail_off)], or [None] when the file is

@@ -77,12 +77,6 @@ let append t ~kind ~key ~(data : D2_util.Slice.t) =
   t.wlen <- t.wlen + Record.encode_into t.wbuf ~off:t.wlen ~kind ~key ~data;
   off
 
-let append_encoded t buf ~off ~len =
-  let at = claim t len in
-  Bytes.blit buf off t.wbuf t.wlen len;
-  t.wlen <- t.wlen + len;
-  at
-
 let write_fully fd buf off len =
   let o = ref off and remaining = ref len in
   while !remaining > 0 do
@@ -122,6 +116,18 @@ let read_into t ~off ~len buf ~dst_off =
   let buf_n = len - file_n in
   if buf_n > 0 then
     Bytes.blit t.wbuf (off + file_n - t.written) buf (dst_off + file_n) buf_n
+
+let relocate t ~src ~off ~len ~key =
+  let at = claim t len in
+  read_into src ~off ~len t.wbuf ~dst_off:t.wlen;
+  match Record.decode t.wbuf ~off:t.wlen ~avail:len with
+  | `Record r
+    when r.Record.d_kind = Record.kind_put
+         && r.Record.d_total = len
+         && Key.equal r.Record.d_key key ->
+      t.wlen <- t.wlen + len;
+      at
+  | _ -> -1
 
 let read_all t =
   let buf = Bytes.create t.written in

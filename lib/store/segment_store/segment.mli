@@ -37,11 +37,11 @@ val synced : t -> int
 val append : t -> kind:int -> key:Key.t -> data:D2_util.Slice.t -> int
 (** Stage one record; returns its offset.  No syscall happens here. *)
 
-val append_encoded : t -> Bytes.t -> off:int -> len:int -> int
-(** Stage a record that is already encoded ([buf.[off .. off+len-1]],
-    CRC included) — compaction relocating a live record — as is;
-    returns its offset.  A record's bytes do not depend on where it
-    sits, so nothing is re-encoded or re-checksummed. *)
+val relocate : t -> src:t -> off:int -> len:int -> key:Key.t -> int
+(** Read the record at [src]'s [off .. off+len-1] straight into the
+    write buffer — compaction moving a live record, as is — and return
+    its new offset; or [-1], staging nothing, unless it decodes as one
+    whole put record of [key] with a good CRC. *)
 
 val flush : t -> fsync:bool -> unit
 (** Drain the write buffer with one [write(2)]; with [fsync], follow
@@ -53,8 +53,8 @@ val read_into : t -> off:int -> len:int -> Bytes.t -> dst_off:int -> unit
     segment's logical end, so that means external truncation. *)
 
 val read_all : t -> Bytes.t
-(** The whole file image (recovery and compaction scans; the write
-    buffer is not included — scanned segments have none). *)
+(** The whole file image (recovery's scan; the write buffer is not
+    included — scanned segments have none). *)
 
 val truncate_to : t -> int -> unit
 (** Cut the file back to [len] bytes (drop a torn tail). *)

@@ -45,15 +45,14 @@ type seg_state = {
   mutable sealed : bool;
 }
 
-(* One victim mid-rewrite.  Compaction is incremental: each step
-   rewrites at most a byte budget of the victim's image, so the poll
-   loop never stalls long enough to trip a peer's RPC timeout (a
-   synchronous 64 MB rewrite froze the daemon for hundreds of
+(* One victim mid-relocation.  Compaction is incremental: each step
+   relocates at most a byte budget of the victim's live records, so
+   the poll loop never stalls long enough to trip a peer's RPC timeout
+   (a synchronous 64 MB rewrite froze the daemon for hundreds of
    milliseconds — long enough to get this node falsely suspected). *)
 type compaction = {
-  c_st : seg_state;  (** the victim being rewritten *)
-  mutable c_buf : Bytes.t;  (** scratch chunk, reused across steps *)
-  mutable c_pos : int;  (** next unscanned offset in the victim *)
+  c_st : seg_state;  (** the victim being emptied *)
+  mutable c_slot : int;  (** next index slot to examine *)
 }
 
 type t = {
@@ -70,7 +69,6 @@ type t = {
   mutable n_fsyncs : int;
   mutable n_rotations : int;
   mutable n_compactions : int;
-  mutable n_checkpoints : int;
   mutable compact_check : bool;
   mutable compacting : compaction option;
   (* Background group-commit flusher (Batch policy only): the event
@@ -85,14 +83,28 @@ type t = {
   mutable durable_cb : unit -> unit;  (** fired after each background sync *)
   recovered : recovery option;
   mutable closed : bool;
+  mutable failed : exn option;  (** the write or sync error, once one failed *)
 }
 
-let dir t = t.sdir
-let config t = t.cfg
 let recovery t = t.recovered
 let ckpt_path dir = Filename.concat dir "index.ckpt"
 
 let check_open t = if t.closed then invalid_arg "Segment_store: closed"
+
+let check_writable t =
+  check_open t;
+  Option.iter raise t.failed
+
+(* Push the active segment's buffer, and with [fsync] sync it.  After
+   a failed write(2) or fdatasync the file's tail is unknown (a retried
+   fdatasync may succeed on pages the kernel dropped), so the first
+   error fails the store for good. *)
+let flush_active t ~fsync =
+  Option.iter raise t.failed;
+  try Segment.flush t.active.seg ~fsync
+  with Unix.Unix_error _ as e ->
+    t.failed <- Some e;
+    raise e
 
 (* The flusher thread advances the watermark without the store lock,
    so every writer must go through a monotone compare-and-set. *)
@@ -105,7 +117,7 @@ let rec advance_durable t seq =
    group-commit primitive everything below builds on. *)
 let sync_active t =
   let before = Segment.synced t.active.seg in
-  Segment.flush t.active.seg ~fsync:true;
+  flush_active t ~fsync:true;
   if Segment.synced t.active.seg > before then t.n_fsyncs <- t.n_fsyncs + 1;
   (* Every assigned sequence lives in the active segment or an earlier
      sealed (already synced) one, so the watermark jumps to the last
@@ -119,15 +131,14 @@ let sync_active t =
    for exactly the users who asked not to wait for the disk. *)
 let settle_active t =
   match t.cfg.fsync with
-  | Never -> Segment.flush t.active.seg ~fsync:false
+  | Never -> flush_active t ~fsync:false
   | Always | Batch -> sync_active t
 
 let checkpoint_locked t =
   settle_active t;
   Log_index.save t.index ~path:(ckpt_path t.sdir)
     ~tail_seg:(Segment.id t.active.seg)
-    ~tail_off:(Segment.file_length t.active.seg);
-  t.n_checkpoints <- t.n_checkpoints + 1
+    ~tail_off:(Segment.file_length t.active.seg)
 
 (* A segment is worth rewriting once it is sealed and either fully
    dead or holding less than [compact_live] of its bytes live. *)
@@ -176,11 +187,11 @@ let commit_locked t =
   maybe_rotate_locked t;
   seq
 
-let put_slice t ~key ~(data : Slice.t) =
+let put t ~key ~(data : Slice.t) =
   if data.len > Record.max_data then
     invalid_arg "Segment_store.put: block exceeds max record payload";
   Mutex.protect t.lock (fun () ->
-      check_open t;
+      check_writable t;
       let st = t.active in
       let off = Segment.append st.seg ~kind:Record.kind_put ~key ~data in
       let rlen = Record.encoded_len ~data_len:data.len in
@@ -193,27 +204,29 @@ let put_slice t ~key ~(data : Slice.t) =
       | None -> ());
       st.live <- st.live + rlen;
       t.payload_bytes <- t.payload_bytes + data.len;
-      Cache.cache_store_slice t.bcache key data;
+      Cache.cache_store t.bcache key data;
       commit_locked t)
 
-let put t ~key ~data = put_slice t ~key ~data:(Slice.of_string data)
+(* Unbind [key] and log its tombstone: a remove, and how compaction
+   discards a record that no longer checks out. *)
+let drop_locked t key =
+  match Log_index.remove t.index key with
+  | None -> false
+  | Some (oseg, olen) ->
+      note_dead t oseg olen;
+      t.payload_bytes <- t.payload_bytes - (olen - Record.header_len);
+      Cache.cache_remove t.bcache key;
+      (* The tombstone itself is dead weight from birth: it exists
+         only for replay, so it never counts as live. *)
+      ignore
+        (Segment.append t.active.seg ~kind:Record.kind_remove ~key
+           ~data:(Slice.of_string ""));
+      true
 
 let remove t ~key =
   Mutex.protect t.lock (fun () ->
-      check_open t;
-      match Log_index.remove t.index key with
-      | None -> (false, 0)
-      | Some (oseg, olen) ->
-          note_dead t oseg olen;
-          t.payload_bytes <- t.payload_bytes - (olen - Record.header_len);
-          Cache.cache_remove t.bcache key;
-          let st = t.active in
-          ignore
-            (Segment.append st.seg ~kind:Record.kind_remove ~key
-               ~data:(Slice.of_string ""));
-          (* The tombstone itself is dead weight from birth: it exists
-             only for tail replay, so it never counts as live. *)
-          (true, commit_locked t))
+      check_writable t;
+      if drop_locked t key then (true, commit_locked t) else (false, 0))
 
 (* The cache probe runs before the store lock (the cache has its own):
    with domain-sharded serving, hot reads never contend with writers,
@@ -234,7 +247,7 @@ let read_through t ~key ~into =
         Segment.read_into st.seg
           ~off:(Log_index.off t.index s + Record.header_len)
           ~len:dlen buf ~dst_off:0;
-        Cache.cache_store_slice t.bcache key (Slice.v buf ~off:0 ~len:dlen);
+        Cache.cache_store t.bcache key (Slice.v buf ~off:0 ~len:dlen);
         dlen
       end)
 
@@ -261,19 +274,16 @@ let get_into t ~key buf =
           buf)
   | n -> n
 
-let mem t ~key =
-  Mutex.protect t.lock (fun () -> Log_index.find t.index key >= 0)
-
 let flush t =
   Mutex.protect t.lock (fun () ->
       if not t.closed then
         match t.cfg.fsync with
         | Always -> () (* every put synced inline; nothing pending *)
         | Batch -> sync_active t
-        | Never -> Segment.flush t.active.seg ~fsync:false)
+        | Never -> flush_active t ~fsync:false)
 
 let needs_flush t =
-  (not t.closed)
+  (not t.closed) && t.failed = None
   &&
   match t.cfg.fsync with
   | Always -> false
@@ -301,30 +311,41 @@ let rec flusher_loop t =
   if not stop then begin
     let work =
       Mutex.protect t.lock (fun () ->
-          if t.closed then None
-          else begin
-            Segment.flush t.active.seg ~fsync:false;
-            let seg = t.active.seg in
-            let upto = Segment.file_length seg in
-            let covered = t.next_seq - 1 in
-            if Segment.synced seg >= upto && Atomic.get t.durable >= covered
-            then None
-            else Some (seg, upto, covered)
-          end)
+          if t.closed || t.failed <> None then None
+          else
+            match flush_active t ~fsync:false with
+            | exception Unix.Unix_error _ -> None
+            | () ->
+                let seg = t.active.seg in
+                let upto = Segment.file_length seg in
+                let covered = t.next_seq - 1 in
+                if Segment.synced seg >= upto && Atomic.get t.durable >= covered
+                then None
+                else Some (seg, upto, covered))
     in
     (match work with
     | None -> ()
     | Some (seg, upto, covered) ->
-        (* EBADF is possible if a rotation plus a full compaction
-           retired this very segment in the window; that path already
-           synced it, so the records are durable either way. *)
-        (try Segment.datasync seg with Unix.Unix_error _ -> ());
+        let err =
+          match Segment.datasync seg with
+          | () -> None
+          | exception (Unix.Unix_error _ as e) -> Some e
+        in
         Mutex.protect t.lock (fun () ->
-            if not t.closed then begin
-              Segment.mark_synced seg ~upto;
-              t.n_fsyncs <- t.n_fsyncs + 1;
-              advance_durable t covered
-            end);
+            (* EBADF is possible if a rotation plus a full compaction
+               retired this very segment in the window; that rotation
+               synced it, so the records are durable either way.  Any
+               other error leaves them in doubt: no ack may follow. *)
+            match err with
+            | Some (Unix.Unix_error (e, _, _) as x)
+              when e <> Unix.EBADF || Hashtbl.mem t.segs (Segment.id seg) ->
+                t.failed <- Some x
+            | _ ->
+                if not t.closed then begin
+                  Segment.mark_synced seg ~upto;
+                  t.n_fsyncs <- t.n_fsyncs + 1;
+                  advance_durable t covered
+                end);
         t.durable_cb ());
     flusher_loop t
   end
@@ -364,25 +385,26 @@ let checkpoint t =
 
 (* {1 Incremental compaction}
 
-   A victim (sealed segment below the live threshold) is rewritten a
-   bounded slice at a time: each step preads at most a chunk of the
-   victim, decodes the records it fully contains, and re-appends the
-   ones the index still points at into the active segment.  The cost
-   per step — read, scan, relocate — is bounded by [compact_budget],
-   so a 64 MB segment never stalls the serving loop the way a
-   stop-the-world rewrite would (long enough to trip RPC timeouts and
-   get the node falsely suspected).  When the cursor reaches the end,
+   A victim (sealed segment below the live threshold) is emptied a
+   bounded slice at a time: each step walks on through the index
+   slots, and each slot still bound into the victim has its record
+   read by (offset, length) into the active segment and re-pointed
+   there — only what the index calls live is read, and recovery stays
+   the log's one scanner.  A copy that fails its check (the victim
+   rotted on disk) is dropped as a remove would drop it.  A step
+   relocates at most [compact_budget] bytes, so a 64 MB segment never
+   stalls the serving loop long enough to trip RPC timeouts and get
+   the node falsely suspected.  Once no slot points into the victim,
    the relocations are made durable, the index is checkpointed (so
-   full-scan recovery can never resurrect what the victim's tombstones
-   killed), and only then is the file deleted — a crash in between
-   recovers from the checkpoint and re-collects the victim later as a
-   fully dead segment. *)
+   full-scan recovery can never resurrect what the victim's
+   tombstones killed), and only then is the file deleted — a crash in
+   between recovers from the checkpoint and re-collects the victim
+   later as a fully dead segment. *)
 
-let compact_budget = 1 lsl 20
-let compact_chunk_max = 8 lsl 20
+let compact_budget = 512 lsl 10
 
 (* Lowest-live-fraction sealed segment below the threshold (any dead
-   byte qualifies under [force]) becomes the rewrite victim. *)
+   byte qualifies under [force]) becomes the victim. *)
 let pick_victim_locked t ~force =
   let best = ref None in
   Hashtbl.iter
@@ -402,72 +424,41 @@ let pick_victim_locked t ~force =
       t.compact_check <- false;
       false
   | Some (_, st) ->
-      t.compacting <- Some { c_st = st; c_buf = Bytes.create 0; c_pos = 0 };
+      t.compacting <- Some { c_st = st; c_slot = 0 };
       true
 
-(* Advance the in-flight rewrite by [budget] scanned bytes; returns
-   [true] when the victim was finished (checkpointed and deleted). *)
+(* Relocate up to [budget] more bytes of the victim; returns [true]
+   when it was finished (checkpointed and deleted). *)
 let compact_step_locked t ~budget =
   match t.compacting with
   | None -> false
   | Some c ->
       let st = c.c_st in
       let sid = Segment.id st.seg in
-      let flen = Segment.file_length st.seg in
-      (* Nothing live means nothing to relocate: skip the scan. *)
-      if st.live = 0 then c.c_pos <- flen;
-      let deadline = min flen (c.c_pos + max 1 (min budget flen)) in
-      while c.c_pos < deadline && st.live > 0 do
-        (* A record may straddle the chunk end; grow until at least one
-           decodes (records are bounded by [Record.max_data]). *)
-        let chunk =
-          ref (min (flen - c.c_pos) (max 1 (min compact_chunk_max (deadline - c.c_pos))))
-        in
-        let progressed = ref false in
-        while not !progressed do
-          if Bytes.length c.c_buf < !chunk then c.c_buf <- Bytes.create !chunk;
-          Segment.read_into st.seg ~off:c.c_pos ~len:!chunk c.c_buf ~dst_off:0;
-          let pos = ref 0 in
-          let stop = ref false in
-          while not !stop do
-            match Record.decode c.c_buf ~off:!pos ~avail:(!chunk - !pos) with
-            | `Bad -> stop := true
-            | `Record r ->
-                (if r.Record.d_kind = Record.kind_put then begin
-                   let s = Log_index.find t.index r.Record.d_key in
-                   if
-                     s >= 0
-                     && Log_index.seg t.index s = sid
-                     && Log_index.off t.index s = c.c_pos + !pos
-                   then begin
-                     let off =
-                       Segment.append_encoded t.active.seg c.c_buf ~off:!pos
-                         ~len:r.Record.d_total
-                     in
-                     ignore
-                       (Log_index.bind t.index ~key:r.Record.d_key
-                          ~seg:(Segment.id t.active.seg)
-                          ~off ~len:r.Record.d_total);
-                     t.active.live <- t.active.live + r.Record.d_total;
-                     st.live <- st.live - r.Record.d_total;
-                     maybe_rotate_locked t
-                   end
-                 end);
-                pos := !pos + r.Record.d_total;
-                progressed := true
-          done;
-          if !progressed then c.c_pos <- c.c_pos + !pos
-          else if c.c_pos + !chunk >= flen then begin
-            (* Sealed segments are clean, so a record that still does
-               not decode with the whole remainder in view cannot
-               happen; never loop on it. *)
-            c.c_pos <- flen;
-            progressed := true
-          end
-          else chunk := min (flen - c.c_pos) (2 * !chunk)
-        done
+      let moved = ref 0 in
+      while
+        st.live > 0 && !moved < budget && c.c_slot < Log_index.slots t.index
+      do
+        let s = c.c_slot in
+        c.c_slot <- s + 1;
+        if Log_index.seg t.index s = sid then begin
+          let key = Log_index.key t.index s and len = Log_index.len t.index s in
+          let off =
+            Segment.relocate t.active.seg ~src:st.seg
+              ~off:(Log_index.off t.index s) ~len ~key
+          in
+          if off < 0 then ignore (drop_locked t key)
+          else begin
+            Log_index.move t.index s ~seg:(Segment.id t.active.seg) ~off;
+            t.active.live <- t.active.live + len;
+            st.live <- st.live - len;
+            moved := !moved + len
+          end;
+          maybe_rotate_locked t
+        end
       done;
-      if c.c_pos >= flen || st.live = 0 then begin
+      if st.live > 0 && c.c_slot < Log_index.slots t.index then false
+      else begin
         checkpoint_locked t;
         Hashtbl.remove t.segs sid;
         Segment.close st.seg;
@@ -476,32 +467,24 @@ let compact_step_locked t ~budget =
         t.compacting <- None;
         true
       end
-      else false
 
 let compact t ~force =
   Mutex.protect t.lock (fun () ->
-      check_open t;
-      let done_ = ref 0 in
-      let continue = ref true in
-      while !continue do
-        if t.compacting = None && not (pick_victim_locked t ~force) then
-          continue := false
-        else if compact_step_locked t ~budget:max_int then incr done_
-      done;
-      !done_)
+      check_writable t;
+      let rec go n =
+        if t.compacting = None && not (pick_victim_locked t ~force) then n
+        else go (if compact_step_locked t ~budget:max_int then n + 1 else n)
+      in
+      go 0)
 
 let maybe_compact t =
   if t.compacting = None && not t.compact_check then 0
   else
     Mutex.protect t.lock (fun () ->
-        if t.closed then 0
+        if t.closed || t.failed <> None then 0
         else begin
           if t.compacting = None then ignore (pick_victim_locked t ~force:false);
-          if
-            t.compacting <> None
-            && compact_step_locked t ~budget:compact_budget
-          then 1
-          else 0
+          if compact_step_locked t ~budget:compact_budget then 1 else 0
         end)
 
 (* The flusher is joined BEFORE the store lock is taken: it may be
@@ -511,9 +494,12 @@ let close t =
   Mutex.protect t.lock (fun () ->
       if not t.closed then begin
         (* A clean close makes everything durable whatever the policy
-           ([Never] included — this is the one sync that mode pays). *)
-        sync_active t;
-        checkpoint_locked t;
+           ([Never] included — this is the one sync that mode pays).  A
+           failed store keeps its last checkpoint. *)
+        if t.failed = None then begin
+          sync_active t;
+          checkpoint_locked t
+        end;
         Hashtbl.iter (fun _ st -> Segment.close st.seg) t.segs;
         t.closed <- true
       end)
@@ -541,17 +527,6 @@ let file_bytes t =
 
 let segment_count t = Mutex.protect t.lock (fun () -> Hashtbl.length t.segs)
 
-let iter t f =
-  Mutex.protect t.lock (fun () ->
-      check_open t;
-      Log_index.iter t.index (fun ~key ~seg ~off ~len ->
-          let st = Hashtbl.find t.segs seg in
-          let dlen = len - Record.header_len in
-          let buf = Bytes.create dlen in
-          Segment.read_into st.seg ~off:(off + Record.header_len) ~len:dlen buf
-            ~dst_off:0;
-          f key (Bytes.unsafe_to_string buf)))
-
 let iter_keys t f =
   Mutex.protect t.lock (fun () ->
       check_open t;
@@ -560,7 +535,6 @@ let iter_keys t f =
 let fsyncs t = t.n_fsyncs
 let rotations t = t.n_rotations
 let compactions t = t.n_compactions
-let checkpoints t = t.n_checkpoints
 let cache t = t.bcache
 
 (* {1 Startup: recovery} *)
@@ -709,7 +683,6 @@ let create ~dir ?(config = default_config) () =
       n_fsyncs = 0;
       n_rotations = 0;
       n_compactions = 0;
-      n_checkpoints = 0;
       compact_check = false;
       compacting = None;
       f_mu = Mutex.create ();
@@ -720,6 +693,7 @@ let create ~dir ?(config = default_config) () =
       durable_cb = ignore;
       recovered;
       closed = false;
+      failed = None;
     }
   in
   if config.fsync = Batch then t.f_thread <- Some (Thread.create flusher_loop t);

@@ -30,9 +30,14 @@
 
     {b Compaction.}  Overwrites and removes strand dead bytes in
     sealed segments; once a sealed segment's live fraction drops below
-    [compact_live], {!maybe_compact} rewrites its live records into
-    the active segment (each record's encoded bytes copied as they
-    are), checkpoints, and deletes the file.
+    [compact_live], {!maybe_compact} copies each record the index
+    binds into it, read by (offset, length), to the active segment,
+    then checkpoints and deletes the file.  A record that fails its
+    CRC is dropped as a remove would drop it; the rest survive.
+
+    {b Failure.}  The first failed write(2) or fdatasync — inline or
+    in the background flusher — fails the store: {!durable_seq} stops
+    where it is, and every later write raises that error.
 
     Thread-safe: one store-wide mutex brackets every operation (reads
     included — compaction may retire a segment under a concurrent
@@ -72,22 +77,17 @@ val create : dir:string -> ?config:config -> unit -> t
 (** Open (creating [dir] if needed) and recover whatever state the
     directory holds.  An empty directory is a fresh store. *)
 
-val dir : t -> string
-val config : t -> config
-
 val recovery : t -> recovery option
 (** Stats of the startup recovery; [None] for a fresh directory. *)
 
 (** {1 Operations} *)
 
-val put : t -> key:Key.t -> data:string -> int
+val put : t -> key:Key.t -> data:D2_util.Slice.t -> int
 (** Buffer a write; returns its append sequence (durable once
     [durable_seq] reaches it — immediately under [Always]/[Never]).
+    The bytes are copied into the log and the cache before this
+    returns, so [data] may be a window of a reused buffer.
     @raise Invalid_argument if [data] exceeds {!Record.max_data}. *)
-
-val put_slice : t -> key:Key.t -> data:D2_util.Slice.t -> int
-(** {!put} from a window of a buffer (a decoded frame's payload): the
-    bytes are copied into the log and the cache before this returns. *)
 
 val remove : t -> key:Key.t -> bool * int
 (** [(removed, seq)].  A remove of an absent key appends nothing and
@@ -101,8 +101,6 @@ val get_into : t -> key:Key.t -> Bytes.t -> int
     one pread on a miss: its length, or [-1] when the key is absent.
     Nothing is allocated.
     @raise Invalid_argument if the payload does not fit in [buf]. *)
-
-val mem : t -> key:Key.t -> bool
 
 val flush : t -> unit
 (** The group commit (see above), synchronously: when it returns,
@@ -136,14 +134,15 @@ val checkpoint : t -> unit
     checkpoint never references bytes the log does not hold). *)
 
 val maybe_compact : t -> int
-(** Rewrite-and-delete every sealed segment whose live fraction sits
-    below [compact_live]; returns how many were reclaimed.  Cheap
-    (one flag test) when no segment crossed the threshold since the
-    last call. *)
+(** One step (at most 512 KB relocated) of compacting the sealed
+    segment with the lowest live fraction below [compact_live];
+    returns 1 when it finished one, else 0.  Cheap (one flag test)
+    when no segment crossed the threshold since the last call. *)
 
 val compact : t -> force:bool -> int
-(** [maybe_compact] without the flag gate; [force] also rewrites
-    sealed segments holding any dead byte (tests). *)
+(** Compact every victim to completion, with no byte budget and no
+    flag gate; returns how many segments were reclaimed.  [force] also
+    takes sealed segments holding any dead byte (tests). *)
 
 val close : t -> unit
 (** Flush, sync, checkpoint, close descriptors.  A closed store
@@ -166,7 +165,6 @@ val file_bytes : t -> int
 (** On-disk segment bytes, dead included. *)
 
 val segment_count : t -> int
-val iter : t -> (Key.t -> string -> unit) -> unit
 
 val iter_keys : t -> (Key.t -> unit) -> unit
 (** Visit every live key with no segment reads — an index-only walk,
@@ -175,5 +173,4 @@ val iter_keys : t -> (Key.t -> unit) -> unit
 val fsyncs : t -> int
 val rotations : t -> int
 val compactions : t -> int
-val checkpoints : t -> int
 val cache : t -> D2_cache.Block_cache.bytes_cache

@@ -94,7 +94,7 @@ let disk t = t.disk
    sequence to wait for. *)
 let install t p key (data : Slice.t option) =
   match (t.disk, data) with
-  | Some st, Some data -> (false, Store.put_slice st ~key ~data)
+  | Some st, Some data -> (false, Store.put st ~key ~data)
   | Some st, None -> Store.remove st ~key
   | None, _ ->
       let old = Key.Table.find_opt p.blocks key in

@@ -313,13 +313,17 @@ let test_block_warmth () =
   Alcotest.(check bool) "warm inside 30 s" true (Block_cache.touch c ~now:129.5 k);
   Alcotest.(check bool) "cold at 30 s" false (Block_cache.touch c ~now:159.5 k)
 
-(* {1 Hot-block byte cache} *)
+(* {1 Hot-block byte cache}
+
+   The cache writes slices; the cases write strings. *)
+
+let cache_store c k d = Block_cache.cache_store c k (D2_util.Slice.of_string d)
 
 let test_bytes_cache_basics () =
   let c = Block_cache.bytes_cache ~capacity:100 in
   Alcotest.(check (option string)) "cold" None
     (Block_cache.cache_find c (k_of_byte 1));
-  Block_cache.cache_store c (k_of_byte 1) "forty-byte-ish payload";
+  cache_store c (k_of_byte 1) "forty-byte-ish payload";
   Alcotest.(check (option string)) "hit" (Some "forty-byte-ish payload")
     (Block_cache.cache_find c (k_of_byte 1));
   Alcotest.(check int) "used" 22 (Block_cache.cache_used c);
@@ -327,7 +331,7 @@ let test_bytes_cache_basics () =
   Alcotest.(check int) "hits" 1 (Block_cache.cache_hits c);
   Alcotest.(check int) "misses" 1 (Block_cache.cache_misses c);
   (* Overwrite replaces the payload and re-accounts the bytes. *)
-  Block_cache.cache_store c (k_of_byte 1) "short";
+  cache_store c (k_of_byte 1) "short";
   Alcotest.(check (option string)) "overwrite" (Some "short")
     (Block_cache.cache_find c (k_of_byte 1));
   Alcotest.(check int) "used shrank" 5 (Block_cache.cache_used c);
@@ -339,11 +343,11 @@ let test_bytes_cache_basics () =
 
 let test_bytes_cache_lru_eviction () =
   let c = Block_cache.bytes_cache ~capacity:100 in
-  Block_cache.cache_store c (k_of_byte 1) (String.make 40 'a');
-  Block_cache.cache_store c (k_of_byte 2) (String.make 40 'b');
+  cache_store c (k_of_byte 1) (String.make 40 'a');
+  cache_store c (k_of_byte 2) (String.make 40 'b');
   (* Touch 1 so 2 becomes the LRU, then overflow. *)
   ignore (Block_cache.cache_find c (k_of_byte 1));
-  Block_cache.cache_store c (k_of_byte 3) (String.make 40 'c');
+  cache_store c (k_of_byte 3) (String.make 40 'c');
   Alcotest.(check (option string)) "lru evicted" None
     (Block_cache.cache_find c (k_of_byte 2));
   Alcotest.(check bool) "recent kept" true
@@ -357,22 +361,22 @@ let test_bytes_cache_degenerate () =
   (* Capacity 0 disables the cache entirely — no storage, no hit/miss
      accounting noise. *)
   let c = Block_cache.bytes_cache ~capacity:0 in
-  Block_cache.cache_store c (k_of_byte 1) "x";
+  cache_store c (k_of_byte 1) "x";
   Alcotest.(check (option string)) "nothing stored" None
     (Block_cache.cache_find c (k_of_byte 1));
   Alcotest.(check int) "no misses counted" 0 (Block_cache.cache_misses c);
   (* A block bigger than the whole cache is not admitted (it would
      evict everything for a single use). *)
   let c = Block_cache.bytes_cache ~capacity:10 in
-  Block_cache.cache_store c (k_of_byte 1) (String.make 11 'x');
+  cache_store c (k_of_byte 1) (String.make 11 'x');
   Alcotest.(check int) "oversized ignored" 0 (Block_cache.cache_count c)
 
 let test_bytes_cache_oversized_overwrite () =
   (* Replacing a cached payload with one too big to retain must drop
      the old copy, not leave it to be served as the current value. *)
   let c = Block_cache.bytes_cache ~capacity:100 in
-  Block_cache.cache_store c (k_of_byte 1) "short";
-  Block_cache.cache_store c (k_of_byte 1) (String.make 200 'x');
+  cache_store c (k_of_byte 1) "short";
+  cache_store c (k_of_byte 1) (String.make 200 'x');
   Alcotest.(check (option string)) "no stale copy" None
     (Block_cache.cache_find c (k_of_byte 1));
   Alcotest.(check int) "no bytes held" 0 (Block_cache.cache_used c);
@@ -382,7 +386,7 @@ let test_bytes_cache_capacity_never_exceeded () =
   let c = Block_cache.bytes_cache ~capacity:1000 in
   let rng = Rng.create 7 in
   for _ = 1 to 500 do
-    Block_cache.cache_store c
+    cache_store c
       (k_of_byte (Rng.int rng 256))
       (String.make (1 + Rng.int rng 300) 'z');
     if Block_cache.cache_used c > 1000 then Alcotest.fail "capacity exceeded"
@@ -505,7 +509,7 @@ let prop_arena_cache_matches_reference =
             match op with
             | `Store (k, n, salt) ->
                 let d = payload k n salt in
-                Block_cache.cache_store c (k_of_byte k) d;
+                cache_store c (k_of_byte k) d;
                 Ref_lru.store r k d;
                 true
             | `Find k -> Block_cache.cache_find c (k_of_byte k) = Ref_lru.find r k
@@ -541,40 +545,40 @@ let cached c k = Block_cache.cache_find c k <> None
 
 let test_lru_basics () =
   let c = Block_cache.bytes_cache ~capacity:100 in
-  Block_cache.cache_store c (k_of_byte 1) (block 40);
-  Block_cache.cache_store c (k_of_byte 2) (block 40);
+  cache_store c (k_of_byte 1) (block 40);
+  cache_store c (k_of_byte 2) (block 40);
   Alcotest.(check bool) "present" true (cached c (k_of_byte 1));
   Alcotest.(check int) "bytes" 80 (Block_cache.cache_used c);
   Alcotest.(check int) "count" 2 (Block_cache.cache_count c)
 
 let test_lru_eviction_order () =
   let c = Block_cache.bytes_cache ~capacity:100 in
-  Block_cache.cache_store c (k_of_byte 1) (block 40);
-  Block_cache.cache_store c (k_of_byte 2) (block 40);
+  cache_store c (k_of_byte 1) (block 40);
+  cache_store c (k_of_byte 2) (block 40);
   (* A hit on 1 makes 2 the LRU, then overflow. *)
   ignore (cached c (k_of_byte 1));
-  Block_cache.cache_store c (k_of_byte 3) (block 40);
+  cache_store c (k_of_byte 3) (block 40);
   Alcotest.(check bool) "lru evicted" false (cached c (k_of_byte 2));
   Alcotest.(check bool) "recent kept" true (cached c (k_of_byte 1));
   Alcotest.(check int) "one eviction" 1 (Block_cache.cache_evictions c)
 
 let test_lru_reinsert_updates_size () =
   let c = Block_cache.bytes_cache ~capacity:100 in
-  Block_cache.cache_store c (k_of_byte 1) (block 40);
-  Block_cache.cache_store c (k_of_byte 1) (block 60);
+  cache_store c (k_of_byte 1) (block 40);
+  cache_store c (k_of_byte 1) (block 60);
   Alcotest.(check int) "size replaced" 60 (Block_cache.cache_used c);
   Alcotest.(check int) "single entry" 1 (Block_cache.cache_count c)
 
 let test_lru_oversized_ignored () =
   let c = Block_cache.bytes_cache ~capacity:100 in
-  Block_cache.cache_store c (k_of_byte 1) (block 500);
+  cache_store c (k_of_byte 1) (block 500);
   Alcotest.(check int) "ignored" 0 (Block_cache.cache_count c)
 
 let test_lru_capacity_never_exceeded () =
   let c = Block_cache.bytes_cache ~capacity:1000 in
   let rng = Rng.create 3 in
   for _ = 1 to 500 do
-    Block_cache.cache_store c (k_of_byte (Rng.int rng 256)) (block (1 + Rng.int rng 300));
+    cache_store c (k_of_byte (Rng.int rng 256)) (block (1 + Rng.int rng 300));
     if Block_cache.cache_used c > 1000 then Alcotest.fail "capacity exceeded"
   done
 

@@ -55,6 +55,15 @@ let with_dir name f =
 let key_of i = Key.of_string (Printf.sprintf "%064d" i)
 let data_of i = Printf.sprintf "payload-%d-%s" i (String.make (i mod 97) 'x')
 
+(* The store writes slices; the cases write strings. *)
+let put st ~key ~data = Store.put st ~key ~data:(Slice.of_string data)
+let mem st ~key = Store.get st ~key <> None
+
+let live_keys st =
+  let keys = ref [] in
+  Store.iter_keys st (fun k -> keys := Key.to_string k :: !keys);
+  !keys
+
 (* {1 CRC-32C} *)
 
 let test_crc_kat () =
@@ -168,13 +177,13 @@ let test_basic_ops () =
   with_dir "basic" (fun dir ->
       let st = Store.create ~dir () in
       Alcotest.(check (option string)) "absent" None (Store.get st ~key:(key_of 1));
-      let s1 = Store.put st ~key:(key_of 1) ~data:"one" in
-      let s2 = Store.put st ~key:(key_of 2) ~data:"two" in
+      let s1 = put st ~key:(key_of 1) ~data:"one" in
+      let s2 = put st ~key:(key_of 2) ~data:"two" in
       Alcotest.(check bool) "seqs monotone" true (s2 > s1 && s1 > 0);
       Alcotest.(check (option string)) "read back" (Some "one")
         (Store.get st ~key:(key_of 1));
       Alcotest.(check int) "count" 2 (Store.count st);
-      ignore (Store.put st ~key:(key_of 1) ~data:"one'");
+      ignore (put st ~key:(key_of 1) ~data:"one'");
       Alcotest.(check (option string)) "overwrite" (Some "one'")
         (Store.get st ~key:(key_of 1));
       Alcotest.(check int) "count after overwrite" 2 (Store.count st);
@@ -184,11 +193,10 @@ let test_basic_ops () =
       let removed2, rs2 = Store.remove st ~key:(key_of 2) in
       Alcotest.(check bool) "absent remove" false removed2;
       Alcotest.(check int) "absent remove appends nothing" 0 rs2;
-      Alcotest.(check bool) "mem" true (Store.mem st ~key:(key_of 1));
-      Alcotest.(check bool) "not mem" false (Store.mem st ~key:(key_of 2));
-      let seen = ref [] in
-      Store.iter st (fun k d -> seen := (Key.to_string k, d) :: !seen);
-      Alcotest.(check int) "iter count" 1 (List.length !seen);
+      Alcotest.(check bool) "mem" true (mem st ~key:(key_of 1));
+      Alcotest.(check bool) "not mem" false (mem st ~key:(key_of 2));
+      Alcotest.(check (list string)) "live keys" [ Key.to_string (key_of 1) ]
+        (live_keys st);
       Store.close st;
       (* A closed store rejects operations. *)
       (match Store.get st ~key:(key_of 1) with
@@ -206,7 +214,7 @@ let test_watermarks_batch () =
   with_dir "wm" (fun dir ->
       let config = { Store.default_config with fsync = Store.Batch } in
       let st = Store.create ~dir ~config () in
-      let seq = Store.put st ~key:(key_of 1) ~data:"v" in
+      let seq = put st ~key:(key_of 1) ~data:"v" in
       Alcotest.(check bool) "buffered, not yet durable" true
         (Store.durable_seq st < seq);
       Alcotest.(check bool) "needs flush" true (Store.needs_flush st);
@@ -217,7 +225,7 @@ let test_watermarks_batch () =
          and fires the durability hook off-thread. *)
       let fired = Atomic.make false in
       Store.on_durable st (fun () -> Atomic.set fired true);
-      let seq2 = Store.put st ~key:(key_of 2) ~data:"w" in
+      let seq2 = put st ~key:(key_of 2) ~data:"w" in
       Store.flush_async st;
       let deadline = Unix.gettimeofday () +. 10.0 in
       while Store.durable_seq st < seq2 && Unix.gettimeofday () < deadline do
@@ -234,7 +242,7 @@ let test_watermarks_always_never () =
       with_dir ("wm-" ^ Store.fsync_policy_name policy) (fun dir ->
           let config = { Store.default_config with fsync = policy } in
           let st = Store.create ~dir ~config () in
-          let seq = Store.put st ~key:(key_of 1) ~data:"v" in
+          let seq = put st ~key:(key_of 1) ~data:"v" in
           Alcotest.(check bool)
             (Store.fsync_policy_name policy ^ ": durable on return")
             true
@@ -259,7 +267,7 @@ let test_rotation_and_pread () =
       let st = Store.create ~dir ~config () in
       let n = 100 in
       for i = 0 to n - 1 do
-        ignore (Store.put st ~key:(key_of i) ~data:(data_of i))
+        ignore (put st ~key:(key_of i) ~data:(data_of i))
       done;
       Store.flush st;
       Alcotest.(check bool) "rotated" true (Store.segment_count st > 1);
@@ -286,7 +294,7 @@ let test_rotation_and_pread () =
 let test_cache_serves_hot_reads () =
   with_dir "cache" (fun dir ->
       let st = Store.create ~dir () in
-      ignore (Store.put st ~key:(key_of 1) ~data:"hot block");
+      ignore (put st ~key:(key_of 1) ~data:"hot block");
       ignore (Store.get st ~key:(key_of 1));
       let h0 = Cache.cache_hits (Store.cache st) in
       Alcotest.(check (option string)) "hit" (Some "hot block")
@@ -303,9 +311,9 @@ let test_oversized_overwrite_not_stale () =
   with_dir "cache-stale" (fun dir ->
       let config = { Store.default_config with cache_bytes = 100 } in
       let st = Store.create ~dir ~config () in
-      ignore (Store.put st ~key:(key_of 1) ~data:"short");
+      ignore (put st ~key:(key_of 1) ~data:"short");
       let big = String.make 200 'b' in
-      ignore (Store.put st ~key:(key_of 1) ~data:big);
+      ignore (put st ~key:(key_of 1) ~data:big);
       Alcotest.(check (option string)) "the overwrite, not the cached copy"
         (Some big) (Store.get st ~key:(key_of 1));
       Store.close st)
@@ -324,7 +332,7 @@ let test_compaction_reclaims_and_preserves () =
       for round = 0 to 2 do
         for i = 0 to n - 1 do
           ignore
-            (Store.put st ~key:(key_of i)
+            (put st ~key:(key_of i)
                ~data:(Printf.sprintf "r%d-%s" round (data_of i)))
         done
       done;
@@ -359,10 +367,11 @@ let test_compaction_reclaims_and_preserves () =
       done;
       Store.close st2)
 
-(* Compaction copies each live record's encoded bytes as they are
-   ([Segment.append_encoded]): a relocated record must still frame and
-   checksum exactly, so both recovery paths — the checkpoint, and a full
-   scan of the log with the checkpoint gone — read back the same bytes.
+(* Compaction copies each record the index binds into the victim as it
+   is, read by its (offset, length) ([Segment.relocate]): a relocated
+   record must still frame and checksum exactly, so both recovery
+   paths — the checkpoint, and a full scan of the log with the
+   checkpoint gone — read back the same bytes.
    Overwrites only: a full scan cannot honour tombstones that compaction
    has already collected (that is what the checkpoint is for). *)
 let test_compaction_relocates_encoded () =
@@ -381,7 +390,7 @@ let test_compaction_relocates_encoded () =
             String.init (Rng.int rng 6000) (fun j ->
                 Char.chr (((i * 7) + (round * 13) + j) land 0xff))
           in
-          ignore (Store.put st ~key:(key_of i) ~data);
+          ignore (put st ~key:(key_of i) ~data);
           Hashtbl.replace model i data
         done;
         ignore (Store.compact st ~force:true)
@@ -415,6 +424,160 @@ let test_compaction_relocates_encoded () =
       let st = Store.create ~dir ~config () in
       Alcotest.(check int) "full scan taken" 0 (recovered_from_checkpoint st);
       check "full-scan recovery" st;
+      Store.close st)
+
+(* {1 Disk faults} *)
+
+(* Every record of a segment file: (key, record offset, payload offset). *)
+let records_of dir id =
+  let img =
+    In_channel.with_open_bin
+      (Filename.concat dir (Printf.sprintf "seg-%08d.log" id))
+      In_channel.input_all
+    |> Bytes.of_string
+  in
+  let rec go off acc =
+    match Record.decode img ~off ~avail:(Bytes.length img - off) with
+    | `Bad -> List.rev acc
+    | `Record r ->
+        go (off + r.Record.d_total)
+          ((r.Record.d_key, off, r.Record.d_data_off) :: acc)
+  in
+  go 0 []
+
+(* A payload byte that rots in a sealed segment costs its own key and
+   nothing else: compaction reads each live record by its index slot,
+   drops the one that fails its CRC (with a tombstone, as a remove
+   would), relocates the rest, and both recovery paths agree after. *)
+let test_compaction_drops_corrupt_record () =
+  with_dir "corrupt" (fun dir ->
+      let config =
+        { Store.default_config with segment_bytes = 4096; cache_bytes = 0 }
+      in
+      let st = Store.create ~dir ~config () in
+      let model = Hashtbl.create 64 in
+      let write i data =
+        ignore (put st ~key:(key_of i) ~data);
+        Hashtbl.replace model (key_of i) data
+      in
+      for i = 0 to 59 do
+        write i (data_of i)
+      done;
+      Store.flush st;
+      (* Overwrite two keys in three of the first segment, leaving it a
+         third live, then flip a payload byte of its second live record. *)
+      let first = records_of dir 0 in
+      List.iteri
+        (fun p (k, _, _) ->
+          if p mod 3 <> 0 then write (int_of_string (Key.to_string k)) "over")
+        first;
+      Store.flush st;
+      let bad, _, data_off = List.nth first 3 in
+      let fd =
+        Unix.openfile (Filename.concat dir "seg-00000000.log") [ Unix.O_RDWR ] 0
+      in
+      let b = Bytes.create 1 in
+      ignore (Unix.lseek fd data_off Unix.SEEK_SET);
+      ignore (Unix.read fd b 0 1);
+      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x20));
+      ignore (Unix.lseek fd data_off Unix.SEEK_SET);
+      ignore (Unix.write fd b 0 1);
+      Unix.close fd;
+      Hashtbl.remove model bad;
+      Alcotest.(check bool) "a segment was collected" true
+        (Store.compact st ~force:false > 0);
+      let check label st =
+        Alcotest.(check (option string)) (label ^ ": corrupt key absent") None
+          (Store.get st ~key:bad);
+        Hashtbl.iter
+          (fun k data ->
+            Alcotest.(check (option string))
+              (label ^ ": key " ^ Key.to_string k)
+              (Some data) (Store.get st ~key:k))
+          model;
+        Alcotest.(check int) (label ^ ": count") (Hashtbl.length model)
+          (Store.count st);
+        Alcotest.(check int) (label ^ ": stored bytes")
+          (Hashtbl.fold (fun _ d acc -> acc + String.length d) model 0)
+          (Store.stored_bytes st)
+      in
+      check "compacted" st;
+      Store.crash st;
+      let st = Store.create ~dir ~config () in
+      (match Store.recovery st with
+      | Some r when r.Store.r_checkpoint_blocks > 0 -> ()
+      | _ -> Alcotest.fail "reopen did not load the checkpoint");
+      check "checkpoint recovery" st;
+      Store.close st;
+      Sys.remove (Filename.concat dir "index.ckpt");
+      let st = Store.create ~dir ~config () in
+      check "full-scan recovery" st;
+      Store.close st)
+
+(* Writes vanish into /dev/null and its fsync fails (EINVAL): linked in
+   as the next segment file or the checkpoint's tmp file, it fails the
+   store's syncs with no hook in the store. *)
+let link_dev_null path = Unix.symlink "/dev/null" path
+
+(* A failed background fdatasync releases no acks: the watermark stays
+   below the write, the store refuses further writes, and what the
+   rotation made durable before it survives a reopen. *)
+let test_failed_datasync_releases_no_acks () =
+  with_dir "datasync" (fun dir ->
+      let config =
+        { Store.default_config with segment_bytes = 1024; fsync = Store.Batch }
+      in
+      let st = Store.create ~dir ~config () in
+      link_dev_null (Filename.concat dir "seg-00000001.log");
+      let n = ref 0 in
+      while Store.rotations st = 0 do
+        ignore (put st ~key:(key_of !n) ~data:(data_of !n));
+        incr n
+      done;
+      let seq = put st ~key:(key_of 1000) ~data:"lost" in
+      Store.flush_async st;
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      while Store.needs_flush st && Unix.gettimeofday () < deadline do
+        Thread.yield ()
+      done;
+      Alcotest.(check bool) "no ack past the failed sync" true
+        (Store.durable_seq st < seq);
+      (match put st ~key:(key_of 1001) ~data:"refused" with
+      | exception Unix.Unix_error _ -> ()
+      | _ -> Alcotest.fail "a failed store accepted a write");
+      Store.close st;
+      let st = Store.create ~dir ~config () in
+      for i = 0 to !n - 1 do
+        Alcotest.(check (option string))
+          (Printf.sprintf "synced key %d" i)
+          (Some (data_of i))
+          (Store.get st ~key:(key_of i))
+      done;
+      Store.close st)
+
+(* A checkpoint whose fsync fails does not replace the previous one:
+   the tmp file goes and the error reaches the caller. *)
+let test_failed_checkpoint_keeps_old () =
+  with_dir "ckpt-fsync" (fun dir ->
+      let st = Store.create ~dir () in
+      ignore (put st ~key:(key_of 1) ~data:"one");
+      Store.checkpoint st;
+      let ckpt = Filename.concat dir "index.ckpt" in
+      let read () = In_channel.with_open_bin ckpt In_channel.input_all in
+      let before = read () in
+      ignore (put st ~key:(key_of 2) ~data:"two");
+      link_dev_null (ckpt ^ ".tmp");
+      (match Store.checkpoint st with
+      | exception Unix.Unix_error _ -> ()
+      | () -> Alcotest.fail "an unsynced checkpoint was reported done");
+      Alcotest.(check string) "previous checkpoint kept" before (read ());
+      Alcotest.(check bool) "tmp file removed" false
+        (Array.mem "index.ckpt.tmp" (Sys.readdir dir));
+      Store.close st;
+      let st = Store.create ~dir () in
+      Alcotest.(check (list (option string))) "both keys back"
+        [ Some "one"; Some "two" ]
+        [ Store.get st ~key:(key_of 1); Store.get st ~key:(key_of 2) ];
       Store.close st)
 
 (* {1 Index checkpoints} *)
@@ -480,7 +643,7 @@ let test_recovery_checkpoint_vs_replay () =
   with_dir "recovery" (fun dir ->
       let st = Store.create ~dir () in
       for i = 0 to 49 do
-        ignore (Store.put st ~key:(key_of i) ~data:(data_of i))
+        ignore (put st ~key:(key_of i) ~data:(data_of i))
       done;
       Store.close st;
       (* Clean close: the checkpoint covers everything, nothing to
@@ -495,7 +658,7 @@ let test_recovery_checkpoint_vs_replay () =
       (* Ten more writes reach the log (flush) but never a checkpoint
          (crash): recovery replays exactly those past the watermark. *)
       for i = 50 to 59 do
-        ignore (Store.put st2 ~key:(key_of i) ~data:(data_of i))
+        ignore (put st2 ~key:(key_of i) ~data:(data_of i))
       done;
       Store.flush st2;
       Store.crash st2;
@@ -518,9 +681,9 @@ let test_crash_loses_only_volatile_tail () =
   with_dir "crash" (fun dir ->
       let config = { Store.default_config with fsync = Store.Batch } in
       let st = Store.create ~dir ~config () in
-      ignore (Store.put st ~key:(key_of 1) ~data:"durable");
+      ignore (put st ~key:(key_of 1) ~data:"durable");
       Store.flush st;
-      ignore (Store.put st ~key:(key_of 2) ~data:"volatile");
+      ignore (put st ~key:(key_of 2) ~data:"volatile");
       Store.crash st;
       let st2 = Store.create ~dir ~config () in
       Alcotest.(check (option string)) "flushed write survives" (Some "durable")
@@ -532,7 +695,7 @@ let test_crash_loses_only_volatile_tail () =
       rm_rf dir;
       let config = { Store.default_config with fsync = Store.Always } in
       let st3 = Store.create ~dir ~config () in
-      ignore (Store.put st3 ~key:(key_of 3) ~data:"acked");
+      ignore (put st3 ~key:(key_of 3) ~data:"acked");
       Store.crash st3;
       let st4 = Store.create ~dir ~config () in
       Alcotest.(check (option string)) "always-policy write survives"
@@ -579,7 +742,7 @@ let torn_tail_case seed =
         let data =
           String.init len (fun i -> Char.chr (((k * 31) + i) land 0xff))
         in
-        ignore (Store.put st ~key:(key_of k) ~data);
+        ignore (put st ~key:(key_of k) ~data);
         record (`Put (k, data)) len
       in
       do_put (Rng.int rng nkeys);
@@ -666,8 +829,8 @@ let test_checkpoint_past_torn_tail () =
         }
       in
       let st = Store.create ~dir ~config () in
-      ignore (Store.put st ~key:(key_of 0) ~data:"alpha");
-      ignore (Store.put st ~key:(key_of 1) ~data:"bravo");
+      ignore (put st ~key:(key_of 0) ~data:"alpha");
+      ignore (put st ~key:(key_of 1) ~data:"bravo");
       let cut =
         Record.encoded_len ~data_len:5 + Record.encoded_len ~data_len:5
       in
@@ -1018,6 +1181,15 @@ let () =
             `Quick test_compaction_reclaims_and_preserves;
           Alcotest.test_case "compaction relocates encoded records" `Quick
             test_compaction_relocates_encoded;
+        ] );
+      ( "faults",
+        [
+          Alcotest.test_case "compaction drops a corrupt record, keeps the rest"
+            `Quick test_compaction_drops_corrupt_record;
+          Alcotest.test_case "failed fdatasync releases no acks" `Quick
+            test_failed_datasync_releases_no_acks;
+          Alcotest.test_case "failed checkpoint fsync keeps the old one" `Quick
+            test_failed_checkpoint_keeps_old;
         ] );
       ( "recovery",
         [
