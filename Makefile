@@ -1,6 +1,6 @@
 SHELL := /bin/bash
 
-.PHONY: build test check-env bench bench-quick bakeoff net-lines clean
+.PHONY: build test check-env bench bench-quick bakeoff net-lines churn-pin clean
 
 build:
 	dune build
@@ -64,6 +64,12 @@ bakeoff: build
 REF ?= HEAD
 net-lines:
 	@scripts/net_lines.sh $(REF)
+
+# The mem_churn report (seed 7, 3 s) of the working tree against REF's,
+# timings removed: everything else runs on the virtual clock and must
+# match byte for byte.
+churn-pin:
+	@scripts/churn_pin.sh $(REF)
 
 clean:
 	dune clean

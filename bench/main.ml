@@ -355,8 +355,9 @@ let vmap_find_16k_test () =
          done))
 
 (* One quorum-2 get through the full stack on a 3-node cluster: the
-   owner consults a replica and folds version vectors before
-   answering, so this gates the Get_q path net_mem_rpc never takes. *)
+   owner pulls from a replica (a version-only answer when their copies
+   agree) before answering from its own entry, so this gates the Get_q
+   path net_mem_rpc never takes. *)
 let quorum_get_test () =
   let open Bechamel in
   let module Mem = D2_net.Transport_mem in

@@ -165,18 +165,69 @@ module Make (T : Transport.S) = struct
 
   let members t = Mutex.protect t.lock (fun () -> members_locked t)
 
-  (* Fan a stored block out to the next [depth] distinct successors
-     and ack the originator once every forward has concluded AND the
-     local copy is durable ([local_seq] — the coordinator's own copy
-     rides the group-commit window like any other write). *)
-  let fan_out t l req ~key ~depth ~local_seq ~msg ~make_ack =
-    let targets =
+  (* The next [n] distinct successors of [key], this node excluded:
+     the replicas a write fans out to and a quorum read consults.  No
+     ring lock when there are none to name. *)
+  let replica_set t key n =
+    if n <= 0 then []
+    else
       Mutex.protect t.lock (fun () ->
-          Ring.successors t.ring key (depth + 1)
-          |> List.filter (fun n -> n <> t.me)
-          |> List.filteri (fun i _ -> i < depth))
-    in
-    let remaining = ref (List.length targets + 1) and copies = ref 0 in
+          Ring.successors t.ring key (n + 1)
+          |> List.filter (fun m -> m <> t.me)
+          |> List.filteri (fun i _ -> i < n))
+
+  (* Send [msg] to each of [dsts] and hand every reply to [on_reply]; a
+     peer that times out is suspected.  [k] runs once all have
+     concluded, at once when [dsts] is empty. *)
+  let gather t dsts msg ~on_reply k =
+    match dsts with
+    | [] -> k ()
+    | _ ->
+        let remaining = ref (List.length dsts) in
+        List.iter
+          (fun dst ->
+            L.rpc t.ls ~dst ~timeout:t.cfg.rpc_timeout msg (fun r ->
+                (match r with
+                | Some r -> on_reply dst r
+                | None -> suspect t dst);
+                decr remaining;
+                if !remaining = 0 then k ()))
+          dsts
+
+  (* The one way a peer's stamped copy enters the table: a fan-out
+     [Put]/[Remove] copy, a [Push], and the [Fetch_ack] of a repair
+     pull or a quorum sub-read.  A live copy without bytes is a version
+     alone (the peer saw we hold that copy or a newer one) and takes
+     nothing.  Returns whether the copy was installed and the store
+     sequence an ack must wait for. *)
+  let take_copy t ~key ~vv ~deleted data =
+    if deleted then Vmap.apply t.vmap ~key ~vv ~data:None
+    else if Option.is_some data then Vmap.apply t.vmap ~key ~vv ~data
+    else (false, 0)
+
+  (* The node's one read of its own copy of [key]: vector, tombstone and
+     bytes, taken together (the bytes borrowed, see [scratch]).  [None]
+     when the key has never been seen, or when a live entry has lost its
+     bytes: there is nothing to serve or ship. *)
+  let copy_of t key =
+    match Vmap.read t.vmap ~key t.scratch with
+    | Some ({ Vmap.vv; deleted = true }, _) -> Some (vv, true, no_bytes)
+    | Some ({ Vmap.vv; deleted = false }, Some data) -> Some (vv, false, data)
+    | Some (_, None) | None -> None
+
+  (* The vector of this node's copy of [key], empty when it has none:
+     the [have] a [Fetch] carries, so a peer holding the same copy
+     answers with its version alone. *)
+  let have_of t key =
+    match Vmap.find t.vmap ~key with Some e -> e.Vmap.vv | None -> Vv.empty
+
+  (* Ack the originator once the local copy is durable ([local_seq]:
+     the coordinator's own copy rides the group-commit window like any
+     other write) and every forward to the next [depth] distinct
+     successors has concluded.  The ack carries the copy count. *)
+  let fan_out t l req ~key ~depth ~local_seq ~msg ~make_ack =
+    (* Two halves conclude: the local copy, and the gather. *)
+    let remaining = ref 2 and copies = ref 0 in
     let finish () =
       decr remaining;
       if !remaining = 0 then L.reply l ~req (make_ack !copies)
@@ -184,24 +235,19 @@ module Make (T : Transport.S) = struct
     ack_when_durable t local_seq (fun () ->
         incr copies;
         finish ());
-    List.iter
-      (fun dst ->
-        L.rpc t.ls ~dst ~timeout:t.cfg.rpc_timeout msg (fun r ->
-            (match r with
-            | Some (Wire.Put_ack _ | Wire.Remove_ack _) -> incr copies
-            | Some _ -> ()
-            | None -> suspect t dst);
-            finish ()))
-      targets
+    gather t (replica_set t key depth) msg
+      ~on_reply:(fun _ -> function
+        | Wire.Put_ack _ | Wire.Remove_ack _ -> incr copies | _ -> ())
+      finish
 
   (* Put and Remove ([data = None]) share one path.  Coordinator or
      fan-out copy?  A coordinator write either fans out ([depth > 0])
      or comes unstamped from a client ([replicas = 1] clusters write at
-     depth 0 with an empty vector); a fan-out copy always carries the
-     coordinator's stamp.  The coordinator stamps exactly once, so
-     every replica of this write records the same vector; a replica
-     resolves the copy against its own entry, and a stale or duplicate
-     delivery is version-ignored, never re-applied. *)
+     depth 0 with an empty vector, a fan-out to no one); a fan-out copy
+     always carries the coordinator's stamp.  The coordinator stamps
+     exactly once, so every replica of this write records the same
+     vector; a replica resolves the copy against its own entry, and a
+     stale or duplicate delivery is version-ignored, never re-applied. *)
   let serve_write t l req ~key ~depth ~vv ~data =
     let is_put = Option.is_some data in
     let ack vv ~copies ~removed =
@@ -213,121 +259,58 @@ module Make (T : Transport.S) = struct
           L.reply l ~req
             (Wire.Error { code = 3; message = "version vector full" })
       | Some (vv, removed, seq) ->
-          if depth <= 0 then
-            ack_when_durable t seq (fun () ->
-                L.reply l ~req (ack vv ~copies:1 ~removed))
-          else
-            let msg =
-              match data with
-              | Some data -> Wire.Put { key; depth = 0; vv; data }
-              | None -> Wire.Remove { key; depth = 0; vv }
-            in
-            fan_out t l req ~key ~depth ~local_seq:seq ~msg
-              ~make_ack:(fun copies -> ack vv ~copies ~removed)
+          let msg =
+            match data with
+            | Some data -> Wire.Put { key; depth = 0; vv; data }
+            | None -> Wire.Remove { key; depth = 0; vv }
+          in
+          fan_out t l req ~key ~depth ~local_seq:seq ~msg
+            ~make_ack:(fun copies -> ack vv ~copies ~removed)
     end
     else begin
-      let installed, seq = Vmap.apply t.vmap ~key ~vv ~data in
+      let installed, seq = take_copy t ~key ~vv ~deleted:(not is_put) data in
       ack_when_durable t seq (fun () ->
           L.reply l ~req (ack vv ~copies:1 ~removed:installed))
     end
 
-  (* Quorum read: the owner fans [Fetch] to the next [q-1] replica
-     holders, folds every copy that answers (its own included) through
-     the version order, replies with the dominating copy, and pushes
-     that copy back to any replica that reported an older one —
-     read-repair, off the reply path.
-
-     Each [Fetch] carries the owner's vector, so a replica holding the
-     same copy (the common case) answers with its version alone.  Such
-     an answer takes part in read-repair but never wins the fold: the
-     owner's copy covers it, and the fold hands an equal vector to the
-     peer.  The owner reads its own bytes only if it wins, when the
-     last reply is in, into [scratch]; a replica's payload (a newer
-     copy) is copied out of the receive buffer on arrival, because the
-     fold runs in a later callback than the one that received it. *)
-  let serve_get_q t l req ~key ~q =
-    let lvv, ldel =
-      match Vmap.find t.vmap ~key with
-      | Some e -> (e.Vmap.vv, e.Vmap.deleted)
-      | None -> (Vv.empty, false)
-    in
-    let targets =
-      if q <= 1 then []
-      else
-        Mutex.protect t.lock (fun () ->
-            Ring.successors t.ring key q
-            |> List.filter (fun n -> n <> t.me)
-            |> List.filteri (fun i _ -> i < q - 1))
-    in
-    let replies = ref [ (t.me, (lvv, ldel, None)) ] in
-    let remaining = ref (List.length targets) in
-    let version_only (node, (vv, deleted, data)) =
-      node <> t.me && (not deleted) && data = None && Vv.dominates lvv vv
-    in
-    let finish () =
-      let contenders = List.filter (fun r -> not (version_only r)) !replies in
-      let winner =
-        List.fold_left
-          (fun ((_, (avv, _, _)) as a) ((_, (bvv, _, _)) as b) ->
-            match Vv.winner avv bvv with `Left -> a | `Right -> b)
-          (List.hd contenders) (List.tl contenders)
-      in
-      let wvv, wdel, wdata =
-        match winner with
-        | node, (vv, deleted, data) when node <> t.me ->
-            (vv, deleted, Option.map Slice.of_string data)
-        | _ -> (
-            (* Read now, vector and bytes together: a write since the
-               fan-out only made the owner's copy newer. *)
-            match Vmap.read t.vmap ~key t.scratch with
-            | Some (e, data) -> (e.Vmap.vv, e.Vmap.deleted, data)
-            | None -> (Vv.empty, false, None))
-      in
-      (match (wdel, wdata) with
-      | false, Some data -> L.reply l ~req (Wire.Found { data })
-      | _ -> L.reply l ~req Wire.Missing);
-      (* Read-repair: any replica not already holding a copy at least
-         as new as the winner gets the winning copy pushed (the
-         receiving side's version map resolves a concurrent pair to
-         the same deterministic winner); no ack awaited. *)
-      if wdel || wdata <> None then
+  (* Answer a read from this node's own entry, then push that entry to
+     each consulted replica whose [reported] vector does not cover it:
+     read-repair, off the reply path, no ack awaited. *)
+  let answer_read t l req ~key reported =
+    match copy_of t key with
+    | None -> L.reply l ~req Wire.Missing
+    | Some (vv, deleted, data) ->
+        L.reply l ~req (if deleted then Wire.Missing else Wire.Found { data });
         List.iter
-          (fun (node, (rvv, _, _)) ->
-            if not (Vv.dominates rvv wvv) then
-              if node = t.me then
-                ignore
-                  (Vmap.apply t.vmap ~key ~vv:wvv
-                     ~data:(if wdel then None else wdata))
-              else
-                L.rpc t.ls ~dst:node ~timeout:t.cfg.rpc_timeout
-                  (Wire.Push
-                     {
-                       key;
-                       vv = wvv;
-                       deleted = wdel;
-                       data = Option.value wdata ~default:no_bytes;
-                     })
-                  (fun _ -> ()))
-          !replies
-    in
-    if !remaining = 0 then finish ()
+          (fun (dst, rvv) ->
+            if not (Vv.dominates rvv vv) then
+              L.rpc t.ls ~dst ~timeout:t.cfg.rpc_timeout
+                (Wire.Push { key; vv; deleted; data })
+                ignore)
+          reported
+
+  (* A read at quorum [q] is a repair pull from the next [q-1] replica
+     holders, then a local read.  Each [Fetch] carries the owner's
+     vector, so a replica holding the same copy (the common case)
+     answers with its version alone; a newer or concurrent copy is
+     taken into the owner's table as it arrives, as a repair pull takes
+     it.  Once every replica has concluded, the owner answers from its
+     own entry, now the merge of every copy it took, and read-repair
+     leaves each replica that answered on that one (vector, bytes).  A
+     plain [Get] is [q = 1]: one table read, no frame, no ring lock. *)
+  let serve_get_q t l req ~key ~q =
+    if q <= 1 then answer_read t l req ~key []
     else
-      List.iter
-        (fun dst ->
-          L.rpc t.ls ~dst ~timeout:t.cfg.rpc_timeout
-            (Wire.Fetch { key; have = lvv })
-            (fun r ->
-              (match r with
-              | Some (Wire.Fetch_ack { vv; deleted; data }) ->
-                  if not (Vv.is_empty vv && data = None) then
-                    replies :=
-                      (dst, (vv, deleted, Option.map Slice.to_string data))
-                      :: !replies
-              | Some _ -> ()
-              | None -> suspect t dst);
-              decr remaining;
-              if !remaining = 0 then finish ()))
-        targets
+      let reported = ref [] in
+      gather t
+        (replica_set t key (q - 1))
+        (Wire.Fetch { key; have = have_of t key })
+        ~on_reply:(fun dst -> function
+          | Wire.Fetch_ack { vv; deleted; data } ->
+              ignore (take_copy t ~key ~vv ~deleted data);
+              reported := (dst, vv) :: !reported
+          | _ -> ())
+        (fun () -> answer_read t l req ~key !reported)
 
   let handle t l req msg =
     t.served <- t.served + 1;
@@ -357,10 +340,7 @@ module Make (T : Transport.S) = struct
                       })
         in
         L.reply l ~req reply
-    | Wire.Get { key } -> (
-        match Vmap.read t.vmap ~key t.scratch with
-        | Some (_, Some data) -> L.reply l ~req (Wire.Found { data })
-        | _ -> L.reply l ~req Wire.Missing)
+    | Wire.Get { key } -> serve_get_q t l req ~key ~q:1
     | Wire.Put { key; depth; vv; data } ->
         serve_write t l req ~key ~depth ~vv ~data:(Some data)
     | Wire.Remove { key; depth; vv } ->
@@ -402,9 +382,7 @@ module Make (T : Transport.S) = struct
         in
         L.reply l ~req reply
     | Wire.Push { key; vv; deleted; data } ->
-        let stored, seq =
-          Vmap.apply t.vmap ~key ~vv ~data:(if deleted then None else Some data)
-        in
+        let stored, seq = take_copy t ~key ~vv ~deleted (Some data) in
         ack_when_durable t seq (fun () ->
             L.reply l ~req (Wire.Push_ack { stored }))
     | Wire.Get_q { key; q } -> serve_get_q t l req ~key ~q
@@ -584,24 +562,14 @@ module Make (T : Transport.S) = struct
       | None -> (
           match Queue.take_opt s.pulls with
           | Some key ->
-              (* Our vector rides along: a copy we already cover (a
-                 write since the key exchange) comes back without its
-                 bytes. *)
-              let have =
-                match Vmap.find t.vmap ~key with
-                | Some e -> e.Vmap.vv
-                | None -> Vv.empty
-              in
-              repair_rpc t ~dst:s.peer (Wire.Fetch { key; have })
+              (* A copy we already cover (a write since the key
+                 exchange) comes back without its bytes. *)
+              repair_rpc t ~dst:s.peer
+                (Wire.Fetch { key; have = have_of t key })
                 (function
                   | Some (Wire.Fetch_ack { vv; deleted; data }) ->
-                      if deleted || data <> None then begin
-                        let stored, _ =
-                          Vmap.apply t.vmap ~key ~vv
-                            ~data:(if deleted then None else data)
-                        in
-                        if stored then t.repair.pulled <- t.repair.pulled + 1
-                      end;
+                      let stored, _ = take_copy t ~key ~vv ~deleted data in
+                      if stored then t.repair.pulled <- t.repair.pulled + 1;
                       session_step t s
                   | _ -> ())
           | None -> (
@@ -610,15 +578,7 @@ module Make (T : Transport.S) = struct
                   (* Ship the copy held now, vector and bytes read
                      together: a write since the key exchange only
                      makes it newer. *)
-                  let copy =
-                    match Vmap.read t.vmap ~key t.scratch with
-                    | Some ({ Vmap.vv; deleted = true }, _) ->
-                        Some (vv, true, no_bytes)
-                    | Some ({ Vmap.vv; deleted = false }, Some data) ->
-                        Some (vv, false, data)
-                    | Some (_, None) | None -> None
-                  in
-                  match copy with
+                  match copy_of t key with
                   | None ->
                       (* An entry without bytes (lost block): nothing to
                          ship; the peer's copy, if any, flows back on a

@@ -15,7 +15,12 @@
       write in one table call, forwards copies to the next [depth]
       distinct successors, and acks with the copy count once every
       forward has acked or timed out.  A replica resolves each copy
-      against its own entry.  Gets serve from the table.
+      against its own entry.
+    - {b Gets} are quorum reads: at [q = 1] (a plain [Get]) one read
+      of the table; at [q > 1] the owner first pulls from the next
+      [q-1] replicas, taking any newer copy into its table as repair
+      would, answers from its own entry, and pushes that entry to
+      every consulted replica whose vector does not cover it.
     - {b Join/probe}: a booting node announces itself to its bootstrap
       peers and merges their membership; every [probe_interval] a node
       probes its successor plus one rotating member, and an

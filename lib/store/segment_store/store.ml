@@ -18,7 +18,6 @@ let fsync_policy_name = function
 type config = {
   segment_bytes : int;
   fsync : fsync_policy;
-  compact_live : float;
   cache_bytes : int;
 }
 
@@ -26,7 +25,6 @@ let default_config =
   {
     segment_bytes = 64 lsl 20;
     fsync = Batch;
-    compact_live = 0.5;
     cache_bytes = 64 lsl 20;
   }
 
@@ -141,12 +139,16 @@ let checkpoint_locked t =
     ~tail_off:(Segment.file_length t.active.seg)
 
 (* A segment is worth rewriting once it is sealed and either fully
-   dead or holding less than [compact_live] of its bytes live. *)
-let compactable cfg st =
+   dead or holding less than [compact_live] of its bytes live.  A
+   constant, not an option: it bounds on-disk amplification at
+   1/compact_live. *)
+let compact_live = 0.5
+
+let compactable st =
   st.sealed
   && (st.live = 0
      || float_of_int st.live
-        < cfg.compact_live *. float_of_int (Segment.file_length st.seg))
+        < compact_live *. float_of_int (Segment.file_length st.seg))
 
 (* Bytes in segment [sid] just died (overwrite or remove).  Flag a
    compaction check once a sealed segment crosses the threshold. *)
@@ -155,7 +157,7 @@ let note_dead t sid rlen =
   | None -> ()
   | Some st ->
       st.live <- st.live - rlen;
-      if compactable t.cfg st then t.compact_check <- true
+      if compactable st then t.compact_check <- true
 
 let rotate_locked t =
   settle_active t;
@@ -168,7 +170,7 @@ let rotate_locked t =
   t.active <- st;
   (* Checkpointing here bounds tail replay to the (empty) new segment. *)
   checkpoint_locked t;
-  if compactable t.cfg old then t.compact_check <- true
+  if compactable old then t.compact_check <- true
 
 let maybe_rotate_locked t =
   if Segment.length t.active.seg >= t.cfg.segment_bytes then rotate_locked t
@@ -410,7 +412,7 @@ let pick_victim_locked t ~force =
   Hashtbl.iter
     (fun _ st ->
       let total = Segment.file_length st.seg in
-      if compactable t.cfg st || (force && st.sealed && st.live < total) then
+      if compactable st || (force && st.sealed && st.live < total) then
         let frac =
           if total = 0 then 0.0
           else float_of_int st.live /. float_of_int total
@@ -704,7 +706,7 @@ let create ~dir ?(config = default_config) () =
     Mutex.lock t.lock;
     checkpoint_locked t;
     Hashtbl.iter
-      (fun _ st -> if compactable config st then t.compact_check <- true)
+      (fun _ st -> if compactable st then t.compact_check <- true)
       t.segs;
     Mutex.unlock t.lock
   end;

@@ -30,7 +30,7 @@
 
     {b Compaction.}  Overwrites and removes strand dead bytes in
     sealed segments; once a sealed segment's live fraction drops below
-    [compact_live], {!maybe_compact} copies each record the index
+    one half, {!maybe_compact} copies each record the index
     binds into it, read by (offset, length), to the active segment,
     then checkpoints and deletes the file.  A record that fails its
     CRC is dropped as a remove would drop it; the rest survive.
@@ -54,9 +54,6 @@ val fsync_policy_name : fsync_policy -> string
 type config = {
   segment_bytes : int;  (** rotation threshold (default 64 MB) *)
   fsync : fsync_policy;  (** default [Batch] *)
-  compact_live : float;
-      (** sealed segments below this live fraction are rewritten
-          (default 0.5) *)
   cache_bytes : int;  (** hot-block byte-cache capacity (default 64 MB) *)
 }
 
@@ -135,7 +132,7 @@ val checkpoint : t -> unit
 
 val maybe_compact : t -> int
 (** One step (at most 512 KB relocated) of compacting the sealed
-    segment with the lowest live fraction below [compact_live];
+    segment with the lowest live fraction below one half;
     returns 1 when it finished one, else 0.  Cheap (one flag test)
     when no segment crossed the threshold since the last call. *)
 

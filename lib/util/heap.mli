@@ -1,7 +1,8 @@
 (** Polymorphic binary min-heap.
 
-    Used as the event queue of the virtual-time engine and for
-    k-smallest selections in the analyzers.  Not thread-safe. *)
+    Used for the free connection slots of [Perf.para_makespan] and
+    the expiry queue of [Webcache]; the virtual-time engine keeps its
+    own cell heap.  Not thread-safe. *)
 
 type 'a t
 

@@ -257,12 +257,7 @@ let test_rotation_and_pread () =
       (* Tiny segments, no cache: every read past the active segment is
          a positional read from a sealed file. *)
       let config =
-        {
-          Store.default_config with
-          segment_bytes = 2048;
-          cache_bytes = 0;
-          compact_live = 0.0 (* keep every sealed segment *);
-        }
+        { Store.default_config with segment_bytes = 2048; cache_bytes = 0 }
       in
       let st = Store.create ~dir ~config () in
       let n = 100 in
@@ -719,8 +714,7 @@ let torn_tail_case seed =
   with_dir "torn" (fun dir ->
       let config =
         {
-          Store.default_config with
-          segment_bytes = 1 lsl 30 (* single segment *);
+          Store.segment_bytes = 1 lsl 30 (* single segment *);
           fsync = Store.Never;
           cache_bytes = 0;
         }
@@ -821,12 +815,7 @@ let prop_torn_tail =
 let test_checkpoint_past_torn_tail () =
   with_dir "ckpt-torn" (fun dir ->
       let config =
-        {
-          Store.default_config with
-          segment_bytes = 1 lsl 30;
-          fsync = Store.Never;
-          cache_bytes = 0;
-        }
+        { Store.segment_bytes = 1 lsl 30; fsync = Store.Never; cache_bytes = 0 }
       in
       let st = Store.create ~dir ~config () in
       ignore (put st ~key:(key_of 0) ~data:"alpha");

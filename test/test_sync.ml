@@ -4,7 +4,7 @@
    churn with repair restoring every replica group to r, a repair-off
    control that stays under-replicated, partition-heal converging
    replicas byte-identically, and quorum reads performing inline
-   read-repair. *)
+   read-repair that leaves a concurrent pair on one vector. *)
 
 module Engine = D2_simnet.Engine
 module Topology = D2_simnet.Topology
@@ -817,6 +817,109 @@ let test_quorum_read_repair () =
     (Vv.compare_vv (entry_vv c p key) (entry_vv c owner key) = Vv.Equal);
   Array.iter Node.stop c.nodes
 
+(* A quorum read over a concurrent pair: two copies of one key stamped
+   by different writers, so neither vector dominates.  Repair is off, so
+   only the read can bring the replicas it consulted onto one (vector,
+   bytes): every one must end with the reply's bytes under the owner's
+   vector — equal bytes under different vectors would send the block
+   again in the next anti-entropy session. *)
+let quorum_read_converges ~q ~concurrent_on () =
+  let c = boot ~n:9 ~extra:3 ~config:(static_config ~repair_interval:0.0) () in
+  let seeds = List.init 9 Fun.id in
+  let client =
+    Client.create (Mem.endpoint c.net ~node:9) ~replicas:3 ~rpc_timeout:5.0
+      ~seeds ()
+  in
+  let ring = ring_of_live c ~dead:[] in
+  let key = Key.random (Rng.create 0xc0c) in
+  let group = Ring.successors ring key 3 in
+  (match Client.put client ~key ~data:(data_v 1 key) with
+  | `Ok copies -> Alcotest.(check int) "cc: seed put copies" 3 copies
+  | `Failed -> Alcotest.fail "cc: seed put failed");
+  (* Two writers outside the group stamp concurrent successors of the
+     seed's vector, as two coordinators racing through a membership
+     change would. *)
+  let writers = List.filter (fun n -> not (List.mem n group)) seeds in
+  List.iteri
+    (fun i n ->
+      let w = List.nth writers i in
+      let vv = Vv.bump (entry_vv c n key) ~node:w in
+      let installed, _ =
+        Vmap.apply (Node.vmap c.nodes.(n)) ~key ~vv
+          ~data:(some (Printf.sprintf "w%d:%s" w (Key.to_string key)))
+      in
+      if not installed then Alcotest.fail "cc: injected copy not installed")
+    (concurrent_on group);
+  let qclient =
+    Client.create (Mem.endpoint c.net ~node:10) ~replicas:3 ~quorum_r:q
+      ~rpc_timeout:5.0 ~seeds ()
+  in
+  let reply =
+    match Client.get qclient ~key with
+    | `Found d -> d
+    | `Missing | `Failed -> Alcotest.fail "cc: quorum read failed"
+  in
+  run_for c 2.0;
+  let owner = List.hd group in
+  List.iter
+    (fun n ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "cc: node %d holds the reply's bytes" n)
+        (Some reply)
+        (Blockstore.get (Node.store c.nodes.(n)) ~key);
+      Alcotest.(check bool)
+        (Printf.sprintf "cc: node %d vectors equal" n)
+        true
+        (Vv.compare_vv (entry_vv c n key) (entry_vv c owner key) = Vv.Equal))
+    (List.filteri (fun i _ -> i < q) group);
+  Array.iter Node.stop c.nodes
+
+(* q = 2 consults the owner and its first successor: the pair sits on
+   exactly those two. *)
+let test_quorum_read_converges_q2 =
+  quorum_read_converges ~q:2 ~concurrent_on:(fun g ->
+      List.filteri (fun i _ -> i < 2) g)
+
+(* q = 3: the pair sits on both successors, the owner holds the older
+   seed copy both dominate. *)
+let test_quorum_read_converges_q3 =
+  quorum_read_converges ~q:3 ~concurrent_on:List.tl
+
+(* A consulted replica that has never seen the key (its copy lost, or
+   a fan-out that never reached it) answers with the empty vector,
+   which covers nothing: the quorum read pushes it the owner's copy. *)
+let test_quorum_read_fills_empty_replica () =
+  let c = boot ~n:9 ~extra:3 ~config:(static_config ~repair_interval:0.0) () in
+  let ring = ring_of_live c ~dead:[] in
+  let key = Key.random (Rng.create 0xe3e) in
+  let owner, s1 =
+    match Ring.successors ring key 2 with
+    | [ o; s ] -> (o, s)
+    | _ -> Alcotest.fail "fill: ring too small"
+  in
+  let installed, _ =
+    Vmap.apply (Node.vmap c.nodes.(owner)) ~key
+      ~vv:(Vv.bump Vv.empty ~node:owner)
+      ~data:(some (data_v 1 key))
+  in
+  Alcotest.(check bool) "fill: owner copy installed" true installed;
+  let qclient =
+    Client.create (Mem.endpoint c.net ~node:10) ~replicas:3 ~quorum_r:2
+      ~rpc_timeout:5.0 ~seeds:(List.init 9 Fun.id) ()
+  in
+  (match Client.get qclient ~key with
+  | `Found d -> Alcotest.(check string) "fill: quorum read" (data_v 1 key) d
+  | `Missing | `Failed -> Alcotest.fail "fill: quorum read failed");
+  run_for c 2.0;
+  Alcotest.(check (option string))
+    "fill: empty replica filled by the read"
+    (Some (data_v 1 key))
+    (Blockstore.get (Node.store c.nodes.(s1)) ~key);
+  Alcotest.(check bool)
+    "fill: vectors equal" true
+    (Vv.compare_vv (entry_vv c s1 key) (entry_vv c owner key) = Vv.Equal);
+  Array.iter Node.stop c.nodes
+
 (* Write quorums on a 3-node ring, where routing cannot work around a
    severed replica: every group is the whole cluster, so with one node
    unreachable a put settles at 2 acks — enough for w=2, a hard
@@ -886,6 +989,12 @@ let () =
             test_partition_heal_converges;
           Alcotest.test_case "quorum read repairs a stale replica inline"
             `Quick test_quorum_read_repair;
+          Alcotest.test_case "quorum read converges a concurrent pair (q=2)"
+            `Quick test_quorum_read_converges_q2;
+          Alcotest.test_case "quorum read converges a concurrent pair (q=3)"
+            `Quick test_quorum_read_converges_q3;
+          Alcotest.test_case "quorum read fills a replica without the key"
+            `Quick test_quorum_read_fills_empty_replica;
           Alcotest.test_case "write quorum gates on acked copies" `Quick
             test_write_quorum;
         ] );
