@@ -6,7 +6,7 @@
 module Key = D2_keyspace.Key
 module Encoding = D2_keyspace.Encoding
 module Keygen = D2_keyspace.Keygen
-module Keymap = D2_core.Keymap
+module Keymap = D2_trace.Keymap
 
 let show_key label key =
   let hex = Key.to_hex key in

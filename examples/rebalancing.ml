@@ -12,7 +12,7 @@ module Key = D2_keyspace.Key
 module Engine = D2_simnet.Engine
 module Cluster = D2_store.Cluster
 module Balancer = D2_balance.Balancer
-module Keymap = D2_core.Keymap
+module Keymap = D2_trace.Keymap
 module Rng = D2_util.Rng
 
 let show cluster label =

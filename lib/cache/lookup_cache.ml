@@ -3,11 +3,10 @@ module Key = D2_keyspace.Key
 (* {1 Flat range arena}
 
    Entries live in parallel columns sorted by range upper bound [hi]:
-   a 62-bit prefix int column searched with the same dynamic
-   common-prefix-offset binary search as {!D2_dht.Ring.lower_bound}
-   (locality-preserving keys of one volume share a long head, so a
-   fixed offset-0 prefix would not discriminate), plus [lo], [node]
-   and [expires] columns read only at the final index.  Inserts append
+   a 62-bit prefix int column searched by {!Key.lower_bound}, the
+   ring's search too (locality-preserving keys of one volume share a
+   long head, so a fixed offset-0 prefix would not discriminate), plus
+   [lo], [node] and [expires] columns read only at the final index.  Inserts append
    to a small unsorted tail that is merged into the sorted region once
    full, so the per-insert cost is amortized O(len/TAIL).  Removals
    (duplicate-hi replacement and probe-time eviction of an expired
@@ -71,30 +70,8 @@ let invalidate_mru t =
   t.gen <- t.gen + 1;
   t.mru <- -1
 
-(* Index of the first sorted entry with hi >= key, or [t.n]; the
-   Ring.lower_bound idiom (head compare, prefix ints, byte tie-break). *)
-let lower_bound t key =
-  if t.n = 0 then 0
-  else begin
-    let c = if t.off = 0 then 0 else Key.compare_head key t.his.(0) t.off in
-    if c < 0 then 0
-    else if c > 0 then t.n
-    else begin
-      let kp = Key.prefix_at key t.off in
-      let lo = ref 0 and hi = ref t.n in
-      while !lo < !hi do
-        let mid = (!lo + !hi) lsr 1 in
-        let mp = Array.unsafe_get t.pre mid in
-        let below =
-          if mp < kp then true
-          else if mp > kp then false
-          else Key.compare_from t.off (Array.unsafe_get t.his mid) key < 0
-        in
-        if below then lo := mid + 1 else hi := mid
-      done;
-      !lo
-    end
-  end
+(* Index of the first sorted entry with hi >= key, or [t.n]. *)
+let lower_bound t key = Key.lower_bound t.his t.pre ~n:t.n ~off:t.off key
 
 (* The live entry with the smallest hi >= key across both regions, or
    -1.  The sorted side is the first live slot at or after the lower
@@ -175,9 +152,7 @@ let rebuild t ?(drop_expired = false) ~now () =
   t.tn <- 0;
   t.dead <- 0;
   t.live <- !w;
-  t.off <-
-    (if t.n <= 1 then Key.max_prefix_offset
-     else min Key.max_prefix_offset (Key.common_prefix_len his.(0) his.(t.n - 1)));
+  t.off <- Key.prefix_offset his t.n;
   t.pre <- Array.init (max 1 t.n) (fun i -> if i < t.n then Key.prefix_at his.(i) t.off else 0);
   invalidate_mru t
 

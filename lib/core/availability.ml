@@ -1,4 +1,5 @@
 module Op = D2_trace.Op
+module Keymap = D2_trace.Keymap
 module Plan = D2_trace.Plan
 module Failure = D2_trace.Failure
 module Task = D2_trace.Task

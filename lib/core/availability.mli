@@ -32,19 +32,19 @@ type params = {
       hashed ring position (see {!D2_store.Cluster.config}) *)
 }
 
-val default_params : mode:Keymap.mode -> params
+val default_params : mode:D2_trace.Keymap.mode -> params
 (** [use_balancer] is set from the mode. *)
 
 type replay = {
   op_ok : bool array;  (** per op: was the access servable (reads) / true otherwise *)
   op_node : int array;  (** per op: primary node contacted, -1 for deletes/missing *)
-  trials_mode : Keymap.mode;
+  trials_mode : D2_trace.Keymap.mode;
 }
 
 val replay :
   trace:D2_trace.Op.t ->
   failures:D2_trace.Failure.t ->
-  mode:Keymap.mode ->
+  mode:D2_trace.Keymap.mode ->
   seed:int ->
   ?params:params ->
   unit ->

@@ -1,4 +1,5 @@
 module Op = D2_trace.Op
+module Keymap = D2_trace.Keymap
 module Plan = D2_trace.Plan
 module Cluster = D2_store.Cluster
 module Engine = D2_simnet.Engine

@@ -60,7 +60,7 @@ val para_makespan :
     scheduling regression tests. *)
 
 type pass = {
-  p_mode : Keymap.mode;
+  p_mode : D2_trace.Keymap.mode;
   p_config : config;
   lookup_msgs_per_node : float;  (** Fig. 9 metric *)
   miss_rate : float;  (** mean per-user lookup cache miss rate, Fig. 13 *)
@@ -69,7 +69,7 @@ type pass = {
   groups : (int, group_perf) Hashtbl.t;  (** stable group id -> latencies *)
 }
 
-val run_pass : trace:D2_trace.Op.t -> mode:Keymap.mode -> config:config -> pass
+val run_pass : trace:D2_trace.Op.t -> mode:D2_trace.Keymap.mode -> config:config -> pass
 
 type speedup = {
   overall : float;  (** geometric mean over users of per-user geo-means *)

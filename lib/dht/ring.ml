@@ -32,19 +32,12 @@ let id_of t ~node =
   | Some id -> id
   | None -> invalid_arg "Ring.id_of: node is not a member"
 
-(* The ids are sorted, so every id shares the common prefix of the
-   first and last one.  Comparing precomputed 62-bit prefixes taken at
-   that offset resolves almost every binary-search step with one
-   unboxed int comparison, even when all ids share a long prefix
-   (load-balanced rings derive ids from one volume's keys). *)
-let current_off t =
-  if t.n <= 1 then Key.max_prefix_offset
-  else min Key.max_prefix_offset (Key.common_prefix_len t.ids.(0) t.ids.(t.n - 1))
-
-(* Re-derive [off] after a membership change; [fresh] is the index of
-   a newly inserted id still missing its prefix, or -1. *)
+(* Re-derive [off] after a membership change (load-balanced rings
+   derive ids from one volume's keys, so the shared head can be long);
+   [fresh] is the index of a newly inserted id still missing its
+   prefix, or -1. *)
 let sync_prefixes t ~fresh =
-  let off = current_off t in
+  let off = Key.prefix_offset t.ids t.n in
   if off <> t.off then begin
     t.off <- off;
     for i = 0 to t.n - 1 do
@@ -54,30 +47,7 @@ let sync_prefixes t ~fresh =
   else if fresh >= 0 then t.pfx.(fresh) <- Key.prefix_at t.ids.(fresh) off
 
 (* Index of the first id >= key, or [t.n] if none. *)
-let lower_bound t key =
-  if t.n = 0 then 0
-  else begin
-    (* All ids agree on their first [off] bytes; one head comparison
-       settles any key that diverges from that prefix. *)
-    let c = if t.off = 0 then 0 else Key.compare_head key t.ids.(0) t.off in
-    if c < 0 then 0
-    else if c > 0 then t.n
-    else begin
-      let kp = Key.prefix_at key t.off in
-      let lo = ref 0 and hi = ref t.n in
-      while !lo < !hi do
-        let mid = (!lo + !hi) lsr 1 in
-        let mp = Array.unsafe_get t.pfx mid in
-        let below =
-          if mp < kp then true
-          else if mp > kp then false
-          else Key.compare_from t.off t.ids.(mid) key < 0
-        in
-        if below then lo := mid + 1 else hi := mid
-      done;
-      !lo
-    end
-  end
+let lower_bound t key = Key.lower_bound t.ids t.pfx ~n:t.n ~off:t.off key
 
 let id_taken t key =
   let i = lower_bound t key in
@@ -207,7 +177,7 @@ let check_invariants t =
     | Some id when Key.equal id t.ids.(i) -> ()
     | _ -> invalid_arg "Ring.check_invariants: node/id mapping broken"
   done;
-  if t.n > 0 && t.off <> current_off t then
+  if t.n > 0 && t.off <> Key.prefix_offset t.ids t.n then
     invalid_arg "Ring.check_invariants: stale prefix offset";
   for i = 0 to t.n - 1 do
     if t.pfx.(i) <> Key.prefix_at t.ids.(i) t.off then

@@ -3,7 +3,7 @@
    (§5), and the replication factor (§8.2's r=4 note). *)
 
 module Report = D2_util.Report
-module Keymap = D2_core.Keymap
+module Keymap = D2_trace.Keymap
 module Balance_sim = D2_core.Balance_sim
 module Availability = D2_core.Availability
 module Perf = D2_core.Perf
@@ -111,9 +111,9 @@ let hotspot _scale =
   let ids = Array.init nodes (fun _ -> Key.random rng) in
   let cluster = Cluster.create ~engine ~config:Cluster.default_config ~ids in
   (* One hot directory: 256 blocks, all on one replica group under D2. *)
-  let km = D2_core.Keymap.create D2_core.Keymap.D2 ~volume:"hot" in
+  let km = D2_trace.Keymap.create D2_trace.Keymap.D2 ~volume:"hot" in
   let hot_keys =
-    Array.init 256 (fun b -> D2_core.Keymap.key_of km ~path:"/hot/data" ~block:b)
+    Array.init 256 (fun b -> D2_trace.Keymap.key_of km ~path:"/hot/data" ~block:b)
   in
   Array.iter (fun key -> Cluster.put cluster ~key ~size:8192 ()) hot_keys;
   let ring = Cluster.ring cluster in

@@ -3,7 +3,7 @@
    (seq / para) (§9.3). *)
 
 module Report = D2_util.Report
-module Keymap = D2_core.Keymap
+module Keymap = D2_trace.Keymap
 module Perf = D2_core.Perf
 
 let speedup_rows scale ~baseline_mode ~title =

@@ -2,7 +2,7 @@
 
 val speedup_rows :
   Config.scale ->
-  baseline_mode:D2_core.Keymap.mode ->
+  baseline_mode:D2_trace.Keymap.mode ->
   title:string ->
   D2_util.Report.t list
 (** Shared speedup-table builder (also drives Figure 11). *)
@@ -10,7 +10,7 @@ val speedup_rows :
 val run : Config.scale -> D2_util.Report.t list
 
 val cells_for :
-  Config.scale -> baseline_mode:D2_core.Keymap.mode -> Suites.cell list
+  Config.scale -> baseline_mode:D2_trace.Keymap.mode -> Suites.cell list
 
 val cells : Config.scale -> Suites.cell list
 (** Datapoint dependencies of {!run}, for {!Registry.run_entries}. *)

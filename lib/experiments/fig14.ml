@@ -4,7 +4,7 @@
    the diagonal" in the paper = faster in D2 here. *)
 
 module Report = D2_util.Report
-module Keymap = D2_core.Keymap
+module Keymap = D2_trace.Keymap
 module Perf = D2_core.Perf
 module Stats = D2_util.Stats
 

@@ -3,7 +3,7 @@
 
 val scatter_summary :
   Config.scale ->
-  baseline_mode:D2_core.Keymap.mode ->
+  baseline_mode:D2_trace.Keymap.mode ->
   which:[ `Seq | `Para ] ->
   title:string ->
   D2_util.Report.t
@@ -12,7 +12,7 @@ val scatter_summary :
 val run : Config.scale -> D2_util.Report.t list
 
 val cells_for :
-  Config.scale -> baseline_mode:D2_core.Keymap.mode -> Suites.cell list
+  Config.scale -> baseline_mode:D2_trace.Keymap.mode -> Suites.cell list
 
 val cells : Config.scale -> Suites.cell list
 (** Datapoint dependencies of {!run}, for {!Registry.run_entries}. *)

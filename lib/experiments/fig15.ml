@@ -1,6 +1,6 @@
 (* Figure 15: latency scatter vs the traditional-file DHT. *)
 
-module Keymap = D2_core.Keymap
+module Keymap = D2_trace.Keymap
 
 let run scale =
   [

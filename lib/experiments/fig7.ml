@@ -3,7 +3,7 @@
    node placements (§8.2). *)
 
 module Report = D2_util.Report
-module Keymap = D2_core.Keymap
+module Keymap = D2_trace.Keymap
 module Availability = D2_core.Availability
 
 let run scale =

@@ -3,7 +3,7 @@
    fewer users — the §4.3 trade-off made visible. *)
 
 module Report = D2_util.Report
-module Keymap = D2_core.Keymap
+module Keymap = D2_trace.Keymap
 module Availability = D2_core.Availability
 
 let ranked scale ~mode =

@@ -5,7 +5,7 @@
    system grows. *)
 
 module Report = D2_util.Report
-module Keymap = D2_core.Keymap
+module Keymap = D2_trace.Keymap
 module Perf = D2_core.Perf
 
 let run scale =

@@ -1,4 +1,4 @@
-module Keymap = D2_core.Keymap
+module Keymap = D2_trace.Keymap
 module Availability = D2_core.Availability
 module Perf = D2_core.Perf
 module Balance_sim = D2_core.Balance_sim

@@ -7,11 +7,11 @@
     one per figure. *)
 
 val availability_replay :
-  Config.scale -> mode:D2_core.Keymap.mode -> trial:int -> D2_core.Availability.replay
+  Config.scale -> mode:D2_trace.Keymap.mode -> trial:int -> D2_core.Availability.replay
 
 val perf_pass :
   Config.scale ->
-  mode:D2_core.Keymap.mode ->
+  mode:D2_trace.Keymap.mode ->
   nodes:int ->
   bandwidth:float ->
   D2_core.Perf.pass
@@ -30,7 +30,7 @@ val locality :
 (** Fig. 3's locality analysis, memoized per (scale, workload, node
     count). *)
 
-val all_modes : D2_core.Keymap.mode list
+val all_modes : D2_trace.Keymap.mode list
 (** Traditional, Traditional_file, D2 — comparison order used in the
     tables. *)
 
@@ -48,10 +48,10 @@ type cell = string * (unit -> unit)
 
 val trace_cell : Config.scale -> [ `Harvard | `Hp | `Web | `Webcache ] -> cell
 val locality_cell : Config.scale -> workload:[ `Harvard | `Hp | `Web ] -> nodes:int -> cell
-val avail_cell : Config.scale -> mode:D2_core.Keymap.mode -> trial:int -> cell
+val avail_cell : Config.scale -> mode:D2_trace.Keymap.mode -> trial:int -> cell
 
 val perf_cell :
-  Config.scale -> mode:D2_core.Keymap.mode -> nodes:int -> bandwidth:float -> cell
+  Config.scale -> mode:D2_trace.Keymap.mode -> nodes:int -> bandwidth:float -> cell
 
 val balance_cell :
   Config.scale ->

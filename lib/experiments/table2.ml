@@ -4,7 +4,7 @@
 
 module Report = D2_util.Report
 module Task = D2_trace.Task
-module Keymap = D2_core.Keymap
+module Keymap = D2_trace.Keymap
 module Availability = D2_core.Availability
 
 let run scale =

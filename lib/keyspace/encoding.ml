@@ -1,3 +1,4 @@
+(* Slot-path components representable before hashing kicks in. *)
 let max_levels = 12
 let max_slot = 0xffff
 let volume_bytes = 20

@@ -19,15 +19,12 @@
     than 12 levels keep locality for their first 12 components and
     hash the remainder (< 1% of files in the paper's traces). *)
 
-val max_levels : int
-(** 12: slot-path components representable before hashing kicks in. *)
-
 val max_slot : int
 (** 65535. *)
 
 type fields = {
   volume : string;  (** exactly 20 bytes *)
-  slots : int array;  (** the first [<= max_levels] slot-path components, each 1..65535 *)
+  slots : int array;  (** the first [<= 12] slot-path components, each 1..65535 *)
   remainder_hash : int64;  (** 0 when the whole path fits in [slots] *)
   block : int64;  (** 0 = the object's metadata block; data blocks count from 1 *)
   version : int32;  (** distinguishes versions of an overwritten block *)
@@ -35,7 +32,7 @@ type fields = {
 
 val encode : fields -> Key.t
 (** @raise Invalid_argument if [volume] is not 20 bytes, [slots] is
-    longer than [max_levels], or any slot is outside 1..[max_slot]. *)
+    longer than 12, or any slot is outside 1..[max_slot]. *)
 
 val decode : Key.t -> fields
 (** Inverse of [encode] (the remainder hash is recovered as stored;
@@ -46,8 +43,8 @@ val volume_id : string -> string
 
 val of_slot_path :
   volume:string -> slots:int list -> block:int64 -> version:int32 -> Key.t
-(** Build a key from a full slot path of any depth: the first
-    [max_levels] components are encoded positionally and any excess is
+(** Build a key from a full slot path of any depth: the first 12
+    components are encoded positionally and any excess is
     hashed into the remainder field. *)
 
 val slot_prefix_key : volume:string -> slots:int list -> Key.t

@@ -48,6 +48,42 @@ let compare_from off a b =
   in
   go off
 
+(* {1 Sorted-key search}
+
+   Every key of a sorted run shares the prefix of its first and last
+   key, so the [prefix_at] column is taken just past it: long shared
+   heads (a load-balanced ring, one volume's cached ranges) still
+   resolve almost every step with one unboxed int compare. *)
+
+let prefix_offset ids n =
+  if n <= 1 then max_prefix_offset
+  else min max_prefix_offset (common_prefix_len ids.(0) ids.(n - 1))
+
+let lower_bound ids pfx ~n ~off key =
+  if n = 0 then 0
+  else begin
+    (* All ids agree on their first [off] bytes; one head comparison
+       settles any key that diverges from that prefix. *)
+    let c = if off = 0 then 0 else compare_head key ids.(0) off in
+    if c < 0 then 0
+    else if c > 0 then n
+    else begin
+      let kp = prefix_at key off in
+      let lo = ref 0 and hi = ref n in
+      while !lo < !hi do
+        let mid = (!lo + !hi) lsr 1 in
+        let mp = Array.unsafe_get pfx mid in
+        let below =
+          if mp < kp then true
+          else if mp > kp then false
+          else compare_from off (Array.unsafe_get ids mid) key < 0
+        in
+        if below then lo := mid + 1 else hi := mid
+      done;
+      !lo
+    end
+  end
+
 (* {1 Hashing}
 
    Only the discriminating fields (Fig. 4 layout): the volume-id tail,

@@ -38,6 +38,17 @@ val compare_from : int -> t -> t -> int
 (** [compare_from off a b] compares only bytes [off .. size-1]; equal
     to [compare a b] whenever the first [off] bytes agree. *)
 
+val prefix_offset : t array -> int -> int
+(** [prefix_offset ids n]: the length of the prefix the sorted keys
+    [ids.(0 .. n-1)] share, capped at {!max_prefix_offset}. *)
+
+val lower_bound : t array -> int array -> n:int -> off:int -> t -> int
+(** [lower_bound ids pfx ~n ~off key]: the index of the first of the
+    sorted keys [ids.(0 .. n-1)] that is [>= key], or [n], searched on
+    [pfx.(i) = prefix_at ids.(i) off] with [off = prefix_offset ids n]
+    (bytes compared only on a prefix tie).  The ring's and the lookup
+    cache's one search. *)
+
 val hash : t -> int
 (** Hash of the discriminating bytes only — volume-id tail, slot path
     and block number (Fig. 4 fields) — instead of the whole 64-byte

@@ -16,10 +16,6 @@ external fd_write : Unix.file_descr -> Bytes.t -> int -> int -> int
 let again = -2
 (** Returned by {!read}/{!write} on EAGAIN/EWOULDBLOCK/EINTR. *)
 
-let error = -1
-(** Returned by {!read}/{!write} on a hard error (the errno is not
-    surfaced; the connection is past saving either way). *)
-
 let read fd buf ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length buf then
     invalid_arg "Fdio.read: bad range";

@@ -13,12 +13,10 @@
 val again : int
 (** Result meaning EAGAIN/EWOULDBLOCK/EINTR: retry at next readiness. *)
 
-val error : int
-(** Result meaning a hard error; the stream is past saving. *)
-
 val read : Unix.file_descr -> Bytes.t -> off:int -> len:int -> int
-(** Bytes read ([0] = orderly EOF), or {!again} / {!error}. *)
+(** Bytes read ([0] = orderly EOF), {!again}, or [-1] on a hard error
+    (the stream is past saving). *)
 
 val write : Unix.file_descr -> Bytes.t -> off:int -> len:int -> int
-(** Bytes written, or {!again} / {!error}.  Uses [MSG_NOSIGNAL]: a
-    dead peer yields {!error}, never SIGPIPE. *)
+(** Bytes written, {!again}, or [-1] on a hard error.  Uses
+    [MSG_NOSIGNAL]: a dead peer yields [-1], never SIGPIPE. *)

@@ -318,26 +318,21 @@ module Make (T : Transport.S) = struct
     | Wire.Lookup { key } ->
         let reply =
           Mutex.protect t.lock (fun () ->
-              let owner = Ring.successor t.ring key in
-              if owner = t.me then
-                Wire.Owner
-                  {
-                    node = t.me;
-                    lo = Ring.predecessor_id t.ring ~node:t.me;
-                    hi = t.my_id;
-                  }
-              else
-                match Router.route t.router ~src:t.me ~key with
-                | next :: _ -> Wire.Redirect { next }
-                | [] ->
-                    (* Route says we own it after all (stale successor
-                       read): answer with our own range. *)
-                    Wire.Owner
-                      {
-                        node = t.me;
-                        lo = Ring.predecessor_id t.ring ~node:t.me;
-                        hi = t.my_id;
-                      })
+              let route =
+                if Ring.successor t.ring key = t.me then []
+                else Router.route t.router ~src:t.me ~key
+              in
+              match route with
+              | next :: _ -> Wire.Redirect { next }
+              | [] ->
+                  (* We own it, or the route says we do after all (a
+                     stale successor read): answer with our range. *)
+                  Wire.Owner
+                    {
+                      node = t.me;
+                      lo = Ring.predecessor_id t.ring ~node:t.me;
+                      hi = t.my_id;
+                    })
         in
         L.reply l ~req reply
     | Wire.Get { key } -> serve_get_q t l req ~key ~q:1
@@ -366,11 +361,6 @@ module Make (T : Transport.S) = struct
         L.reply l ~req (Wire.Sync_digests_ack { children })
     | Wire.Sync_keys { lo; hi; prefix; bits } ->
         let items = Vmap.items t.vmap ~lo ~hi ~prefix ~bits in
-        (* A bucket this deep holding more than the frame cap would
-           take ~2^28 hash collisions; truncating (sorted, so both
-           sides drop the same tail region) keeps the frame bounded
-           and the next session finishes the job. *)
-        let items = List.filteri (fun i _ -> i < Wire.max_sync_items) items in
         L.reply l ~req (Wire.Sync_keys_ack { items })
     | Wire.Fetch { key; have } ->
         let reply =
@@ -552,7 +542,6 @@ module Make (T : Transport.S) = struct
                   let local =
                     Vmap.items t.vmap ~lo:s.lo ~hi:s.hi
                       ~prefix:p.Repair.prefix ~bits:p.Repair.bits
-                    |> List.filteri (fun i _ -> i < Wire.max_sync_items)
                   in
                   let { Repair.pull; push } = Repair.diff ~local ~remote in
                   List.iter (fun k -> Queue.push k s.pulls) pull;

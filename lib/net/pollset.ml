@@ -1,4 +1,3 @@
-external backend_name : unit -> string = "d2_pollset_backend"
 external raw_create : unit -> int = "d2_pollset_create"
 external raw_close : int -> unit = "d2_pollset_close"
 
@@ -11,8 +10,6 @@ external raw_wait : int -> int -> int array -> int array -> int
    (guarded by the transport that uses it). *)
 external fd_int : Unix.file_descr -> int = "%identity"
 external int_fd : int -> Unix.file_descr = "%identity"
-
-let backend = backend_name ()
 
 type t = {
   handle : int;

@@ -12,9 +12,6 @@
 
 type t
 
-val backend : string
-(** ["epoll"] or ["poll"], for logs and tests. *)
-
 val create : ?capacity:int -> unit -> t
 (** [capacity] (default 512) bounds how many ready descriptors one
     {!wait} can report; more simply arrive on the next wakeup. *)

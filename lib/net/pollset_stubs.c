@@ -16,7 +16,6 @@
 #include <stdlib.h>
 #include <string.h>
 
-#include <caml/alloc.h>
 #include <caml/fail.h>
 #include <caml/memory.h>
 #include <caml/mlvalues.h>
@@ -34,12 +33,6 @@
 
 #include <sys/epoll.h>
 #include <unistd.h>
-
-CAMLprim value d2_pollset_backend(value unit)
-{
-  (void)unit;
-  return caml_copy_string("epoll");
-}
 
 CAMLprim value d2_pollset_create(value unit)
 {
@@ -128,12 +121,6 @@ typedef struct {
 } d2_pollset;
 
 static d2_pollset *sets[64];
-
-CAMLprim value d2_pollset_backend(value unit)
-{
-  (void)unit;
-  return caml_copy_string("poll");
-}
 
 CAMLprim value d2_pollset_create(value unit)
 {

@@ -15,7 +15,7 @@ let vv_empty = Vv.empty
 let max_payload = 8192
 let max_members = 4096
 let max_error = 1024
-let max_sync_items = 256
+let max_sync_items = Digest.max_items
 
 (* Largest body is a full Join_ack: u16 count + count * (u32 node +
    64-byte id).  Every other message is far below it — the worst

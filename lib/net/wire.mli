@@ -48,8 +48,8 @@ val max_members : int
 (** Largest membership list a [Join_ack] may carry (4096 nodes). *)
 
 val max_sync_items : int
-(** Largest entry list a [Sync_keys_ack] may carry (256); a bigger
-    bucket is narrowed by another digest round instead. *)
+(** Largest entry list a [Sync_keys_ack] may carry:
+    {!D2_sync.Digest.max_items} (256), the cap [Digest.items] applies. *)
 
 val max_frame : int
 (** Upper bound on a whole frame, length prefix included. *)

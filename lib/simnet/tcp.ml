@@ -1,5 +1,7 @@
 type conn = { mutable cwnd : float; mutable last_used : float }
 
+(* Segment payload bytes (1500-byte packets), and the idle time in
+   seconds after which the window resets. *)
 let mss = 1460
 let initial_window = 2.0
 let default_rto = 0.2

@@ -13,15 +13,9 @@
 type conn
 (** Per-(src,dst) connection state. *)
 
-val mss : int
-(** Segment payload size in bytes (1460, from 1500-byte packets). *)
-
 val initial_window : float
 (** Initial/post-idle congestion window in packets (2, as in the
     paper's Linux 2.4 testbed). *)
-
-val default_rto : float
-(** Idle threshold in seconds after which the window resets (0.2 s). *)
 
 val fresh_conn : unit -> conn
 (** A new, cold connection (window = {!initial_window}). *)
@@ -38,7 +32,9 @@ val transfer_time :
     seconds to request and fully receive [bytes] over [conn], including
     the request round-trip, with the sender's access link capped at
     [bandwidth] bits/s.  Updates [conn]'s window and last-use time.
-    A transfer of 0 bytes costs one RTT (the request/response). *)
+    A transfer of 0 bytes costs one RTT (the request/response).
+    [rto] (default 0.2 s) is the idle time after which the window
+    resets; segments carry 1460 payload bytes. *)
 
 val window : conn -> now:float -> ?rto:float -> unit -> float
 (** Current effective window in packets, accounting for idle reset —

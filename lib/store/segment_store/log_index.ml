@@ -131,7 +131,7 @@ let header_len = String.length magic + 4 + 4 + 6
 (* Encoded in place into the buffer the index keeps: a checkpoint
    rewrites the whole index every few seconds, and a fresh
    index-sized block per checkpoint would be major-heap garbage. *)
-let save t ~path ~tail_seg ~tail_off =
+let encode t ~tail_seg ~tail_off =
   let size = header_len + (t.n * entry_len) + 4 in
   if Bytes.length t.ckpt < size then t.ckpt <- Bytes.create (size + (size / 4));
   let b = t.ckpt in
@@ -148,59 +148,29 @@ let save t ~path ~tail_seg ~tail_off =
       set_u32 b (!o + Key.size + 10) len;
       o := !o + entry_len);
   set_u32 b !o (Crc32c.bytes b ~pos:0 ~len:!o);
-  let tmp = path ^ ".tmp" in
-  let fd =
-    Unix.openfile tmp
-      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
-      0o644
-  in
-  (* The rename must not land before the bytes: fsync, then swap.  A
-     failed write or fsync leaves the old checkpoint in place. *)
-  (try
-     let o = ref 0 in
-     while !o < size do
-       o := !o + Unix.write fd b !o (size - !o)
-     done;
-     Unix.fsync fd
-   with e ->
-     Unix.close fd;
-     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
-     raise e);
-  Unix.close fd;
-  Unix.rename tmp path
+  D2_util.Slice.v b ~off:0 ~len:size
 
-let load ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception _ -> None
-  | s ->
-      let ml = String.length magic and fixed = header_len in
-      if String.length s < fixed + 4 || not (String.sub s 0 ml = magic) then
-        None
-      else
-        let body_len = String.length s - 4 in
-        let crc = get_u32 s body_len in
-        if Crc32c.string s ~pos:0 ~len:body_len <> crc then None
-        else
-          let n = get_u32 s ml in
-          let tail_seg = get_u32 s (ml + 4) in
-          let tail_off = get_u48 s (ml + 8) in
-          if body_len <> fixed + (n * entry_len) then None
-          else begin
-            let t = create ~capacity:(max 16 (2 * n)) () in
-            let ok = ref true in
-            for i = 0 to n - 1 do
-              let e = fixed + (i * entry_len) in
-              let key = Key.of_string (String.sub s e Key.size) in
-              let seg = get_u32 s (e + Key.size) in
-              let off = get_u48 s (e + Key.size + 4) in
-              let len = get_u32 s (e + Key.size + 10) in
-              if seg < 0 || len < Record.header_len then ok := false
-              else ignore (bind t ~key ~seg ~off ~len)
-            done;
-            if !ok then Some (t, tail_seg, tail_off) else None
-          end
+let decode s =
+  let ml = String.length magic in
+  if String.length s < header_len + 4 || not (String.sub s 0 ml = magic) then
+    None
+  else
+    let body_len = String.length s - 4 in
+    let n = get_u32 s ml in
+    if
+      Crc32c.string s ~pos:0 ~len:body_len <> get_u32 s body_len
+      || body_len <> header_len + (n * entry_len)
+    then None
+    else begin
+      let t = create ~capacity:(max 16 (2 * n)) () in
+      for i = 0 to n - 1 do
+        let e = header_len + (i * entry_len) in
+        ignore
+          (bind t
+             ~key:(Key.of_string (String.sub s e Key.size))
+             ~seg:(get_u32 s (e + Key.size))
+             ~off:(get_u48 s (e + Key.size + 4))
+             ~len:(get_u32 s (e + Key.size + 10)))
+      done;
+      Some (t, get_u32 s (ml + 4), get_u48 s (ml + 8))
+    end

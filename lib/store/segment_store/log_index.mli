@@ -9,7 +9,8 @@
 
     A {e checkpoint} serializes the whole index plus the log-tail
     watermark; startup loads it and replays only records past the
-    watermark instead of scanning every segment. *)
+    watermark instead of scanning every segment.  This module is only
+    its codec: no path, no system call ({!Segment} holds the file). *)
 
 module Key = D2_keyspace.Key
 
@@ -45,15 +46,14 @@ val iter : t -> (key:Key.t -> seg:int -> off:int -> len:int -> unit) -> unit
 
 (** {1 Checkpoints} *)
 
-val save : t -> path:string -> tail_seg:int -> tail_off:int -> unit
-(** Atomically (write-tmp, fsync, rename) persist the index.  The
-    watermark [(tail_seg, tail_off)] promises: every record at or past
-    it is {e not} reflected in the saved bindings, and every record
-    before it is — so recovery = load + replay the tail.  A failed
-    write or fsync removes the tmp file and raises before the rename:
-    the previous checkpoint stays. *)
+val encode : t -> tail_seg:int -> tail_off:int -> D2_util.Slice.t
+(** The index and the log-tail watermark as checkpoint bytes, in a
+    buffer the index reuses (valid until the next [encode]).  The
+    watermark promises: every record at or past [(tail_seg, tail_off)]
+    is {e not} in the bindings, every record before it is — so
+    recovery = decode + replay the tail. *)
 
-val load : path:string -> (t * int * int) option
-(** [Some (index, tail_seg, tail_off)], or [None] when the file is
-    missing, truncated, or fails its CRC — the caller falls back to a
-    full log scan. *)
+val decode : string -> (t * int * int) option
+(** [Some (index, tail_seg, tail_off)], or [None] for bytes that are
+    cut short or fail the magic, length or CRC check.  Whether the
+    bindings fit the segments on disk is the store's check. *)

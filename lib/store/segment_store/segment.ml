@@ -1,4 +1,6 @@
 module Key = D2_keyspace.Key
+module Bytebuf = D2_util.Bytebuf
+module Slice = D2_util.Slice
 
 external pread_stub :
   Unix.file_descr -> Bytes.t -> int -> int -> int -> int
@@ -9,14 +11,75 @@ external fdatasync_stub : Unix.file_descr -> unit = "d2_segstore_fdatasync"
 type t = {
   sid : int;
   fd : Unix.file_descr;
-  mutable wbuf : Bytes.t;
-  mutable wlen : int;
+  wbuf : Bytebuf.t;  (** staged records, drained whole by [flush] *)
   mutable written : int;  (** bytes pushed to the fd *)
   mutable synced_ : int;  (** bytes covered by the last fdatasync *)
   writable : bool;
 }
 
-let path ~dir ~id = Filename.concat dir (Printf.sprintf "seg-%08d.log" id)
+(* {1 The directory}
+
+   The segment naming rule is stated once: [id_of_name] accepts
+   exactly the names [path] formats. *)
+
+let file_name id = Printf.sprintf "seg-%08d.log" id
+let path ~dir ~id = Filename.concat dir (file_name id)
+
+let id_of_name name =
+  match Scanf.sscanf_opt name "seg-%08d.log%!" Fun.id with
+  | Some id when file_name id = name -> Some id
+  | _ -> None
+
+let ckpt_path dir = Filename.concat dir "index.ckpt"
+
+let rec mkdirs d =
+  if not (Sys.file_exists d) then begin
+    mkdirs (Filename.dirname d);
+    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
+let open_dir ~dir =
+  mkdirs dir;
+  let ids =
+    Sys.readdir dir |> Array.to_list |> List.filter_map id_of_name
+    |> List.sort compare
+  in
+  if ids = [] && not (Sys.file_exists (ckpt_path dir)) then None else Some ids
+
+let write_fully fd buf off len =
+  let o = ref off and remaining = ref len in
+  while !remaining > 0 do
+    let n = Unix.write fd buf !o !remaining in
+    o := !o + n;
+    remaining := !remaining - n
+  done
+
+let write_checkpoint ~dir (img : Slice.t) =
+  let path = ckpt_path dir in
+  let tmp = path ^ ".tmp" in
+  let fd =
+    Unix.openfile tmp
+      [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
+      0o644
+  in
+  (* The rename must not land before the bytes: fsync, then swap.  A
+     failed write or fsync leaves the old checkpoint in place. *)
+  (try
+     write_fully fd img.buf img.off img.len;
+     Unix.fsync fd
+   with e ->
+     Unix.close fd;
+     (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+     raise e);
+  Unix.close fd;
+  Unix.rename tmp path
+
+let read_checkpoint ~dir =
+  match In_channel.with_open_bin (ckpt_path dir) In_channel.input_all with
+  | s -> Some s
+  | exception _ -> None
+
+(* {1 One segment file} *)
 
 let create ~dir ~id =
   let fd =
@@ -27,8 +90,7 @@ let create ~dir ~id =
   {
     sid = id;
     fd;
-    wbuf = Bytes.create 65536;
-    wlen = 0;
+    wbuf = Bytebuf.create ~capacity:65536 ();
     written = 0;
     synced_ = 0;
     writable = true;
@@ -42,8 +104,7 @@ let open_existing ~dir ~id =
   {
     sid = id;
     fd;
-    wbuf = Bytes.create 0;
-    wlen = 0;
+    wbuf = Bytebuf.create ~capacity:0 ();
     written = len;
     (* A reopened segment's bytes were either synced before the crash
        or are about to be re-validated record by record; recovery
@@ -53,45 +114,32 @@ let open_existing ~dir ~id =
   }
 
 let id t = t.sid
-let length t = t.written + t.wlen
+let length t = t.written + Bytebuf.length t.wbuf
 let file_length t = t.written
 let synced t = t.synced_
 
-let reserve t n =
-  if Bytes.length t.wbuf - t.wlen < n then begin
-    let cap = max (2 * Bytes.length t.wbuf) (t.wlen + n) in
-    let nb = Bytes.create cap in
-    Bytes.blit t.wbuf 0 nb 0 t.wlen;
-    t.wbuf <- nb
-  end
-
-(* Make room for [n] more bytes; returns their logical offset.  The
-   caller fills [wbuf] at [wlen] and then advances [wlen]. *)
+(* Room for [n] more bytes: the buffer and the position to fill,
+   which [Bytebuf.commit] then claims. *)
 let claim t n =
   if not t.writable then failwith "Segment.append: sealed segment";
-  reserve t n;
-  t.written + t.wlen
+  Bytebuf.reserve t.wbuf n
 
-let append t ~kind ~key ~(data : D2_util.Slice.t) =
-  let off = claim t (Record.encoded_len ~data_len:data.len) in
-  t.wlen <- t.wlen + Record.encode_into t.wbuf ~off:t.wlen ~kind ~key ~data;
+let append t ~kind ~key ~(data : Slice.t) =
+  let off = length t in
+  let buf, pos = claim t (Record.encoded_len ~data_len:data.len) in
+  Bytebuf.commit t.wbuf (Record.encode_into buf ~off:pos ~kind ~key ~data);
   off
 
-let write_fully fd buf off len =
-  let o = ref off and remaining = ref len in
-  while !remaining > 0 do
-    let n = Unix.write fd buf !o !remaining in
-    o := !o + n;
-    remaining := !remaining - n
-  done
-
 let flush t ~fsync =
-  if t.wlen > 0 then begin
-    write_fully t.fd t.wbuf 0 t.wlen;
-    t.written <- t.written + t.wlen;
-    t.wlen <- 0;
-    (* Shrink a burst-grown buffer back toward the floor. *)
-    if Bytes.length t.wbuf > 1 lsl 20 then t.wbuf <- Bytes.create 65536
+  if not (Bytebuf.is_empty t.wbuf) then begin
+    let buf, off, len = Bytebuf.peek t.wbuf in
+    write_fully t.fd buf off len;
+    t.written <- t.written + len;
+    Bytebuf.consume t.wbuf len;
+    (* A burst (a compaction step relocates up to 512 KB) may have
+       grown the buffer; halve it back, but keep 1 MB, so steady group
+       commits reuse one buffer. *)
+    Bytebuf.shrink t.wbuf ~floor:(1 lsl 20)
   end;
   if fsync && t.synced_ < t.written then begin
     fdatasync_stub t.fd;
@@ -114,18 +162,21 @@ let read_into t ~off ~len buf ~dst_off =
     done
   end;
   let buf_n = len - file_n in
-  if buf_n > 0 then
-    Bytes.blit t.wbuf (off + file_n - t.written) buf (dst_off + file_n) buf_n
+  if buf_n > 0 then begin
+    let wb, r, _ = Bytebuf.peek t.wbuf in
+    Bytes.blit wb (r + off + file_n - t.written) buf (dst_off + file_n) buf_n
+  end
 
 let relocate t ~src ~off ~len ~key =
-  let at = claim t len in
-  read_into src ~off ~len t.wbuf ~dst_off:t.wlen;
-  match Record.decode t.wbuf ~off:t.wlen ~avail:len with
+  let at = length t in
+  let buf, pos = claim t len in
+  read_into src ~off ~len buf ~dst_off:pos;
+  match Record.decode buf ~off:pos ~avail:len with
   | `Record r
     when r.Record.d_kind = Record.kind_put
          && r.Record.d_total = len
          && Key.equal r.Record.d_key key ->
-      t.wlen <- t.wlen + len;
+      Bytebuf.commit t.wbuf len;
       at
   | _ -> -1
 

@@ -1,19 +1,39 @@
-(** One append-only segment file ([seg-%08d.log]).
+(** The segment store's one file layer: every file-system call the
+    store makes is one of these functions.  A store directory holds
+    the append-only segment files ([seg-%08d.log]) and one index
+    checkpoint; {!Store} decides when each is written, synced or
+    deleted, and {!Log_index} is the checkpoint's codec.
 
-    The active segment owns a write buffer: {!append} only blits into
-    it, and {!flush} pushes the whole buffer to the kernel as a single
-    [write(2)] — optionally followed by one [fdatasync(2)] — which is
-    the disk half of the group-commit trick: every record that arrived
-    since the previous flush rides one syscall pair.  Reads are
-    positional ([pread(2)], no shared offset), and an offset still
-    inside the buffer is served from memory, so a node can read back a
-    block it has not yet flushed. *)
+    The active segment owns a write buffer: {!append} only stages a
+    record there, and {!flush} pushes the whole buffer to the kernel
+    as a single [write(2)] — optionally followed by one
+    [fdatasync(2)] — which is the disk half of the group-commit trick:
+    every record that arrived since the previous flush rides one
+    syscall pair.  Reads are positional ([pread(2)], no shared
+    offset), and an offset still inside the buffer is served from
+    memory, so a node can read back a block it has not yet flushed. *)
 
 module Key = D2_keyspace.Key
 
-type t
+(** {1 The directory} *)
 
-val path : dir:string -> id:int -> string
+val open_dir : dir:string -> int list option
+(** Create [dir] (and any missing parent).  [None] when it is fresh —
+    no segment file and no checkpoint — else the ids of the segment
+    files it holds, ascending. *)
+
+val write_checkpoint : dir:string -> D2_util.Slice.t -> unit
+(** Replace the directory's checkpoint with these bytes, atomically:
+    write a tmp file, fsync it, close it, rename it over the old one.
+    A failed write or fsync unlinks the tmp file and raises before the
+    rename, so the previous checkpoint stays. *)
+
+val read_checkpoint : dir:string -> string option
+(** The whole checkpoint file, or [None]. *)
+
+(** {1 One segment file} *)
+
+type t
 
 val create : dir:string -> id:int -> t
 (** Create the file fresh (truncating any leftover); append mode. *)

@@ -85,7 +85,6 @@ type t = {
 }
 
 let recovery t = t.recovered
-let ckpt_path dir = Filename.concat dir "index.ckpt"
 
 let check_open t = if t.closed then invalid_arg "Segment_store: closed"
 
@@ -134,9 +133,9 @@ let settle_active t =
 
 let checkpoint_locked t =
   settle_active t;
-  Log_index.save t.index ~path:(ckpt_path t.sdir)
-    ~tail_seg:(Segment.id t.active.seg)
-    ~tail_off:(Segment.file_length t.active.seg)
+  Segment.write_checkpoint ~dir:t.sdir
+    (Log_index.encode t.index ~tail_seg:(Segment.id t.active.seg)
+       ~tail_off:(Segment.file_length t.active.seg))
 
 (* A segment is worth rewriting once it is sealed and either fully
    dead or holding less than [compact_live] of its bytes live.  A
@@ -541,21 +540,6 @@ let cache t = t.bcache
 
 (* {1 Startup: recovery} *)
 
-let rec mkdirs d =
-  if not (Sys.file_exists d) then begin
-    mkdirs (Filename.dirname d);
-    try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let segment_ids dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter_map (fun name ->
-         match Scanf.sscanf_opt name "seg-%08d.log%!" (fun id -> id) with
-         | Some id when Segment.path ~dir ~id = Filename.concat dir name ->
-             Some id
-         | _ -> None)
-  |> List.sort compare
-
 (* Replay one segment's records from [from] into the index; returns
    (records, bytes, truncated) where [truncated] > 0 means a torn or
    corrupt tail was cut off ([last] segments only — a bad record in an
@@ -584,9 +568,10 @@ let replay_segment index st ~from ~last =
   if truncated > 0 then Segment.truncate_to st.seg !pos;
   (!records, !pos - start, truncated)
 
-(* A checkpoint is only usable when every binding points inside a
-   segment file we actually have — anything else (a deleted segment, an
-   offset past the file end) forces the full-scan fallback. *)
+(* A checkpoint is only usable when every binding is at least a record
+   header long and lies inside a segment file we actually have —
+   anything else (a deleted segment, an offset past the file end)
+   forces the full-scan fallback. *)
 let checkpoint_usable idx segs ~tail_seg ~tail_off =
   (* The log must reach the watermark the checkpoint claims to cover:
      a tail torn BELOW it (possible when checkpoints don't sync, i.e.
@@ -605,15 +590,18 @@ let checkpoint_usable idx segs ~tail_seg ~tail_off =
   let ok = ref true in
   Log_index.iter idx (fun ~key:_ ~seg ~off ~len ->
       match Hashtbl.find_opt segs seg with
-      | Some st when off + len <= Segment.file_length st.seg -> ()
+      | Some st
+        when len >= Record.header_len && off + len <= Segment.file_length st.seg
+        ->
+          ()
       | _ -> ok := false);
   !ok
 
 let create ~dir ?(config = default_config) () =
-  mkdirs dir;
   let t0 = Unix.gettimeofday () in
-  let ids = segment_ids dir in
-  let fresh = ids = [] && not (Sys.file_exists (ckpt_path dir)) in
+  let found = Segment.open_dir ~dir in
+  let fresh = found = None in
+  let ids = Option.value found ~default:[] in
   let segs : (int, seg_state) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun id ->
@@ -622,7 +610,8 @@ let create ~dir ?(config = default_config) () =
     ids;
   let index, tail_seg, tail_off, ckpt_blocks =
     match
-      if fresh then None else Log_index.load ~path:(ckpt_path dir)
+      if fresh then None
+      else Option.bind (Segment.read_checkpoint ~dir) Log_index.decode
     with
     | Some (idx, ts, off) when checkpoint_usable idx segs ~tail_seg:ts ~tail_off:off ->
         (idx, ts, off, Log_index.count idx)

@@ -39,6 +39,12 @@
     in the background flusher — fails the store: {!durable_seq} stops
     where it is, and every later write raises that error.
 
+    {b Files.}  This module decides {e when} bytes reach the disk —
+    segment bytes settle before a checkpoint, a checkpoint lands
+    before a compaction victim is unlinked — but makes no file-system
+    call itself: {!Segment} makes every one, and {!Log_index} only
+    encodes and decodes the checkpoint.
+
     Thread-safe: one store-wide mutex brackets every operation (reads
     included — compaction may retire a segment under a concurrent
     get); the domain-sharded runtime's contention unit is the store,

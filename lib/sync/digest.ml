@@ -48,8 +48,15 @@ let children ~iter ~prefix ~bits =
       end);
   Array.init fanout (fun i -> (sums.(i), counts.(i)))
 
+let max_items = 256
+
+(* A bucket this deep holding more than [max_items] entries would take
+   ~2^28 hash collisions; truncating the sorted list (both sides drop
+   the same tail region) keeps a key exchange bounded, and the next
+   session finishes the job. *)
 let items ~iter ~prefix ~bits =
   let acc = ref [] in
   iter (fun key e ->
       if in_bucket key ~prefix ~bits then acc := (key, e.vv, e.deleted) :: !acc);
   List.sort (fun (a, _, _) (b, _, _) -> Key.compare a b) !acc
+  |> List.filteri (fun i _ -> i < max_items)

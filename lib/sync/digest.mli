@@ -42,9 +42,6 @@ val entry_crc : Key.t -> Version_vector.t -> bool -> int
     @raise Invalid_argument if the vector is not
     {!Version_vector.encodable}. *)
 
-val in_bucket : Key.t -> prefix:int -> bits:int -> bool
-(** Whether the key's hash starts with [prefix] (its top [bits] bits). *)
-
 val children :
   iter:((Key.t -> entry -> unit) -> unit) ->
   prefix:int ->
@@ -57,10 +54,14 @@ val children :
     shallow levels summed as entries change and folds only one
     partition for the deep ones. *)
 
+val max_items : int
+(** Most entries one key exchange carries (256). *)
+
 val items :
   iter:((Key.t -> entry -> unit) -> unit) ->
   prefix:int ->
   bits:int ->
   (Key.t * Version_vector.t * bool) list
-(** The bucket's entries, sorted by key so both sides enumerate a
-    mismatched bucket in the same order. *)
+(** The bucket's first {!max_items} entries, sorted by key so both
+    sides enumerate a mismatched bucket in the same order (and, past
+    the cap, leave out the same tail). *)

@@ -4,6 +4,8 @@ module Vv = Version_vector
 type probe = { prefix : int; bits : int }
 
 let root = { prefix = 0; bits = 0 }
+(* Bucket size (both sides combined) below which exchanging the key
+   list beats another digest round. *)
 let leaf_count = 32
 
 type next = Digest of probe | Keys of probe

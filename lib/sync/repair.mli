@@ -21,10 +21,6 @@ type probe = { prefix : int; bits : int }
 val root : probe
 (** The whole range: prefix 0 at 0 bits. *)
 
-val leaf_count : int
-(** Bucket size (combined, both sides) below which exchanging the key
-    list beats another digest round (32). *)
-
 type next =
   | Digest of probe  (** recurse: exchange this child's digests *)
   | Keys of probe  (** narrow enough: exchange this child's entries *)

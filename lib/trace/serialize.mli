@@ -3,13 +3,9 @@
     Traces export to a line-oriented, tab-separated format so they can
     be inspected with standard tools, archived, and replayed across
     runs without regeneration.  Deterministic round trip:
-    [load (save t) = t]. *)
-
-val save : Op.t -> out_channel -> unit
+    [load_file] gives back the trace [save_file] wrote. *)
 
 val save_file : Op.t -> string -> unit
 
-val load : in_channel -> Op.t
-(** @raise Invalid_argument on malformed input (with a line number). *)
-
 val load_file : string -> Op.t
+(** @raise Invalid_argument on malformed input (with a line number). *)

@@ -66,10 +66,6 @@ let pop_exn t =
   | Some x -> x
   | None -> invalid_arg "Heap.pop_exn: empty heap"
 
-let clear t =
-  t.data <- [||];
-  t.size <- 0
-
 let to_sorted_list t =
   let copy = { cmp = t.cmp; data = Array.sub t.data 0 t.size; size = t.size } in
   let rec drain acc =

@@ -53,8 +53,6 @@ let render t =
   Buffer.add_string buf sep;
   Buffer.contents buf
 
-let print t = print_string (render t)
-
 let fmt_float ?(decimals = 3) v = Printf.sprintf "%.*f" decimals v
 let fmt_sci v = Printf.sprintf "%.2e" v
 let fmt_pct v = Printf.sprintf "%.1f%%" (100.0 *. v)

@@ -14,8 +14,6 @@ val add_row : t -> string list -> unit
 val render : t -> string
 (** Aligned, boxed, ready to print. *)
 
-val print : t -> unit
-
 val fmt_float : ?decimals:int -> float -> string
 (** Fixed-point float formatting, default 3 decimals. *)
 

@@ -5,7 +5,7 @@ module Cluster = D2_store.Cluster
 module Engine = D2_simnet.Engine
 module Key = D2_keyspace.Key
 module Rng = D2_util.Rng
-module Keymap = D2_core.Keymap
+module Keymap = D2_trace.Keymap
 
 let k_of_byte b = Key.of_string (String.make 1 (Char.chr b) ^ String.make 63 '\000')
 

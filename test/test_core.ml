@@ -5,7 +5,7 @@ module Op = D2_trace.Op
 module Harvard = D2_trace.Harvard
 module Plan = D2_trace.Plan
 module Failure = D2_trace.Failure
-module Keymap = D2_core.Keymap
+module Keymap = D2_trace.Keymap
 module System = D2_core.System
 module Locality = D2_core.Locality
 module Availability = D2_core.Availability

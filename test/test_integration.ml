@@ -10,7 +10,7 @@ module Fs = D2_fs.Fs
 module Rng = D2_util.Rng
 module Harvard = D2_trace.Harvard
 module Failure = D2_trace.Failure
-module Keymap = D2_core.Keymap
+module Keymap = D2_trace.Keymap
 module Availability = D2_core.Availability
 module Perf = D2_core.Perf
 

@@ -9,7 +9,7 @@
 
 module Op = D2_trace.Op
 module Failure = D2_trace.Failure
-module Keymap = D2_core.Keymap
+module Keymap = D2_trace.Keymap
 module Availability = D2_core.Availability
 module Perf = D2_core.Perf
 module Cluster = D2_store.Cluster

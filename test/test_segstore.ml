@@ -8,6 +8,7 @@ module Store = D2_segstore.Store
 module Record = D2_segstore.Record
 module Crc32c = D2_segstore.Crc32c
 module Log_index = D2_segstore.Log_index
+module Segment = D2_segstore.Segment
 module Cache = D2_cache.Block_cache
 module Key = D2_keyspace.Key
 module Rng = D2_util.Rng
@@ -600,13 +601,13 @@ let reference_checkpoint idx ~tail_seg ~tail_off =
   u32 (Crc32c.string (Buffer.contents b) ~pos:0 ~len:(Buffer.length b));
   Buffer.contents b
 
-(* [save] encodes into a buffer the index keeps: each file must match
-   the format byte for byte, a smaller second save included (no stale
-   tail from the first), and load back. *)
+(* [encode] fills a buffer the index keeps: each file written from it
+   must match the format byte for byte, a smaller second checkpoint
+   included (no stale tail from the first), and load back. *)
 let test_checkpoint_bytes () =
   with_dir "ckpt" (fun dir ->
       Unix.mkdir dir 0o755;
-      let path = Filename.concat dir "index" in
+      let path = Filename.concat dir "index.ckpt" in
       let idx = Log_index.create ~capacity:16 () in
       for i = 0 to 99 do
         ignore
@@ -615,11 +616,12 @@ let test_checkpoint_bytes () =
              ~len:(Record.header_len + i))
       done;
       let saved ~tail_seg ~tail_off =
-        Log_index.save idx ~path ~tail_seg ~tail_off;
+        Segment.write_checkpoint ~dir
+          (Log_index.encode idx ~tail_seg ~tail_off);
         Alcotest.(check string) "checkpoint bytes"
           (reference_checkpoint idx ~tail_seg ~tail_off)
           (In_channel.with_open_bin path In_channel.input_all);
-        match Log_index.load ~path with
+        match Option.bind (Segment.read_checkpoint ~dir) Log_index.decode with
         | Some (back, ts, toff) ->
             Alcotest.(check (triple int int int)) "loaded header"
               (Log_index.count idx, tail_seg, tail_off)
@@ -631,6 +633,55 @@ let test_checkpoint_bytes () =
         ignore (Log_index.remove idx (key_of (i * 3 mod 100)))
       done;
       saved ~tail_seg:7 ~tail_off:12)
+
+(* The codec without a disk: [decode] inverts [encode] (the same
+   bindings in the same slot order, the same watermark) on indexes of
+   up to 2,000 keys whose removes put slots back on the free list for
+   later binds to reuse; and a single flipped byte anywhere, or a cut
+   anywhere, decodes to [None]. *)
+let codec_case seed =
+  let rng = Rng.create (0xc0dec + seed) in
+  let n = Rng.int rng 2001 in
+  let idx = Log_index.create ~capacity:16 () in
+  for _ = 1 to n do
+    ignore
+      (Log_index.bind idx
+         ~key:(key_of (Rng.int rng (n + 1)))
+         ~seg:(Rng.int rng (1 lsl 32))
+         ~off:(Rng.int rng (1 lsl 48))
+         ~len:(Record.header_len + Rng.int rng 9000));
+    if Rng.int rng 3 = 0 then
+      ignore (Log_index.remove idx (key_of (Rng.int rng (n + 1))))
+  done;
+  let bindings idx =
+    let acc = ref [] in
+    Log_index.iter idx (fun ~key ~seg ~off ~len ->
+        acc := (Key.to_string key, seg, off, len) :: !acc);
+    List.rev !acc
+  in
+  let tail_seg = Rng.int rng (1 lsl 32) and tail_off = Rng.int rng (1 lsl 48) in
+  let img = Slice.to_string (Log_index.encode idx ~tail_seg ~tail_off) in
+  (match Log_index.decode img with
+  | Some (back, ts, toff) ->
+      if bindings back <> bindings idx || ts <> tail_seg || toff <> tail_off
+      then QCheck.Test.fail_reportf "seed %d: decode differs from encode" seed
+  | None -> QCheck.Test.fail_reportf "seed %d: a whole image rejected" seed);
+  let len = String.length img in
+  for _ = 1 to 20 do
+    let b = Bytes.of_string img and i = Rng.int rng len in
+    Bytes.set b i (Char.chr (Char.code img.[i] lxor (1 + Rng.int rng 255)));
+    if Log_index.decode (Bytes.to_string b) <> None then
+      QCheck.Test.fail_reportf "seed %d: byte %d flipped, still decoded" seed i;
+    let cut = Rng.int rng len in
+    if Log_index.decode (String.sub img 0 cut) <> None then
+      QCheck.Test.fail_reportf "seed %d: cut at %d/%d, still decoded" seed cut
+        len
+  done;
+  true
+
+let prop_checkpoint_codec =
+  QCheck.Test.make ~count:100 ~name:"checkpoint codec: roundtrip, damage = None"
+    QCheck.small_nat codec_case
 
 (* {1 Recovery paths} *)
 
@@ -1191,7 +1242,7 @@ let () =
           Alcotest.test_case "checkpoint past a torn tail is rejected" `Quick
             test_checkpoint_past_torn_tail;
         ]
-        @ qcheck [ prop_torn_tail ] );
+        @ qcheck [ prop_checkpoint_codec; prop_torn_tail ] );
       ( "e2e",
         [
           Alcotest.test_case "disk cluster: kill -9, restart, serve" `Quick
