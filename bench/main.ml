@@ -677,6 +677,43 @@ let store_read_test ~name ~cache_bytes =
         | None -> failwith (name ^ ": lost a block")
       done))
 
+(* Per-put cost of 8 KB writes into a store with the default 64 MB
+   cache, as a serving node's puts arrive: each run writes the next
+   batch of a key pool nine batches long, so every put overwrites a
+   key and 72 MB of live blocks exceed the cache, and flushes once.
+   A segment holds exactly one batch, so the batch that rewrites its
+   keys leaves it wholly dead, and [maybe_compact] (the serving loop's
+   call) only unlinks it: the files stay bounded at the live set
+   however many runs the quota takes. *)
+let store_put_8k_test () =
+  let open Bechamel in
+  let data = String.make 8192 'w' in
+  let config =
+    {
+      Seg_store.default_config with
+      fsync = Seg_store.Never;
+      segment_bytes =
+        micro_batch
+        * D2_segstore.Record.encoded_len ~data_len:(String.length data);
+    }
+  in
+  let st = Seg_store.create ~dir:(bench_store_dir "put-8k") ~config () in
+  let rng = Rng.create 0x8c8c in
+  let pool = Array.init (9 * micro_batch) (fun _ -> Key.random rng) in
+  let next = ref 0 in
+  let batch () =
+    for i = 0 to micro_batch - 1 do
+      ignore (store_put st ~key:pool.(!next + i) ~data)
+    done;
+    next := (!next + micro_batch) mod Array.length pool;
+    Seg_store.flush st;
+    ignore (Seg_store.maybe_compact st)
+  in
+  for _ = 1 to 9 do
+    batch ()
+  done;
+  Test.make ~name:"store_put_8k" (Staged.stage batch)
+
 (* Per-record replay cost: a log with no usable checkpoint is recovered
    from scratch each run (the reopen's own checkpoint is deleted after
    closing, so every iteration pays the full scan + index rebuild). *)
@@ -875,6 +912,7 @@ let micro_tests ~full () =
       (* one window of 16 pipelined gets per staged run *)
       (`Quick, pipeline_window, net_pipelined_rpc_test ());
       (`Quick, micro_batch, store_append_batch_test ());
+      (`Quick, micro_batch, store_put_8k_test ());
       (`Quick, micro_batch,
        store_read_test ~name:"store_get_disk" ~cache_bytes:0);
       (`Quick, micro_batch,

@@ -169,25 +169,28 @@ let run node nodes port_base replicas probe_interval rpc_timeout
   T.shutdown ep;
   (match seg_store with Some st -> D2_segstore.Store.close st | None -> ());
   (* Where the node's memory went: the GC's high-water heap, and the
-     block cache's off-heap pages still holding payloads. *)
+     block cache's off-heap pages still holding payloads, with the
+     reads that filled them (only a miss admits a block). *)
   let top_heap_mb =
     float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
     /. 1048576.
   in
-  let arena_bytes =
+  let arena_bytes, hits, misses =
     match seg_store with
     | Some st ->
-        D2_cache.Block_cache.cache_arena_bytes (D2_segstore.Store.cache st)
-    | None -> 0
+        let c = D2_segstore.Store.cache st in
+        D2_cache.Block_cache.
+          (cache_arena_bytes c, cache_hits c, cache_misses c)
+    | None -> (0, 0, 0)
   in
   Printf.printf
     "d2d: node %d served %d requests, %d blocks (%d bytes) stored; top heap \
-     %.1f MB, cache arena %d bytes\n%!"
+     %.1f MB, cache arena %d bytes, %d hits, %d misses\n%!"
     node
     (Node.requests_served n + Atomic.get served)
     (D2_sync.Vmap.blocks (Node.vmap n))
     (D2_sync.Vmap.stored_bytes (Node.vmap n))
-    top_heap_mb arena_bytes
+    top_heap_mb arena_bytes hits misses
 
 let node_term =
   Arg.(

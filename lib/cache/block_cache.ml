@@ -37,7 +37,7 @@ let touch t ~now key =
 
 (* {1 Hot-block byte cache}
 
-   The disk store's front and the hot-spot ablation's per-node
+   The disk store's read cache and the hot-spot ablation's per-node
    retrieval cache: retains whole block payloads up to a byte
    capacity, evicting least-recently-used.  An intrusive doubly-linked
    list over interned entry records keeps store/find/evict O(1) with

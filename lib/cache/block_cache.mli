@@ -19,8 +19,8 @@ val touch : t -> now:float -> Key.t -> bool
 (** {1 Hot-block byte cache}
 
     A byte-bounded LRU of whole block payloads with O(1) eviction: the
-    front the durable segment store reads through, and the per-node
-    retrieval cache of the hot-spot ablation.
+    durable segment store's read cache (only its misses store into
+    it), and the per-node retrieval cache of the hot-spot ablation.
     A zero capacity disables retention entirely (every find misses,
     stores are dropped) — the cold-read benchmark configuration.
 

@@ -205,7 +205,10 @@ let put t ~key ~(data : Slice.t) =
       | None -> ());
       st.live <- st.live + rlen;
       t.payload_bytes <- t.payload_bytes + data.len;
-      Cache.cache_store t.bcache key data;
+      (* The cache is read-admitted: a put only drops the key's stale
+         copy, so a replica's copy, which no read asks for, takes no
+         arena pages. *)
+      Cache.cache_remove t.bcache key;
       commit_locked t)
 
 (* Unbind [key] and log its tombstone: a remove, and how compaction
@@ -231,11 +234,14 @@ let remove t ~key =
 
 (* The cache probe runs before the store lock (the cache has its own):
    with domain-sharded serving, hot reads never contend with writers,
-   flushes, or each other's index lookups.  A get racing a remove may
-   return the pre-remove value — it linearizes just before it.
+   flushes, or each other's index lookups.  A get racing a put or a
+   remove may return the earlier value — it linearizes just before it.
 
    A miss preads the payload into the buffer [into] supplies for its
-   length and warms the cache from it; -1 when the key is absent. *)
+   length and admits it to the cache: the only way a block gets in.
+   Admission and a put's or remove's invalidation both run under the
+   store lock, so the cache never keeps a replaced value; -1 when the
+   key is absent. *)
 let read_through t ~key ~into =
   Mutex.protect t.lock (fun () ->
       check_open t;

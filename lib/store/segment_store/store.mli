@@ -1,6 +1,6 @@
 (** The durable block store: an append-only segment log under a
     group-commit window, a flat-array index checkpointed to disk, and
-    out-of-core reads through a hot-block byte cache.
+    out-of-core reads through a read-filled hot-block byte cache.
 
     {b Write path.}  {!put} and {!remove} append a CRC-framed record
     to the active segment's write buffer and return an {e append
@@ -17,7 +17,10 @@
     {b Read path.}  A get probes the byte cache, then does one
     positional [pread(2)] at the (segment, offset, length) the index
     records — datasets larger than RAM serve at page-cache/disk speed.
-    The cache keeps its blocks off the OCaml heap
+    Only that miss fills the cache: a put or a remove drops the key's
+    cached copy and stores nothing, so the cache holds only blocks
+    this store was asked to read, and a replica that serves no reads
+    keeps none.  The cache keeps its blocks off the OCaml heap
     ({!D2_cache.Block_cache}), and {!get_into} reads into the caller's
     buffer, so a served block costs no heap allocation.
 
@@ -88,8 +91,9 @@ val recovery : t -> recovery option
 val put : t -> key:Key.t -> data:D2_util.Slice.t -> int
 (** Buffer a write; returns its append sequence (durable once
     [durable_seq] reaches it — immediately under [Always]/[Never]).
-    The bytes are copied into the log and the cache before this
-    returns, so [data] may be a window of a reused buffer.
+    The bytes are copied into the log's write buffer before this
+    returns, so [data] may be a window of a reused buffer; the key's
+    cached copy, if any, is dropped (only reads fill the cache).
     @raise Invalid_argument if [data] exceeds {!Record.max_data}. *)
 
 val remove : t -> key:Key.t -> bool * int

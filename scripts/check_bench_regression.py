@@ -80,8 +80,12 @@ MICRO_LIMITS = {
     # per-record instead of scanning chunks.  Compaction is gated per
     # relocated 8 KB record, store open and directory churn included
     # (~28k on a 2-vCPU shared host, ~42k with the old whole-victim
-    # scanner); the ceiling leaves ~3x for CI noise.
+    # scanner); the ceiling leaves ~3x for CI noise.  An 8 KB
+    # overwrite under a full 64 MB cache is gated the same way (~10k
+    # on a 2-vCPU shared host, write buffer regrowth and tmpfs page
+    # allocation included).
     "store_append_batch": 1500.0,
+    "store_put_8k": 30000.0,
     "store_get_disk": 2500.0,
     "store_get_cached": 500.0,
     "store_recovery_replay": 3000.0,

@@ -314,6 +314,41 @@ let test_oversized_overwrite_not_stale () =
         (Some big) (Store.get st ~key:(key_of 1));
       Store.close st)
 
+(* The cache is read-admitted: only a miss's pread fills it, and a
+   put or a remove only drops the key's copy. *)
+let test_put_never_fills_cache () =
+  with_dir "cache-read-admitted" (fun dir ->
+      let config = { Store.default_config with cache_bytes = 64 * 1024 } in
+      let st = Store.create ~dir ~config () in
+      let c = Store.cache st in
+      let block i = String.make 8192 (Char.chr (Char.code 'a' + i)) in
+      for i = 0 to 15 do
+        ignore (put st ~key:(key_of i) ~data:(block i))
+      done;
+      Alcotest.(check int) "puts cache no bytes" 0 (Cache.cache_used c);
+      Alcotest.(check int) "puts take no arena page" 0
+        (Cache.cache_arena_bytes c);
+      let k = key_of 3 in
+      let get label want hits misses =
+        Alcotest.(check (option string)) label want (Store.get st ~key:k);
+        Alcotest.(check (pair int int))
+          (label ^ ": hits, misses")
+          (hits, misses)
+          (Cache.cache_hits c, Cache.cache_misses c)
+      in
+      get "first get misses" (Some (block 3)) 0 1;
+      get "second get hits" (Some (block 3)) 1 1;
+      Alcotest.(check int) "the miss admitted it" 8192 (Cache.cache_used c);
+      ignore (put st ~key:k ~data:(block 9));
+      Alcotest.(check int) "a put drops the cached copy" 0 (Cache.cache_used c);
+      get "get after the put misses" (Some (block 9)) 1 2;
+      get "and admits the new bytes" (Some (block 9)) 2 2;
+      ignore (Store.remove st ~key:k);
+      Alcotest.(check int) "a remove drops the cached copy" 0
+        (Cache.cache_used c);
+      get "removed" None 2 3;
+      Store.close st)
+
 (* {1 Compaction} *)
 
 let test_compaction_reclaims_and_preserves () =
@@ -1186,6 +1221,104 @@ let test_borrowed_payloads () =
       Array.iter Node.stop nodes;
       List.iter Store.close stores)
 
+(* {1 Replica caches}
+
+   A quorum read's [Fetch] gets a version alone from a replica whose
+   copy the owner's vector covers, so a replica's copy is read only
+   for durability and repair, never to serve.  With a read-admitted
+   cache, writes fill no node's arena, and reads fill only the arena
+   of the node that answered with bytes: the key's owner. *)
+
+let test_replica_caches_stay_empty () =
+  with_dir "replica-cache" (fun root ->
+      let n = 3 in
+      let engine = Engine.create () in
+      let topology = Topology.create ~rng:(Rng.create 0xca5) ~n:(n + 1) () in
+      let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x9 () in
+      let peers = Bootstrap.peers n in
+      let stores =
+        List.init n (fun i ->
+            Store.create
+              ~dir:(Filename.concat root (string_of_int i))
+              ~config:
+                {
+                  Store.default_config with
+                  fsync = Store.Never;
+                  cache_bytes = 64 * 1024;
+                }
+              ())
+      in
+      let config =
+        {
+          D2_net.Node.replicas = 3;
+          probe_interval = 0.5;
+          rpc_timeout = 2.0;
+          repair_interval = 0.5;
+        }
+      in
+      let nodes =
+        List.map2
+          (fun (i, id) st ->
+            Node.create (Mem.endpoint net ~node:i) ~store:(Blockstore.disk st)
+              ~config ~id ~peers ())
+          peers stores
+        |> Array.of_list
+      in
+      Array.iter Node.serve nodes;
+      Engine.run engine ~until:2.0;
+      let client =
+        Client.create (Mem.endpoint net ~node:n) ~replicas:3 ~quorum_r:2
+          ~quorum_w:2 ~rpc_timeout:2.0 ~seeds:(List.init n Fun.id) ()
+      in
+      let ring = Ring.create () in
+      List.iter (fun (i, id) -> Ring.add ring ~id ~node:i) peers;
+      let krng = Rng.create 0x5eed in
+      let keys = Array.init 64 (fun _ -> Key.random krng) in
+      let payload k =
+        String.init (2048 + ((k * 977) land 0x17ff)) (fun j ->
+            Char.chr ((k + (j * 13)) land 0xff))
+      in
+      let arena i = Cache.cache_arena_bytes (Store.cache (List.nth stores i)) in
+      Array.iteri
+        (fun k key ->
+          match Client.put client ~key ~data:(payload k) with
+          | `Ok _ -> ()
+          | `Failed -> Alcotest.failf "put %d failed" k)
+        keys;
+      (* Let the third copies land and a few repair rounds run. *)
+      Engine.run engine ~until:(Engine.now engine +. 2.0);
+      for i = 0 to n - 1 do
+        Alcotest.(check int) (Printf.sprintf "node %d arena after puts" i) 0
+          (arena i)
+      done;
+      (* Quorum-2 reads of the keys nodes 0 and 1 own: the owner
+         answers with bytes, its successor with a version alone. *)
+      let owner key = Ring.successor ring key in
+      Array.iteri
+        (fun k key ->
+          if owner key <> 2 then
+            match Client.get client ~key with
+            | `Found d ->
+                Alcotest.(check string) (Printf.sprintf "read %d" k)
+                  (payload k) d
+            | `Missing | `Failed -> Alcotest.failf "read %d lost" k)
+        keys;
+      Alcotest.(check bool) "owner 0 cached what it served" true (arena 0 > 0);
+      Alcotest.(check bool) "owner 1 cached what it served" true (arena 1 > 0);
+      Alcotest.(check int) "node 2 served no bytes, cached none" 0 (arena 2);
+      (* Read last: a direct store read admits what it reads. *)
+      Array.iteri
+        (fun k key ->
+          for i = 0 to n - 1 do
+            Alcotest.(check (option string))
+              (Printf.sprintf "node %d holds key %d" i k)
+              (Some (payload k))
+              (Store.get (List.nth stores i) ~key)
+          done)
+        keys;
+      Array.iter Node.stop nodes;
+      List.iter Store.close stores)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1217,6 +1350,8 @@ let () =
             test_cache_serves_hot_reads;
           Alcotest.test_case "oversized overwrite is not served stale" `Quick
             test_oversized_overwrite_not_stale;
+          Alcotest.test_case "a put never fills the cache" `Quick
+            test_put_never_fills_cache;
           Alcotest.test_case "compaction reclaims, preserves, no resurrection"
             `Quick test_compaction_reclaims_and_preserves;
           Alcotest.test_case "compaction relocates encoded records" `Quick
@@ -1249,5 +1384,7 @@ let () =
             test_e2e_crash_restart;
           Alcotest.test_case "borrowed payloads: siblings, disk + mem" `Quick
             test_borrowed_payloads;
+          Alcotest.test_case "replicas hold no cache they do not serve" `Quick
+            test_replica_caches_stay_empty;
         ] );
     ]
