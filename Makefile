@@ -41,7 +41,7 @@ bench:
 bench-quick: build
 	set -o pipefail; \
 	D2_SCALE=quick D2_JOBS=2 dune exec bench/main.exe -- \
-	  table1 fig3 ablation_routing ablation_hotspot \
+	  table1 fig3 ablation_routing ablation_hotspot repair_bandwidth \
 	  --json /tmp/d2_bench_quick.json \
 	| sed -E 's/^\[([a-z0-9_]+): [0-9.]+s\]$$/[\1: _s]/' \
 	| grep -v '^Total wall time' \
