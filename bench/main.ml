@@ -228,39 +228,31 @@ let net_frame_encode_test () =
       Bytebuf.consume out (Bytebuf.length out);
       ignore (Sys.opaque_identity !acc)))
 
+(* The 3-node in-process cluster the RPC micros drive (probes rare,
+   repair off), and a client on it with read quorum [quorum_r]. *)
+let micro_client ?quorum_r () =
+  let module World = D2_net.Mem_world in
+  let w =
+    World.boot ~n:3
+      ~config:
+        {
+          D2_net.Node.replicas = 3;
+          probe_interval = 60.0;
+          rpc_timeout = 5.0;
+          repair_interval = 0.0;
+        }
+      ()
+  in
+  World.Client.create (World.endpoint w) ~replicas:3 ?quorum_r
+    ~rpc_timeout:5.0 ~seeds:[ 0; 1; 2 ] ()
+
 (* One replicated put + one get through the full protocol stack
    (client cache, linkset, wire codec, node runtime) over the
    in-process transport on a 3-node virtual cluster. *)
 let net_mem_rpc_test () =
   let open Bechamel in
-  let module Mem = D2_net.Transport_mem in
-  let module Node = D2_net.Node.Make (D2_net.Transport_mem) in
-  let module Client = D2_net.Client.Make (D2_net.Transport_mem) in
-  let engine = Engine.create () in
-  let topology =
-    D2_simnet.Topology.create ~rng:(Rng.create 0x6e6d) ~n:4 ()
-  in
-  let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x2 () in
-  let peers = D2_net.Bootstrap.peers 3 in
-  let config =
-    {
-      D2_net.Node.replicas = 3;
-      probe_interval = 60.0;
-      rpc_timeout = 5.0;
-      repair_interval = 0.0;
-    }
-  in
-  let nodes =
-    List.map
-      (fun (i, id) -> Node.create (Mem.endpoint net ~node:i) ~config ~id ~peers ())
-      peers
-  in
-  List.iter Node.serve nodes;
-  Engine.run engine ~until:2.0;
-  let client =
-    Client.create (Mem.endpoint net ~node:3) ~replicas:3 ~rpc_timeout:5.0
-      ~seeds:[ 0; 1; 2 ] ()
-  in
+  let module Client = D2_net.Mem_world.Client in
+  let client = micro_client () in
   let krng = Rng.create 0x6b in
   let keys = Array.init 64 (fun _ -> Key.random krng) in
   let data = String.make 256 'd' in
@@ -360,32 +352,8 @@ let vmap_find_16k_test () =
    path net_mem_rpc never takes. *)
 let quorum_get_test () =
   let open Bechamel in
-  let module Mem = D2_net.Transport_mem in
-  let module Node = D2_net.Node.Make (D2_net.Transport_mem) in
-  let module Client = D2_net.Client.Make (D2_net.Transport_mem) in
-  let engine = Engine.create () in
-  let topology = D2_simnet.Topology.create ~rng:(Rng.create 0x9047) ~n:4 () in
-  let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x5 () in
-  let peers = D2_net.Bootstrap.peers 3 in
-  let config =
-    {
-      D2_net.Node.replicas = 3;
-      probe_interval = 60.0;
-      rpc_timeout = 5.0;
-      repair_interval = 0.0;
-    }
-  in
-  let nodes =
-    List.map
-      (fun (i, id) -> Node.create (Mem.endpoint net ~node:i) ~config ~id ~peers ())
-      peers
-  in
-  List.iter Node.serve nodes;
-  Engine.run engine ~until:2.0;
-  let client =
-    Client.create (Mem.endpoint net ~node:3) ~replicas:3 ~quorum_r:2
-      ~rpc_timeout:5.0 ~seeds:[ 0; 1; 2 ] ()
-  in
+  let module Client = D2_net.Mem_world.Client in
+  let client = micro_client ~quorum_r:2 () in
   let krng = Rng.create 0x9b in
   let keys = Array.init 64 (fun _ -> Key.random krng) in
   let data = String.make 256 'q' in
@@ -446,34 +414,8 @@ let pipeline_window = 16
 
 let net_pipelined_rpc_test () =
   let open Bechamel in
-  let module Mem = D2_net.Transport_mem in
-  let module Node = D2_net.Node.Make (D2_net.Transport_mem) in
-  let module Client = D2_net.Client.Make (D2_net.Transport_mem) in
-  let engine = Engine.create () in
-  let topology =
-    D2_simnet.Topology.create ~rng:(Rng.create 0x70a) ~n:4 ()
-  in
-  let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x9 () in
-  let peers = D2_net.Bootstrap.peers 3 in
-  let config =
-    {
-      D2_net.Node.replicas = 3;
-      probe_interval = 60.0;
-      rpc_timeout = 5.0;
-      repair_interval = 0.0;
-    }
-  in
-  let nodes =
-    List.map
-      (fun (i, id) -> Node.create (Mem.endpoint net ~node:i) ~config ~id ~peers ())
-      peers
-  in
-  List.iter Node.serve nodes;
-  Engine.run engine ~until:2.0;
-  let client =
-    Client.create (Mem.endpoint net ~node:3) ~replicas:3 ~rpc_timeout:5.0
-      ~seeds:[ 0; 1; 2 ] ()
-  in
+  let module Client = D2_net.Mem_world.Client in
+  let client = micro_client () in
   let krng = Rng.create 0x6c in
   let keys = Array.init 64 (fun _ -> Key.random krng) in
   let data = String.make 256 'p' in

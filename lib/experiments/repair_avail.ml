@@ -8,17 +8,13 @@
    that lost a replica stays degraded; shorter intervals buy faster
    convergence with more digest traffic. *)
 
-module Engine = D2_simnet.Engine
-module Topology = D2_simnet.Topology
 module Key = D2_keyspace.Key
 module Rng = D2_util.Rng
 module Report = D2_util.Report
 module Ring = D2_dht.Ring
-module Mem = D2_net.Transport_mem
-module Node = D2_net.Node.Make (D2_net.Transport_mem)
-module Client = D2_net.Client.Make (D2_net.Transport_mem)
-module Bootstrap = D2_net.Bootstrap
-module Blockstore = D2_net.Blockstore
+module World = D2_net.Mem_world
+module Node = World.Node
+module Client = World.Client
 
 (* Swept settings: the control plus three-and-a-half octaves of
    interval; seconds are virtual, so paper scale costs nothing real. *)
@@ -44,10 +40,6 @@ type row = {
 let run_one scale ~interval =
   let n = Config.repair_nodes scale in
   let blocks = Config.repair_blocks scale in
-  let engine = Engine.create () in
-  let topology = Topology.create ~rng:(Rng.create 0x7090) ~n:(n + 1) () in
-  let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x11 () in
-  let peers = Bootstrap.peers n in
   let config =
     {
       D2_net.Node.replicas;
@@ -56,18 +48,10 @@ let run_one scale ~interval =
       repair_interval = interval;
     }
   in
-  let nodes =
-    List.map
-      (fun (i, id) ->
-        Node.create (Mem.endpoint net ~node:i) ~config ~id ~peers ())
-      peers
-    |> Array.of_list
-  in
-  Array.iter Node.serve nodes;
-  Engine.run engine ~until:3.0;
+  let w = World.boot ~config ~n () in
   let client =
-    Client.create (Mem.endpoint net ~node:n) ~replicas ~rpc_timeout:5.0
-      ~retries:8 ~seeds:(List.init n Fun.id) ()
+    Client.create (World.endpoint w) ~replicas ~rpc_timeout:5.0 ~retries:8
+      ~seeds:(List.init n Fun.id) ()
   in
   let krng = Rng.create 0xbeef in
   let keys = Array.init blocks (fun _ -> Key.random krng) in
@@ -77,8 +61,8 @@ let run_one scale ~interval =
       | `Ok _ -> ()
       | `Failed -> failwith "repair experiment: load put failed")
     keys;
-  let full = Ring.create () in
-  List.iter (fun (i, id) -> Ring.add full ~id ~node:i) peers;
+  (* Both victims are picked on the full ring, before either dies. *)
+  let full = World.live_ring w in
   let a = Ring.successor full keys.(0) in
   let b =
     let rec pick i =
@@ -87,24 +71,14 @@ let run_one scale ~interval =
     in
     pick 1
   in
-  Mem.kill net a;
-  Engine.run engine ~until:(Engine.now engine +. 20.0);
-  Mem.kill net b;
-  Engine.run engine ~until:(Engine.now engine +. horizon);
-  let dead = [ a; b ] in
-  let live = Ring.create () in
-  List.iter
-    (fun (i, id) -> if not (List.mem i dead) then Ring.add live ~id ~node:i)
-    peers;
+  World.kill w a;
+  World.run w 20.0;
+  World.kill w b;
+  World.run w horizon;
   let degraded = ref 0 and fully = ref 0 and q2 = ref 0 in
   Array.iter
     (fun key ->
-      let holders =
-        Ring.successors live key replicas
-        |> List.filter (fun i ->
-               Blockstore.get (Node.store nodes.(i)) ~key <> None)
-        |> List.length
-      in
+      let holders = List.length (World.copies w key) in
       if holders < replicas then incr degraded else incr fully;
       if holders >= 2 then incr q2)
     keys;
@@ -116,8 +90,8 @@ let run_one scale ~interval =
       frames := !frames + s.D2_net.Node.repair_frames;
       bytes := !bytes + s.D2_net.Node.repair_bytes;
       moved := !moved + s.D2_net.Node.pushed + s.D2_net.Node.pulled)
-    nodes;
-  Array.iter Node.stop nodes;
+    (World.nodes w);
+  World.stop w;
   let pct x = 100.0 *. float_of_int x /. float_of_int blocks in
   {
     interval;

@@ -10,8 +10,9 @@ module Key = D2_keyspace.Key
 module Rng = D2_util.Rng
 module Ring = D2_dht.Ring
 module Mem = D2_net.Transport_mem
-module Node = D2_net.Node.Make (D2_net.Transport_mem)
-module Client = D2_net.Client.Make (D2_net.Transport_mem)
+module World = D2_net.Mem_world
+module Node = World.Node
+module Client = World.Client
 module Lookup_cache = D2_cache.Lookup_cache
 module Bootstrap = D2_net.Bootstrap
 
@@ -36,44 +37,16 @@ type outcome = {
   failures : int;
 }
 
-(* Every node's final blocks, as sorted (key, data) lists. *)
-let store_dump nodes =
-  List.map
-    (fun n ->
-      let live = ref [] in
-      D2_sync.Vmap.iter (Node.vmap n) (fun k e ->
-          if not e.D2_sync.Vmap.deleted then live := k :: !live);
-      List.filter_map
-        (fun key ->
-          Option.map
-            (fun d -> (Key.to_string key, d))
-            (D2_net.Blockstore.get (Node.store n) ~key))
-        !live
-      |> List.sort compare)
-    nodes
+(* The replica copies every key's group holds at the end of a run. *)
+let final_state w keys = Array.map (World.copies w) keys
 
 (* One full scripted run; everything is seeded, so two calls must
    produce identical traffic, identical counters and an identical
-   final store (returned as {!store_dump}). *)
+   final store (returned as {!final_state}). *)
 let run () =
-  let engine = Engine.create () in
-  let topology =
-    Topology.create ~rng:(Rng.create 0x7090) ~n:(cluster_n + 1) ()
-  in
-  let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x11 () in
-  let peers = Bootstrap.peers cluster_n in
-  let nodes =
-    List.map
-      (fun (i, id) ->
-        Node.create (Mem.endpoint net ~node:i) ~config ~id ~peers ())
-      peers
-  in
-  List.iter Node.serve nodes;
-  Engine.run engine ~until:3.0;
+  let w = World.boot ~config ~n:cluster_n () in
   let client =
-    Client.create
-      (Mem.endpoint net ~node:cluster_n)
-      ~replicas:3 ~rpc_timeout:2.0
+    Client.create (World.endpoint w) ~replicas:3 ~rpc_timeout:2.0
       ~seeds:(List.init cluster_n Fun.id)
       ()
   in
@@ -99,13 +72,11 @@ let run () =
     keys;
   (* Kill the owner of keys.(0): it owns data, it is covered by cached
      ranges, and its successor holds the surviving replica. *)
-  let reference = Ring.create () in
-  List.iter (fun (n, id) -> Ring.add reference ~id ~node:n) peers;
-  let victim = Ring.successor reference keys.(0) in
-  Mem.kill net victim;
+  let victim = Ring.successor (World.live_ring w) keys.(0) in
+  World.kill w victim;
   (* Let failure detection converge everywhere: broken streams flag the
      kill immediately; the rotating probe covers stragglers. *)
-  Engine.run engine ~until:(Engine.now engine +. 20.0);
+  World.run w 20.0;
   (* Phase 3: every block must still read correctly through the
      survivors — the victim's keys now serve from its successor. *)
   Array.iter
@@ -114,7 +85,7 @@ let run () =
       | `Found d -> Alcotest.(check string) "post-kill get" (data_of key) d
       | `Missing | `Failed -> Alcotest.fail "read lost after single kill")
     keys;
-  List.iter Node.stop nodes;
+  World.stop w;
   let cache = Client.cache client in
   ( {
       hits = Lookup_cache.hits cache;
@@ -122,7 +93,7 @@ let run () =
       lookup_rpcs = Client.lookup_rpcs client;
       failures = Client.failures client;
     },
-    store_dump nodes )
+    final_state w keys )
 
 (* Counters for the scripted run above.  A change here means the
    protocol's message or cache behaviour changed — rerun twice, and if
@@ -142,24 +113,9 @@ let check_outcome label expected got =
    window depth, and window 1 must reproduce the synchronous run's
    pinned counters exactly. *)
 let run_pipelined window =
-  let engine = Engine.create () in
-  let topology =
-    Topology.create ~rng:(Rng.create 0x7090) ~n:(cluster_n + 1) ()
-  in
-  let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x11 () in
-  let peers = Bootstrap.peers cluster_n in
-  let nodes =
-    List.map
-      (fun (i, id) ->
-        Node.create (Mem.endpoint net ~node:i) ~config ~id ~peers ())
-      peers
-  in
-  List.iter Node.serve nodes;
-  Engine.run engine ~until:3.0;
+  let w = World.boot ~config ~n:cluster_n () in
   let client =
-    Client.create
-      (Mem.endpoint net ~node:cluster_n)
-      ~replicas:3 ~rpc_timeout:2.0
+    Client.create (World.endpoint w) ~replicas:3 ~rpc_timeout:2.0
       ~seeds:(List.init cluster_n Fun.id)
       ()
   in
@@ -193,11 +149,9 @@ let run_pipelined window =
       end)
     keys;
   drain ();
-  let reference = Ring.create () in
-  List.iter (fun (n, id) -> Ring.add reference ~id ~node:n) peers;
-  let victim = Ring.successor reference keys.(0) in
-  Mem.kill net victim;
-  Engine.run engine ~until:(Engine.now engine +. 20.0);
+  let victim = Ring.successor (World.live_ring w) keys.(0) in
+  World.kill w victim;
+  World.run w 20.0;
   Array.iter
     (fun key ->
       throttle window;
@@ -208,7 +162,7 @@ let run_pipelined window =
             Alcotest.fail "pipelined read lost after single kill"))
     keys;
   drain ();
-  List.iter Node.stop nodes;
+  World.stop w;
   let cache = Client.cache client in
   ( {
       hits = Lookup_cache.hits cache;
@@ -216,7 +170,7 @@ let run_pipelined window =
       lookup_rpcs = Client.lookup_rpcs client;
       failures = Client.failures client;
     },
-    store_dump nodes )
+    final_state w keys )
 
 (* Pipelining depth is a pure throughput knob: window 1 must match the
    synchronous pins bit-for-bit and land on the synchronous run's final
@@ -256,26 +210,12 @@ let test_churn_deterministic () =
    in network time.  Virtual clocks make the contrast exact:
    elapsed(α=2) < rpc_timeout <= elapsed(α=1). *)
 let test_alpha_race_survives_dead_seed () =
-  let engine = Engine.create () in
-  let topology =
-    Topology.create ~rng:(Rng.create 0x7090) ~n:(cluster_n + 3) ()
-  in
-  let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x11 () in
-  let peers = Bootstrap.peers cluster_n in
-  let nodes =
-    List.map
-      (fun (i, id) ->
-        Node.create (Mem.endpoint net ~node:i) ~config ~id ~peers ())
-      peers
-  in
-  List.iter Node.serve nodes;
-  Engine.run engine ~until:3.0;
+  let w = World.boot ~config ~n:cluster_n () in
   (* Store one block while everything is reachable. *)
   let key = Key.random (Rng.create 0x51) in
   let setup =
-    Client.create
-      (Mem.endpoint net ~node:cluster_n)
-      ~replicas:3 ~rpc_timeout:config.rpc_timeout
+    Client.create (World.endpoint w) ~replicas:3
+      ~rpc_timeout:config.rpc_timeout
       ~seeds:(List.init cluster_n Fun.id)
       ()
   in
@@ -285,28 +225,25 @@ let test_alpha_race_survives_dead_seed () =
   (* Seed ladder [dead; owner]: the second chain settles in one hop,
      so only the first chain ever touches the black hole, and the α=1
      ladder pays exactly one timeout before recovering. *)
-  let reference = Ring.create () in
-  List.iter (fun (n, id) -> Ring.add reference ~id ~node:n) peers;
-  let owner = Ring.successor reference key in
+  let owner = Ring.successor (World.live_ring w) key in
   let dead = (owner + 7) mod cluster_n in
-  Mem.set_partition net
-    (Some
-       (fun a b ->
-         (a = dead && b >= cluster_n) || (b = dead && a >= cluster_n)));
+  World.partition w (fun a b ->
+      (a = dead && b >= cluster_n) || (b = dead && a >= cluster_n));
   (* Fresh client per α (empty cache, virgin links) on its own slot. *)
-  let timed_get alpha node =
+  let timed_get alpha =
+    let ep = World.endpoint w in
     let client =
-      Client.create (Mem.endpoint net ~node) ~replicas:3
-        ~rpc_timeout:config.rpc_timeout ~alpha ~seeds:[ dead; owner ] ()
+      Client.create ep ~replicas:3 ~rpc_timeout:config.rpc_timeout ~alpha
+        ~seeds:[ dead; owner ] ()
     in
-    let t0 = Engine.now engine in
+    let t0 = Mem.now ep in
     (match Client.get client ~key with
     | `Found d -> Alcotest.(check string) "raced get" (data_of key) d
     | `Missing | `Failed -> Alcotest.fail "lookup died with a live owner");
-    Engine.now engine -. t0
+    Mem.now ep -. t0
   in
-  let e1 = timed_get 1 (cluster_n + 1) in
-  let e2 = timed_get 2 (cluster_n + 2) in
+  let e1 = timed_get 1 in
+  let e2 = timed_get 2 in
   Alcotest.(check bool)
     (Printf.sprintf "alpha=1 stalls a full rpc_timeout (%.3fs)" e1)
     true
@@ -315,26 +252,15 @@ let test_alpha_race_survives_dead_seed () =
     (Printf.sprintf "alpha=2 settles before the timeout (%.3fs)" e2)
     true
     (e2 < config.rpc_timeout);
-  Mem.set_partition net None;
-  List.iter Node.stop nodes
+  World.heal w;
+  World.stop w
 
 (* Small sanity run: 3 nodes, one block, full lifecycle including the
    stale-cache [Missing] path after remove. *)
 let test_basic_lifecycle () =
-  let engine = Engine.create () in
-  let topology = Topology.create ~rng:(Rng.create 0x31) ~n:4 () in
-  let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x5 () in
-  let peers = Bootstrap.peers 3 in
-  let nodes =
-    List.map
-      (fun (i, id) ->
-        Node.create (Mem.endpoint net ~node:i) ~config ~id ~peers ())
-      peers
-  in
-  List.iter Node.serve nodes;
-  Engine.run engine ~until:2.0;
+  let w = World.boot ~config ~n:3 () in
   let client =
-    Client.create (Mem.endpoint net ~node:3) ~replicas:3 ~rpc_timeout:2.0
+    Client.create (World.endpoint w) ~replicas:3 ~rpc_timeout:2.0
       ~seeds:[ 0; 1; 2 ] ()
   in
   let key = Key.random (Rng.create 0x77) in
@@ -342,12 +268,7 @@ let test_basic_lifecycle () =
   | `Ok copies -> Alcotest.(check int) "copies" 3 copies
   | `Failed -> Alcotest.fail "put");
   (* Every node holds the block: 3 replicas on a 3-node ring. *)
-  List.iter
-    (fun n ->
-      Alcotest.(check bool)
-        "replica present" true
-        (D2_net.Blockstore.get (Node.store n) ~key <> None))
-    nodes;
+  Alcotest.(check int) "replicas present" 3 (List.length (World.copies w key));
   (match Client.get client ~key with
   | `Found d -> Alcotest.(check string) "data" "hello" d
   | `Missing | `Failed -> Alcotest.fail "get");
@@ -359,7 +280,7 @@ let test_basic_lifecycle () =
   | `Found _ -> Alcotest.fail "block survived remove"
   | `Failed -> Alcotest.fail "get after remove");
   Alcotest.(check int) "no failures" 0 (Client.failures client);
-  List.iter Node.stop nodes
+  World.stop w
 
 (* Out-of-range runtime settings are rejected at [create], as
    [Client.create] rejects its own, before the node binds anything. *)
@@ -385,19 +306,8 @@ let test_create_rejects_bad_config () =
 (* A bare endpoint that speaks raw frame bytes to one node: frames a
    well-behaved client would never send still reach the daemon. *)
 let raw_pair () =
-  let engine = Engine.create () in
-  let topology = Topology.create ~rng:(Rng.create 0x31) ~n:3 () in
-  let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x5 () in
-  let nodes =
-    List.map
-      (fun (i, id) ->
-        Node.create (Mem.endpoint net ~node:i) ~config ~id
-          ~peers:(Bootstrap.peers 2) ())
-      (Bootstrap.peers 2)
-  in
-  List.iter Node.serve nodes;
-  Engine.run engine ~until:2.0;
-  let ep = Mem.endpoint net ~node:2 in
+  let w = World.boot ~config ~n:2 () in
+  let ep = World.endpoint w in
   (* Send [frame] to node 0 on a fresh connection; the node's replies. *)
   let exchange frame =
     let conn = Option.get (Mem.connect ep ~dst:0) in
@@ -419,7 +329,7 @@ let raw_pair () =
         in
         loop ());
     Mem.send conn frame ~off:0 ~len:(Bytes.length frame);
-    Engine.run engine ~until:(Engine.now engine +. 2.0);
+    World.run w 2.0;
     Mem.close conn;
     List.rev !replies
   in
@@ -428,7 +338,7 @@ let raw_pair () =
     | [ D2_net.Wire.Probe_ack { node = 0; _ } ] -> ()
     | _ -> Alcotest.fail "node stopped answering probes"
   in
-  (nodes, exchange, still_serving)
+  (World.nodes w, exchange, still_serving)
 
 (* An anti-entropy probe deeper than the digest trie is a protocol
    violation: the node drops the connection and keeps serving. *)
@@ -470,7 +380,7 @@ let test_full_vector_refused () =
    with
   | [ D2_net.Wire.Error _ ] -> ()
   | _ -> Alcotest.fail "want one Error reply");
-  List.iter
+  Array.iter
     (fun n ->
       Alcotest.(check bool) "nothing installed" true
         (D2_sync.Vmap.find (Node.vmap n) ~key = None))

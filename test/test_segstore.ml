@@ -13,12 +13,9 @@ module Cache = D2_cache.Block_cache
 module Key = D2_keyspace.Key
 module Rng = D2_util.Rng
 module Slice = D2_util.Slice
-module Engine = D2_simnet.Engine
-module Topology = D2_simnet.Topology
-module Mem = D2_net.Transport_mem
-module Node = D2_net.Node.Make (D2_net.Transport_mem)
-module Client = D2_net.Client.Make (D2_net.Transport_mem)
-module Bootstrap = D2_net.Bootstrap
+module World = D2_net.Mem_world
+module Node = World.Node
+module Client = World.Client
 module Blockstore = D2_net.Blockstore
 module Vmap = D2_sync.Vmap
 module Vv = D2_sync.Version_vector
@@ -952,25 +949,16 @@ let test_e2e_crash_restart () =
         List.map (fun d -> Store.create ~dir:d ~config:sconfig ()) dirs
       in
       let run_cluster stores f =
-        let engine = Engine.create () in
-        let topology = Topology.create ~rng:(Rng.create 0x31) ~n:4 () in
-        let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x5 () in
-        let peers = Bootstrap.peers 3 in
-        let nodes =
-          List.map2
-            (fun (i, id) st ->
-              Node.create (Mem.endpoint net ~node:i)
-                ~store:(Blockstore.disk st) ~config:nconfig ~id ~peers ())
-            peers stores
+        let w =
+          World.boot ~config:nconfig ~n:3
+            ~stores:(List.map Blockstore.disk stores) ()
         in
-        List.iter Node.serve nodes;
-        Engine.run engine ~until:2.0;
         let client =
-          Client.create (Mem.endpoint net ~node:3) ~replicas:3 ~rpc_timeout:2.0
+          Client.create (World.endpoint w) ~replicas:3 ~rpc_timeout:2.0
             ~seeds:[ 0; 1; 2 ] ()
         in
-        let r = f nodes client in
-        List.iter Node.stop nodes;
+        let r = f (Array.to_list (World.nodes w)) client in
+        World.stop w;
         r
       in
       let krng = Rng.create 0xd15c in
@@ -1058,10 +1046,6 @@ module Ring = D2_dht.Ring
 let test_borrowed_payloads () =
   with_dir "borrowed" (fun root ->
       let n = 4 in
-      let engine = Engine.create () in
-      let topology = Topology.create ~rng:(Rng.create 0x5c1) ~n:(n + 2) () in
-      let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x7 () in
-      let peers = Bootstrap.peers n in
       (* Nodes 0 and 1 on disk, with a block cache too small to hold the
          working set (reads mix arena hits and preads); 2 and 3 in RAM. *)
       let stores =
@@ -1084,33 +1068,30 @@ let test_borrowed_payloads () =
           repair_interval = 0.5;
         }
       in
-      let eps = List.map (fun (i, _) -> Mem.endpoint net ~node:i) peers in
-      let nodes =
-        List.map2
-          (fun (i, id) ep ->
-            let store =
-              if i < 2 then Blockstore.disk (List.nth stores i)
-              else Blockstore.mem_store ()
-            in
-            Node.create ep ~store ~config ~id ~peers ())
-          peers eps
-        |> Array.of_list
+      let w =
+        World.boot ~config ~n
+          ~stores:
+            (List.init n (fun i ->
+                 if i < 2 then Blockstore.disk (List.nth stores i)
+                 else Blockstore.mem_store ()))
+          ()
       in
-      Array.iter Node.serve nodes;
-      Engine.run engine ~until:2.0;
+      let nodes = World.nodes w in
       (* Transport_mem binds one endpoint per node, so each sibling
          shares its node's: connections accepted from now on are the
          sibling's to serve (the clients', and the quorum reads' and
          fan-outs' the siblings open), while the boot-time links and
          the repair sessions stay with the first instance. *)
-      List.iteri (fun i ep -> ignore (Node.sibling nodes.(i) ep)) eps;
-      let client q slot =
-        Client.create (Mem.endpoint net ~node:slot) ~replicas:3 ~quorum_r:q
-          ~quorum_w:2 ~rpc_timeout:2.0 ~seeds:(List.init n Fun.id) ()
+      Array.iteri
+        (fun i nd -> ignore (Node.sibling nd (World.node_endpoint w i)))
+        nodes;
+      let client q =
+        Client.create (World.endpoint w) ~replicas:3 ~quorum_r:q ~quorum_w:2
+          ~rpc_timeout:2.0 ~seeds:(List.init n Fun.id) ()
       in
-      let c1 = client 1 n and c2 = client 2 (n + 1) in
-      let ring = Ring.create () in
-      List.iter (fun (i, id) -> Ring.add ring ~id ~node:i) peers;
+      let c1 = client 1 in
+      let c2 = client 2 in
+      let ring = World.live_ring w in
       let krng = Rng.create 0xb0b in
       let keys = Array.init 48 (fun _ -> Key.random krng) in
       let version = Array.make (Array.length keys) 0 in
@@ -1157,18 +1138,12 @@ let test_borrowed_payloads () =
                     label k (String.length d) (String.length want)
             | `Missing | `Failed -> Alcotest.failf "%s of key %d lost" label k)
       in
-      (* Every replica holds the last bytes of every key. *)
-      let check_replicas label =
-        Array.iteri
-          (fun k key ->
-            List.iter
-              (fun i ->
-                Alcotest.(check (option string))
-                  (Printf.sprintf "%s: replica %d of key %d" label i k)
-                  (Some (expect k))
-                  (Blockstore.get (Node.store nodes.(i)) ~key))
-              (Ring.successors ring key 3))
-          keys
+      (* Replicas that miss the last bytes of a key, or hold them
+         under another vector than the owner's. *)
+      let replicas_off () =
+        Array.to_list keys
+        |> List.mapi (fun k key -> (key, expect k))
+        |> World.audit w |> List.length
       in
       let all = List.init (Array.length keys) Fun.id in
       batch (List.map put all);
@@ -1184,7 +1159,7 @@ let test_borrowed_payloads () =
                | _ -> get c2 "quorum read" k)
              ks)
       done;
-      check_replicas "fanned out";
+      Alcotest.(check int) "fanned out: replicas off" 0 (replicas_off ());
       (* A newer copy on the owner's first successor only, as a lost
          fan-out would leave it: stamped there, so it dominates. *)
       let diverge k =
@@ -1212,13 +1187,13 @@ let test_borrowed_payloads () =
           0 nodes
       in
       let before = pulled () in
-      Engine.run engine ~until:(Engine.now engine +. 8.0);
+      World.run w 8.0;
       Alcotest.(check bool) "repair pulled every newer copy" true
         (pulled () - before >= List.length odds);
       batch (List.map (get c1 "repair-pulled get") odds);
       batch (List.map (get c2 "final quorum read") all);
-      check_replicas "converged";
-      Array.iter Node.stop nodes;
+      Alcotest.(check int) "converged: replicas off" 0 (replicas_off ());
+      World.stop w;
       List.iter Store.close stores)
 
 (* {1 Replica caches}
@@ -1232,10 +1207,6 @@ let test_borrowed_payloads () =
 let test_replica_caches_stay_empty () =
   with_dir "replica-cache" (fun root ->
       let n = 3 in
-      let engine = Engine.create () in
-      let topology = Topology.create ~rng:(Rng.create 0xca5) ~n:(n + 1) () in
-      let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x9 () in
-      let peers = Bootstrap.peers n in
       let stores =
         List.init n (fun i ->
             Store.create
@@ -1256,22 +1227,14 @@ let test_replica_caches_stay_empty () =
           repair_interval = 0.5;
         }
       in
-      let nodes =
-        List.map2
-          (fun (i, id) st ->
-            Node.create (Mem.endpoint net ~node:i) ~store:(Blockstore.disk st)
-              ~config ~id ~peers ())
-          peers stores
-        |> Array.of_list
+      let w =
+        World.boot ~config ~n ~stores:(List.map Blockstore.disk stores) ()
       in
-      Array.iter Node.serve nodes;
-      Engine.run engine ~until:2.0;
       let client =
-        Client.create (Mem.endpoint net ~node:n) ~replicas:3 ~quorum_r:2
-          ~quorum_w:2 ~rpc_timeout:2.0 ~seeds:(List.init n Fun.id) ()
+        Client.create (World.endpoint w) ~replicas:3 ~quorum_r:2 ~quorum_w:2
+          ~rpc_timeout:2.0 ~seeds:(List.init n Fun.id) ()
       in
-      let ring = Ring.create () in
-      List.iter (fun (i, id) -> Ring.add ring ~id ~node:i) peers;
+      let ring = World.live_ring w in
       let krng = Rng.create 0x5eed in
       let keys = Array.init 64 (fun _ -> Key.random krng) in
       let payload k =
@@ -1286,7 +1249,7 @@ let test_replica_caches_stay_empty () =
           | `Failed -> Alcotest.failf "put %d failed" k)
         keys;
       (* Let the third copies land and a few repair rounds run. *)
-      Engine.run engine ~until:(Engine.now engine +. 2.0);
+      World.run w 2.0;
       for i = 0 to n - 1 do
         Alcotest.(check int) (Printf.sprintf "node %d arena after puts" i) 0
           (arena i)
@@ -1316,7 +1279,7 @@ let test_replica_caches_stay_empty () =
               (Store.get (List.nth stores i) ~key)
           done)
         keys;
-      Array.iter Node.stop nodes;
+      World.stop w;
       List.iter Store.close stores)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests

@@ -6,15 +6,12 @@
    replicas byte-identically, and quorum reads performing inline
    read-repair that leaves a concurrent pair on one vector. *)
 
-module Engine = D2_simnet.Engine
-module Topology = D2_simnet.Topology
 module Key = D2_keyspace.Key
 module Rng = D2_util.Rng
 module Ring = D2_dht.Ring
-module Mem = D2_net.Transport_mem
-module Node = D2_net.Node.Make (D2_net.Transport_mem)
-module Client = D2_net.Client.Make (D2_net.Transport_mem)
-module Bootstrap = D2_net.Bootstrap
+module World = D2_net.Mem_world
+module Node = World.Node
+module Client = World.Client
 module Blockstore = D2_net.Blockstore
 module Vv = D2_sync.Version_vector
 module Vmap = D2_sync.Vmap
@@ -488,78 +485,75 @@ let test_partition_chains () =
 
 (* {1 Cluster harness} *)
 
-type cluster = {
-  engine : Engine.t;
-  net : Mem.net;
-  peers : (int * Key.t) list;
-  nodes : Node.t array; (* index = transport slot *)
-}
-
-let boot ~n ~extra ~config () =
-  let engine = Engine.create () in
-  let topology = Topology.create ~rng:(Rng.create 0x7090) ~n:(n + extra) () in
-  let net = Mem.create_net ~engine ~topology ~loss:0.0 ~seed:0x11 () in
-  let peers = Bootstrap.peers n in
-  let nodes =
-    List.map
-      (fun (i, id) ->
-        Node.create (Mem.endpoint net ~node:i) ~config ~id ~peers ())
-      peers
-    |> Array.of_list
-  in
-  Array.iter Node.serve nodes;
-  Engine.run engine ~until:3.0;
-  { engine; net; peers; nodes }
-
-let run_for c seconds = Engine.run c.engine ~until:(Engine.now c.engine +. seconds)
-
-let ring_of_live c ~dead =
-  let r = Ring.create () in
-  List.iter
-    (fun (n, id) -> if not (List.mem n dead) then Ring.add r ~id ~node:n)
-    c.peers;
-  r
-
-let entry_vv c n key =
-  match read (Node.vmap c.nodes.(n)) ~key with
+let entry_vv w n key =
+  match read (Node.vmap (World.nodes w).(n)) ~key with
   | Some (e, _) -> e.Vmap.vv
   | None -> Vv.empty
 
 (* Every key's replica group — the r successors on the live ring —
    holds byte-identical winning data under converged vectors. *)
-let check_groups ~label c ~ring ~r expect =
-  Hashtbl.iter
-    (fun key data ->
-      let group = Ring.successors ring key r in
-      Alcotest.(check int) (label ^ ": group size") r (List.length group);
-      let vvs = List.map (fun n -> entry_vv c n key) group in
-      List.iter
-        (fun n ->
-          match Blockstore.get (Node.store c.nodes.(n)) ~key with
-          | Some d -> Alcotest.(check string) (label ^ ": replica bytes") data d
-          | None -> Alcotest.fail (label ^ ": replica group below r"))
-        group;
-      List.iter
-        (fun v ->
-          Alcotest.(check bool)
-            (label ^ ": vectors converged")
-            true
-            (Vv.compare_vv v (List.hd vvs) = Vv.Equal))
-        vvs)
-    expect
+let check_audit ~label w expect =
+  match World.audit w expect with
+  | [] -> ()
+  | (key, n, _, bytes) :: _ as faults ->
+      Alcotest.failf "%s: %d replica(s) off, first node %d for %s (%s)" label
+        (List.length faults) n (Key.to_string key)
+        (match bytes with None -> "missing" | Some _ -> "bytes or vector")
 
-(* Copies of [key] anywhere among live nodes (wherever repair or old
-   fan-out may have left them). *)
-let total_copies c ~dead key =
-  let n = ref 0 in
-  Array.iteri
-    (fun i node ->
-      if
-        (not (List.mem i dead))
-        && Blockstore.get (Node.store node) ~key <> None
-      then incr n)
-    c.nodes;
-  !n
+(* {1 Audit self-test: the audit sees what it exists to see} *)
+
+let test_audit_catches_faults () =
+  let config =
+    {
+      D2_net.Node.replicas = 3;
+      probe_interval = 1000.0;
+      rpc_timeout = 1.0;
+      repair_interval = 0.0;
+    }
+  in
+  let w = World.boot ~config ~n:5 () in
+  let client =
+    Client.create (World.endpoint w) ~replicas:3 ~rpc_timeout:5.0
+      ~seeds:(List.init 5 Fun.id) ()
+  in
+  let rng = Rng.create 0xa0d in
+  let expect =
+    List.init 8 (fun i ->
+        let key = Key.random rng in
+        let data = Printf.sprintf "a%d:%s" i (Key.to_string key) in
+        (match Client.put client ~key ~data with
+        | `Ok copies -> Alcotest.(check int) "audit: put copies" 3 copies
+        | `Failed -> Alcotest.fail "audit: put failed");
+        (key, data))
+  in
+  Alcotest.(check int) "audit: a clean world reports nothing" 0
+    (List.length (World.audit w expect));
+  (* A replica other than the owner, so the group's vector stands. *)
+  let replica_of (key, _) =
+    List.nth (Ring.successors (World.live_ring w) key 3) 1
+  in
+  let corrupt = List.nth expect 2 and emptied = List.nth expect 5 in
+  let bad = replica_of corrupt and gone = replica_of emptied in
+  ignore
+    (Vmap.write (Node.vmap (World.nodes w).(bad)) ~key:(fst corrupt) ~node:bad
+       ~incoming:Vv.empty ~data:(some "other bytes"));
+  (match World.audit w expect with
+  | [ (key, n, _, Some d) ] ->
+      Alcotest.(check bool) "audit: the corrupted key" true
+        (Key.compare key (fst corrupt) = 0);
+      Alcotest.(check int) "audit: the corrupted replica" bad n;
+      Alcotest.(check string) "audit: its bytes" "other bytes" d
+  | faults ->
+      Alcotest.failf "audit: want one mismatch, got %d" (List.length faults));
+  ignore
+    (Vmap.write (Node.vmap (World.nodes w).(gone)) ~key:(fst emptied)
+       ~node:gone ~incoming:Vv.empty ~data:None);
+  Alcotest.(check bool) "audit: the removed copy reads missing" true
+    (List.exists
+       (fun (key, n, _, bytes) ->
+         Key.compare key (fst emptied) = 0 && n = gone && bytes = None)
+       (World.audit w expect));
+  World.stop w
 
 (* {1 Kill churn: repair restores r, control stays degraded} *)
 
@@ -579,11 +573,9 @@ let churn_run ~repair_interval =
       repair_interval;
     }
   in
-  let c = boot ~n:churn_n ~extra:1 ~config () in
+  let w = World.boot ~config ~n:churn_n () in
   let client =
-    Client.create
-      (Mem.endpoint c.net ~node:churn_n)
-      ~replicas:3 ~rpc_timeout:5.0 ~retries:8
+    Client.create (World.endpoint w) ~replicas:3 ~rpc_timeout:5.0 ~retries:8
       ~seeds:(List.init churn_n Fun.id)
       ()
   in
@@ -593,7 +585,7 @@ let churn_run ~repair_interval =
     Array.iteri (fun i _ -> keys.(i) <- Key.random rng) keys
   in
   let expect = Hashtbl.create 64 in
-  let full = ring_of_live c ~dead:[] in
+  let full = World.live_ring w in
   (* Phase 1: 90 blocks, everything up — all three replicas ack. *)
   for i = 0 to 89 do
     let key = keys.(i) in
@@ -607,7 +599,16 @@ let churn_run ~repair_interval =
      X replicates but does not own — every copy X misses leaves it
      stale, exactly what anti-entropy must detect. *)
   let x = Ring.successor full keys.(0) in
-  Mem.set_partition c.net (Some (fun a b -> a = x <> (b = x)));
+  (* Y, chosen on the full ring before X dies: the owner of the first
+     later key X does not own. *)
+  let y =
+    let rec pick i =
+      let cand = Ring.successor full keys.(i) in
+      if cand <> x then cand else pick (i + 1)
+    in
+    pick 1
+  in
+  World.partition w (fun a b -> a = x <> (b = x));
   let overwritten = ref 0 in
   Array.iter
     (fun key ->
@@ -619,38 +620,30 @@ let churn_run ~repair_interval =
       end)
     keys;
   Alcotest.(check int) "churn: overwrite wave size" 30 !overwritten;
-  Mem.set_partition c.net None;
-  run_for c 5.0;
+  World.heal w;
+  World.run w 5.0;
   (* Phase 3: kill X outright; after detection converges, load 30 new
      blocks (their groups may include Y), then kill Y mid-life. *)
-  Mem.kill c.net x;
-  run_for c 20.0;
+  World.kill w x;
+  World.run w 20.0;
   for i = 90 to 119 do
     let key = keys.(i) in
     match Client.put client ~key ~data:(data_v 1 key) with
     | `Ok _ -> Hashtbl.replace expect key (data_v 1 key)
     | `Failed -> Alcotest.fail "churn: post-kill put failed"
   done;
-  let y =
-    let rec pick i =
-      let cand = Ring.successor full keys.(i) in
-      if cand <> x then cand else pick (i + 1)
-    in
-    pick 1
-  in
-  Mem.kill c.net y;
+  World.kill w y;
   (* Give failure detection and the rotating repair schedule time to
      converge: N = 90 virtual seconds covers dozens of per-node repair
      rounds at the 1 s interval. *)
-  run_for c 90.0;
-  (c, expect, [ x; y ])
+  World.run w 90.0;
+  (w, List.of_seq (Hashtbl.to_seq expect))
 
 let test_churn_repair_restores_r () =
-  let c, expect, dead = churn_run ~repair_interval:1.0 in
-  let ring = ring_of_live c ~dead in
-  check_groups ~label:"repair on" c ~ring ~r:3 expect;
+  let w, expect = churn_run ~repair_interval:1.0 in
+  check_audit ~label:"repair on" w expect;
   let frames, bytes, moved =
-    Array.to_list c.nodes
+    Array.to_list (World.nodes w)
     |> List.map Node.repair_stats
     |> List.fold_left
          (fun (fr, by, mv) s ->
@@ -665,19 +658,19 @@ let test_churn_repair_restores_r () =
   Alcotest.(check (triple int int int))
     "repair (frames, bytes, copies moved)" (9817, 1367609, 23)
     (frames, bytes, moved);
-  Array.iter Node.stop c.nodes
+  World.stop w
 
 let test_churn_control_stays_under_replicated () =
-  let c, expect, dead = churn_run ~repair_interval:0.0 in
+  let w, expect = churn_run ~repair_interval:0.0 in
   let degraded =
-    Hashtbl.fold
-      (fun key _ acc -> if total_copies c ~dead key < 3 then acc + 1 else acc)
-      expect 0
+    World.audit w expect
+    |> List.map (fun (key, _, _, _) -> key)
+    |> List.sort_uniq Key.compare |> List.length
   in
   Alcotest.(check bool)
     (Printf.sprintf "repair off leaves groups below r (%d degraded)" degraded)
     true (degraded > 0);
-  Array.iter Node.stop c.nodes
+  World.stop w
 
 (* {1 Partition heal: replicas converge byte-identically} *)
 
@@ -693,14 +686,15 @@ let static_config ~repair_interval =
   }
 
 let test_partition_heal_converges () =
-  let c = boot ~n:9 ~extra:1 ~config:(static_config ~repair_interval:1.0) () in
+  let w = World.boot ~config:(static_config ~repair_interval:1.0) ~n:9 () in
+  let nodes = World.nodes w in
   let client =
-    Client.create (Mem.endpoint c.net ~node:9) ~replicas:3 ~rpc_timeout:5.0
+    Client.create (World.endpoint w) ~replicas:3 ~rpc_timeout:5.0
       ~seeds:(List.init 9 Fun.id) ()
   in
   let rng = Rng.create 0x1ea1 in
   let keys = Array.init 40 (fun _ -> Key.random rng) in
-  let ring = ring_of_live c ~dead:[] in
+  let ring = World.live_ring w in
   Array.iter
     (fun key ->
       match Client.put client ~key ~data:(data_v 1 key) with
@@ -718,7 +712,7 @@ let test_partition_heal_converges () =
            List.mem p group && Ring.successor ring key <> p)
   in
   Alcotest.(check bool) "heal: stale set non-empty" true (stale <> []);
-  Mem.set_partition c.net (Some (fun a b -> a = p <> (b = p)));
+  World.partition w (fun a b -> a = p <> (b = p));
   (* The first timed-out forward to P evicts it from that owner's ring
      view (suspect on RPC timeout), so later puts may reach 3 live
      replicas — either way the owner stores v2 and P misses it. *)
@@ -730,37 +724,40 @@ let test_partition_heal_converges () =
             "heal: partitioned put reached a majority" true (copies >= 2)
       | `Failed -> Alcotest.fail "heal: partitioned put failed")
     stale;
-  Mem.set_partition c.net None;
+  World.heal w;
   (* P still holds v1 the instant the cable is back. *)
   List.iter
     (fun key ->
       Alcotest.(check (option string))
         "heal: P stale before repair"
         (Some (data_v 1 key))
-        (Blockstore.get (Node.store c.nodes.(p)) ~key))
+        (Blockstore.get (Node.store nodes.(p)) ~key))
     stale;
   (* An evicted-but-alive peer re-enters via Join — re-serving P
      re-announces it to everyone whose view dropped it. *)
-  Node.serve c.nodes.(p);
-  run_for c 40.0;
-  let expect = Hashtbl.create 64 in
-  Array.iter (fun key -> Hashtbl.replace expect key (data_v 1 key)) keys;
-  List.iter (fun key -> Hashtbl.replace expect key (data_v 2 key)) stale;
-  check_groups ~label:"partition heal" c ~ring ~r:3 expect;
-  Array.iter Node.stop c.nodes
+  Node.serve nodes.(p);
+  World.run w 40.0;
+  let expect =
+    Array.to_list keys
+    |> List.map (fun key ->
+           (key, data_v (if List.mem key stale then 2 else 1) key))
+  in
+  check_audit ~label:"partition heal" w expect;
+  World.stop w
 
 (* {1 Quorum reads: read-repair without anti-entropy} *)
 
 let test_quorum_read_repair () =
   (* Repair off: the only mechanism allowed to fix the stale replica
      is the quorum read's inline push. *)
-  let c = boot ~n:9 ~extra:3 ~config:(static_config ~repair_interval:0.0) () in
+  let w = World.boot ~config:(static_config ~repair_interval:0.0) ~n:9 () in
+  let nodes = World.nodes w in
   let seeds = List.init 9 Fun.id in
   let client =
-    Client.create (Mem.endpoint c.net ~node:9) ~replicas:3 ~rpc_timeout:5.0
+    Client.create (World.endpoint w) ~replicas:3 ~rpc_timeout:5.0
       ~seeds ()
   in
-  let ring = ring_of_live c ~dead:[] in
+  let ring = World.live_ring w in
   (* A quorum-2 read consults the owner plus the first successor, so
      the stale replica must be that first successor. *)
   let rng = Rng.create 0x9a3 in
@@ -778,11 +775,11 @@ let test_quorum_read_repair () =
      would evict it from the owner's view on the first fan-out
      timeout): install a dominating stamped copy directly on the other
      two replicas, exactly the state a lost fan-out frame leaves. *)
-  let vv2 = Vv.bump (entry_vv c owner key) ~node:owner in
+  let vv2 = Vv.bump (entry_vv w owner key) ~node:owner in
   List.iter
     (fun n ->
       let installed, _ =
-        Vmap.apply (Node.vmap c.nodes.(n)) ~key ~vv:vv2
+        Vmap.apply (Node.vmap nodes.(n)) ~key ~vv:vv2
           ~data:(some (data_v 2 key))
       in
       if not installed then
@@ -793,29 +790,29 @@ let test_quorum_read_repair () =
   (match Client.get client ~key with
   | `Found d -> Alcotest.(check string) "rr: plain read" (data_v 2 key) d
   | `Missing | `Failed -> Alcotest.fail "rr: plain read failed");
-  run_for c 2.0;
+  World.run w 2.0;
   Alcotest.(check (option string))
     "rr: replica still stale after plain read"
     (Some (data_v 1 key))
-    (Blockstore.get (Node.store c.nodes.(p)) ~key);
+    (Blockstore.get (Node.store nodes.(p)) ~key);
   (* quorum_r = 2: the read returns the dominating copy and pushes it
      to the stale replica off the reply path. *)
   let qclient =
-    Client.create (Mem.endpoint c.net ~node:10) ~replicas:3 ~quorum_r:2
+    Client.create (World.endpoint w) ~replicas:3 ~quorum_r:2
       ~rpc_timeout:5.0 ~seeds ()
   in
   (match Client.get qclient ~key with
   | `Found d -> Alcotest.(check string) "rr: quorum read wins" (data_v 2 key) d
   | `Missing | `Failed -> Alcotest.fail "rr: quorum read failed");
-  run_for c 2.0;
+  World.run w 2.0;
   Alcotest.(check (option string))
     "rr: replica repaired by the read"
     (Some (data_v 2 key))
-    (Blockstore.get (Node.store c.nodes.(p)) ~key);
+    (Blockstore.get (Node.store nodes.(p)) ~key);
   Alcotest.(check bool)
     "rr: vectors converged" true
-    (Vv.compare_vv (entry_vv c p key) (entry_vv c owner key) = Vv.Equal);
-  Array.iter Node.stop c.nodes
+    (Vv.compare_vv (entry_vv w p key) (entry_vv w owner key) = Vv.Equal);
+  World.stop w
 
 (* A quorum read over a concurrent pair: two copies of one key stamped
    by different writers, so neither vector dominates.  Repair is off, so
@@ -824,13 +821,14 @@ let test_quorum_read_repair () =
    vector — equal bytes under different vectors would send the block
    again in the next anti-entropy session. *)
 let quorum_read_converges ~q ~concurrent_on () =
-  let c = boot ~n:9 ~extra:3 ~config:(static_config ~repair_interval:0.0) () in
+  let w = World.boot ~config:(static_config ~repair_interval:0.0) ~n:9 () in
+  let nodes = World.nodes w in
   let seeds = List.init 9 Fun.id in
   let client =
-    Client.create (Mem.endpoint c.net ~node:9) ~replicas:3 ~rpc_timeout:5.0
+    Client.create (World.endpoint w) ~replicas:3 ~rpc_timeout:5.0
       ~seeds ()
   in
-  let ring = ring_of_live c ~dead:[] in
+  let ring = World.live_ring w in
   let key = Key.random (Rng.create 0xc0c) in
   let group = Ring.successors ring key 3 in
   (match Client.put client ~key ~data:(data_v 1 key) with
@@ -842,16 +840,16 @@ let quorum_read_converges ~q ~concurrent_on () =
   let writers = List.filter (fun n -> not (List.mem n group)) seeds in
   List.iteri
     (fun i n ->
-      let w = List.nth writers i in
-      let vv = Vv.bump (entry_vv c n key) ~node:w in
+      let writer = List.nth writers i in
+      let vv = Vv.bump (entry_vv w n key) ~node:writer in
       let installed, _ =
-        Vmap.apply (Node.vmap c.nodes.(n)) ~key ~vv
-          ~data:(some (Printf.sprintf "w%d:%s" w (Key.to_string key)))
+        Vmap.apply (Node.vmap nodes.(n)) ~key ~vv
+          ~data:(some (Printf.sprintf "w%d:%s" writer (Key.to_string key)))
       in
       if not installed then Alcotest.fail "cc: injected copy not installed")
     (concurrent_on group);
   let qclient =
-    Client.create (Mem.endpoint c.net ~node:10) ~replicas:3 ~quorum_r:q
+    Client.create (World.endpoint w) ~replicas:3 ~quorum_r:q
       ~rpc_timeout:5.0 ~seeds ()
   in
   let reply =
@@ -859,20 +857,20 @@ let quorum_read_converges ~q ~concurrent_on () =
     | `Found d -> d
     | `Missing | `Failed -> Alcotest.fail "cc: quorum read failed"
   in
-  run_for c 2.0;
+  World.run w 2.0;
   let owner = List.hd group in
   List.iter
     (fun n ->
       Alcotest.(check (option string))
         (Printf.sprintf "cc: node %d holds the reply's bytes" n)
         (Some reply)
-        (Blockstore.get (Node.store c.nodes.(n)) ~key);
+        (Blockstore.get (Node.store nodes.(n)) ~key);
       Alcotest.(check bool)
         (Printf.sprintf "cc: node %d vectors equal" n)
         true
-        (Vv.compare_vv (entry_vv c n key) (entry_vv c owner key) = Vv.Equal))
+        (Vv.compare_vv (entry_vv w n key) (entry_vv w owner key) = Vv.Equal))
     (List.filteri (fun i _ -> i < q) group);
-  Array.iter Node.stop c.nodes
+  World.stop w
 
 (* q = 2 consults the owner and its first successor: the pair sits on
    exactly those two. *)
@@ -889,8 +887,9 @@ let test_quorum_read_converges_q3 =
    a fan-out that never reached it) answers with the empty vector,
    which covers nothing: the quorum read pushes it the owner's copy. *)
 let test_quorum_read_fills_empty_replica () =
-  let c = boot ~n:9 ~extra:3 ~config:(static_config ~repair_interval:0.0) () in
-  let ring = ring_of_live c ~dead:[] in
+  let w = World.boot ~config:(static_config ~repair_interval:0.0) ~n:9 () in
+  let nodes = World.nodes w in
+  let ring = World.live_ring w in
   let key = Key.random (Rng.create 0xe3e) in
   let owner, s1 =
     match Ring.successors ring key 2 with
@@ -898,55 +897,56 @@ let test_quorum_read_fills_empty_replica () =
     | _ -> Alcotest.fail "fill: ring too small"
   in
   let installed, _ =
-    Vmap.apply (Node.vmap c.nodes.(owner)) ~key
+    Vmap.apply (Node.vmap nodes.(owner)) ~key
       ~vv:(Vv.bump Vv.empty ~node:owner)
       ~data:(some (data_v 1 key))
   in
   Alcotest.(check bool) "fill: owner copy installed" true installed;
   let qclient =
-    Client.create (Mem.endpoint c.net ~node:10) ~replicas:3 ~quorum_r:2
+    Client.create (World.endpoint w) ~replicas:3 ~quorum_r:2
       ~rpc_timeout:5.0 ~seeds:(List.init 9 Fun.id) ()
   in
   (match Client.get qclient ~key with
   | `Found d -> Alcotest.(check string) "fill: quorum read" (data_v 1 key) d
   | `Missing | `Failed -> Alcotest.fail "fill: quorum read failed");
-  run_for c 2.0;
+  World.run w 2.0;
   Alcotest.(check (option string))
     "fill: empty replica filled by the read"
     (Some (data_v 1 key))
-    (Blockstore.get (Node.store c.nodes.(s1)) ~key);
+    (Blockstore.get (Node.store nodes.(s1)) ~key);
   Alcotest.(check bool)
     "fill: vectors equal" true
-    (Vv.compare_vv (entry_vv c s1 key) (entry_vv c owner key) = Vv.Equal);
-  Array.iter Node.stop c.nodes
+    (Vv.compare_vv (entry_vv w s1 key) (entry_vv w owner key) = Vv.Equal);
+  World.stop w
 
 (* Write quorums on a 3-node ring, where routing cannot work around a
    severed replica: every group is the whole cluster, so with one node
    unreachable a put settles at 2 acks — enough for w=2, a hard
    failure for w=3. *)
 let test_write_quorum () =
-  let c = boot ~n:3 ~extra:2 ~config:(static_config ~repair_interval:0.0) () in
+  let w = World.boot ~config:(static_config ~repair_interval:0.0) ~n:3 () in
   let seeds = [ 0; 1; 2 ] in
-  let ring = ring_of_live c ~dead:[] in
+  let ring = World.live_ring w in
   let key = Key.random (Rng.create 0x3a7) in
   let z = List.nth (Ring.successors ring key 3) 1 in
-  let wclient w node =
-    Client.create (Mem.endpoint c.net ~node) ~replicas:3 ~quorum_w:w
+  let wclient quorum_w =
+    Client.create (World.endpoint w) ~replicas:3 ~quorum_w
       ~rpc_timeout:5.0 ~retries:2 ~seeds ()
   in
-  let w3 = wclient 3 3 and w2 = wclient 2 4 in
+  let w3 = wclient 3 in
+  let w2 = wclient 2 in
   (match Client.put w3 ~key ~data:(data_v 1 key) with
   | `Ok copies -> Alcotest.(check int) "wq: w=3 put, all up" 3 copies
   | `Failed -> Alcotest.fail "wq: w=3 put failed with the cluster up");
-  Mem.set_partition c.net (Some (fun a b -> a = z <> (b = z)));
+  World.partition w (fun a b -> a = z <> (b = z));
   (match Client.put w2 ~key ~data:(data_v 2 key) with
   | `Ok copies -> Alcotest.(check int) "wq: w=2 put copies" 2 copies
   | `Failed -> Alcotest.fail "wq: w=2 put failed");
   (match Client.put w3 ~key ~data:(data_v 3 key) with
   | `Failed -> ()
   | `Ok _ -> Alcotest.fail "wq: w=3 put succeeded with a severed replica");
-  Mem.set_partition c.net None;
-  Array.iter Node.stop c.nodes
+  World.heal w;
+  World.stop w
 
 let () =
   Alcotest.run "sync"
@@ -981,6 +981,8 @@ let () =
         ] );
       ( "e2e",
         [
+          Alcotest.test_case "the replica audit catches a bad or lost copy"
+            `Quick test_audit_catches_faults;
           Alcotest.test_case "kill churn: repair restores every group to r"
             `Quick test_churn_repair_restores_r;
           Alcotest.test_case "kill churn: repair-off control degrades" `Quick
