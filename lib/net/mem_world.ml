@@ -72,8 +72,12 @@ let node_endpoint w i = w.eps.(i)
 let nodes w = w.nodes
 let run w seconds = Engine.run w.engine ~until:(Engine.now w.engine +. seconds)
 
+(* A dead node's clocks stop too: a repair tick would otherwise go on
+   opening sessions and counting request frames that [connect]
+   refuses. *)
 let kill w i =
   Transport_mem.kill w.net i;
+  Node.stop w.nodes.(i);
   if Ring.mem w.live ~node:i then Ring.remove w.live ~node:i
 
 let partition w pred = Transport_mem.set_partition w.net (Some pred)

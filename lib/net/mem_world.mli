@@ -50,7 +50,8 @@ val run : t -> float -> unit
 
 val kill : t -> int -> unit
 (** Take node [i] down: its endpoint dies (streams break, connects
-    refuse) and it leaves {!live_ring}.  Idempotent. *)
+    refuse), its probe and repair clocks stop ({!Node.stop}), and it
+    leaves {!live_ring}.  Idempotent. *)
 
 val partition : t -> (int -> int -> bool) -> unit
 (** Blackhole traffic between every slot pair the predicate names

@@ -654,9 +654,11 @@ let test_churn_repair_restores_r () =
   in
   (* Deterministic on the mem transport: the digest sums, probe order
      and session schedule fix every frame, so any change to how digests
-     are computed that alters the traffic shows here. *)
+     are computed that alters the traffic shows here.  The two killed
+     nodes count nothing after their kill: their clocks stop with
+     them. *)
   Alcotest.(check (triple int int int))
-    "repair (frames, bytes, copies moved)" (9817, 1367609, 23)
+    "repair (frames, bytes, copies moved)" (9810, 1366615, 23)
     (frames, bytes, moved);
   World.stop w
 
