@@ -25,13 +25,8 @@ type t = {
 }
 
 let boot ~config ~n ?stores () =
-  if n < 1 then invalid_arg "Mem_world.boot: n must be positive";
-  let stores =
-    match stores with
-    | None -> List.init n (fun _ -> Blockstore.mem_store ())
-    | Some l when List.length l = n -> l
-    | Some _ -> invalid_arg "Mem_world.boot: one store per node"
-  in
+  let mem _ = Blockstore.mem_store () in
+  let stores = Option.value stores ~default:(List.init n mem) in
   let engine = Engine.create () in
   let topology =
     D2_simnet.Topology.create
@@ -51,15 +46,8 @@ let boot ~config ~n ?stores () =
   List.iter (fun (i, id) -> Ring.add live ~id ~node:i) peers;
   Array.iter Node.serve nodes;
   Engine.run engine ~until:settle;
-  {
-    engine;
-    net;
-    replicas = replicas_of config;
-    eps;
-    nodes;
-    live;
-    next_slot = n;
-  }
+  let replicas = replicas_of config in
+  { engine; net; replicas; eps; nodes; live; next_slot = n }
 
 let endpoint w =
   let slot = w.next_slot in
@@ -104,16 +92,15 @@ let copies w key =
 let audit w expect =
   List.concat_map
     (fun (key, data) ->
-      match group w key with
-      | [] -> []
-      | owner :: _ as group ->
-          let want = entry_vv w.nodes.(owner) key in
-          List.filter_map
-            (fun i ->
-              let node = w.nodes.(i) in
-              let vv = entry_vv node key in
-              let bytes = Vmap.get (Node.vmap node) ~key in
-              if bytes = Some data && Vv.compare_vv vv want = Vv.Equal then None
-              else Some (key, i, vv, bytes))
-            group)
+      let group = group w key in
+      let want =
+        match group with [] -> Vv.empty | o :: _ -> entry_vv w.nodes.(o) key
+      in
+      List.filter_map
+        (fun i ->
+          let vv = entry_vv w.nodes.(i) key in
+          let bytes = Vmap.get (Node.vmap w.nodes.(i)) ~key in
+          if bytes = Some data && Vv.compare_vv vv want = Vv.Equal then None
+          else Some (key, i, vv, bytes))
+        group)
     expect

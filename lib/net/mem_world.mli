@@ -22,7 +22,7 @@ val boot :
 (** Boot nodes [0..n-1] on transport slots [0..n-1], serve them and
     run the settle period.  [stores] is one table per node, in slot
     order (default a fresh {!Blockstore.mem_store} each).
-    @raise Invalid_argument if [n < 1] or [stores] is not [n] long. *)
+    @raise Invalid_argument if [stores] is not [n] long. *)
 
 (* Declared after [boot], whose [config] is the library's
    {!Node.config}. *)

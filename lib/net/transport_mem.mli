@@ -13,7 +13,10 @@
       silently vanish; failures surface as RPC timeouts);
     - a [loss] rate resets a stream with that probability per send —
       modelling the broken connections a lossy WAN path produces,
-      while keeping each surviving stream's framing intact. *)
+      while keeping each surviving stream's framing intact.
+
+    A whole cluster on this transport is booted, faulted and audited
+    through {!Mem_world}. *)
 
 include Transport.S
 

@@ -37,13 +37,14 @@ type outcome = {
   failures : int;
 }
 
-(* The replica copies every key's group holds at the end of a run. *)
-let final_state w keys = Array.map (World.copies w) keys
-
-(* One full scripted run; everything is seeded, so two calls must
-   produce identical traffic, identical counters and an identical
-   final store (returned as {!final_state}). *)
-let run () =
+(* One full scripted run: load the cluster, kill a node, read every
+   block back.  With [window] unset each operation is a synchronous
+   call; with [Some k] the pipelined client keeps at most [k] open and
+   issues the next as soon as a slot frees up, exactly like d2load's
+   replay loop.  Everything is seeded, so two calls must produce
+   identical traffic, identical counters and an identical final store:
+   the copies each key's live replica group holds. *)
+let run ?window () =
   let w = World.boot ~config ~n:cluster_n () in
   let client =
     Client.create (World.endpoint w) ~replicas:3 ~rpc_timeout:2.0
@@ -52,24 +53,46 @@ let run () =
   in
   let krng = Rng.create 0xbeef in
   let keys = Array.init 120 (fun _ -> Key.random krng) in
+  let throttle limit =
+    while Client.in_flight client >= limit do
+      Client.poll client ~timeout:0.01
+    done
+  in
+  let drain () = throttle 1 in
+  let put key k =
+    match window with
+    | None -> k (Client.put client ~key ~data:(data_of key))
+    | Some n ->
+        throttle n;
+        Client.put_async client ~key ~data:(data_of key) k
+  in
+  let get key k =
+    match window with
+    | None -> k (Client.get client ~key)
+    | Some n ->
+        throttle n;
+        Client.get_async client ~key k
+  in
   (* Phase 1: store everything with 3-way replication; with every node
      up and no loss, all three copies must ack. *)
   Array.iter
     (fun key ->
-      match Client.put client ~key ~data:(data_of key) with
-      | `Ok copies ->
-          Alcotest.(check int) "put acked by all replicas" 3 copies
-      | `Failed -> Alcotest.fail "put failed with the whole cluster up")
+      put key (function
+        | `Ok copies ->
+            Alcotest.(check int) "put acked by all replicas" 3 copies
+        | `Failed -> Alcotest.fail "put failed with the whole cluster up"))
     keys;
+  drain ();
   (* Phase 2: read the first half back (warming cached ranges that the
      kill below will partly invalidate). *)
   Array.iteri
     (fun i key ->
       if i < 60 then
-        match Client.get client ~key with
-        | `Found d -> Alcotest.(check string) "get" (data_of key) d
-        | `Missing | `Failed -> Alcotest.fail "pre-kill read lost a block")
+        get key (function
+          | `Found d -> Alcotest.(check string) "get" (data_of key) d
+          | `Missing | `Failed -> Alcotest.fail "pre-kill read lost a block"))
     keys;
+  drain ();
   (* Kill the owner of keys.(0): it owns data, it is covered by cached
      ranges, and its successor holds the surviving replica. *)
   let victim = Ring.successor (World.live_ring w) keys.(0) in
@@ -81,10 +104,11 @@ let run () =
      survivors — the victim's keys now serve from its successor. *)
   Array.iter
     (fun key ->
-      match Client.get client ~key with
-      | `Found d -> Alcotest.(check string) "post-kill get" (data_of key) d
-      | `Missing | `Failed -> Alcotest.fail "read lost after single kill")
+      get key (function
+        | `Found d -> Alcotest.(check string) "post-kill get" (data_of key) d
+        | `Missing | `Failed -> Alcotest.fail "read lost after single kill"))
     keys;
+  drain ();
   World.stop w;
   let cache = Client.cache client in
   ( {
@@ -93,7 +117,7 @@ let run () =
       lookup_rpcs = Client.lookup_rpcs client;
       failures = Client.failures client;
     },
-    final_state w keys )
+    Array.map (World.copies w) keys )
 
 (* Counters for the scripted run above.  A change here means the
    protocol's message or cache behaviour changed — rerun twice, and if
@@ -106,78 +130,12 @@ let check_outcome label expected got =
   Alcotest.(check int) (label ^ ": lookup rpcs") expected.lookup_rpcs got.lookup_rpcs;
   Alcotest.(check int) (label ^ ": failures") expected.failures got.failures
 
-(* The same scripted churn run driven through the pipelined client
-   with [window] operations in flight.  Returns the outcome plus a
-   full dump of every node's final blocks — pipelining must change
-   throughput, never state: the dump has to be identical at any
-   window depth, and window 1 must reproduce the synchronous run's
-   pinned counters exactly. *)
-let run_pipelined window =
-  let w = World.boot ~config ~n:cluster_n () in
-  let client =
-    Client.create (World.endpoint w) ~replicas:3 ~rpc_timeout:2.0
-      ~seeds:(List.init cluster_n Fun.id)
-      ()
-  in
-  let krng = Rng.create 0xbeef in
-  let keys = Array.init 120 (fun _ -> Key.random krng) in
-  (* Keep at most [window] operations open; issue the next one as soon
-     as a slot frees up, exactly like d2load's replay loop. *)
-  let throttle limit =
-    while Client.in_flight client >= limit do
-      Client.poll client ~timeout:0.01
-    done
-  in
-  let drain () = throttle 1 in
-  Array.iter
-    (fun key ->
-      throttle window;
-      Client.put_async client ~key ~data:(data_of key) (function
-        | `Ok copies ->
-            Alcotest.(check int) "pipelined put acked by all replicas" 3 copies
-        | `Failed -> Alcotest.fail "pipelined put failed, cluster up"))
-    keys;
-  drain ();
-  Array.iteri
-    (fun i key ->
-      if i < 60 then begin
-        throttle window;
-        Client.get_async client ~key (function
-          | `Found d -> Alcotest.(check string) "pipelined get" (data_of key) d
-          | `Missing | `Failed ->
-              Alcotest.fail "pipelined pre-kill read lost a block")
-      end)
-    keys;
-  drain ();
-  let victim = Ring.successor (World.live_ring w) keys.(0) in
-  World.kill w victim;
-  World.run w 20.0;
-  Array.iter
-    (fun key ->
-      throttle window;
-      Client.get_async client ~key (function
-        | `Found d ->
-            Alcotest.(check string) "pipelined post-kill get" (data_of key) d
-        | `Missing | `Failed ->
-            Alcotest.fail "pipelined read lost after single kill"))
-    keys;
-  drain ();
-  World.stop w;
-  let cache = Client.cache client in
-  ( {
-      hits = Lookup_cache.hits cache;
-      misses = Lookup_cache.misses cache;
-      lookup_rpcs = Client.lookup_rpcs client;
-      failures = Client.failures client;
-    },
-    final_state w keys )
-
 (* Pipelining depth is a pure throughput knob: window 1 must match the
    synchronous pins bit-for-bit and land on the synchronous run's final
    store, and deeper windows may reorder wire traffic but must land
    every node on the identical final store. *)
 let test_pipelined_depth_invariant () =
-  let o1, dump1 = run_pipelined 1 in
+  let o1, dump1 = run ~window:1 () in
   check_outcome "window 1 vs pin" pinned o1;
   let _, sync_dump = run () in
   Alcotest.(check bool)
@@ -185,7 +143,7 @@ let test_pipelined_depth_invariant () =
     (sync_dump = dump1);
   List.iter
     (fun window ->
-      let o, dump = run_pipelined window in
+      let o, dump = run ~window () in
       Alcotest.(check int)
         (Printf.sprintf "window %d: failures" window)
         0 o.failures;
