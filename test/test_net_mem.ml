@@ -132,8 +132,8 @@ let check_outcome label expected got =
 
 (* Pipelining depth is a pure throughput knob: window 1 must match the
    synchronous pins bit-for-bit and land on the synchronous run's final
-   store, and deeper windows may reorder wire traffic but must land
-   every node on the identical final store. *)
+   store, and deeper windows may reorder wire traffic but must leave
+   every key's live replica group holding the identical copies. *)
 let test_pipelined_depth_invariant () =
   let o1, dump1 = run ~window:1 () in
   check_outcome "window 1 vs pin" pinned o1;
