@@ -215,10 +215,10 @@ let net_frame_encode_test () =
               {
                 key = keys.(i land 63);
                 depth = 2;
-                vv = D2_net.Wire.vv_empty;
+                version = D2_sync.Version.zero;
                 data = payload;
               }
-        | _ -> D2_net.Wire.Put_ack { copies = 3; vv = D2_net.Wire.vv_empty })
+        | _ -> D2_net.Wire.Put_ack { copies = 3 })
   in
   Test.make ~name:"net_frame_encode" (Staged.stage (fun () ->
       let acc = ref 0 in
@@ -267,31 +267,8 @@ let net_mem_rpc_test () =
       | `Found _ -> ()
       | `Missing | `Failed -> failwith "net_mem_rpc: get failed"))
 
-(* Version-vector merge over a batch of prebuilt pairs: the kernel the
-   replica write path and every digest comparison run per entry. *)
-let vv_merge_test () =
-  let open Bechamel in
-  let module Vv = D2_sync.Version_vector in
-  let vrng = Rng.create 0x77aa in
-  let mk () =
-    let v = ref Vv.empty in
-    for _ = 1 to 1 + Rng.int vrng 6 do
-      v := Vv.bump !v ~node:(Rng.int vrng 16)
-    done;
-    !v
-  in
-  let pairs = Array.init micro_batch (fun _ -> (mk (), mk ())) in
-  Test.make ~name:"vv_merge" (Staged.stage (fun () ->
-      let acc = ref 0 in
-      for i = 0 to micro_batch - 1 do
-        let a, b = pairs.(i) in
-        acc := !acc + Vv.cardinal (Vv.merge a b)
-      done;
-      ignore (Sys.opaque_identity !acc)))
-
 (* A version map of [n] random keys, each stamped once. *)
 let filled_vmap n =
-  let module Vv = D2_sync.Version_vector in
   let module Vmap = D2_sync.Vmap in
   let vmap = Vmap.create () in
   let krng = Rng.create 0xd16 in
@@ -299,7 +276,7 @@ let filled_vmap n =
   Array.iteri
     (fun i key ->
       ignore
-        (Vmap.write vmap ~key ~node:(i land 31) ~incoming:Vv.empty
+        (Vmap.write vmap ~key ~node:(i land 31) ~now:0.0
            ~data:(Some (D2_util.Slice.of_string ""))))
     keys;
   (vmap, keys)
@@ -843,7 +820,6 @@ let micro_tests ~full () =
       (`Quick, micro_batch, net_frame_encode_test ());
       (* one put + one get per staged run *)
       (`Quick, 2, net_mem_rpc_test ());
-      (`Quick, micro_batch, vv_merge_test ());
       (`Quick, 1, digest_build_4k_test ());
       (`Quick, 1, digest_probe_test ~name:"digest_probe_4k" 4096);
       (`Quick, 1, digest_probe_test ~name:"digest_probe_262k" 262_144);

@@ -13,7 +13,7 @@ val mem_store : unit -> t
 
 val disk : D2_segstore.Store.t -> t
 (** A table whose bytes live in the store; the blocks it already holds
-    (a restarted node) enter under the empty vector
+    (a restarted node) enter under the zero version
     ({!D2_sync.Vmap.create}). *)
 
 val get : t -> key:Key.t -> string option

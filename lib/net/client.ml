@@ -173,28 +173,33 @@ module Make (T : Transport.S) = struct
     in
     go t.retries
 
-  (* A write is good once [quorum_w] replicas acked it; fewer acks
+  (* A write is good once [quorum_w] replicas hold it; fewer copies
      (slow or dead replicas inside the coordinator's fan-out window)
      re-resolves and retries — the version map makes the replay
-     idempotent on replicas that did take the first attempt. *)
+     idempotent on replicas that did take the first attempt.  Puts and
+     removes share this check. *)
+  let write_async t ~key msg ~ack k =
+    awith_owner t key ~k ~f:(fun owner k' ->
+        arpc t owner msg (fun r ->
+            k'
+              (match Option.bind r ack with
+              | Some (copies, ok) when copies >= t.quorum_w -> `Done (`Ok ok)
+              | Some _ | None -> `Retry)))
+
   let put_async t ~key ~data k =
     if String.length data > Wire.max_payload then
       invalid_arg "Client.put: data exceeds Wire.max_payload";
-    awith_owner t key ~k ~f:(fun owner k' ->
-        arpc t owner
-          (Wire.Put
-             {
-               key;
-               depth = t.replicas - 1;
-               vv = Wire.vv_empty;
-               data = D2_util.Slice.of_string data;
-             })
-          (fun r ->
-            k'
-              (match r with
-              | Some (Wire.Put_ack { copies; _ }) when copies >= t.quorum_w ->
-                  `Done (`Ok copies)
-              | Some _ | None -> `Retry)))
+    write_async t ~key
+      (Wire.Put
+         {
+           key;
+           depth = t.replicas - 1;
+           version = D2_sync.Version.zero;
+           data = D2_util.Slice.of_string data;
+         })
+      ~ack:(function
+        | Wire.Put_ack { copies } -> Some (copies, copies) | _ -> None)
+      k
 
   let get_async t ~key k =
     awith_owner t key ~k ~f:(fun owner k' ->
@@ -212,15 +217,19 @@ module Make (T : Transport.S) = struct
               | Some Wire.Missing -> `Stale `Missing
               | Some _ | None -> `Retry)))
 
+  (* A retry after a short-acked attempt finds the attempt's tombstone
+     in place, so [removed] is whether any attempt dropped a block. *)
   let remove_async t ~key k =
-    awith_owner t key ~k ~f:(fun owner k' ->
-        arpc t owner
-          (Wire.Remove { key; depth = t.replicas - 1; vv = Wire.vv_empty })
-          (fun r ->
-            k'
-              (match r with
-              | Some (Wire.Remove_ack { removed }) -> `Done (`Ok removed)
-              | Some _ | None -> `Retry)))
+    let removed = ref false in
+    write_async t ~key
+      (Wire.Remove
+         { key; depth = t.replicas - 1; version = D2_sync.Version.zero })
+      ~ack:(function
+        | Wire.Remove_ack { copies; removed = r } ->
+            removed := !removed || r;
+            Some (copies, !removed)
+        | _ -> None)
+      k
 
   (* Synchronous operations: issue the async op, then poll until its
      continuation fires.  This terminates because every RPC concludes

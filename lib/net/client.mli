@@ -37,13 +37,14 @@ module Make (T : Transport.S) : sig
       {!Lookup_cache.create}'s TTL (4500 s — virtual seconds under
       {!Transport_mem}); a lookup chain follows at most 32 redirects.
 
-      [quorum_w] (default 1) is the write quorum: a put whose ack
-      reports fewer than [quorum_w] stored copies is treated as a
-      failure and retried through the ladder (replays are idempotent —
-      replicas resolve the duplicate through its version vector).
+      [quorum_w] (default 1) is the write quorum: a put or remove
+      whose ack reports fewer than [quorum_w] stored copies is treated
+      as a failure and retried through the ladder (replays are
+      idempotent — replicas ignore a copy whose version is not larger
+      than theirs).
       [quorum_r] (default 1) is the read quorum: at 1, gets are the
       plain owner read; at 2+ they become [Get_q] — the owner consults
-      [quorum_r] replicas, answers with the version-dominating copy,
+      [quorum_r] replicas, answers with the newest copy,
       and read-repairs stale replicas inline — so a read survives an
       owner that crashed and restarted empty before repair caught up.
       @raise Invalid_argument if either quorum is outside
@@ -79,6 +80,9 @@ module Make (T : Transport.S) : sig
 
   val get : t -> key:Key.t -> [ `Found of string | `Missing | `Failed ]
   val remove : t -> key:Key.t -> [ `Ok of bool | `Failed ]
+  (** [`Ok removed]: at least [quorum_w] replicas hold the tombstone;
+      [removed] says whether it dropped a live block, on any attempt
+      of the retry ladder. *)
 
   (** {2 Pipelined operations}
 

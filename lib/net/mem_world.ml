@@ -1,5 +1,5 @@
 module Key = D2_keyspace.Key
-module Vv = D2_sync.Version_vector
+module Version = D2_sync.Version
 module Vmap = D2_sync.Vmap
 module Ring = D2_dht.Ring
 module Engine = D2_simnet.Engine
@@ -73,10 +73,10 @@ let heal w = Transport_mem.set_partition w.net None
 let live_ring w = w.live
 let stop w = Array.iter Node.stop w.nodes
 
-let entry_vv node key =
+let version_of node key =
   match Vmap.find (Node.vmap node) ~key with
-  | Some e -> e.Vmap.vv
-  | None -> Vv.empty
+  | Some e -> e.Vmap.version
+  | None -> Version.zero
 
 let group w key = Ring.successors w.live key w.replicas
 
@@ -85,7 +85,7 @@ let copies w key =
     (fun i ->
       let node = w.nodes.(i) in
       Option.map
-        (fun bytes -> (i, entry_vv node key, bytes))
+        (fun bytes -> (i, version_of node key, bytes))
         (Vmap.get (Node.vmap node) ~key))
     (group w key)
 
@@ -94,13 +94,15 @@ let audit w expect =
     (fun (key, data) ->
       let group = group w key in
       let want =
-        match group with [] -> Vv.empty | o :: _ -> entry_vv w.nodes.(o) key
+        match group with
+        | [] -> Version.zero
+        | o :: _ -> version_of w.nodes.(o) key
       in
       List.filter_map
         (fun i ->
-          let vv = entry_vv w.nodes.(i) key in
+          let version = version_of w.nodes.(i) key in
           let bytes = Vmap.get (Node.vmap w.nodes.(i)) ~key in
-          if bytes = Some data && Vv.compare_vv vv want = Vv.Equal then None
-          else Some (key, i, vv, bytes))
+          if bytes = Some data && Version.equal version want then None
+          else Some (key, i, version, bytes))
         group)
     expect

@@ -13,7 +13,7 @@
     lossless, so two worlds booted alike run alike, event for event. *)
 
 module Key = D2_keyspace.Key
-module Vv = D2_sync.Version_vector
+module Version = D2_sync.Version
 
 type t
 
@@ -68,16 +68,15 @@ val stop : t -> unit
 
 (** {1 Replica audit} *)
 
-val copies : t -> Key.t -> (int * Vv.t * string) list
+val copies : t -> Key.t -> (int * Version.t * string) list
 (** The copy of the key each live successor in its replica group
     holds (the first [config.replicas] on {!live_ring}), as
-    (node, vector, bytes), in ring order; a successor without the
+    (node, version, bytes), in ring order; a successor without the
     bytes is left out. *)
 
 val audit :
-  t -> (Key.t * string) list -> (Key.t * int * Vv.t * string option) list
+  t -> (Key.t * string) list -> (Key.t * int * Version.t * string option) list
 (** Each replica, over the expected (key, bytes) pairs, that is missing
-    the key, holds other bytes, or holds a vector not
-    {!Vv.Equal} to the group's (its first live successor's), as
-    (key, node, its vector, its bytes).  Empty when every group is
-    whole and converged. *)
+    the key, holds other bytes, or holds a version other than the
+    group's (its first live successor's), as (key, node, its version,
+    its bytes).  Empty when every group is whole and converged. *)

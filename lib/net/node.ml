@@ -2,7 +2,7 @@ module Key = D2_keyspace.Key
 module Ring = D2_dht.Ring
 module Router = D2_dht.Router
 module Rng = D2_util.Rng
-module Vv = D2_sync.Version_vector
+module Version = D2_sync.Version
 module Vmap = D2_sync.Vmap
 module Store = D2_segstore.Store
 module Digest = D2_sync.Digest
@@ -200,31 +200,38 @@ module Make (T : Transport.S) = struct
      alone (the peer saw we hold that copy or a newer one) and takes
      nothing.  Returns whether the copy was installed and the store
      sequence an ack must wait for. *)
-  let take_copy t ~key ~vv ~deleted data =
-    if deleted then Vmap.apply t.vmap ~key ~vv ~data:None
-    else if Option.is_some data then Vmap.apply t.vmap ~key ~vv ~data
+  let take_copy t ~key ~version ~deleted data =
+    if deleted then Vmap.apply t.vmap ~key ~version ~data:None
+    else if Option.is_some data then Vmap.apply t.vmap ~key ~version ~data
     else (false, 0)
 
-  (* The node's one read of its own copy of [key]: vector, tombstone and
+  (* The node's one read of its own copy of [key]: version, tombstone and
      bytes, taken together (the bytes borrowed, see [scratch]).  [None]
      when the key has never been seen, or when a live entry has lost its
      bytes: there is nothing to serve or ship. *)
   let copy_of t key =
     match Vmap.read t.vmap ~key t.scratch with
-    | Some ({ Vmap.vv; deleted = true }, _) -> Some (vv, true, no_bytes)
-    | Some ({ Vmap.vv; deleted = false }, Some data) -> Some (vv, false, data)
+    | Some ({ Vmap.version; deleted = true }, _) ->
+        Some (version, true, no_bytes)
+    | Some ({ Vmap.version; deleted = false }, Some data) ->
+        Some (version, false, data)
     | Some (_, None) | None -> None
 
-  (* The vector of this node's copy of [key], empty when it has none:
+  (* The version of this node's copy of [key], zero when it has none:
      the [have] a [Fetch] carries, so a peer holding the same copy
      answers with its version alone. *)
   let have_of t key =
-    match Vmap.find t.vmap ~key with Some e -> e.Vmap.vv | None -> Vv.empty
+    match Vmap.find t.vmap ~key with
+    | Some e -> e.Vmap.version
+    | None -> Version.zero
 
   (* Ack the originator once the local copy is durable ([local_seq]:
      the coordinator's own copy rides the group-commit window like any
      other write) and every forward to the next [depth] distinct
-     successors has concluded.  The ack carries the copy count. *)
+     successors has concluded.  The ack carries the copy count: this
+     node's copy and every replica's ack.  A replica that declined the
+     copy holds it already or holds a later write, so its ack counts
+     too. *)
   let fan_out t l req ~key ~depth ~local_seq ~msg ~make_ack =
     (* Two halves conclude: the local copy, and the gather. *)
     let remaining = ref 2 and copies = ref 0 in
@@ -243,60 +250,62 @@ module Make (T : Transport.S) = struct
   (* Put and Remove ([data = None]) share one path.  Coordinator or
      fan-out copy?  A coordinator write either fans out ([depth > 0])
      or comes unstamped from a client ([replicas = 1] clusters write at
-     depth 0 with an empty vector, a fan-out to no one); a fan-out copy
-     always carries the coordinator's stamp.  The coordinator stamps
-     exactly once, so every replica of this write records the same
-     vector; a replica resolves the copy against its own entry, and a
-     stale or duplicate delivery is version-ignored, never re-applied. *)
-  let serve_write t l req ~key ~depth ~vv ~data =
+     depth 0 with the zero version, a fan-out to no one); a fan-out
+     copy always carries the coordinator's stamp.  The coordinator
+     stamps exactly once, on its transport clock, so every replica of
+     this write records the same version; a replica keeps the copy
+     only if its version is larger than its own, so a stale or
+     duplicate delivery is version-ignored, never re-applied. *)
+  let serve_write t l req ~key ~depth ~version ~data =
     let is_put = Option.is_some data in
-    let ack vv ~copies ~removed =
-      if is_put then Wire.Put_ack { copies; vv } else Wire.Remove_ack { removed }
+    let ack ~copies ~removed =
+      if is_put then Wire.Put_ack { copies }
+      else Wire.Remove_ack { copies; removed }
     in
-    if depth > 0 || Vv.is_empty vv then begin
-      match Vmap.write t.vmap ~key ~node:t.me ~incoming:vv ~data with
-      | None ->
-          L.reply l ~req
-            (Wire.Error { code = 3; message = "version vector full" })
-      | Some (vv, removed, seq) ->
-          let msg =
-            match data with
-            | Some data -> Wire.Put { key; depth = 0; vv; data }
-            | None -> Wire.Remove { key; depth = 0; vv }
-          in
-          fan_out t l req ~key ~depth ~local_seq:seq ~msg
-            ~make_ack:(fun copies -> ack vv ~copies ~removed)
+    if depth > 0 || Version.is_zero version then begin
+      let version, removed, seq =
+        Vmap.write t.vmap ~key ~node:t.me ~now:(T.now (L.endpoint t.ls)) ~data
+      in
+      let msg =
+        match data with
+        | Some data -> Wire.Put { key; depth = 0; version; data }
+        | None -> Wire.Remove { key; depth = 0; version }
+      in
+      fan_out t l req ~key ~depth ~local_seq:seq ~msg
+        ~make_ack:(fun copies -> ack ~copies ~removed)
     end
     else begin
-      let installed, seq = take_copy t ~key ~vv ~deleted:(not is_put) data in
+      let installed, seq =
+        take_copy t ~key ~version ~deleted:(not is_put) data
+      in
       ack_when_durable t seq (fun () ->
-          L.reply l ~req (ack vv ~copies:1 ~removed:installed))
+          L.reply l ~req (ack ~copies:1 ~removed:installed))
     end
 
   (* Answer a read from this node's own entry, then push that entry to
-     each consulted replica whose [reported] vector does not cover it:
+     each consulted replica whose [reported] version is smaller:
      read-repair, off the reply path, no ack awaited. *)
   let answer_read t l req ~key reported =
     match copy_of t key with
     | None -> L.reply l ~req Wire.Missing
-    | Some (vv, deleted, data) ->
+    | Some (version, deleted, data) ->
         L.reply l ~req (if deleted then Wire.Missing else Wire.Found { data });
         List.iter
-          (fun (dst, rvv) ->
-            if not (Vv.dominates rvv vv) then
+          (fun (dst, reported) ->
+            if Version.compare reported version < 0 then
               L.rpc t.ls ~dst ~timeout:t.cfg.rpc_timeout
-                (Wire.Push { key; vv; deleted; data })
+                (Wire.Push { key; version; deleted; data })
                 ignore)
           reported
 
   (* A read at quorum [q] is a repair pull from the next [q-1] replica
      holders, then a local read.  Each [Fetch] carries the owner's
-     vector, so a replica holding the same copy (the common case)
-     answers with its version alone; a newer or concurrent copy is
-     taken into the owner's table as it arrives, as a repair pull takes
-     it.  Once every replica has concluded, the owner answers from its
-     own entry, now the merge of every copy it took, and read-repair
-     leaves each replica that answered on that one (vector, bytes).  A
+     version, so a replica holding the same copy (the common case)
+     answers with its version alone; a newer copy is taken into the
+     owner's table as it arrives, as a repair pull takes it.  Once
+     every replica has concluded, the owner answers from its own
+     entry, now the newest copy any of them held, and read-repair
+     leaves each replica that answered on that one (version, bytes).  A
      plain [Get] is [q = 1]: one table read, no frame, no ring lock. *)
   let serve_get_q t l req ~key ~q =
     if q <= 1 then answer_read t l req ~key []
@@ -306,9 +315,9 @@ module Make (T : Transport.S) = struct
         (replica_set t key (q - 1))
         (Wire.Fetch { key; have = have_of t key })
         ~on_reply:(fun dst -> function
-          | Wire.Fetch_ack { vv; deleted; data } ->
-              ignore (take_copy t ~key ~vv ~deleted data);
-              reported := (dst, vv) :: !reported
+          | Wire.Fetch_ack { version; deleted; data } ->
+              ignore (take_copy t ~key ~version ~deleted data);
+              reported := (dst, version) :: !reported
           | _ -> ())
         (fun () -> answer_read t l req ~key !reported)
 
@@ -336,10 +345,10 @@ module Make (T : Transport.S) = struct
         in
         L.reply l ~req reply
     | Wire.Get { key } -> serve_get_q t l req ~key ~q:1
-    | Wire.Put { key; depth; vv; data } ->
-        serve_write t l req ~key ~depth ~vv ~data:(Some data)
-    | Wire.Remove { key; depth; vv } ->
-        serve_write t l req ~key ~depth ~vv ~data:None
+    | Wire.Put { key; depth; version; data } ->
+        serve_write t l req ~key ~depth ~version ~data:(Some data)
+    | Wire.Remove { key; depth; version } ->
+        serve_write t l req ~key ~depth ~version ~data:None
     | Wire.Join { node; id } ->
         let reply =
           Mutex.protect t.lock (fun () ->
@@ -366,13 +375,15 @@ module Make (T : Transport.S) = struct
         let reply =
           match Vmap.read t.vmap ~key ~have t.scratch with
           | Some (e, data) ->
-              Wire.Fetch_ack { vv = e.Vmap.vv; deleted = e.Vmap.deleted; data }
+              Wire.Fetch_ack
+                { version = e.Vmap.version; deleted = e.Vmap.deleted; data }
           | None ->
-              Wire.Fetch_ack { vv = Vv.empty; deleted = false; data = None }
+              Wire.Fetch_ack
+                { version = Version.zero; deleted = false; data = None }
         in
         L.reply l ~req reply
-    | Wire.Push { key; vv; deleted; data } ->
-        let stored, seq = take_copy t ~key ~vv ~deleted (Some data) in
+    | Wire.Push { key; version; deleted; data } ->
+        let stored, seq = take_copy t ~key ~version ~deleted (Some data) in
         ack_when_durable t seq (fun () ->
             L.reply l ~req (Wire.Push_ack { stored }))
     | Wire.Get_q { key; q } -> serve_get_q t l req ~key ~q
@@ -556,15 +567,17 @@ module Make (T : Transport.S) = struct
               repair_rpc t ~dst:s.peer
                 (Wire.Fetch { key; have = have_of t key })
                 (function
-                  | Some (Wire.Fetch_ack { vv; deleted; data }) ->
-                      let stored, _ = take_copy t ~key ~vv ~deleted data in
+                  | Some (Wire.Fetch_ack { version; deleted; data }) ->
+                      let stored, _ =
+                        take_copy t ~key ~version ~deleted data
+                      in
                       if stored then t.repair.pulled <- t.repair.pulled + 1;
                       session_step t s
                   | _ -> ())
           | None -> (
               match Queue.take_opt s.pushes with
               | Some key -> (
-                  (* Ship the copy held now, vector and bytes read
+                  (* Ship the copy held now, version and bytes read
                      together: a write since the key exchange only
                      makes it newer. *)
                   match copy_of t key with
@@ -573,9 +586,9 @@ module Make (T : Transport.S) = struct
                          ship; the peer's copy, if any, flows back on a
                          later pull. *)
                       session_step t s
-                  | Some (vv, deleted, data) ->
+                  | Some (version, deleted, data) ->
                       repair_rpc t ~dst:s.peer
-                        (Wire.Push { key; vv; deleted; data })
+                        (Wire.Push { key; version; deleted; data })
                         (function
                           | Some (Wire.Push_ack { stored }) ->
                               if stored then

@@ -2,7 +2,7 @@
 
     [Node.serve] wires together a membership ring view, a compiled
     {!D2_dht.Router} for greedy forwarding, and the node's per-key
-    table {!D2_sync.Vmap} (version vector, tombstone and bytes per key;
+    table {!D2_sync.Vmap} (version, tombstone and bytes per key;
     the bytes in RAM or in a {!D2_segstore.Store}) behind any
     {!Transport.S}:
 
@@ -11,16 +11,17 @@
       stores — and otherwise answers [Redirect next] with the best
       next hop from its own link table; the {e client} walks the path.
     - {b Puts and removes} share one path and fan out: the
-      coordinator (normally the key's owner) stamps and installs the
-      write in one table call, forwards copies to the next [depth]
-      distinct successors, and acks with the copy count once every
-      forward has acked or timed out.  A replica resolves each copy
-      against its own entry.
+      coordinator (normally the key's owner) stamps the write with
+      its transport clock ({!D2_sync.Version}) and installs it in one
+      table call, forwards copies to the next [depth] distinct
+      successors, and acks with the copy count once every forward has
+      acked or timed out.  A replica keeps a copy whose version is
+      larger than its own.
     - {b Gets} are quorum reads: at [q = 1] (a plain [Get]) one read
       of the table; at [q > 1] the owner first pulls from the next
       [q-1] replicas, taking any newer copy into its table as repair
       would, answers from its own entry, and pushes that entry to
-      every consulted replica whose vector does not cover it.
+      every consulted replica whose version is smaller.
     - {b Join/probe}: a booting node announces itself to its bootstrap
       peers and merges their membership; every [probe_interval] a node
       probes its successor plus one rotating member, and an
@@ -38,7 +39,7 @@
     the {e same} ring, router, per-key table and membership lock.  The
     kernel spreads inbound connections across the listeners, so each
     domain polls only its own sockets while reads and writes against
-    the partitioned table proceed in parallel; a key's vector and
+    the partitioned table proceed in parallel; a key's version and
     bytes change together under its partition lock. *)
 
 module Key = D2_keyspace.Key
@@ -120,7 +121,7 @@ module Make (T : Transport.S) : sig
   val requests_served : t -> int
 
   val vmap : t -> D2_sync.Vmap.t
-  (** The node's per-key table (key -> vector, tombstone, bytes),
+  (** The node's per-key table (key -> version, tombstone, bytes),
       shared with siblings: every write goes through it, repair
       digests fold over it. *)
 

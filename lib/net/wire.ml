@@ -1,5 +1,5 @@
 module Key = D2_keyspace.Key
-module Vv = D2_sync.Version_vector
+module Version = D2_sync.Version
 module Digest = D2_sync.Digest
 module Bytebuf = Transport.Bytebuf
 module Slice = D2_util.Slice
@@ -8,9 +8,10 @@ module Slice = D2_util.Slice
    in the transport hello so a mixed-version cluster fails fast with a
    clear error instead of a mid-stream decode error.  2: version
    vectors on Put/Put_ack/Remove plus the anti-entropy messages
-   (tags 16-24).  3: [Fetch] carries the reader's vector. *)
-let protocol_version = 3
-let vv_empty = Vv.empty
+   (tags 16-24).  3: [Fetch] carries the reader's vector.  4: a
+   version is one fixed (stamp, node) field, [Put_ack] carries no
+   version and [Remove_ack] carries the copy count. *)
+let protocol_version = 4
 
 let max_payload = 8192
 let max_members = 4096
@@ -19,8 +20,8 @@ let max_sync_items = Digest.max_items
 
 (* Largest body is a full Join_ack: u16 count + count * (u32 node +
    64-byte id).  Every other message is far below it — the worst
-   Sync_keys_ack (max_sync_items entries, each a key + a full
-   version vector + a flag) is about half. *)
+   Sync_keys_ack (max_sync_items entries, each a key + a 12-byte
+   version + a flag) is about 20 KB. *)
 let max_frame = 9 + 2 + (max_members * (4 + Key.size))
 
 type msg =
@@ -30,10 +31,10 @@ type msg =
   | Get of { key : Key.t }
   | Found of { data : Slice.t }
   | Missing
-  | Put of { key : Key.t; depth : int; vv : Vv.t; data : Slice.t }
-  | Put_ack of { copies : int; vv : Vv.t }
-  | Remove of { key : Key.t; depth : int; vv : Vv.t }
-  | Remove_ack of { removed : bool }
+  | Put of { key : Key.t; depth : int; version : Version.t; data : Slice.t }
+  | Put_ack of { copies : int }
+  | Remove of { key : Key.t; depth : int; version : Version.t }
+  | Remove_ack of { copies : int; removed : bool }
   | Join of { node : int; id : Key.t }
   | Join_ack of { members : (int * Key.t) list }
   | Probe
@@ -42,10 +43,10 @@ type msg =
   | Sync_digests of { lo : Key.t; hi : Key.t; prefix : int; bits : int }
   | Sync_digests_ack of { children : (int * int) array }
   | Sync_keys of { lo : Key.t; hi : Key.t; prefix : int; bits : int }
-  | Sync_keys_ack of { items : (Key.t * Vv.t * bool) list }
-  | Fetch of { key : Key.t; have : Vv.t }
-  | Fetch_ack of { vv : Vv.t; deleted : bool; data : Slice.t option }
-  | Push of { key : Key.t; vv : Vv.t; deleted : bool; data : Slice.t }
+  | Sync_keys_ack of { items : (Key.t * Version.t * bool) list }
+  | Fetch of { key : Key.t; have : Version.t }
+  | Fetch_ack of { version : Version.t; deleted : bool; data : Slice.t option }
+  | Push of { key : Key.t; version : Version.t; deleted : bool; data : Slice.t }
   | Push_ack of { stored : bool }
   | Get_q of { key : Key.t; q : int }
 
@@ -124,11 +125,9 @@ module W = struct
 
   let key b k = raw b (Key.to_string k)
 
-  (* [Vv.encode_into] refuses a vector over [Vv.max_entries] entries
-     or with a field outside u32. *)
-  let vv b v =
-    let o = room b (Vv.encoded_size v) in
-    ignore (Vv.encode_into v b.buf ~off:o)
+  let version (b : Bytebuf.t) v =
+    let o = room b Version.size in
+    Version.encode_into v b.buf ~off:o
 
   (* u16 element count of a capped list (or string). *)
   let count b what n ~cap =
@@ -167,22 +166,22 @@ let write b ~req msg =
     | Get { key } -> W.tag b 4; W.key b key
     | Found { data } -> W.tag b 5; W.payload b data
     | Missing -> W.tag b 6
-    | Put { key; depth; vv; data } ->
+    | Put { key; depth; version; data } ->
         W.tag b 7;
         W.key b key;
         W.u8 b "depth" depth;
-        W.vv b vv;
+        W.version b version;
         W.payload b data
-    | Put_ack { copies; vv } ->
-        W.tag b 8;
-        W.u32 b "copies" copies;
-        W.vv b vv
-    | Remove { key; depth; vv } ->
+    | Put_ack { copies } -> W.tag b 8; W.u32 b "copies" copies
+    | Remove { key; depth; version } ->
         W.tag b 9;
         W.key b key;
         W.u8 b "depth" depth;
-        W.vv b vv
-    | Remove_ack { removed } -> W.tag b 10; W.flag b removed
+        W.version b version
+    | Remove_ack { copies; removed } ->
+        W.tag b 10;
+        W.u32 b "copies" copies;
+        W.flag b removed
     | Join { node; id } ->
         W.tag b 11;
         W.u32 b "node" node;
@@ -225,25 +224,25 @@ let write b ~req msg =
         W.tag b 19;
         W.count b "sync items" (List.length items) ~cap:max_sync_items;
         List.iter
-          (fun (k, vv, deleted) ->
+          (fun (k, version, deleted) ->
             W.key b k;
-            W.vv b vv;
+            W.version b version;
             W.flag b deleted)
           items
     | Fetch { key; have } ->
         W.tag b 20;
         W.key b key;
-        W.vv b have
-    | Fetch_ack { vv; deleted; data } -> (
+        W.version b have
+    | Fetch_ack { version; deleted; data } -> (
         W.tag b 21;
-        W.vv b vv;
+        W.version b version;
         W.u8 b "flags"
           ((if deleted then 1 else 0) lor if Option.is_some data then 2 else 0);
         match data with None -> () | Some d -> W.payload b d)
-    | Push { key; vv; deleted; data } ->
+    | Push { key; version; deleted; data } ->
         W.tag b 22;
         W.key b key;
-        W.vv b vv;
+        W.version b version;
         W.flag b deleted;
         W.payload b data
     | Push_ack { stored } -> W.tag b 23; W.flag b stored
@@ -332,12 +331,10 @@ let decode buf ~off ~len =
         if n > max_payload then raise (Bad "payload exceeds cap");
         Slice.v buf ~off:(need n) ~len:n
       in
-      let vv () =
-        match Vv.decode buf ~off:!pos ~stop with
-        | None -> raise (Bad "malformed version vector")
-        | Some (v, consumed) ->
-            pos := !pos + consumed;
-            v
+      let version () =
+        match Version.decode buf ~off:(need Version.size) with
+        | None -> raise (Bad "malformed version")
+        | Some v -> v
       in
       let probe ~max_bits =
         let lo = key () in
@@ -364,16 +361,16 @@ let decode buf ~off ~len =
           | 7 ->
               let key = key () in
               let depth = u8 () in
-              let vv = vv () in
-              Put { key; depth; vv; data = payload () }
-          | 8 ->
-              let copies = u32 () in
-              Put_ack { copies; vv = vv () }
+              let version = version () in
+              Put { key; depth; version; data = payload () }
+          | 8 -> Put_ack { copies = u32 () }
           | 9 ->
               let key = key () in
               let depth = u8 () in
-              Remove { key; depth; vv = vv () }
-          | 10 -> Remove_ack { removed = u8 () <> 0 }
+              Remove { key; depth; version = version () }
+          | 10 ->
+              let copies = u32 () in
+              Remove_ack { copies; removed = u8 () <> 0 }
           | 11 ->
               let node = u32 () in
               Join { node; id = key () }
@@ -416,25 +413,25 @@ let decode buf ~off ~len =
               let items =
                 List.init count (fun _ ->
                     let k = key () in
-                    let v = vv () in
+                    let v = version () in
                     let deleted = u8 () <> 0 in
                     (k, v, deleted))
               in
               Sync_keys_ack { items }
           | 20 ->
               let key = key () in
-              Fetch { key; have = vv () }
+              Fetch { key; have = version () }
           | 21 ->
-              let vv = vv () in
+              let version = version () in
               let flags = u8 () in
               if flags land lnot 3 <> 0 then raise (Bad "unknown fetch flags");
               let data = if flags land 2 <> 0 then Some (payload ()) else None in
-              Fetch_ack { vv; deleted = flags land 1 <> 0; data }
+              Fetch_ack { version; deleted = flags land 1 <> 0; data }
           | 22 ->
               let key = key () in
-              let vv = vv () in
+              let version = version () in
               let deleted = u8 () <> 0 in
-              Push { key; vv; deleted; data = payload () }
+              Push { key; version; deleted; data = payload () }
           | 23 -> Push_ack { stored = u8 () <> 0 }
           | 24 ->
               let key = key () in

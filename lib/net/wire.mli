@@ -7,7 +7,8 @@
       bytes 4..7   u32 big-endian request id (echoed by the reply)
       byte  8      message tag
       bytes 9..    body (fixed layout per tag; keys are 64 raw bytes,
-                   node handles u32, block payloads u32 length + bytes)
+                   node handles u32, versions u64 stamp + u32 node,
+                   block payloads u32 length + bytes)
     v}
 
     Each frame is stated once per direction: {!write} walks it field
@@ -34,7 +35,7 @@
     buffer before the callback returns. *)
 
 module Key = D2_keyspace.Key
-module Vv = D2_sync.Version_vector
+module Version = D2_sync.Version
 
 val protocol_version : int
 (** Frame-set revision, exchanged in the transport hello; peers with a
@@ -65,17 +66,25 @@ type msg =
   | Get of { key : Key.t }
   | Found of { data : D2_util.Slice.t }
   | Missing
-  | Put of { key : Key.t; depth : int; vv : Vv.t; data : D2_util.Slice.t }
+  | Put of {
+      key : Key.t;
+      depth : int;
+      version : Version.t;
+      data : D2_util.Slice.t;
+    }
       (** [depth > 0]: the receiver coordinates and fans the block out
           to its [depth] follow-up replica holders; [depth = 0]: store
-          locally only (a fan-out copy).  A client sends [vv] empty and
-          the coordinator stamps it; fan-out copies carry the stamped
-          vector so every replica records the same version. *)
-  | Put_ack of { copies : int; vv : Vv.t }
-      (** [vv] is the version the coordinator stamped — clients thread
-          it into a later overwrite to supersede their own write. *)
-  | Remove of { key : Key.t; depth : int; vv : Vv.t }
-  | Remove_ack of { removed : bool }
+          locally only (a fan-out copy).  A client sends
+          {!Version.zero} and the coordinator stamps the write; fan-out
+          copies carry the stamped version so every replica records the
+          same one. *)
+  | Put_ack of { copies : int }
+      (** [copies]: the replicas holding the write, the coordinator
+          included; a fan-out copy's ack says 1. *)
+  | Remove of { key : Key.t; depth : int; version : Version.t }
+  | Remove_ack of { copies : int; removed : bool }
+      (** [copies] as for [Put_ack]; [removed]: the tombstone dropped a
+          live block. *)
   | Join of { node : int; id : Key.t }
   | Join_ack of { members : (int * Key.t) list }
   | Probe
@@ -89,28 +98,34 @@ type msg =
   | Sync_keys of { lo : Key.t; hi : Key.t; prefix : int; bits : int }
       (** Leaf exchange: list the bucket's (key, version, tombstone)
           entries. *)
-  | Sync_keys_ack of { items : (Key.t * Vv.t * bool) list }
-  | Fetch of { key : Key.t; have : Vv.t }
+  | Sync_keys_ack of { items : (Key.t * Version.t * bool) list }
+  | Fetch of { key : Key.t; have : Version.t }
       (** Versioned read of one local entry (repair pull / quorum
           sub-read); unlike [Get] it never redirects and returns the
-          vector.  [have] is the reader's own vector for the key: a
-          non-empty [have] that dominates the entry's vector is
-          answered with the version only, no payload. *)
-  | Fetch_ack of { vv : Vv.t; deleted : bool; data : D2_util.Slice.t option }
-      (** [data = None] with [vv] empty: entry unknown; with [vv]
-          covered by the request's [have]: a version-only answer. *)
-  | Push of { key : Key.t; vv : Vv.t; deleted : bool; data : D2_util.Slice.t }
-      (** Store this versioned copy if it does not lose to yours
-          (repair push / read-repair). *)
+          version.  [have] is the reader's own version of the key: a
+          stamped [have] at least the entry's is answered with the
+          version only, no payload. *)
+  | Fetch_ack of {
+      version : Version.t;
+      deleted : bool;
+      data : D2_util.Slice.t option;
+    }
+      (** [data = None] with [version] zero: entry unknown; with
+          [version] covered by the request's [have]: a version-only
+          answer. *)
+  | Push of {
+      key : Key.t;
+      version : Version.t;
+      deleted : bool;
+      data : D2_util.Slice.t;
+    }
+      (** Store this versioned copy if its version is larger than
+          yours (repair push / read-repair). *)
   | Push_ack of { stored : bool }
   | Get_q of { key : Key.t; q : int }
       (** Quorum read: the owner answers from [q] replicas (itself
-          plus [q-1] successors), returns the dominating copy and
+          plus [q-1] successors), returns the newest copy and
           read-repairs stale replicas. *)
-
-val vv_empty : Vv.t
-(** Convenience re-export of {!D2_sync.Version_vector.empty} for
-    callers that send unstamped writes. *)
 
 val is_request : msg -> bool
 (** Requests expect a reply; everything else is a reply. *)

@@ -1,8 +1,7 @@
 module Key = D2_keyspace.Key
 module Crc32c = D2_segstore.Crc32c
-module Vv = Version_vector
 
-type entry = { vv : Vv.t; deleted : bool }
+type entry = { version : Version.t; deleted : bool }
 
 let fanout_bits = 4
 let fanout = 1 lsl fanout_bits
@@ -19,18 +18,18 @@ let in_bucket key ~prefix ~bits =
 let child_index key ~bits =
   hash_bits key lsr (max_bits - bits - fanout_bits) land (fanout - 1)
 
-(* The key, the encoded vector and the flag, laid end to end in one
+(* The key, the encoded version and the flag, laid end to end in one
    per-domain buffer, so the CRC is one stub call and allocates
    nothing; CRC-32C chains, so this is the CRC of the three pieces
    taken in turn. *)
 let crc_scratch =
-  Domain.DLS.new_key (fun () ->
-      Bytes.create (Key.size + 1 + (8 * Vv.max_entries) + 1))
+  Domain.DLS.new_key (fun () -> Bytes.create (Key.size + Version.size + 1))
 
-let entry_crc key vv deleted =
+let entry_crc key version deleted =
   let b = Domain.DLS.get crc_scratch in
   Bytes.blit_string (Key.to_string key) 0 b 0 Key.size;
-  let n = Key.size + Vv.encode_into vv b ~off:Key.size in
+  Version.encode_into version b ~off:Key.size;
+  let n = Key.size + Version.size in
   Bytes.unsafe_set b n (if deleted then '\001' else '\000');
   Crc32c.bytes b ~pos:0 ~len:(n + 1)
 
@@ -43,7 +42,7 @@ let children ~iter ~prefix ~bits =
   iter (fun key e ->
       if in_bucket key ~prefix ~bits then begin
         let i = child_index key ~bits in
-        sums.(i) <- (sums.(i) + entry_crc key e.vv e.deleted) land mask32;
+        sums.(i) <- (sums.(i) + entry_crc key e.version e.deleted) land mask32;
         counts.(i) <- counts.(i) + 1
       end);
   Array.init fanout (fun i -> (sums.(i), counts.(i)))
@@ -57,6 +56,7 @@ let max_items = 256
 let items ~iter ~prefix ~bits =
   let acc = ref [] in
   iter (fun key e ->
-      if in_bucket key ~prefix ~bits then acc := (key, e.vv, e.deleted) :: !acc);
+      if in_bucket key ~prefix ~bits then
+        acc := (key, e.version, e.deleted) :: !acc);
   List.sort (fun (a, _, _) (b, _, _) -> Key.compare a b) !acc
   |> List.filteri (fun i _ -> i < max_items)

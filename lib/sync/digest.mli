@@ -18,8 +18,8 @@
 
 module Key = D2_keyspace.Key
 
-type entry = { vv : Version_vector.t; deleted : bool }
-(** One key's repair state: its version vector and tombstone flag
+type entry = { version : Version.t; deleted : bool }
+(** One key's repair state: its version and tombstone flag
     ({!Vmap.entry} is this type). *)
 
 val fanout : int
@@ -35,12 +35,10 @@ val hash_bits : Key.t -> int
 (** The key's top {!max_bits} hash bits: the trie path every bucket
     and child index is read from. *)
 
-val entry_crc : Key.t -> Version_vector.t -> bool -> int
-(** CRC-32C over the key bytes, the encoded vector, and the tombstone
+val entry_crc : Key.t -> Version.t -> bool -> int
+(** CRC-32C over the key bytes, the encoded version, and the tombstone
     flag — the unit the bucket sums are built from.  Allocates
-    nothing: the pieces are laid out in a per-domain buffer.
-    @raise Invalid_argument if the vector is not
-    {!Version_vector.encodable}. *)
+    nothing: the pieces are laid out in a per-domain buffer. *)
 
 val children :
   iter:((Key.t -> entry -> unit) -> unit) ->
@@ -61,7 +59,7 @@ val items :
   iter:((Key.t -> entry -> unit) -> unit) ->
   prefix:int ->
   bits:int ->
-  (Key.t * Version_vector.t * bool) list
+  (Key.t * Version.t * bool) list
 (** The bucket's first {!max_items} entries, sorted by key so both
     sides enumerate a mismatched bucket in the same order (and, past
     the cap, leave out the same tail). *)

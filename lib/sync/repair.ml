@@ -1,5 +1,4 @@
 module Key = D2_keyspace.Key
-module Vv = Version_vector
 
 type probe = { prefix : int; bits : int }
 
@@ -38,7 +37,7 @@ let refine probe ~local ~remote =
 
 type transfers = {
   pull : Key.t list;
-  push : (Key.t * Vv.t * bool) list;
+  push : (Key.t * Version.t * bool) list;
 }
 
 let diff ~local ~remote =
@@ -46,16 +45,16 @@ let diff ~local ~remote =
   let rec go l r =
     match (l, r) with
     | [], [] -> ()
-    | (k, vv, del) :: lt, [] ->
-        push := (k, vv, del) :: !push;
+    | (k, v, del) :: lt, [] ->
+        push := (k, v, del) :: !push;
         go lt []
     | [], (k, _, _) :: rt ->
         pull := k :: !pull;
         go [] rt
-    | ((lk, lvv, ldel) :: lt as l), ((rk, rvv, _) :: rt as r) -> (
+    | ((lk, lv, ldel) :: lt as l), ((rk, rv, _) :: rt as r) -> (
         let c = Key.compare lk rk in
         if c < 0 then begin
-          push := (lk, lvv, ldel) :: !push;
+          push := (lk, lv, ldel) :: !push;
           go lt r
         end
         else if c > 0 then begin
@@ -63,15 +62,9 @@ let diff ~local ~remote =
           go l rt
         end
         else begin
-          (match Vv.compare_vv lvv rvv with
-          | Vv.Equal -> ()
-          | Vv.Dominates -> push := (lk, lvv, ldel) :: !push
-          | Vv.Dominated -> pull := lk :: !pull
-          | Vv.Concurrent ->
-              (* Ship both ways: each side applies the deterministic
-                 winner, so one exchange converges the pair. *)
-              push := (lk, lvv, ldel) :: !push;
-              pull := lk :: !pull);
+          let v = Version.compare lv rv in
+          if v > 0 then push := (lk, lv, ldel) :: !push
+          else if v < 0 then pull := lk :: !pull;
           go lt rt
         end)
   in

@@ -7,8 +7,7 @@
     to the key level), and at the key level {!diff} turns the two
     sorted entry lists into the transfers that make the replicas
     converge — pulls for entries the peer holds newer, pushes for
-    entries we hold newer (a concurrent pair produces both: each side
-    applies the deterministic winner).
+    entries we hold newer.
 
     Keeping the planner free of transport state means the narrowing
     logic is unit-testable against plain lists, and the node runtime
@@ -35,15 +34,14 @@ val refine :
 
 type transfers = {
   pull : Key.t list;  (** peer's copy supersedes ours (or we miss it) *)
-  push : (Key.t * Version_vector.t * bool) list;
-      (** our copy supersedes the peer's; (key, vector, tombstone) *)
+  push : (Key.t * Version.t * bool) list;
+      (** our copy supersedes the peer's; (key, version, tombstone) *)
 }
 
 val diff :
-  local:(Key.t * Version_vector.t * bool) list ->
-  remote:(Key.t * Version_vector.t * bool) list ->
+  local:(Key.t * Version.t * bool) list ->
+  remote:(Key.t * Version.t * bool) list ->
   transfers
 (** Key-level reconciliation of one bucket.  Both lists must be sorted
-    by key ({!Digest.items} order).  An entry dominated by the other
-    side is refreshed from it; concurrent entries appear in both lists
-    so each side converges on the deterministic winner. *)
+    by key ({!Digest.items} order).  An entry with the smaller version
+    is refreshed from the other side; equal versions move nothing. *)

@@ -1,9 +1,8 @@
 module Key = D2_keyspace.Key
-module Vv = Version_vector
 module Store = D2_segstore.Store
 module Slice = D2_util.Slice
 
-type entry = Digest.entry = { vv : Vv.t; deleted : bool }
+type entry = Digest.entry = { version : Version.t; deleted : bool }
 
 (* A partition holds its keys' entries and, in RAM, their bytes, both
    behind one lock.  The bytes sit in a table of their own, replaced in
@@ -58,7 +57,7 @@ let top key bits = Digest.hash_bits key lsr (Digest.max_bits - bits)
 let part t key = t.parts.(top key part_bits)
 let locked p f = Mutex.protect p.lock (fun () -> f p)
 
-let recovered = { vv = Vv.empty; deleted = false }
+let recovered = { version = Version.zero; deleted = false }
 
 let create ?disk () =
   let t =
@@ -123,7 +122,7 @@ let borrow t p key scratch =
 (* {1 Range digests} *)
 
 let crc key = function
-  | Some e -> Digest.entry_crc key e.vv e.deleted
+  | Some e -> Digest.entry_crc key e.version e.deleted
   | None -> 0
 
 (* Add [sum] (mod 2^32) and [n] entries to the key's cell. *)
@@ -143,7 +142,8 @@ let rec retally p key old e delta = function
           let delta =
             if delta >= 0 then delta
             else
-              (Digest.entry_crc key e.vv e.deleted - crc key old) land mask32
+              (Digest.entry_crc key e.version e.deleted - crc key old)
+              land mask32
           in
           tally r key delta (if Option.is_none old then 1 else 0);
           delta
@@ -157,58 +157,37 @@ let set t p key old e =
   Key.Table.replace p.entries key e;
   retally p key old e (-1) (Atomic.get t.ranges)
 
-(* A vector the wire cannot carry would make every later frame about
-   the key fail to encode, so neither write path ever stores one. *)
-let write t ~key ~node ~incoming ~data =
+let write t ~key ~node ~now ~data =
   locked (part t key) (fun p ->
       let old = Key.Table.find_opt p.entries key in
-      let cur = match old with Some e -> e.vv | None -> Vv.empty in
-      let vv = Vv.bump (Vv.merge cur incoming) ~node in
-      if not (Vv.encodable vv) then None
-      else begin
-        let removed, seq = install t p key data in
-        set t p key old { vv; deleted = data = None };
-        Some (vv, removed, seq)
-      end)
+      let cur = match old with Some e -> e.version | None -> Version.zero in
+      let version = Version.next cur ~node ~now in
+      let removed, seq = install t p key data in
+      set t p key old { version; deleted = data = None };
+      (version, removed, seq))
 
-let apply t ~key ~vv ~data =
+let apply t ~key ~version ~data =
   locked (part t key) (fun p ->
       let local = Key.Table.find_opt p.entries key in
-      let merged =
-        match local with Some l -> Vv.merge l.vv vv | None -> vv
-      in
-      let win () =
-        let _, seq = install t p key data in
-        set t p key local { vv = merged; deleted = data = None };
-        (true, seq)
-      in
       match local with
-      | _ when not (Vv.encodable merged) -> (false, 0)
-      | None -> win ()
-      | Some local -> (
-          match Vv.compare_vv vv local.vv with
-          | Vv.Equal | Vv.Dominated -> (false, 0)
-          | Vv.Dominates -> win ()
-          | Vv.Concurrent ->
-              (* Both sides of a concurrent pair compute the same
-                 winner, so after one exchange in either direction the
-                 replicas hold the same (merged vector, bytes). *)
-              if Vv.winner vv local.vv = `Left then win ()
-              else begin
-                set t p key (Some local) { local with vv = merged };
-                (false, 0)
-              end))
+      | Some l when Version.compare version l.version <= 0 -> (false, 0)
+      | _ ->
+          let _, seq = install t p key data in
+          set t p key local { version; deleted = data = None };
+          (true, seq))
 
 let find t ~key = locked (part t key) (fun p -> Key.Table.find_opt p.entries key)
 
-(* An empty [have] claims nothing: a recovered block sits under the
-   empty vector, and a reader holding no entry at all sends it too. *)
-let read ?(have = Vv.empty) t ~key scratch =
+(* The zero [have] claims nothing: a recovered block sits under the
+   zero version, and a reader holding no entry at all sends it too. *)
+let read ?(have = Version.zero) t ~key scratch =
   locked (part t key) (fun p ->
       match Key.Table.find_opt p.entries key with
       | None -> None
       | Some e ->
-          let covered = (not (Vv.is_empty have)) && Vv.dominates have e.vv in
+          let covered =
+            (not (Version.is_zero have)) && Version.compare have e.version >= 0
+          in
           Some (e, if e.deleted || covered then None else borrow t p key scratch))
 
 let get t ~key = locked (part t key) (fun p -> bytes_of t p key)
@@ -272,7 +251,7 @@ let build t p r =
     Key.Table.iter
       (fun key e ->
         if Key.in_interval key ~lo:r.lo ~hi:r.hi then
-          tally r key (Digest.entry_crc key e.vv e.deleted) 1)
+          tally r key (Digest.entry_crc key e.version e.deleted) 1)
       p.entries;
     r.built.(p.index) <- true
   end

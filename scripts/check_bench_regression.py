@@ -48,13 +48,11 @@ MICRO_LIMITS = {
     "route_alpha": 16000.0,
     "net_frame_encode": 150.0,
     "net_mem_rpc": 150000.0,
-    # Anti-entropy gates: a batch merge of small int-array vectors must
-    # stay unboxed (a quiet run reports ~195; a return to map-based
-    # vectors is ~10x), a root digest build over 4096 entries bounds
+    # Anti-entropy gates: a root digest build over 4096 entries bounds
     # the fixed CRC fold every repair round pays (~247k quiet), and a
     # quorum-2 get must stay within ~2x the plain RPC since the owner
-    # only adds one replica round-trip plus vector folds (~40k quiet).
-    "vv_merge": 600.0,
+    # only adds one replica round-trip plus version compares (~40k
+    # quiet).
     "digest_build_4k": 800000.0,
     "quorum_get": 120000.0,
     # Pipelined-runtime gates: coalesced frames must stay cheap per

@@ -8,17 +8,16 @@ module Key = D2_keyspace.Key
 module Rng = D2_util.Rng
 module Slice = D2_util.Slice
 
-module Vv = D2_sync.Version_vector
+module Version = D2_sync.Version
 
 let key_of_rng rng = Key.random rng
 
-let random_vv rng =
-  let n = match Rng.int rng 4 with 0 -> 0 | 1 -> 1 | _ -> Rng.int rng 8 in
-  let vv = ref Vv.empty in
-  for _ = 1 to n * 3 do
-    vv := Vv.bump !vv ~node:(Rng.int rng 24)
-  done;
-  !vv
+(* Zero one time in four, else a stamp up to about 2^52 µs. *)
+let random_version rng =
+  if Rng.int rng 4 = 0 then Version.zero
+  else
+    Version.next Version.zero ~node:(Rng.int rng 100_000)
+      ~now:(Rng.float rng 4e9)
 
 let random_payload rng =
   (* Bias towards the edges: empty, one byte, and the max 8 KB block. *)
@@ -37,9 +36,7 @@ let random_probe rng ~max_bits =
   let bits = Rng.int rng (max_bits + 1) in
   (bits, Rng.int rng (1 lsl bits))
 
-(* [Fetch]'s vector is drawn from [have_rng] when one is given: drawn
-   from [rng], it would shift every later frame of a seeded stream. *)
-let random_msg ?have_rng rng =
+let random_msg rng =
   match Rng.int rng 24 with
   | 0 -> Wire.Lookup { key = key_of_rng rng }
   | 1 ->
@@ -54,14 +51,18 @@ let random_msg ?have_rng rng =
         {
           key = key_of_rng rng;
           depth = Rng.int rng 8;
-          vv = random_vv rng;
+          version = random_version rng;
           data = random_payload rng;
         }
-  | 7 -> Wire.Put_ack { copies = Rng.int rng 16; vv = random_vv rng }
+  | 7 -> Wire.Put_ack { copies = Rng.int rng 16 }
   | 8 ->
       Wire.Remove
-        { key = key_of_rng rng; depth = Rng.int rng 8; vv = random_vv rng }
-  | 9 -> Wire.Remove_ack { removed = Rng.bool rng }
+        {
+          key = key_of_rng rng;
+          depth = Rng.int rng 8;
+          version = random_version rng;
+        }
+  | 9 -> Wire.Remove_ack { copies = Rng.int rng 16; removed = Rng.bool rng }
   | 10 -> Wire.Join { node = Rng.int rng 100_000; id = key_of_rng rng }
   | 11 ->
       let n = Rng.int rng 40 in
@@ -98,15 +99,15 @@ let random_msg ?have_rng rng =
         {
           items =
             List.init n (fun _ ->
-                (key_of_rng rng, random_vv rng, Rng.bool rng));
+                (key_of_rng rng, random_version rng, Rng.bool rng));
         }
   | 19 ->
       let key = key_of_rng rng in
-      Wire.Fetch { key; have = random_vv (Option.value have_rng ~default:rng) }
+      Wire.Fetch { key; have = random_version rng }
   | 20 ->
       Wire.Fetch_ack
         {
-          vv = random_vv rng;
+          version = random_version rng;
           deleted = Rng.bool rng;
           data = (if Rng.bool rng then Some (random_payload rng) else None);
         }
@@ -114,7 +115,7 @@ let random_msg ?have_rng rng =
       Wire.Push
         {
           key = key_of_rng rng;
-          vv = random_vv rng;
+          version = random_version rng;
           deleted = Rng.bool rng;
           data = random_payload rng;
         }
@@ -133,16 +134,16 @@ let equal_msg (a : Wire.msg) (b : Wire.msg) =
   | Wire.Get { key = k1 }, Wire.Get { key = k2 } -> Key.equal k1 k2
   | Wire.Found { data = d1 }, Wire.Found { data = d2 } -> slice_equal d1 d2
   | Wire.Missing, Wire.Missing | Wire.Probe, Wire.Probe -> true
-  | ( Wire.Put { key = k1; depth = e1; vv = v1; data = d1 },
-      Wire.Put { key = k2; depth = e2; vv = v2; data = d2 } ) ->
-      Key.equal k1 k2 && e1 = e2 && v1 = v2 && slice_equal d1 d2
-  | ( Wire.Put_ack { copies = c1; vv = v1 },
-      Wire.Put_ack { copies = c2; vv = v2 } ) ->
-      c1 = c2 && v1 = v2
-  | ( Wire.Remove { key = k1; depth = e1; vv = v1 },
-      Wire.Remove { key = k2; depth = e2; vv = v2 } ) ->
-      Key.equal k1 k2 && e1 = e2 && v1 = v2
-  | Wire.Remove_ack { removed = r1 }, Wire.Remove_ack { removed = r2 } -> r1 = r2
+  | ( Wire.Put { key = k1; depth = e1; version = v1; data = d1 },
+      Wire.Put { key = k2; depth = e2; version = v2; data = d2 } ) ->
+      Key.equal k1 k2 && e1 = e2 && Version.equal v1 v2 && slice_equal d1 d2
+  | Wire.Put_ack { copies = c1 }, Wire.Put_ack { copies = c2 } -> c1 = c2
+  | ( Wire.Remove { key = k1; depth = e1; version = v1 },
+      Wire.Remove { key = k2; depth = e2; version = v2 } ) ->
+      Key.equal k1 k2 && e1 = e2 && Version.equal v1 v2
+  | ( Wire.Remove_ack { copies = c1; removed = r1 },
+      Wire.Remove_ack { copies = c2; removed = r2 } ) ->
+      c1 = c2 && r1 = r2
   | Wire.Join { node = n1; id = i1 }, Wire.Join { node = n2; id = i2 } ->
       n1 = n2 && Key.equal i1 i2
   | Wire.Join_ack { members = m1 }, Wire.Join_ack { members = m2 } ->
@@ -170,11 +171,11 @@ let equal_msg (a : Wire.msg) (b : Wire.msg) =
            i1 i2
   | Wire.Fetch { key = k1; have = h1 }, Wire.Fetch { key = k2; have = h2 } ->
       Key.equal k1 k2 && h1 = h2
-  | ( Wire.Fetch_ack { vv = v1; deleted = d1; data = b1 },
-      Wire.Fetch_ack { vv = v2; deleted = d2; data = b2 } ) ->
+  | ( Wire.Fetch_ack { version = v1; deleted = d1; data = b1 },
+      Wire.Fetch_ack { version = v2; deleted = d2; data = b2 } ) ->
       v1 = v2 && d1 = d2 && Option.equal slice_equal b1 b2
-  | ( Wire.Push { key = k1; vv = v1; deleted = d1; data = b1 },
-      Wire.Push { key = k2; vv = v2; deleted = d2; data = b2 } ) ->
+  | ( Wire.Push { key = k1; version = v1; deleted = d1; data = b1 },
+      Wire.Push { key = k2; version = v2; deleted = d2; data = b2 } ) ->
       Key.equal k1 k2 && v1 = v2 && d1 = d2 && slice_equal b1 b2
   | Wire.Push_ack { stored = s1 }, Wire.Push_ack { stored = s2 } -> s1 = s2
   | Wire.Get_q { key = k1; q = q1 }, Wire.Get_q { key = k2; q = q2 } ->
@@ -327,7 +328,7 @@ let test_reader_capacity_floor () =
          {
            key;
            depth = 0;
-           vv = Vv.empty;
+           version = Version.zero;
            data = Slice.of_string (String.make Wire.max_payload 'x');
          })
   in
@@ -363,28 +364,16 @@ let test_reader_capacity_floor () =
 
 (* The frame bytes themselves are pinned: 20,000 seeded frames from
    [random_msg] (request id = index) hash to a fixed digest, so any
-   change to any frame's bytes fails here.  [Fetch]'s vector (protocol
-   3) comes from a second generator, so the stream without its [Fetch]
-   frames is still the one protocol 2 pinned: same length, same MD5. *)
+   change to any frame's bytes fails here. *)
 let test_wire_bytes_pinned () =
   let rng = Rng.create 12345 in
-  let have_rng = Rng.create 54321 in
   let buf = Buffer.create (1 lsl 24) in
-  let others = Buffer.create (1 lsl 24) in
   for i = 0 to 19_999 do
-    let msg = random_msg ~have_rng rng in
-    let frame = Wire.encode ~req:i msg in
-    Buffer.add_bytes buf frame;
-    match msg with Wire.Fetch _ -> () | _ -> Buffer.add_bytes others frame
+    Buffer.add_bytes buf (Wire.encode ~req:i (random_msg rng))
   done;
-  Alcotest.(check int) "stream length" 13_001_935 (Buffer.length buf);
-  Alcotest.(check string) "stream MD5" "151a997585dffa3bb2e69370193a19b2"
-    (Digest.to_hex (Digest.string (Buffer.contents buf)));
-  Alcotest.(check int) "non-Fetch length (protocol 2)" 12_908_233
-    (Buffer.length others);
-  Alcotest.(check string) "non-Fetch MD5 (protocol 2)"
-    "76d9ebe88b7c4a31ff0f55bda1af0909"
-    (Digest.to_hex (Digest.string (Buffer.contents others)))
+  Alcotest.(check int) "stream length" 12_082_765 (Buffer.length buf);
+  Alcotest.(check string) "stream MD5" "46b5daf1e34f94ca8dee38435de16b3d"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 (* A frame that breaks a bound raises and leaves the output buffer as
    it found it: the frame queued before it still decodes, alone. *)
@@ -393,10 +382,6 @@ let test_failed_write_leaves_buffer () =
   let lo = key and hi = key in
   let b = Bytebuf.create () in
   let first = Wire.write b ~req:1 (Wire.Get { key }) in
-  let rec wide_vv vv node =
-    if node = 100 + Vv.max_entries + 1 then vv
-    else wide_vv (Vv.bump vv ~node) (node + 1)
-  in
   List.iter
     (fun (label, msg) ->
       (match Wire.write b ~req:2 msg with
@@ -410,12 +395,13 @@ let test_failed_write_leaves_buffer () =
           {
             key;
             depth = 1;
-            vv = Vv.empty;
+            version = Version.zero;
             data = Slice.of_string (String.make (Wire.max_payload + 1) 'x');
           } );
-      ( "vector over max_entries",
-        Wire.Put_ack { copies = 1; vv = wide_vv Vv.empty 100 } );
-      ("depth outside u8", Wire.Remove { key; depth = 256; vv = Vv.empty });
+      ( "depth outside u8",
+        Wire.Remove { key; depth = 256; version = Version.zero } );
+      ( "copies outside u32",
+        Wire.Remove_ack { copies = 1 lsl 32; removed = true } );
       ("node outside u32", Wire.Redirect { next = 1 lsl 32 });
       ( "digest probe too deep",
         Wire.Sync_digests { lo; hi; prefix = 0; bits = 25 } );
@@ -464,6 +450,37 @@ let test_probe_bounds () =
       ("keys at 29 bits", 18, 0, 29, false);
       ("digests prefix 2^bits", 16, 1 lsl 8, 8, false);
       ("keys prefix 2^bits", 18, 1, 0, false);
+    ]
+
+(* A version has one encoding: a stamp past [max_int], or a zero stamp
+   naming a node, decodes as [Malformed]. *)
+let test_version_bounds () =
+  let key = Key.random (Rng.create 0x56) in
+  let frame ~stamp ~node =
+    (* Encode a [Fetch], then rewrite the version after its key. *)
+    let f = Wire.encode ~req:6 (Wire.Fetch { key; have = Version.zero }) in
+    let at = 9 + Key.size in
+    Bytes.set_int64_be f at stamp;
+    Bytes.set_int32_be f (at + 8) (Int32.of_int node);
+    f
+  in
+  List.iter
+    (fun (label, stamp, node, ok) ->
+      let f = frame ~stamp ~node in
+      match (Wire.decode f ~off:0 ~len:(Bytes.length f), ok) with
+      | Ok (_, Wire.Fetch { have; _ }, _), true ->
+          Alcotest.(check int) (label ^ ": stamp") (Int64.to_int stamp)
+            have.Version.stamp;
+          Alcotest.(check int) (label ^ ": node") node have.Version.node
+      | Error (Wire.Malformed _), false -> ()
+      | _ -> Alcotest.failf "%s: wrong verdict" label)
+    [
+      ("zero", 0L, 0, true);
+      ("stamp max_int", Int64.of_int max_int, 7, true);
+      ("node 2^32 - 1", 1L, 0xffff_ffff, true);
+      ("stamp max_int + 1", Int64.succ (Int64.of_int max_int), 7, false);
+      ("stamp top bit", Int64.min_int, 7, false);
+      ("zero stamp naming a node", 0L, 7, false);
     ]
 
 (* {1 The TCP transport}
@@ -661,6 +678,7 @@ let () =
           Alcotest.test_case "oversize/undersize length" `Quick test_oversize_length;
           Alcotest.test_case "unknown tag" `Quick test_unknown_tag;
           Alcotest.test_case "probe bounds" `Quick test_probe_bounds;
+          Alcotest.test_case "version bounds" `Quick test_version_bounds;
           Alcotest.test_case "wire bytes pinned" `Quick test_wire_bytes_pinned;
           Alcotest.test_case "failed write leaves the buffer" `Quick
             test_failed_write_leaves_buffer;

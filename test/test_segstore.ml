@@ -18,7 +18,7 @@ module Node = World.Node
 module Client = World.Client
 module Blockstore = D2_net.Blockstore
 module Vmap = D2_sync.Vmap
-module Vv = D2_sync.Version_vector
+module Version = D2_sync.Version
 
 (* {1 Scratch directories}
 
@@ -995,8 +995,8 @@ let test_e2e_crash_restart () =
         stores;
       run_cluster stores (fun nodes client ->
           (* Boot seeding, before any client traffic (repair is off):
-             every recovered block is a live entry under the empty
-             vector, and nothing else is in the table. *)
+             every recovered block is a live entry under the zero
+             version, and nothing else is in the table. *)
           List.iter2
             (fun n st ->
               Alcotest.(check int) "seeded entries = recovered blocks"
@@ -1006,13 +1006,13 @@ let test_e2e_crash_restart () =
                 (fun i key ->
                   if i > 0 then
                     match Vmap.read (Node.vmap n) ~key (Bytes.create 8192) with
-                    | Some ({ Vmap.vv; deleted = false }, Some _)
-                      when Vv.is_empty vv ->
+                    | Some ({ Vmap.version; deleted = false }, Some _)
+                      when Version.is_zero version ->
                         ()
                     | _ ->
                         Alcotest.fail
-                          "recovered block not seeded live under the empty \
-                           vector")
+                          "recovered block not seeded live under the zero \
+                           version")
                 keys)
             nodes stores;
           Array.iteri
@@ -1139,7 +1139,7 @@ let test_borrowed_payloads () =
             | `Missing | `Failed -> Alcotest.failf "%s of key %d lost" label k)
       in
       (* Replicas that miss the last bytes of a key, or hold them
-         under another vector than the owner's. *)
+         under another version than the owner's. *)
       let replicas_off () =
         Array.to_list keys
         |> List.mapi (fun k key -> (key, expect k))
@@ -1161,13 +1161,15 @@ let test_borrowed_payloads () =
       done;
       Alcotest.(check int) "fanned out: replicas off" 0 (replicas_off ());
       (* A newer copy on the owner's first successor only, as a lost
-         fan-out would leave it: stamped there, so it dominates. *)
+         fan-out would leave it: stamped there later, so its version
+         is larger. *)
       let diverge k =
         let owner_succ = List.nth (Ring.successors ring keys.(k) 2) 1 in
         version.(k) <- version.(k) + 1;
         ignore
           (Vmap.write (Node.vmap nodes.(owner_succ)) ~key:keys.(k)
-             ~node:owner_succ ~incoming:Vv.empty
+             ~node:owner_succ
+             ~now:(D2_net.Transport_mem.now (World.node_endpoint w owner_succ))
              ~data:(Some (Slice.of_string (expect k))))
       in
       (* Quorum reads find the newer remote copy, answer with it and
@@ -1199,7 +1201,7 @@ let test_borrowed_payloads () =
 (* {1 Replica caches}
 
    A quorum read's [Fetch] gets a version alone from a replica whose
-   copy the owner's vector covers, so a replica's copy is read only
+   copy the owner's version covers, so a replica's copy is read only
    for durability and repair, never to serve.  With a read-admitted
    cache, writes fill no node's arena, and reads fill only the arena
    of the node that answered with bytes: the key's owner. *)

@@ -1,10 +1,11 @@
-(* The anti-entropy subsystem end to end: algebraic laws of the
-   version vector (qcheck), order-independence of replica conflict
+(* The anti-entropy subsystem end to end: the version's total order
+   and codec (qcheck), order-independence of replica conflict
    resolution, and deterministic mem-transport cluster runs — kill
    churn with repair restoring every replica group to r, a repair-off
    control that stays under-replicated, partition-heal converging
-   replicas byte-identically, and quorum reads performing inline
-   read-repair that leaves a concurrent pair on one vector. *)
+   replicas byte-identically, quorum reads performing inline
+   read-repair, and a later write beating an older copy stamped
+   elsewhere. *)
 
 module Key = D2_keyspace.Key
 module Rng = D2_util.Rng
@@ -13,7 +14,7 @@ module World = D2_net.Mem_world
 module Node = World.Node
 module Client = World.Client
 module Blockstore = D2_net.Blockstore
-module Vv = D2_sync.Version_vector
+module Version = D2_sync.Version
 module Vmap = D2_sync.Vmap
 module Digest = D2_sync.Digest
 module Crc32c = D2_segstore.Crc32c
@@ -29,153 +30,69 @@ let read m ~key =
 
 let some s = Some (Slice.of_string s)
 
-(* {1 Version-vector laws} *)
+(* {1 Versions} *)
 
-(* Build a vector by replaying bump events, the only constructor the
-   runtime uses; the pair list is the printable counterexample. *)
-let vv_of_pairs pairs =
-  List.fold_left
-    (fun v (node, extra) ->
-      let rec go v k = if k = 0 then v else go (Vv.bump v ~node) (k - 1) in
-      go v (extra + 1))
-    Vv.empty pairs
+(* A version stamped by [node] at [us] µs (at least 1), the way a
+   coordinator stamps one; the pair is the printable counterexample. *)
+let version_of (us, node) =
+  Version.next Version.zero ~node ~now:(float_of_int us *. 1e-6)
 
-let arb_pairs = QCheck.(small_list (pair (int_bound 20) (int_bound 3)))
-let vv_equal a b = Vv.compare_vv a b = Vv.Equal
-
-let prop_merge_commutative =
-  QCheck.Test.make ~name:"merge commutative" ~count:500
-    QCheck.(pair arb_pairs arb_pairs)
-    (fun (a, b) ->
-      let a = vv_of_pairs a and b = vv_of_pairs b in
-      vv_equal (Vv.merge a b) (Vv.merge b a))
-
-let prop_merge_associative =
-  QCheck.Test.make ~name:"merge associative" ~count:500
-    QCheck.(triple arb_pairs arb_pairs arb_pairs)
-    (fun (a, b, c) ->
-      let a = vv_of_pairs a and b = vv_of_pairs b and c = vv_of_pairs c in
-      vv_equal (Vv.merge a (Vv.merge b c)) (Vv.merge (Vv.merge a b) c))
-
-let prop_merge_idempotent =
-  QCheck.Test.make ~name:"merge idempotent" ~count:500 arb_pairs (fun a ->
-      let a = vv_of_pairs a in
-      vv_equal (Vv.merge a a) a)
-
-let prop_merge_dominates =
-  QCheck.Test.make ~name:"merge dominates both operands" ~count:500
-    QCheck.(pair arb_pairs arb_pairs)
-    (fun (a, b) ->
-      let a = vv_of_pairs a and b = vv_of_pairs b in
-      let m = Vv.merge a b in
-      Vv.dominates m a && Vv.dominates m b)
-
-let prop_dominates_antisymmetric =
-  QCheck.Test.make ~name:"dominates antisymmetric" ~count:500
-    QCheck.(pair arb_pairs arb_pairs)
-    (fun (a, b) ->
-      let a = vv_of_pairs a and b = vv_of_pairs b in
-      (not (Vv.dominates a b && Vv.dominates b a)) || vv_equal a b)
-
-let prop_winner_symmetric =
-  QCheck.Test.make ~name:"winner picks the same side from both ends" ~count:500
-    QCheck.(pair arb_pairs arb_pairs)
-    (fun (a, b) ->
-      let a = vv_of_pairs a and b = vv_of_pairs b in
-      let sel x y = match Vv.winner x y with `Left -> x | `Right -> y in
-      vv_equal (sel a b) (sel b a))
+let arb_version = QCheck.(pair (int_bound 1_000_000) (int_bound 20))
 
 let prop_codec_roundtrip =
-  QCheck.Test.make ~name:"codec roundtrip" ~count:500 arb_pairs (fun a ->
-      let a = vv_of_pairs a in
-      let size = Vv.encoded_size a in
-      let buf = Bytes.create size in
-      let written = Vv.encode_into a buf ~off:0 in
-      written = size
-      &&
-      match Vv.decode buf ~off:0 ~stop:size with
-      | Some (a', consumed) -> consumed = size && vv_equal a a'
+  QCheck.Test.make ~name:"codec roundtrip" ~count:500 arb_version (fun a ->
+      let a = version_of a in
+      let buf = Bytes.create Version.size in
+      Version.encode_into a buf ~off:0;
+      match Version.decode buf ~off:0 with
+      | Some a' -> Version.equal a a'
       | None -> false)
 
-let prop_codec_truncation =
-  QCheck.Test.make ~name:"codec rejects truncation" ~count:200 arb_pairs
-    (fun a ->
-      let a = vv_of_pairs a in
-      QCheck.assume (not (Vv.is_empty a));
-      let size = Vv.encoded_size a in
-      let buf = Bytes.create size in
-      ignore (Vv.encode_into a buf ~off:0);
-      Vv.decode buf ~off:0 ~stop:(size - 1) = None)
+(* The stamp a coordinator gives a key's next write grows past the
+   current one, and follows the clock when the clock is ahead. *)
+let prop_next_grows =
+  QCheck.Test.make ~name:"next outgrows the current version" ~count:500
+    QCheck.(triple arb_version (int_bound 20) (int_bound 2_000_000))
+    (fun (cur, node, us) ->
+      let cur = version_of cur in
+      let v = Version.next cur ~node ~now:(float_of_int us *. 1e-6) in
+      Version.compare v cur > 0 && v.Version.stamp >= min us (cur.stamp + 1))
 
 (* Replica conflict resolution is order-independent: two replicas that
    apply the same pair of stamped copies in opposite orders end with
-   the same vector and the same bytes — the convergence argument the
+   the same version and the same bytes — the convergence argument the
    whole subsystem rests on. *)
 let prop_apply_order_independent =
   QCheck.Test.make ~name:"Vmap.apply order-independent" ~count:300
-    QCheck.(pair arb_pairs arb_pairs)
+    QCheck.(pair arb_version arb_version)
     (fun (a, b) ->
-      let va = vv_of_pairs a and vb = vv_of_pairs b in
-      (* Equal vectors with different bytes never arise: every stamp
-         bumps the coordinator's counter. *)
-      QCheck.assume (not (vv_equal va vb));
+      let va = version_of a and vb = version_of b in
+      (* Equal versions with different bytes never arise: a node stamps
+         each write of a key above the last. *)
+      QCheck.assume (not (Version.equal va vb));
       let key = Key.random (Rng.create 0x5eed) in
       let run copies =
         let m = Vmap.create () in
         List.iter
-          (fun (vv, data) -> ignore (Vmap.apply m ~key ~vv ~data:(some data)))
+          (fun (version, data) ->
+            ignore (Vmap.apply m ~key ~version ~data:(some data)))
           copies;
         match read m ~key with
-        | Some (e, bytes) -> (bytes, e.Vmap.vv)
-        | None -> (None, Vv.empty)
+        | Some (e, bytes) -> (bytes, e.Vmap.version)
+        | None -> (None, Version.zero)
       in
       let b1, v1 = run [ (va, "A"); (vb, "B") ] in
       let b2, v2 = run [ (vb, "B"); (va, "A") ] in
-      b1 = b2 && vv_equal v1 v2)
-
-(* Neither write path stores a vector the wire cannot carry: more
-   than [Vv.max_entries] entries, or a counter past u32.  The refused
-   write installs nothing, so the key keeps serving its old copy. *)
-let test_vmap_refuses_unencodable () =
-  let key = Key.random (Rng.create 0x6e) in
-  let wide =
-    List.fold_left
-      (fun vv node -> Vv.bump vv ~node)
-      Vv.empty
-      (List.init Vv.max_entries (fun i -> 100 + i))
-  in
-  let m = Vmap.create () in
-  Alcotest.(check bool) "65th entry refused" true
-    (Vmap.write m ~key ~node:1 ~incoming:wide ~data:(some "a") = None);
-  Alcotest.(check bool) "nothing installed" true (read m ~key = None);
-  (* {1: 2^32 - 1}, built from its wire form. *)
-  let top =
-    let b = Bytes.create 9 in
-    Bytes.set_uint8 b 0 1;
-    Bytes.set_int32_be b 1 1l;
-    Bytes.set_int32_be b 5 0xffff_ffffl;
-    fst (Option.get (Vv.decode b ~off:0 ~stop:9))
-  in
-  Alcotest.(check bool) "counter past u32 refused" true
-    (Vmap.write m ~key ~node:1 ~incoming:top ~data:(some "a") = None);
-  (* A replica holding {1:1} receives the 64-entry copy: the merge
-     would hold 65 entries, so neither bytes nor vector change. *)
-  let own = Vv.bump Vv.empty ~node:1 in
-  Alcotest.(check bool) "own copy applied" true
-    (fst (Vmap.apply m ~key ~vv:own ~data:(some "own")));
-  Alcotest.(check bool) "65-entry merge not applied" false
-    (fst (Vmap.apply m ~key ~vv:wide ~data:(some "wide")));
-  match read m ~key with
-  | Some (e, Some "own") when vv_equal e.Vmap.vv own -> ()
-  | _ -> Alcotest.fail "refused copy changed the entry"
+      b1 = b2 && Version.equal v1 v2)
 
 (* {1 Two domains, one key}
 
    Domain siblings share one table and stamp with the same node id.
-   Two domains write one key while a third reads it throughout: every
-   read must return the bytes of the write whose counter its vector
-   holds, and the key must end with the bytes of the write that got
-   the highest counter. *)
+   Two domains write one key while a third reads it throughout.  The
+   clock stands still at 0, so each write's stamp is the last one + 1:
+   every read must return the bytes of the write whose stamp its
+   version holds, and the key must end with the bytes of the write
+   that got the highest stamp. *)
 
 let test_two_domain_writes () =
   let node = 7 and writes = 200 and trials = 50 in
@@ -185,11 +102,10 @@ let test_two_domain_writes () =
     let writer tag () =
       List.init writes (fun i ->
           let data = Printf.sprintf "%c%d.%d" tag trial i in
-          let vv, _, _ =
-            Option.get
-              (Vmap.write m ~key ~node ~incoming:Vv.empty ~data:(some data))
+          let version, _, _ =
+            Vmap.write m ~key ~node ~now:0.0 ~data:(some data)
           in
-          (Vv.get vv node, data))
+          (version.Version.stamp, data))
     in
     let stop = Atomic.make false in
     let reader () =
@@ -197,7 +113,7 @@ let test_two_domain_writes () =
       while not (Atomic.get stop) do
         match read m ~key with
         | Some (e, Some data) ->
-            seen := (Vv.get e.Vmap.vv node, data) :: !seen
+            seen := (e.Vmap.version.stamp, data) :: !seen
         | Some (_, None) ->
             Alcotest.fail "two domains: live key read as a tombstone"
         | None -> ()
@@ -209,28 +125,28 @@ let test_two_domain_writes () =
     let log = Domain.join a @ Domain.join b in
     Atomic.set stop true;
     let seen = Domain.join r in
-    let by_counter = Hashtbl.create (2 * writes) in
+    let by_stamp = Hashtbl.create (2 * writes) in
     List.iter
-      (fun (counter, data) ->
-        if Hashtbl.mem by_counter counter then
-          Alcotest.failf "two domains: counter %d stamped twice" counter;
-        Hashtbl.replace by_counter counter data)
+      (fun (stamp, data) ->
+        if Hashtbl.mem by_stamp stamp then
+          Alcotest.failf "two domains: stamp %d given twice" stamp;
+        Hashtbl.replace by_stamp stamp data)
       log;
     List.iter
-      (fun (counter, data) ->
+      (fun (stamp, data) ->
         Alcotest.(check (option string))
-          "two domains: read bytes match the vector's write"
-          (Hashtbl.find_opt by_counter counter)
+          "two domains: read bytes match the version's write"
+          (Hashtbl.find_opt by_stamp stamp)
           (Some data))
       seen;
     let final =
       match read m ~key with
-      | Some (e, bytes) -> (Vv.get e.Vmap.vv node, bytes)
+      | Some (e, bytes) -> (e.Vmap.version.stamp, bytes)
       | None -> Alcotest.fail "two domains: key missing"
     in
     Alcotest.(check (pair int (option string)))
-      "two domains: the highest counter's bytes win"
-      (2 * writes, Hashtbl.find_opt by_counter (2 * writes))
+      "two domains: the highest stamp's bytes win"
+      (2 * writes, Hashtbl.find_opt by_stamp (2 * writes))
       final
   done
 
@@ -243,37 +159,29 @@ let test_two_domain_writes () =
    of change a table sees. *)
 
 (* The per-entry CRC as it was first written: the key, the encoded
-   vector and the flag, chained through three CRC calls. *)
-let chained_entry_crc key vv deleted =
+   version and the flag, chained through three CRC calls. *)
+let chained_entry_crc key version deleted =
   let crc = Crc32c.string (Key.to_string key) ~pos:0 ~len:Key.size in
-  let vb = Bytes.create (Vv.encoded_size vv) in
-  ignore (Vv.encode_into vv vb ~off:0);
-  let crc = Crc32c.bytes ~crc vb ~pos:0 ~len:(Bytes.length vb) in
+  let vb = Bytes.create Version.size in
+  Version.encode_into version vb ~off:0;
+  let crc = Crc32c.bytes ~crc vb ~pos:0 ~len:Version.size in
   Crc32c.string ~crc (if deleted then "\001" else "\000") ~pos:0 ~len:1
 
 let prop_entry_crc_chained =
-  QCheck.Test.make ~name:"entry_crc = chained CRC of key, vector, flag"
+  QCheck.Test.make ~name:"entry_crc = chained CRC of key, version, flag"
     ~count:500
-    QCheck.(triple int arb_pairs bool)
-    (fun (seed, pairs, deleted) ->
-      let key = Key.random (Rng.create seed) and vv = vv_of_pairs pairs in
-      Digest.entry_crc key vv deleted = chained_entry_crc key vv deleted)
+    QCheck.(triple int arb_version bool)
+    (fun (seed, v, deleted) ->
+      let key = Key.random (Rng.create seed) and v = version_of v in
+      Digest.entry_crc key v deleted = chained_entry_crc key v deleted)
 
 let test_entry_crc_no_alloc () =
   let key = Key.random (Rng.create 0xc4c) in
-  let widest =
-    List.fold_left
-      (fun vv node -> Vv.bump vv ~node)
-      Vv.empty
-      (List.init Vv.max_entries (fun i -> 1000 + i))
-  in
-  Alcotest.(check int) "widest vector" (chained_entry_crc key widest true)
-    (Digest.entry_crc key widest true);
-  let vv = vv_of_pairs [ (1, 2); (5, 0); (9, 3) ] in
+  let v = version_of (123_456, 9) in
   let acc = ref 0 in
   let before = Gc.minor_words () in
   for _ = 1 to 1000 do
-    acc := !acc lxor Digest.entry_crc key vv false
+    acc := !acc lxor Digest.entry_crc key v false
   done;
   let words = Gc.minor_words () -. before in
   ignore (Sys.opaque_identity !acc);
@@ -311,14 +219,6 @@ let range_agrees m keys rng (lo, hi) =
   done;
   !ok
 
-(* 64 node handles: merged with any vector holding another node, the
-   result cannot be encoded, so the change is refused. *)
-let too_wide =
-  List.fold_left
-    (fun vv node -> Vv.bump vv ~node)
-    Vv.empty
-    (List.init Vv.max_entries (fun i -> 100 + i))
-
 (* A seeded run of every kind of change over a small key pool, probing
    as it goes, checked range by range; [true] when every probe agreed
    with the fold. *)
@@ -330,30 +230,29 @@ let digest_scenario m seed =
   for step = 1 to 240 do
     let key = keys.(Rng.int rng (Array.length keys)) in
     let cur =
-      match Vmap.find m ~key with Some e -> e.Vmap.vv | None -> Vv.empty
+      match Vmap.find m ~key with
+      | Some e -> e.Vmap.version
+      | None -> Version.zero
     in
     let data () = if Rng.int rng 4 = 0 then None else some "x" in
-    (match Rng.int rng 7 with
+    (match Rng.int rng 6 with
     | 0 | 1 ->
         ignore
-          (Vmap.write m ~key ~node:(Rng.int rng 4) ~incoming:Vv.empty
+          (Vmap.write m ~key ~node:(Rng.int rng 4) ~now:(Rng.float rng 1e-3)
              ~data:(data ()))
     | 2 ->
-        (* dominating *)
-        let vv = Vv.bump cur ~node:(Rng.int rng 8) in
-        ignore (Vmap.apply m ~key ~vv ~data:(data ()))
+        (* larger *)
+        let version = Version.next cur ~node:(Rng.int rng 8) ~now:0.0 in
+        ignore (Vmap.apply m ~key ~version ~data:(data ()))
     | 3 ->
-        (* equal, or dominated by a held vector *)
-        ignore (Vmap.apply m ~key ~vv:cur ~data:(data ()));
-        ignore (Vmap.apply m ~key ~vv:Vv.empty ~data:(data ()))
+        (* equal, or smaller than a held version *)
+        ignore (Vmap.apply m ~key ~version:cur ~data:(data ()));
+        ignore (Vmap.apply m ~key ~version:Version.zero ~data:(data ()))
     | 4 ->
-        (* concurrent: wins the tiebreak and installs, or loses and only
-           merges its vector in *)
-        let vv = vv_of_pairs [ (10 + Rng.int rng 4, Rng.int rng 3) ] in
-        ignore (Vmap.apply m ~key ~vv ~data:(data ()))
-    | 5 ->
-        ignore (Vmap.apply m ~key ~vv:too_wide ~data:(data ()));
-        ignore (Vmap.write m ~key ~node:1 ~incoming:too_wide ~data:(data ()))
+        (* stamped elsewhere: larger and installed, or smaller and
+           ignored *)
+        let version = version_of (Rng.int rng 1000, 10 + Rng.int rng 4) in
+        ignore (Vmap.apply m ~key ~version ~data:(data ()))
     | _ ->
         let lo, hi = ranges.(Rng.int rng (Array.length ranges)) in
         let bits = 4 * Rng.int rng 3 in
@@ -393,8 +292,8 @@ let with_store f =
   rm_rf dir;
   Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
 
-(* A restarted disk table: its recovered blocks enter under the empty
-   vector, then take the same changes and probes. *)
+(* A restarted disk table: its recovered blocks enter under the zero
+   version, then take the same changes and probes. *)
 let prop_digests_recovered =
   QCheck.Test.make ~name:"Vmap.children = the fold, after create ~disk"
     ~count:8 QCheck.int (fun seed ->
@@ -404,7 +303,7 @@ let prop_digests_recovered =
           for _ = 1 to 64 do
             ignore
               (Vmap.write (Vmap.create ~disk:st ()) ~key:(Key.random rng)
-                 ~node:1 ~incoming:Vv.empty ~data:(some "old"))
+                 ~node:1 ~now:0.0 ~data:(some "old"))
           done;
           Store.close st;
           let st = Store.create ~dir () in
@@ -431,11 +330,11 @@ let test_digests_concurrent () =
       if i mod 3 = 0 then
         ignore
           (Vmap.apply m ~key
-             ~vv:(vv_of_pairs [ (Rng.int rng 16, Rng.int rng 3) ])
+             ~version:(version_of (Rng.int rng 20_000, Rng.int rng 16))
              ~data:(some "c"))
       else
         ignore
-          (Vmap.write m ~key ~node ~incoming:Vv.empty
+          (Vmap.write m ~key ~node ~now:(float_of_int i *. 1e-6)
              ~data:(if i mod 7 = 0 then None else some "w"))
     done
   in
@@ -476,7 +375,7 @@ let test_partition_chains () =
   let rng = Rng.create 0x16c in
   for _ = 1 to 16_384 do
     ignore
-      (Vmap.write m ~key:(Key.random rng) ~node:1 ~incoming:Vv.empty ~data:None)
+      (Vmap.write m ~key:(Key.random rng) ~node:1 ~now:0.0 ~data:None)
   done;
   let longest = Vmap.longest_chain m in
   Alcotest.(check bool)
@@ -485,20 +384,23 @@ let test_partition_chains () =
 
 (* {1 Cluster harness} *)
 
-let entry_vv w n key =
+let version_at w n key =
   match read (Node.vmap (World.nodes w).(n)) ~key with
-  | Some (e, _) -> e.Vmap.vv
-  | None -> Vv.empty
+  | Some (e, _) -> e.Vmap.version
+  | None -> Version.zero
+
+(* The world's virtual clock, as a coordinator reads it. *)
+let now w = D2_net.Transport_mem.now (World.node_endpoint w 0)
 
 (* Every key's replica group — the r successors on the live ring —
-   holds byte-identical winning data under converged vectors. *)
+   holds byte-identical winning data under one version. *)
 let check_audit ~label w expect =
   match World.audit w expect with
   | [] -> ()
   | (key, n, _, bytes) :: _ as faults ->
       Alcotest.failf "%s: %d replica(s) off, first node %d for %s (%s)" label
         (List.length faults) n (Key.to_string key)
-        (match bytes with None -> "missing" | Some _ -> "bytes or vector")
+        (match bytes with None -> "missing" | Some _ -> "bytes or version")
 
 (* {1 Audit self-test: the audit sees what it exists to see} *)
 
@@ -528,7 +430,7 @@ let test_audit_catches_faults () =
   in
   Alcotest.(check int) "audit: a clean world reports nothing" 0
     (List.length (World.audit w expect));
-  (* A replica other than the owner, so the group's vector stands. *)
+  (* A replica other than the owner, so the group's version stands. *)
   let replica_of (key, _) =
     List.nth (Ring.successors (World.live_ring w) key 3) 1
   in
@@ -536,7 +438,7 @@ let test_audit_catches_faults () =
   let bad = replica_of corrupt and gone = replica_of emptied in
   ignore
     (Vmap.write (Node.vmap (World.nodes w).(bad)) ~key:(fst corrupt) ~node:bad
-       ~incoming:Vv.empty ~data:(some "other bytes"));
+       ~now:(now w) ~data:(some "other bytes"));
   (match World.audit w expect with
   | [ (key, n, _, Some d) ] ->
       Alcotest.(check bool) "audit: the corrupted key" true
@@ -547,7 +449,7 @@ let test_audit_catches_faults () =
       Alcotest.failf "audit: want one mismatch, got %d" (List.length faults));
   ignore
     (Vmap.write (Node.vmap (World.nodes w).(gone)) ~key:(fst emptied)
-       ~node:gone ~incoming:Vv.empty ~data:None);
+       ~node:gone ~now:(now w) ~data:None);
   Alcotest.(check bool) "audit: the removed copy reads missing" true
     (List.exists
        (fun (key, n, _, bytes) ->
@@ -658,7 +560,7 @@ let test_churn_repair_restores_r () =
      nodes count nothing after their kill: their clocks stop with
      them. *)
   Alcotest.(check (triple int int int))
-    "repair (frames, bytes, copies moved)" (9810, 1366615, 23)
+    "repair (frames, bytes, copies moved)" (9810, 1366840, 23)
     (frames, bytes, moved);
   World.stop w
 
@@ -705,7 +607,7 @@ let test_partition_heal_converges () =
     keys;
   (* Sever P and overwrite every block P replicates but does not own:
      the owner acks exactly 2 copies (itself + the reachable replica)
-     and P is left holding v1 under a dominated vector. *)
+     and P is left holding v1 under a smaller version. *)
   let p = Ring.successor ring keys.(0) in
   let stale =
     Array.to_list keys
@@ -775,13 +677,13 @@ let test_quorum_read_repair () =
   | `Failed -> Alcotest.fail "rr: seed put failed");
   (* Make P miss an update without touching the network (a partition
      would evict it from the owner's view on the first fan-out
-     timeout): install a dominating stamped copy directly on the other
-     two replicas, exactly the state a lost fan-out frame leaves. *)
-  let vv2 = Vv.bump (entry_vv w owner key) ~node:owner in
+     timeout): install a newer stamped copy directly on the other two
+     replicas, exactly the state a lost fan-out frame leaves. *)
+  let v2 = Version.next (version_at w owner key) ~node:owner ~now:(now w) in
   List.iter
     (fun n ->
       let installed, _ =
-        Vmap.apply (Node.vmap nodes.(n)) ~key ~vv:vv2
+        Vmap.apply (Node.vmap nodes.(n)) ~key ~version:v2
           ~data:(some (data_v 2 key))
       in
       if not installed then
@@ -797,8 +699,8 @@ let test_quorum_read_repair () =
     "rr: replica still stale after plain read"
     (Some (data_v 1 key))
     (Blockstore.get (Node.store nodes.(p)) ~key);
-  (* quorum_r = 2: the read returns the dominating copy and pushes it
-     to the stale replica off the reply path. *)
+  (* quorum_r = 2: the read returns the newer copy and pushes it to the
+     stale replica off the reply path. *)
   let qclient =
     Client.create (World.endpoint w) ~replicas:3 ~quorum_r:2
       ~rpc_timeout:5.0 ~seeds ()
@@ -812,16 +714,17 @@ let test_quorum_read_repair () =
     (Some (data_v 2 key))
     (Blockstore.get (Node.store nodes.(p)) ~key);
   Alcotest.(check bool)
-    "rr: vectors converged" true
-    (Vv.compare_vv (entry_vv w p key) (entry_vv w owner key) = Vv.Equal);
+    "rr: versions converged" true
+    (Version.equal (version_at w p key) (version_at w owner key));
   World.stop w
 
 (* A quorum read over a concurrent pair: two copies of one key stamped
-   by different writers, so neither vector dominates.  Repair is off, so
-   only the read can bring the replicas it consulted onto one (vector,
-   bytes): every one must end with the reply's bytes under the owner's
-   vector — equal bytes under different vectors would send the block
-   again in the next anti-entropy session. *)
+   by different writers, each on a replica that never saw the other.
+   Repair is off, so only the read can bring the replicas it consulted
+   onto one (version, bytes): every one must end with the reply's
+   bytes under the owner's version — equal bytes under different
+   versions would send the block again in the next anti-entropy
+   session. *)
 let quorum_read_converges ~q ~concurrent_on () =
   let w = World.boot ~config:(static_config ~repair_interval:0.0) ~n:9 () in
   let nodes = World.nodes w in
@@ -836,16 +739,18 @@ let quorum_read_converges ~q ~concurrent_on () =
   (match Client.put client ~key ~data:(data_v 1 key) with
   | `Ok copies -> Alcotest.(check int) "cc: seed put copies" 3 copies
   | `Failed -> Alcotest.fail "cc: seed put failed");
-  (* Two writers outside the group stamp concurrent successors of the
-     seed's vector, as two coordinators racing through a membership
-     change would. *)
+  (* Two writers outside the group stamp successors of the seed's
+     version at one clock reading, as two coordinators racing through a
+     membership change would: the larger writer handle wins the tie. *)
   let writers = List.filter (fun n -> not (List.mem n group)) seeds in
   List.iteri
     (fun i n ->
       let writer = List.nth writers i in
-      let vv = Vv.bump (entry_vv w n key) ~node:writer in
+      let version =
+        Version.next (version_at w n key) ~node:writer ~now:(now w)
+      in
       let installed, _ =
-        Vmap.apply (Node.vmap nodes.(n)) ~key ~vv
+        Vmap.apply (Node.vmap nodes.(n)) ~key ~version
           ~data:(some (Printf.sprintf "w%d:%s" writer (Key.to_string key)))
       in
       if not installed then Alcotest.fail "cc: injected copy not installed")
@@ -868,9 +773,9 @@ let quorum_read_converges ~q ~concurrent_on () =
         (Some reply)
         (Blockstore.get (Node.store nodes.(n)) ~key);
       Alcotest.(check bool)
-        (Printf.sprintf "cc: node %d vectors equal" n)
+        (Printf.sprintf "cc: node %d versions equal" n)
         true
-        (Vv.compare_vv (entry_vv w n key) (entry_vv w owner key) = Vv.Equal))
+        (Version.equal (version_at w n key) (version_at w owner key)))
     (List.filteri (fun i _ -> i < q) group);
   World.stop w
 
@@ -881,12 +786,12 @@ let test_quorum_read_converges_q2 =
       List.filteri (fun i _ -> i < 2) g)
 
 (* q = 3: the pair sits on both successors, the owner holds the older
-   seed copy both dominate. *)
+   seed copy both outgrow. *)
 let test_quorum_read_converges_q3 =
   quorum_read_converges ~q:3 ~concurrent_on:List.tl
 
 (* A consulted replica that has never seen the key (its copy lost, or
-   a fan-out that never reached it) answers with the empty vector,
+   a fan-out that never reached it) answers with the zero version,
    which covers nothing: the quorum read pushes it the owner's copy. *)
 let test_quorum_read_fills_empty_replica () =
   let w = World.boot ~config:(static_config ~repair_interval:0.0) ~n:9 () in
@@ -900,7 +805,7 @@ let test_quorum_read_fills_empty_replica () =
   in
   let installed, _ =
     Vmap.apply (Node.vmap nodes.(owner)) ~key
-      ~vv:(Vv.bump Vv.empty ~node:owner)
+      ~version:(Version.next Version.zero ~node:owner ~now:(now w))
       ~data:(some (data_v 1 key))
   in
   Alcotest.(check bool) "fill: owner copy installed" true installed;
@@ -917,14 +822,14 @@ let test_quorum_read_fills_empty_replica () =
     (Some (data_v 1 key))
     (Blockstore.get (Node.store nodes.(s1)) ~key);
   Alcotest.(check bool)
-    "fill: vectors equal" true
-    (Vv.compare_vv (entry_vv w s1 key) (entry_vv w owner key) = Vv.Equal);
+    "fill: versions equal" true
+    (Version.equal (version_at w s1 key) (version_at w owner key));
   World.stop w
 
 (* Write quorums on a 3-node ring, where routing cannot work around a
    severed replica: every group is the whole cluster, so with one node
-   unreachable a put settles at 2 acks — enough for w=2, a hard
-   failure for w=3. *)
+   unreachable a put or a remove settles at 2 acks — enough for w=2, a
+   hard failure for w=3. *)
 let test_write_quorum () =
   let w = World.boot ~config:(static_config ~repair_interval:0.0) ~n:3 () in
   let seeds = [ 0; 1; 2 ] in
@@ -947,22 +852,67 @@ let test_write_quorum () =
   (match Client.put w3 ~key ~data:(data_v 3 key) with
   | `Failed -> ()
   | `Ok _ -> Alcotest.fail "wq: w=3 put succeeded with a severed replica");
+  (match Client.remove w3 ~key with
+  | `Failed -> ()
+  | `Ok _ ->
+      Alcotest.fail "wq: w=3 remove succeeded with a severed replica");
   World.heal w;
+  World.stop w
+
+(* A coordinator holding no entry for a key (a fresh joiner that became
+   its owner) writes over replicas that hold an older copy, stamped one
+   virtual second earlier by a node outside the group.  The later write
+   must win on every replica, through repair and a quorum read. *)
+let test_fresh_owner_write_wins () =
+  (* Each node's first repair session starts 20 virtual seconds after
+     boot, once the put below is acked: until then the owner holds no
+     entry for the key, as a joiner that coordinates before its first
+     session does not. *)
+  let w = World.boot ~config:(static_config ~repair_interval:20.0) ~n:9 () in
+  let nodes = World.nodes w in
+  let seeds = List.init 9 Fun.id in
+  let ring = World.live_ring w in
+  let key = Key.random (Rng.create 0x10a) in
+  let group = Ring.successors ring key 3 in
+  let owner = List.hd group in
+  let outside = List.find (fun n -> not (List.mem n group)) seeds in
+  let older = Version.next Version.zero ~node:outside ~now:(now w -. 1.0) in
+  List.iter
+    (fun n ->
+      let installed, _ =
+        Vmap.apply (Node.vmap nodes.(n)) ~key ~version:older ~data:(some "A")
+      in
+      Alcotest.(check bool) "fresh: older copy installed" true installed)
+    (List.tl group);
+  Alcotest.(check bool) "fresh: the owner holds no entry" true
+    (Vmap.find (Node.vmap nodes.(owner)) ~key = None);
+  let client =
+    Client.create (World.endpoint w) ~replicas:3 ~quorum_r:3 ~quorum_w:3
+      ~rpc_timeout:5.0 ~seeds ()
+  in
+  (match Client.put client ~key ~data:"B" with
+  | `Ok copies -> Alcotest.(check int) "fresh: put copies" 3 copies
+  | `Failed -> Alcotest.fail "fresh: quorum-3 put failed");
+  World.run w 45.0;
+  List.iter
+    (fun n ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "fresh: node %d holds the later write" n)
+        (Some "B")
+        (Blockstore.get (Node.store nodes.(n)) ~key))
+    group;
+  (match Client.get client ~key with
+  | `Found d -> Alcotest.(check string) "fresh: quorum read" "B" d
+  | `Missing | `Failed -> Alcotest.fail "fresh: quorum read failed");
   World.stop w
 
 let () =
   Alcotest.run "sync"
     [
-      ( "version_vector",
+      ( "version",
         [
-          QCheck_alcotest.to_alcotest prop_merge_commutative;
-          QCheck_alcotest.to_alcotest prop_merge_associative;
-          QCheck_alcotest.to_alcotest prop_merge_idempotent;
-          QCheck_alcotest.to_alcotest prop_merge_dominates;
-          QCheck_alcotest.to_alcotest prop_dominates_antisymmetric;
-          QCheck_alcotest.to_alcotest prop_winner_symmetric;
           QCheck_alcotest.to_alcotest prop_codec_roundtrip;
-          QCheck_alcotest.to_alcotest prop_codec_truncation;
+          QCheck_alcotest.to_alcotest prop_next_grows;
           QCheck_alcotest.to_alcotest prop_apply_order_independent;
         ] );
       ( "vmap",
@@ -978,8 +928,6 @@ let () =
             test_partition_chains;
           Alcotest.test_case "two domains: bytes follow the vector" `Quick
             test_two_domain_writes;
-          Alcotest.test_case "unencodable vectors are refused" `Quick
-            test_vmap_refuses_unencodable;
         ] );
       ( "e2e",
         [
@@ -1001,5 +949,7 @@ let () =
             `Quick test_quorum_read_fills_empty_replica;
           Alcotest.test_case "write quorum gates on acked copies" `Quick
             test_write_quorum;
+          Alcotest.test_case "a fresh owner's write beats an older copy"
+            `Quick test_fresh_owner_write_wins;
         ] );
     ]
