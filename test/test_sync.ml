@@ -909,7 +909,7 @@ let test_fresh_owner_write_wins () =
 let () =
   Alcotest.run "sync"
     [
-      ( "version",
+      ( "version_stamps",
         [
           QCheck_alcotest.to_alcotest prop_codec_roundtrip;
           QCheck_alcotest.to_alcotest prop_next_grows;
