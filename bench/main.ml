@@ -230,7 +230,7 @@ let net_frame_encode_test () =
 
 (* The 3-node in-process cluster the RPC micros drive (probes rare,
    repair off), and a client on it with read quorum [quorum_r]. *)
-let micro_client ?quorum_r () =
+let micro_world ?quorum_r () =
   let module World = D2_net.Mem_world in
   let w =
     World.boot ~n:3
@@ -243,8 +243,23 @@ let micro_client ?quorum_r () =
         }
       ()
   in
-  World.Client.create (World.endpoint w) ~replicas:3 ?quorum_r
-    ~rpc_timeout:5.0 ~seeds:[ 0; 1; 2 ] ()
+  ( w,
+    World.Client.create (World.endpoint w) ~replicas:3 ?quorum_r
+      ~rpc_timeout:5.0 ~seeds:[ 0; 1; 2 ] () )
+
+(* Poll until [finished ()], each step advancing the world exactly to
+   its next event: a step's cost is the events it fires, whatever
+   virtual time separates them, so the micro does not move with the
+   topology's latencies.  The first, zero-length poll pushes the
+   client's deferred frames. *)
+let drain w client ~finished =
+  let module World = D2_net.Mem_world in
+  World.Client.poll client ~timeout:0.0;
+  while not (finished ()) do
+    match World.next_event_in w with
+    | Some dt -> World.Client.poll client ~timeout:dt
+    | None -> failwith "drain: the world has no event left"
+  done
 
 (* One replicated put + one get through the full protocol stack
    (client cache, linkset, wire codec, node runtime) over the
@@ -252,7 +267,7 @@ let micro_client ?quorum_r () =
 let net_mem_rpc_test () =
   let open Bechamel in
   let module Client = D2_net.Mem_world.Client in
-  let client = micro_client () in
+  let _, client = micro_world () in
   let krng = Rng.create 0x6b in
   let keys = Array.init 64 (fun _ -> Key.random krng) in
   let data = String.make 256 'd' in
@@ -330,7 +345,7 @@ let vmap_find_16k_test () =
 let quorum_get_test () =
   let open Bechamel in
   let module Client = D2_net.Mem_world.Client in
-  let client = micro_client ~quorum_r:2 () in
+  let w, client = micro_world ~quorum_r:2 () in
   let krng = Rng.create 0x9b in
   let keys = Array.init 64 (fun _ -> Key.random krng) in
   let data = String.make 256 'q' in
@@ -344,9 +359,11 @@ let quorum_get_test () =
   Test.make ~name:"quorum_get" (Staged.stage (fun () ->
       let key = keys.(!idx land 63) in
       incr idx;
-      match Client.get client ~key with
-      | `Found _ -> ()
-      | `Missing | `Failed -> failwith "quorum_get: get failed"))
+      let found = ref false in
+      Client.get_async client ~key (function
+        | `Found _ -> found := true
+        | `Missing | `Failed -> failwith "quorum_get: get failed");
+      drain w client ~finished:(fun () -> !found)))
 
 (* Write coalescing: queue windows of 16 frames on one link and flush
    each window as a single transport send, then drain the virtual
@@ -392,7 +409,7 @@ let pipeline_window = 16
 let net_pipelined_rpc_test () =
   let open Bechamel in
   let module Client = D2_net.Mem_world.Client in
-  let client = micro_client () in
+  let w, client = micro_world () in
   let krng = Rng.create 0x6c in
   let keys = Array.init 64 (fun _ -> Key.random krng) in
   let data = String.make 256 'p' in
@@ -412,9 +429,7 @@ let net_pipelined_rpc_test () =
           | `Found _ -> incr completed
           | `Missing | `Failed -> failwith "net_pipelined_rpc: get failed")
       done;
-      while !completed < pipeline_window do
-        Client.poll client ~timeout:0.01
-      done))
+      drain w client ~finished:(fun () -> !completed = pipeline_window)))
 
 (* {2 Fleet micros}
 
@@ -513,11 +528,11 @@ let fleet_step_test () =
 (* {2 Segment-store micros}
 
    The durable-store kernels: buffered append + group commit, the
-   out-of-core read (pread, cache off), the cache-hit read, recovery's
-   log replay, and compaction's relocation of live records.  Stores
-   live on tmpfs when the machine has one so the numbers gate the
-   store's own code path, not the CI runner's disk (the smoke test
-   measures real devices end-to-end). *)
+   out-of-core read (one pread per block), recovery's log replay, and
+   compaction's relocation of live records.  Stores live on tmpfs when
+   the machine has one so the numbers gate the store's own code path,
+   not the CI runner's disk (the smoke test measures real devices
+   end-to-end). *)
 
 module Seg_store = D2_segstore.Store
 
@@ -563,8 +578,7 @@ let store_keys =
 
 let store_append_batch_test () =
   let open Bechamel in
-  let config = { Seg_store.default_config with cache_bytes = 0 } in
-  let st = Seg_store.create ~dir:(bench_store_dir "append") ~config () in
+  let st = Seg_store.create ~dir:(bench_store_dir "append") () in
   let keys = Lazy.force store_keys in
   let data = String.make 256 'a' in
   Test.make ~name:"store_append_batch" (Staged.stage (fun () ->
@@ -575,31 +589,25 @@ let store_append_batch_test () =
          fdatasync is part of the per-op cost being gated. *)
       Seg_store.flush st))
 
-let store_read_test ~name ~cache_bytes =
+let store_get_disk_test () =
   let open Bechamel in
-  let config = { Seg_store.default_config with cache_bytes } in
-  let st = Seg_store.create ~dir:(bench_store_dir name) ~config () in
+  let st = Seg_store.create ~dir:(bench_store_dir "get-disk") () in
   let keys = Lazy.force store_keys in
   let data = String.make 256 'r' in
   for i = 0 to micro_batch - 1 do
     ignore (store_put st ~key:keys.(i) ~data)
   done;
   Seg_store.flush st;
-  (* Prime the cache (a no-op when it is disabled). *)
-  for i = 0 to micro_batch - 1 do
-    ignore (Seg_store.get st ~key:keys.(i))
-  done;
-  Test.make ~name (Staged.stage (fun () ->
+  Test.make ~name:"store_get_disk" (Staged.stage (fun () ->
       for i = 0 to micro_batch - 1 do
         match Seg_store.get st ~key:keys.(i) with
         | Some _ -> ()
-        | None -> failwith (name ^ ": lost a block")
+        | None -> failwith "store_get_disk: lost a block"
       done))
 
-(* Per-put cost of 8 KB writes into a store with the default 64 MB
-   cache, as a serving node's puts arrive: each run writes the next
-   batch of a key pool nine batches long, so every put overwrites a
-   key and 72 MB of live blocks exceed the cache, and flushes once.
+(* Per-put cost of 8 KB writes, as a serving node's puts arrive: each
+   run writes the next batch of a key pool nine batches long, so every
+   put overwrites a key, and flushes once.
    A segment holds exactly one batch, so the batch that rewrites its
    keys leaves it wholly dead, and [maybe_compact] (the serving loop's
    call) only unlinks it: the files stay bounded at the live set
@@ -641,8 +649,7 @@ let store_recovery_records = 4096
 let store_recovery_replay_test () =
   let open Bechamel in
   let dir = bench_store_dir "recovery" in
-  let config = { Seg_store.default_config with cache_bytes = 0 } in
-  let st = Seg_store.create ~dir ~config () in
+  let st = Seg_store.create ~dir () in
   let rng = Rng.create 0x4ec0 in
   let data = String.make 256 'v' in
   for _ = 1 to store_recovery_records do
@@ -652,7 +659,7 @@ let store_recovery_replay_test () =
   Seg_store.crash st;
   let ckpt = Filename.concat dir "index.ckpt" in
   Test.make ~name:"store_recovery_replay" (Staged.stage (fun () ->
-      let st = Seg_store.create ~dir ~config () in
+      let st = Seg_store.create ~dir () in
       (match Seg_store.recovery st with
       | Some r
         when r.Seg_store.r_replayed_records >= store_recovery_records -> ()
@@ -672,9 +679,7 @@ let store_compact_records = 1024
 let store_compact_test () =
   let open Bechamel in
   let fixture = bench_store_dir "compact-fixture" in
-  let config =
-    { Seg_store.default_config with cache_bytes = 0; fsync = Seg_store.Never }
-  in
+  let config = { Seg_store.default_config with fsync = Seg_store.Never } in
   let st = Seg_store.create ~dir:fixture ~config () in
   let rng = Rng.create 0xc0c7 in
   let data = String.make 8192 'c' in
@@ -831,10 +836,7 @@ let micro_tests ~full () =
       (`Quick, pipeline_window, net_pipelined_rpc_test ());
       (`Quick, micro_batch, store_append_batch_test ());
       (`Quick, micro_batch, store_put_8k_test ());
-      (`Quick, micro_batch,
-       store_read_test ~name:"store_get_disk" ~cache_bytes:0);
-      (`Quick, micro_batch,
-       store_read_test ~name:"store_get_cached" ~cache_bytes:(64 lsl 20));
+      (`Quick, micro_batch, store_get_disk_test ());
       (`Quick, store_recovery_records, store_recovery_replay_test ());
       (`Quick, store_compact_records, store_compact_test ());
     ]

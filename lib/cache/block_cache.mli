@@ -16,49 +16,31 @@ val touch : t -> now:float -> Key.t -> bool
 (** Record a read access; returns [true] if the block was already warm
     (accessed less than 30 s before [now]: a hit, no fetch needed). *)
 
-(** {1 Hot-block byte cache}
+(** {1 Retrieval cache}
 
-    A byte-bounded LRU of whole block payloads with O(1) eviction: the
-    durable segment store's read cache (only its misses store into
-    it), and the per-node retrieval cache of the hot-spot ablation.
-    A zero capacity disables retention entirely (every find misses,
-    stores are dropped) — the cold-read benchmark configuration.
-
-    Payloads of half a page (2 KB) or more are kept off the OCaml heap,
-    in one arena of 4 KB pages sized at twice the capacity (address
-    space: only as many pages as were ever in use at once get touched,
-    and so resident).  {!cache_store} and {!cache_find_into} copy
-    bytes in and out and allocate nothing; {!cache_find} returns a
-    fresh copy. *)
+    A byte-bounded LRU of block keys and sizes with O(1) eviction: the
+    per-node retrieval cache of the hot-spot ablation, which needs
+    membership and byte accounting but never the bytes.  A zero
+    capacity disables retention entirely (every probe misses, stores
+    are dropped, nothing is counted). *)
 
 type bytes_cache
 
 val bytes_cache : capacity:int -> bytes_cache
 
-val cache_store : bytes_cache -> Key.t -> D2_util.Slice.t -> unit
-(** Insert or refresh a payload (becomes MRU); evicts LRU entries
-    until the capacity holds.  The bytes are copied, so the slice may
-    be reused as soon as this returns.  A payload above the capacity
-    is not retained, and it drops the key's older cached copy. *)
+val cache_store : bytes_cache -> Key.t -> size:int -> unit
+(** Insert or refresh a block of [size] bytes (becomes MRU); evicts LRU
+    entries until the capacity holds.  A block above the capacity is
+    not retained, and it drops the key's older entry. *)
 
-val cache_find : bytes_cache -> Key.t -> string option
-(** Hit promotes to MRU and counts toward {!cache_hits}. *)
-
-val cache_find_into : bytes_cache -> Key.t -> Bytes.t -> int
-(** {!cache_find} into [buf] at offset 0: the payload length on a hit,
-    [-1] on a miss.
-    @raise Invalid_argument if a hit does not fit in [buf]. *)
-
-val cache_remove : bytes_cache -> Key.t -> unit
+val cache_mem : bytes_cache -> Key.t -> bool
+(** Whether the key is held.  A hit promotes to MRU and counts toward
+    {!cache_hits}; a miss counts toward {!cache_misses}. *)
 
 val cache_used : bytes_cache -> int
-(** Retained payload bytes. *)
+(** Retained block bytes. *)
 
 val cache_count : bytes_cache -> int
 val cache_hits : bytes_cache -> int
 val cache_misses : bytes_cache -> int
 val cache_evictions : bytes_cache -> int
-
-val cache_arena_bytes : bytes_cache -> int
-(** Arena bytes held by cached payloads: whole pages, so at least the
-    arena-resident share of {!cache_used}. *)

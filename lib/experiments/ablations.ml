@@ -120,10 +120,6 @@ let hotspot _scale =
   let router = Router.create ~ring ~policy:Router.Fingers ~rng:(Rng.split rng) in
   let zipf = Zipf.create ~n:256 ~s:0.9 in
   let requests = 20_000 in
-  (* Every simulated 8 KB block shares one payload: only sizes matter. *)
-  let block = D2_util.Slice.of_string (String.make 8192 '\000') in
-  let scratch = Bytes.create 8192 in
-  let cached c key = Block_cache.cache_find_into c key scratch >= 0 in
   let run ~with_caches =
     let served = Array.make nodes 0 in
     let caches =
@@ -136,12 +132,12 @@ let hotspot _scale =
       (* CFS-style: the client's own cache first, then the first node
          along the lookup path with a cached copy, else a replica; the
          whole reply path caches the block. *)
-      if with_caches && cached caches.(client) key then ()
+      if with_caches && Block_cache.cache_mem caches.(client) key then ()
       else begin
         let path = Router.route router ~src:client ~key in
         let server =
           if with_caches then
-            List.find_opt (fun n -> cached caches.(n) key) path
+            List.find_opt (fun n -> Block_cache.cache_mem caches.(n) key) path
           else None
         in
         (match server with
@@ -151,8 +147,10 @@ let hotspot _scale =
             let n = List.nth holders (Rng.int req_rng (List.length holders)) in
             served.(n) <- served.(n) + 8192);
         if with_caches then begin
-          Block_cache.cache_store caches.(client) key block;
-          List.iter (fun n -> Block_cache.cache_store caches.(n) key block) path
+          Block_cache.cache_store caches.(client) key ~size:8192;
+          List.iter
+            (fun n -> Block_cache.cache_store caches.(n) key ~size:8192)
+            path
         end
       end
     done;

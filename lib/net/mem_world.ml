@@ -60,6 +60,9 @@ let node_endpoint w i = w.eps.(i)
 let nodes w = w.nodes
 let run w seconds = Engine.run w.engine ~until:(Engine.now w.engine +. seconds)
 
+let next_event_in w =
+  Option.map (fun at -> at -. Engine.now w.engine) (Engine.next_at w.engine)
+
 (* A dead node's clocks stop too: a repair tick would otherwise go on
    opening sessions and counting request frames that [connect]
    refuses. *)

@@ -48,6 +48,11 @@ val nodes : t -> Node.t array
 val run : t -> float -> unit
 (** Advance virtual time by that many seconds. *)
 
+val next_event_in : t -> float option
+(** Virtual seconds until the world's next event, or [None] when none
+    is pending: a poll of that timeout fires exactly the next event
+    time's events. *)
+
 val kill : t -> int -> unit
 (** Take node [i] down: its endpoint dies (streams break, connects
     refuse), its probe and repair clocks stop ({!Node.stop}), and it

@@ -1,11 +1,11 @@
 (** The in-RAM block index: key → (segment, offset, record length).
 
-    Mirrors the block-arena layout the simulator's cluster store uses:
-    unboxed int columns addressed by a dense slot id, a free-list for
-    reuse, a [Key.Table] interning keys to slots — no per-block boxing
-    on the lookup path.  [len] is the {e full} record length (header
-    included) so per-segment liveness accounting is exact byte-for-byte
-    against file sizes.
+    Mirrors the struct-of-arrays block layout the simulator's cluster
+    store uses: unboxed int columns addressed by a dense slot id, a
+    free-list for reuse, a [Key.Table] interning keys to slots — no
+    per-block boxing on the lookup path.  [len] is the {e full} record
+    length (header included) so per-segment liveness accounting is
+    exact byte-for-byte against file sizes.
 
     A {e checkpoint} serializes the whole index plus the log-tail
     watermark; startup loads it and replays only records past the

@@ -1,5 +1,4 @@
 module Key = D2_keyspace.Key
-module Cache = D2_cache.Block_cache
 module Slice = D2_util.Slice
 
 type fsync_policy = Always | Batch | Never
@@ -22,11 +21,7 @@ type config = {
 }
 
 let default_config =
-  {
-    segment_bytes = 64 lsl 20;
-    fsync = Batch;
-    cache_bytes = 64 lsl 20;
-  }
+  { segment_bytes = 64 lsl 20; fsync = Batch; cache_bytes = 0 }
 
 type recovery = {
   r_checkpoint_blocks : int;
@@ -60,7 +55,6 @@ type t = {
   index : Log_index.t;
   segs : (int, seg_state) Hashtbl.t;
   mutable active : seg_state;
-  bcache : Cache.bytes_cache;
   mutable next_seq : int;  (** next sequence to assign *)
   durable : int Atomic.t;
   mutable payload_bytes : int;
@@ -205,10 +199,6 @@ let put t ~key ~(data : Slice.t) =
       | None -> ());
       st.live <- st.live + rlen;
       t.payload_bytes <- t.payload_bytes + data.len;
-      (* The cache is read-admitted: a put only drops the key's stale
-         copy, so a replica's copy, which no read asks for, takes no
-         arena pages. *)
-      Cache.cache_remove t.bcache key;
       commit_locked t)
 
 (* Unbind [key] and log its tombstone: a remove, and how compaction
@@ -219,7 +209,6 @@ let drop_locked t key =
   | Some (oseg, olen) ->
       note_dead t oseg olen;
       t.payload_bytes <- t.payload_bytes - (olen - Record.header_len);
-      Cache.cache_remove t.bcache key;
       (* The tombstone itself is dead weight from birth: it exists
          only for replay, so it never counts as live. *)
       ignore
@@ -232,16 +221,10 @@ let remove t ~key =
       check_writable t;
       if drop_locked t key then (true, commit_locked t) else (false, 0))
 
-(* The cache probe runs before the store lock (the cache has its own):
-   with domain-sharded serving, hot reads never contend with writers,
-   flushes, or each other's index lookups.  A get racing a put or a
-   remove may return the earlier value — it linearizes just before it.
-
-   A miss preads the payload into the buffer [into] supplies for its
-   length and admits it to the cache: the only way a block gets in.
-   Admission and a put's or remove's invalidation both run under the
-   store lock, so the cache never keeps a replaced value; -1 when the
-   key is absent. *)
+(* One pread of the payload into the buffer [into] supplies for its
+   length; -1 when the key is absent.  The store lock spans the index
+   probe and the read, so compaction cannot relocate the record or
+   unlink its segment in between. *)
 let read_through t ~key ~into =
   Mutex.protect t.lock (fun () ->
       check_open t;
@@ -254,32 +237,23 @@ let read_through t ~key ~into =
         Segment.read_into st.seg
           ~off:(Log_index.off t.index s + Record.header_len)
           ~len:dlen buf ~dst_off:0;
-        Cache.cache_store t.bcache key (Slice.v buf ~off:0 ~len:dlen);
         dlen
       end)
 
 let get t ~key =
-  check_open t;
-  match Cache.cache_find t.bcache key with
-  | Some _ as hit -> hit
-  | None ->
-      let buf = ref Bytes.empty in
-      let into n =
-        buf := Bytes.create n;
-        !buf
-      in
-      if read_through t ~key ~into < 0 then None
-      else Some (Bytes.unsafe_to_string !buf)
+  let buf = ref Bytes.empty in
+  let into n =
+    buf := Bytes.create n;
+    !buf
+  in
+  if read_through t ~key ~into < 0 then None
+  else Some (Bytes.unsafe_to_string !buf)
 
 let get_into t ~key buf =
-  check_open t;
-  match Cache.cache_find_into t.bcache key buf with
-  | -1 ->
-      read_through t ~key ~into:(fun n ->
-          if n > Bytes.length buf then
-            invalid_arg "Segment_store.get_into: buffer too small";
-          buf)
-  | n -> n
+  read_through t ~key ~into:(fun n ->
+      if n > Bytes.length buf then
+        invalid_arg "Segment_store.get_into: buffer too small";
+      buf)
 
 let flush t =
   Mutex.protect t.lock (fun () ->
@@ -542,7 +516,7 @@ let iter_keys t f =
 let fsyncs t = t.n_fsyncs
 let rotations t = t.n_rotations
 let compactions t = t.n_compactions
-let cache t = t.bcache
+let cache _ = D2_cache.Block_cache.bytes_cache ~capacity:0
 
 (* {1 Startup: recovery} *)
 
@@ -673,7 +647,6 @@ let create ~dir ?(config = default_config) () =
       index;
       segs;
       active;
-      bcache = Cache.bytes_cache ~capacity:config.cache_bytes;
       next_seq = 1;
       durable = Atomic.make 0;
       payload_bytes = !payload;

@@ -1,6 +1,6 @@
 (** The durable block store: an append-only segment log under a
     group-commit window, a flat-array index checkpointed to disk, and
-    out-of-core reads through a read-filled hot-block byte cache.
+    out-of-core reads, one [pread(2)] per block.
 
     {b Write path.}  {!put} and {!remove} append a CRC-framed record
     to the active segment's write buffer and return an {e append
@@ -14,15 +14,13 @@
     put (the honest lower bound), [Never] leaves durability to the
     kernel's writeback and reports everything durable immediately.
 
-    {b Read path.}  A get probes the byte cache, then does one
-    positional [pread(2)] at the (segment, offset, length) the index
-    records — datasets larger than RAM serve at page-cache/disk speed.
-    Only that miss fills the cache: a put or a remove drops the key's
-    cached copy and stores nothing, so the cache holds only blocks
-    this store was asked to read, and a replica that serves no reads
-    keeps none.  The cache keeps its blocks off the OCaml heap
-    ({!D2_cache.Block_cache}), and {!get_into} reads into the caller's
-    buffer, so a served block costs no heap allocation.
+    {b Read path.}  A get does one positional [pread(2)] at the
+    (segment, offset, length) the index records — datasets larger
+    than RAM serve at page-cache/disk speed.  The store keeps no copy
+    of its own: the kernel's page cache holds the hot segment pages,
+    as in Bitcask (Sheehy and Smith, 2010).  {!get_into} reads into
+    the caller's buffer, so a served block costs no heap allocation
+    and has one home in user space.
 
     {b Recovery.}  Startup loads the newest index checkpoint, replays
     only log records past its watermark, and truncates a torn or
@@ -48,10 +46,10 @@
     call itself: {!Segment} makes every one, and {!Log_index} only
     encodes and decodes the checkpoint.
 
-    Thread-safe: one store-wide mutex brackets every operation (reads
-    included — compaction may retire a segment under a concurrent
-    get); the domain-sharded runtime's contention unit is the store,
-    which the block cache keeps off the disk path for hot reads. *)
+    Thread-safe: one store-wide mutex brackets every operation, reads
+    included — compaction may relocate a record or retire its segment
+    under a concurrent get; the domain-sharded runtime's contention
+    unit is the store. *)
 
 module Key = D2_keyspace.Key
 
@@ -63,7 +61,11 @@ val fsync_policy_name : fsync_policy -> string
 type config = {
   segment_bytes : int;  (** rotation threshold (default 64 MB) *)
   fsync : fsync_policy;  (** default [Batch] *)
-  cache_bytes : int;  (** hot-block byte-cache capacity (default 64 MB) *)
+  cache_bytes : int;
+      (** Ignored: the store keeps no cache (see {!cache}).  Kept only so
+          that perfbench's [{ default_config with segment_bytes; fsync }]
+          still names a proper subset of the fields; the change that
+          deletes {!cache} deletes it too. *)
 }
 
 val default_config : config
@@ -92,8 +94,7 @@ val put : t -> key:Key.t -> data:D2_util.Slice.t -> int
 (** Buffer a write; returns its append sequence (durable once
     [durable_seq] reaches it — immediately under [Always]/[Never]).
     The bytes are copied into the log's write buffer before this
-    returns, so [data] may be a window of a reused buffer; the key's
-    cached copy, if any, is dropped (only reads fill the cache).
+    returns, so [data] may be a window of a reused buffer.
     @raise Invalid_argument if [data] exceeds {!Record.max_data}. *)
 
 val remove : t -> key:Key.t -> bool * int
@@ -104,8 +105,8 @@ val get : t -> key:Key.t -> string option
 (** A fresh copy of the key's payload. *)
 
 val get_into : t -> key:Key.t -> Bytes.t -> int
-(** The payload copied into [buf] at offset 0, from the cache or by
-    one pread on a miss: its length, or [-1] when the key is absent.
+(** The payload copied into [buf] at offset 0 by one pread: its
+    length, or [-1] when the key is absent.
     Nothing is allocated.
     @raise Invalid_argument if the payload does not fit in [buf]. *)
 
@@ -180,4 +181,9 @@ val iter_keys : t -> (Key.t -> unit) -> unit
 val fsyncs : t -> int
 val rotations : t -> int
 val compactions : t -> int
+
 val cache : t -> D2_cache.Block_cache.bytes_cache
+(** An empty zero-capacity cache: the store caches nothing.  Kept only
+    because perfbench's per-layer report ([perfbench/layers.ml]) reads
+    it; the [benchmark] change that retires [segstore.cache_hit_ratio]
+    deletes it. *)

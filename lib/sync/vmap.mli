@@ -95,8 +95,8 @@ val read :
     the key has never been seen.
 
     The bytes are borrowed, not copied out: on disk they are read into
-    [scratch] (from the block cache or one pread) and stay valid until
-    [scratch] is next written; in RAM they are the table's own string.
+    [scratch] by one pread and stay valid until [scratch] is next
+    written; in RAM they are the table's own string.
     @raise Invalid_argument if a disk payload does not fit in
     [scratch]. *)
 

@@ -72,20 +72,18 @@ MICRO_LIMITS = {
     "fleet_step": 600.0,
     # Durable-store gates (stores live on tmpfs, so these bound the
     # store's own code path, not device sync latency).  A quiet run
-    # reports ~260/~420/~100/~590; the ceilings catch a lost write
-    # buffer (per-op write(2) is ~10x), a per-put fsync (~100x), a
-    # cache that stopped caching, and a recovery that re-reads
-    # per-record instead of scanning chunks.  Compaction is gated per
-    # relocated 8 KB record, store open and directory churn included
-    # (~28k on a 2-vCPU shared host, ~42k with the old whole-victim
-    # scanner); the ceiling leaves ~3x for CI noise.  An 8 KB
-    # overwrite under a full 64 MB cache is gated the same way (~10k
-    # on a 2-vCPU shared host, write buffer regrowth and tmpfs page
-    # allocation included).
+    # reports ~260/~420/~590; the ceilings catch a lost write buffer
+    # (per-op write(2) is ~10x), a per-put fsync (~100x), and a
+    # recovery that re-reads per-record instead of scanning chunks.
+    # Compaction is gated per relocated 8 KB record, store open and
+    # directory churn included (~28k on a 2-vCPU shared host, ~42k with
+    # the old whole-victim scanner); the ceiling leaves ~3x for CI
+    # noise.  An 8 KB overwrite is gated the same way (~10k on a 2-vCPU
+    # shared host, write buffer regrowth and tmpfs page allocation
+    # included).
     "store_append_batch": 1500.0,
     "store_put_8k": 30000.0,
     "store_get_disk": 2500.0,
-    "store_get_cached": 500.0,
     "store_recovery_replay": 3000.0,
     "store_compact": 80000.0,
 }

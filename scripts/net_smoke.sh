@@ -142,11 +142,11 @@ TMPFS_STORE="${SMOKE_STORE_DIR:-$TMPFS_ROOT_DEFAULT}"
 DISK_STORE="${SMOKE_DISK_STORE_DIR:-$(mktemp -d)/store}"
 DUR_LOG="${SMOKE_DURABLE_LOG:-/tmp/d2_net_smoke_durability.txt}"
 MIN_DURABLE_OPS_S="${SMOKE_MIN_DURABLE_OPS_S:-12000}"
-# Block payloads live off the OCaml heap (the store's read cache, a
-# page arena that only reads fill, and borrowed frame payloads), so a
-# daemon's GC heap holds only its tables.  Measured on this leg:
-# 4.5-6.0 MB per daemon, against 25-26 MB when every cached and
-# decoded 8 KB block was a heap string.
+# Block payloads stay off the OCaml heap (a read preads into a reused
+# scratch buffer, and frame payloads are borrowed from the receive
+# buffer), so a daemon's GC heap holds only its tables.  Measured on
+# this leg: 4.5-6.0 MB per daemon, against 25-26 MB when every cached
+# and decoded 8 KB block was a heap string.
 MAX_HEAP_MB=16
 THROUGHPUT_LOGS="$(mktemp -d)"
 VERIFY_OPS="${SMOKE_VERIFY_OPS:-4000}"

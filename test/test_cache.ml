@@ -313,47 +313,38 @@ let test_block_warmth () =
   Alcotest.(check bool) "warm inside 30 s" true (Block_cache.touch c ~now:129.5 k);
   Alcotest.(check bool) "cold at 30 s" false (Block_cache.touch c ~now:159.5 k)
 
-(* {1 Hot-block byte cache}
+(* {1 Retrieval cache: keys and sizes}
 
-   The cache writes slices; the cases write strings. *)
+   The cases name a block by its key byte and store only its size. *)
 
-let cache_store c k d = Block_cache.cache_store c k (D2_util.Slice.of_string d)
+let cache_store c k size = Block_cache.cache_store c (k_of_byte k) ~size
+let cached c k = Block_cache.cache_mem c (k_of_byte k)
 
 let test_bytes_cache_basics () =
   let c = Block_cache.bytes_cache ~capacity:100 in
-  Alcotest.(check (option string)) "cold" None
-    (Block_cache.cache_find c (k_of_byte 1));
-  cache_store c (k_of_byte 1) "forty-byte-ish payload";
-  Alcotest.(check (option string)) "hit" (Some "forty-byte-ish payload")
-    (Block_cache.cache_find c (k_of_byte 1));
+  Alcotest.(check bool) "cold" false (cached c 1);
+  cache_store c 1 22;
+  Alcotest.(check bool) "hit" true (cached c 1);
   Alcotest.(check int) "used" 22 (Block_cache.cache_used c);
   Alcotest.(check int) "count" 1 (Block_cache.cache_count c);
   Alcotest.(check int) "hits" 1 (Block_cache.cache_hits c);
   Alcotest.(check int) "misses" 1 (Block_cache.cache_misses c);
-  (* Overwrite replaces the payload and re-accounts the bytes. *)
-  cache_store c (k_of_byte 1) "short";
-  Alcotest.(check (option string)) "overwrite" (Some "short")
-    (Block_cache.cache_find c (k_of_byte 1));
+  (* Overwrite re-accounts the bytes. *)
+  cache_store c 1 5;
+  Alcotest.(check bool) "overwrite" true (cached c 1);
   Alcotest.(check int) "used shrank" 5 (Block_cache.cache_used c);
-  Alcotest.(check int) "still one entry" 1 (Block_cache.cache_count c);
-  Block_cache.cache_remove c (k_of_byte 1);
-  Alcotest.(check (option string)) "removed" None
-    (Block_cache.cache_find c (k_of_byte 1));
-  Alcotest.(check int) "empty" 0 (Block_cache.cache_used c)
+  Alcotest.(check int) "still one entry" 1 (Block_cache.cache_count c)
 
 let test_bytes_cache_lru_eviction () =
   let c = Block_cache.bytes_cache ~capacity:100 in
-  cache_store c (k_of_byte 1) (String.make 40 'a');
-  cache_store c (k_of_byte 2) (String.make 40 'b');
+  cache_store c 1 40;
+  cache_store c 2 40;
   (* Touch 1 so 2 becomes the LRU, then overflow. *)
-  ignore (Block_cache.cache_find c (k_of_byte 1));
-  cache_store c (k_of_byte 3) (String.make 40 'c');
-  Alcotest.(check (option string)) "lru evicted" None
-    (Block_cache.cache_find c (k_of_byte 2));
-  Alcotest.(check bool) "recent kept" true
-    (Block_cache.cache_find c (k_of_byte 1) <> None);
-  Alcotest.(check bool) "new kept" true
-    (Block_cache.cache_find c (k_of_byte 3) <> None);
+  ignore (cached c 1);
+  cache_store c 3 40;
+  Alcotest.(check bool) "lru evicted" false (cached c 2);
+  Alcotest.(check bool) "recent kept" true (cached c 1);
+  Alcotest.(check bool) "new kept" true (cached c 3);
   Alcotest.(check int) "one eviction" 1 (Block_cache.cache_evictions c);
   Alcotest.(check bool) "capacity held" true (Block_cache.cache_used c <= 100)
 
@@ -361,56 +352,51 @@ let test_bytes_cache_degenerate () =
   (* Capacity 0 disables the cache entirely — no storage, no hit/miss
      accounting noise. *)
   let c = Block_cache.bytes_cache ~capacity:0 in
-  cache_store c (k_of_byte 1) "x";
-  Alcotest.(check (option string)) "nothing stored" None
-    (Block_cache.cache_find c (k_of_byte 1));
+  cache_store c 1 1;
+  Alcotest.(check bool) "nothing stored" false (cached c 1);
   Alcotest.(check int) "no misses counted" 0 (Block_cache.cache_misses c);
   (* A block bigger than the whole cache is not admitted (it would
      evict everything for a single use). *)
   let c = Block_cache.bytes_cache ~capacity:10 in
-  cache_store c (k_of_byte 1) (String.make 11 'x');
+  cache_store c 1 11;
   Alcotest.(check int) "oversized ignored" 0 (Block_cache.cache_count c)
 
 let test_bytes_cache_oversized_overwrite () =
-  (* Replacing a cached payload with one too big to retain must drop
-     the old copy, not leave it to be served as the current value. *)
+  (* Replacing a held block with one too big to retain must drop the
+     old entry, not leave it to answer for the new block. *)
   let c = Block_cache.bytes_cache ~capacity:100 in
-  cache_store c (k_of_byte 1) "short";
-  cache_store c (k_of_byte 1) (String.make 200 'x');
-  Alcotest.(check (option string)) "no stale copy" None
-    (Block_cache.cache_find c (k_of_byte 1));
+  cache_store c 1 5;
+  cache_store c 1 200;
+  Alcotest.(check bool) "no stale entry" false (cached c 1);
   Alcotest.(check int) "no bytes held" 0 (Block_cache.cache_used c);
   Alcotest.(check int) "no entries" 0 (Block_cache.cache_count c)
 
 let test_bytes_cache_capacity_never_exceeded () =
   let c = Block_cache.bytes_cache ~capacity:1000 in
   let rng = Rng.create 7 in
+  let size = Array.make 256 0 in
   for _ = 1 to 500 do
-    cache_store c
-      (k_of_byte (Rng.int rng 256))
-      (String.make (1 + Rng.int rng 300) 'z');
+    let k = Rng.int rng 256 in
+    size.(k) <- 1 + Rng.int rng 300;
+    cache_store c k size.(k);
     if Block_cache.cache_used c > 1000 then Alcotest.fail "capacity exceeded"
   done;
   (* The accounting matches the entries actually retained. *)
   let total = ref 0 in
-  for b = 0 to 255 do
-    match Block_cache.cache_find c (k_of_byte b) with
-    | Some d -> total := !total + String.length d
-    | None -> ()
+  for k = 0 to 255 do
+    if cached c k then total := !total + size.(k)
   done;
   Alcotest.(check int) "used = sum of retained" !total (Block_cache.cache_used c)
 
-(* The page arena against a reference: a string LRU kept here, with
-   the same byte accounting and counters.  Sizes run from empty to
-   three whole pages, so overwrites move a key across the heap/arena
-   line and between page counts; capacities include zero and ones that
-   a single payload overflows.  After every step the find results,
-   [cache_used], hits, misses and evictions agree, and the arena holds
-   exactly the pages the retained payloads need (none leak). *)
+(* The cache against a reference: a list LRU kept here, with the same
+   byte accounting and counters.  Capacities include zero and ones
+   that a single block overflows, so stores both evict and are
+   refused.  After every step the probe results, [cache_used], the
+   entry count, hits, misses and evictions agree. *)
 module Ref_lru = struct
   type t = {
     cap : int;
-    mutable items : (int * string) list;  (** MRU first *)
+    mutable items : (int * int) list;  (** (key, size), MRU first *)
     mutable used : int;
     mutable hits : int;
     mutable misses : int;
@@ -422,17 +408,17 @@ module Ref_lru = struct
   let remove t k =
     match List.assoc_opt k t.items with
     | None -> ()
-    | Some d ->
+    | Some n ->
         t.items <- List.remove_assoc k t.items;
-        t.used <- t.used - String.length d
+        t.used <- t.used - n
 
-  let store t k d =
+  let store t k n =
     if t.cap > 0 then
-      if String.length d > t.cap then remove t k
+      if n > t.cap then remove t k
       else begin
         remove t k;
-        t.items <- (k, d) :: t.items;
-        t.used <- t.used + String.length d;
+        t.items <- (k, n) :: t.items;
+        t.used <- t.used + n;
         while t.used > t.cap do
           let lk, _ = List.nth t.items (List.length t.items - 1) in
           remove t lk;
@@ -440,145 +426,102 @@ module Ref_lru = struct
         done
       end
 
-  let find t k =
+  let mem t k =
     match List.assoc_opt k t.items with
-    | Some d ->
+    | Some n ->
         t.hits <- t.hits + 1;
-        t.items <- (k, d) :: List.remove_assoc k t.items;
-        Some d
+        t.items <- (k, n) :: List.remove_assoc k t.items;
+        true
     | None ->
         if t.cap > 0 then t.misses <- t.misses + 1;
-        None
-
-  (* Whole 4 KB pages for payloads of half a page or more. *)
-  let arena_bytes t =
-    List.fold_left
-      (fun acc (_, d) ->
-        let n = String.length d in
-        if n < 2048 then acc else acc + ((n + 4095) / 4096 * 4096))
-      0 t.items
+        false
 end
 
-let prop_arena_cache_matches_reference =
-  let page = 4096 in
-  let gen_size =
-    QCheck.Gen.(
-      oneof
-        [
-          oneofl
-            [ 0; 1; 2047; 2048; 2049; page - 1; page; page + 1; (2 * page) - 1;
-              2 * page; (2 * page) + 1; (3 * page) - 1; 3 * page ];
-          int_bound (3 * page);
-        ])
-  in
+let prop_cache_matches_reference =
   let gen_op =
     QCheck.Gen.(
       frequency
         [
-          (4, map3 (fun k n salt -> `Store (k, n, salt)) (int_bound 5) gen_size nat);
-          (3, map (fun k -> `Find k) (int_bound 5));
-          (2, map (fun k -> `Find_into k) (int_bound 5));
-          (1, map (fun k -> `Remove k) (int_bound 5));
+          (4, map2 (fun k n -> `Store (k, n)) (int_bound 5) (int_bound 12288));
+          (5, map (fun k -> `Mem k) (int_bound 5));
         ])
   in
   let print_op = function
-    | `Store (k, n, salt) -> Printf.sprintf "store %d %dB/%d" k n salt
-    | `Find k -> Printf.sprintf "find %d" k
-    | `Find_into k -> Printf.sprintf "find_into %d" k
-    | `Remove k -> Printf.sprintf "remove %d" k
+    | `Store (k, n) -> Printf.sprintf "store %d %dB" k n
+    | `Mem k -> Printf.sprintf "mem %d" k
   in
-  QCheck.Test.make ~name:"arena cache agrees with a reference LRU" ~count:300
+  QCheck.Test.make ~name:"agrees with a reference LRU" ~count:300
     (QCheck.make
        ~print:(fun (cap, ops) ->
          Printf.sprintf "capacity %d: %s" cap
            (String.concat "; " (List.map print_op ops)))
        QCheck.Gen.(
          pair
-           (oneofl [ 0; 1000; page; 9000; 20000; 40000 ])
+           (oneofl [ 0; 1000; 4096; 9000; 20000; 40000 ])
            (list_size (0 -- 150) gen_op)))
     (fun (cap, ops) ->
       let c = Block_cache.bytes_cache ~capacity:cap in
       let r = Ref_lru.create cap in
-      let buf = Bytes.create (3 * page) in
-      let payload k n salt =
-        String.init n (fun i -> Char.chr (((k * 37) + (salt * 11) + i) land 0xff))
-      in
       List.for_all
         (fun op ->
-          let found_agrees =
+          let probe_agrees =
             match op with
-            | `Store (k, n, salt) ->
-                let d = payload k n salt in
-                cache_store c (k_of_byte k) d;
-                Ref_lru.store r k d;
+            | `Store (k, n) ->
+                cache_store c k n;
+                Ref_lru.store r k n;
                 true
-            | `Find k -> Block_cache.cache_find c (k_of_byte k) = Ref_lru.find r k
-            | `Find_into k -> (
-                let n = Block_cache.cache_find_into c (k_of_byte k) buf in
-                match Ref_lru.find r k with
-                | None -> n = -1
-                | Some d -> n = String.length d && Bytes.sub_string buf 0 n = d)
-            | `Remove k ->
-                Block_cache.cache_remove c (k_of_byte k);
-                Ref_lru.remove r k;
-                true
+            | `Mem k -> cached c k = Ref_lru.mem r k
           in
-          found_agrees
+          probe_agrees
           && Block_cache.cache_used c = r.Ref_lru.used
           && Block_cache.cache_count c = List.length r.Ref_lru.items
           && Block_cache.cache_hits c = r.Ref_lru.hits
           && Block_cache.cache_misses c = r.Ref_lru.misses
-          && Block_cache.cache_evictions c = r.Ref_lru.evictions
-          && Block_cache.cache_arena_bytes c = Ref_lru.arena_bytes r)
+          && Block_cache.cache_evictions c = r.Ref_lru.evictions)
         ops)
 
-(* {1 Retrieval cache}
+(* {1 Retrieval cache as the ablation uses it}
 
-   The per-node retrieval cache of [ablation_hotspot] is a
-   [bytes_cache] used as the ablation uses it: a simulated block of
-   [size] bytes is one shared payload of that length, membership is a
-   [cache_find] hit, and a fetch along the reply path is a
+   Every simulated block of [ablation_hotspot] is 8 KB or less; a hit
+   is a [cache_mem] probe, and a fetch along the reply path is a
    [cache_store]. *)
-
-let block size = String.make size '\000'
-let cached c k = Block_cache.cache_find c k <> None
 
 let test_lru_basics () =
   let c = Block_cache.bytes_cache ~capacity:100 in
-  cache_store c (k_of_byte 1) (block 40);
-  cache_store c (k_of_byte 2) (block 40);
-  Alcotest.(check bool) "present" true (cached c (k_of_byte 1));
+  cache_store c 1 40;
+  cache_store c 2 40;
+  Alcotest.(check bool) "present" true (cached c 1);
   Alcotest.(check int) "bytes" 80 (Block_cache.cache_used c);
   Alcotest.(check int) "count" 2 (Block_cache.cache_count c)
 
 let test_lru_eviction_order () =
   let c = Block_cache.bytes_cache ~capacity:100 in
-  cache_store c (k_of_byte 1) (block 40);
-  cache_store c (k_of_byte 2) (block 40);
+  cache_store c 1 40;
+  cache_store c 2 40;
   (* A hit on 1 makes 2 the LRU, then overflow. *)
-  ignore (cached c (k_of_byte 1));
-  cache_store c (k_of_byte 3) (block 40);
-  Alcotest.(check bool) "lru evicted" false (cached c (k_of_byte 2));
-  Alcotest.(check bool) "recent kept" true (cached c (k_of_byte 1));
+  ignore (cached c 1);
+  cache_store c 3 40;
+  Alcotest.(check bool) "lru evicted" false (cached c 2);
+  Alcotest.(check bool) "recent kept" true (cached c 1);
   Alcotest.(check int) "one eviction" 1 (Block_cache.cache_evictions c)
 
 let test_lru_reinsert_updates_size () =
   let c = Block_cache.bytes_cache ~capacity:100 in
-  cache_store c (k_of_byte 1) (block 40);
-  cache_store c (k_of_byte 1) (block 60);
+  cache_store c 1 40;
+  cache_store c 1 60;
   Alcotest.(check int) "size replaced" 60 (Block_cache.cache_used c);
   Alcotest.(check int) "single entry" 1 (Block_cache.cache_count c)
 
 let test_lru_oversized_ignored () =
   let c = Block_cache.bytes_cache ~capacity:100 in
-  cache_store c (k_of_byte 1) (block 500);
+  cache_store c 1 500;
   Alcotest.(check int) "ignored" 0 (Block_cache.cache_count c)
 
 let test_lru_capacity_never_exceeded () =
   let c = Block_cache.bytes_cache ~capacity:1000 in
   let rng = Rng.create 3 in
   for _ = 1 to 500 do
-    cache_store c (k_of_byte (Rng.int rng 256)) (block (1 + Rng.int rng 300));
+    cache_store c (Rng.int rng 256) (1 + Rng.int rng 300);
     if Block_cache.cache_used c > 1000 then Alcotest.fail "capacity exceeded"
   done
 
@@ -625,5 +568,5 @@ let () =
           Alcotest.test_case "capacity bound + accounting" `Quick
             test_bytes_cache_capacity_never_exceeded;
         ]
-        @ qcheck [ prop_arena_cache_matches_reference ] );
+        @ qcheck [ prop_cache_matches_reference ] );
     ]

@@ -9,7 +9,6 @@ module Record = D2_segstore.Record
 module Crc32c = D2_segstore.Crc32c
 module Log_index = D2_segstore.Log_index
 module Segment = D2_segstore.Segment
-module Cache = D2_cache.Block_cache
 module Key = D2_keyspace.Key
 module Rng = D2_util.Rng
 module Slice = D2_util.Slice
@@ -248,15 +247,13 @@ let test_watermarks_always_never () =
           Store.close st))
     [ Store.Always; Store.Never ]
 
-(* {1 Out-of-core reads: rotation, pread, byte cache} *)
+(* {1 Out-of-core reads: rotation, pread} *)
 
 let test_rotation_and_pread () =
   with_dir "rotate" (fun dir ->
-      (* Tiny segments, no cache: every read past the active segment is
-         a positional read from a sealed file. *)
-      let config =
-        { Store.default_config with segment_bytes = 2048; cache_bytes = 0 }
-      in
+      (* Tiny segments: every read past the active segment is a
+         positional read from a sealed file. *)
+      let config = { Store.default_config with segment_bytes = 2048 } in
       let st = Store.create ~dir ~config () in
       let n = 100 in
       for i = 0 to n - 1 do
@@ -271,8 +268,6 @@ let test_rotation_and_pread () =
           (Some (data_of i))
           (Store.get st ~key:(key_of i))
       done;
-      Alcotest.(check int) "cache disabled: zero hits" 0
-        (Cache.cache_hits (Store.cache st));
       Store.close st;
       (* And the same dataset through recovery. *)
       let st2 = Store.create ~dir ~config () in
@@ -284,66 +279,14 @@ let test_rotation_and_pread () =
       done;
       Store.close st2)
 
-let test_cache_serves_hot_reads () =
-  with_dir "cache" (fun dir ->
-      let st = Store.create ~dir () in
-      ignore (put st ~key:(key_of 1) ~data:"hot block");
-      ignore (Store.get st ~key:(key_of 1));
-      let h0 = Cache.cache_hits (Store.cache st) in
-      Alcotest.(check (option string)) "hit" (Some "hot block")
-        (Store.get st ~key:(key_of 1));
-      Alcotest.(check bool) "cache hit counted" true
-        (Cache.cache_hits (Store.cache st) > h0);
-      (* Remove invalidates the cached copy. *)
-      ignore (Store.remove st ~key:(key_of 1));
-      Alcotest.(check (option string)) "removed not served from cache" None
-        (Store.get st ~key:(key_of 1));
-      Store.close st)
-
 let test_oversized_overwrite_not_stale () =
-  with_dir "cache-stale" (fun dir ->
-      let config = { Store.default_config with cache_bytes = 100 } in
-      let st = Store.create ~dir ~config () in
+  with_dir "overwrite" (fun dir ->
+      let st = Store.create ~dir () in
       ignore (put st ~key:(key_of 1) ~data:"short");
       let big = String.make 200 'b' in
       ignore (put st ~key:(key_of 1) ~data:big);
-      Alcotest.(check (option string)) "the overwrite, not the cached copy"
+      Alcotest.(check (option string)) "the overwrite, not the old bytes"
         (Some big) (Store.get st ~key:(key_of 1));
-      Store.close st)
-
-(* The cache is read-admitted: only a miss's pread fills it, and a
-   put or a remove only drops the key's copy. *)
-let test_put_never_fills_cache () =
-  with_dir "cache-read-admitted" (fun dir ->
-      let config = { Store.default_config with cache_bytes = 64 * 1024 } in
-      let st = Store.create ~dir ~config () in
-      let c = Store.cache st in
-      let block i = String.make 8192 (Char.chr (Char.code 'a' + i)) in
-      for i = 0 to 15 do
-        ignore (put st ~key:(key_of i) ~data:(block i))
-      done;
-      Alcotest.(check int) "puts cache no bytes" 0 (Cache.cache_used c);
-      Alcotest.(check int) "puts take no arena page" 0
-        (Cache.cache_arena_bytes c);
-      let k = key_of 3 in
-      let get label want hits misses =
-        Alcotest.(check (option string)) label want (Store.get st ~key:k);
-        Alcotest.(check (pair int int))
-          (label ^ ": hits, misses")
-          (hits, misses)
-          (Cache.cache_hits c, Cache.cache_misses c)
-      in
-      get "first get misses" (Some (block 3)) 0 1;
-      get "second get hits" (Some (block 3)) 1 1;
-      Alcotest.(check int) "the miss admitted it" 8192 (Cache.cache_used c);
-      ignore (put st ~key:k ~data:(block 9));
-      Alcotest.(check int) "a put drops the cached copy" 0 (Cache.cache_used c);
-      get "get after the put misses" (Some (block 9)) 1 2;
-      get "and admits the new bytes" (Some (block 9)) 2 2;
-      ignore (Store.remove st ~key:k);
-      Alcotest.(check int) "a remove drops the cached copy" 0
-        (Cache.cache_used c);
-      get "removed" None 2 3;
       Store.close st)
 
 (* {1 Compaction} *)
@@ -351,7 +294,7 @@ let test_put_never_fills_cache () =
 let test_compaction_reclaims_and_preserves () =
   with_dir "compact" (fun dir ->
       let config =
-        { Store.default_config with segment_bytes = 4096; cache_bytes = 0 }
+        { Store.default_config with segment_bytes = 4096 }
       in
       let st = Store.create ~dir ~config () in
       let n = 50 in
@@ -405,7 +348,7 @@ let test_compaction_reclaims_and_preserves () =
 let test_compaction_relocates_encoded () =
   with_dir "relocate" (fun dir ->
       let config =
-        { Store.default_config with segment_bytes = 16384; cache_bytes = 0 }
+        { Store.default_config with segment_bytes = 16384 }
       in
       let st = Store.create ~dir ~config () in
       let rng = Rng.create 0x2e10 in
@@ -454,6 +397,75 @@ let test_compaction_relocates_encoded () =
       check "full-scan recovery" st;
       Store.close st)
 
+(* Every read now takes the store lock around the index probe and
+   the pread, so a get_into racing compaction must still see one whole
+   record: one domain overwrites a few keys in 4 KB segments and forces
+   compaction after every round, relocating records and unlinking
+   victims, while a second domain reads the same keys.  A payload
+   names its key and version and fills the rest with bytes derived
+   from both, so a torn read, a read of a relocated or unlinked
+   record's stale offset, or a mix of two versions cannot pass; and a
+   key's version never goes backwards for the reader. *)
+let test_get_into_races_compaction () =
+  with_dir "race" (fun dir ->
+      let config =
+        { Store.default_config with segment_bytes = 4096; fsync = Store.Never }
+      in
+      let st = Store.create ~dir ~config () in
+      let nkeys = 4 and rounds = 1000 in
+      let payload k v =
+        let head = Printf.sprintf "%04d:%06d:" k v in
+        head
+        ^ String.init (((k * 101) + (v * 37)) mod 700) (fun j ->
+              Char.chr (((k * 7) + (v * 13) + j) land 0xff))
+      in
+      let head_len = 12 in
+      for k = 0 to nkeys - 1 do
+        ignore (put st ~key:(key_of k) ~data:(payload k 0))
+      done;
+      let writing = Atomic.make true in
+      let reader =
+        Domain.spawn (fun () ->
+            let buf = Bytes.create 2048 in
+            let seen = Array.make nkeys 0 in
+            let reads = ref 0 in
+            (try
+               while Atomic.get writing do
+                 for k = 0 to nkeys - 1 do
+                   let n = Store.get_into st ~key:(key_of k) buf in
+                   if n < head_len then failwith "short or failed read";
+                   let v = int_of_string (Bytes.sub_string buf 5 6) in
+                   if Bytes.sub_string buf 0 n <> payload k v then
+                     failwith (Printf.sprintf "torn read of key %d" k);
+                   if v < seen.(k) then
+                     failwith (Printf.sprintf "key %d went back a version" k);
+                   seen.(k) <- v;
+                   incr reads
+                 done
+               done;
+               Ok !reads
+             with e -> Error (Printexc.to_string e)))
+      in
+      for v = 1 to rounds do
+        for k = 0 to nkeys - 1 do
+          ignore (put st ~key:(key_of k) ~data:(payload k v))
+        done;
+        ignore (Store.compact st ~force:true)
+      done;
+      Atomic.set writing false;
+      (match Domain.join reader with
+      | Ok reads -> Alcotest.(check bool) "the reader read" true (reads > 0)
+      | Error e -> Alcotest.failf "reader: %s" e);
+      Alcotest.(check bool) "segments were collected" true
+        (Store.compactions st > rounds / 2);
+      for k = 0 to nkeys - 1 do
+        Alcotest.(check (option string))
+          (Printf.sprintf "key %d ends at the last round" k)
+          (Some (payload k rounds))
+          (Store.get st ~key:(key_of k))
+      done;
+      Store.close st)
+
 (* {1 Disk faults} *)
 
 (* Every record of a segment file: (key, record offset, payload offset). *)
@@ -480,7 +492,7 @@ let records_of dir id =
 let test_compaction_drops_corrupt_record () =
   with_dir "corrupt" (fun dir ->
       let config =
-        { Store.default_config with segment_bytes = 4096; cache_bytes = 0 }
+        { Store.default_config with segment_bytes = 4096 }
       in
       let st = Store.create ~dir ~config () in
       let model = Hashtbl.create 64 in
@@ -797,9 +809,9 @@ let torn_tail_case seed =
   with_dir "torn" (fun dir ->
       let config =
         {
-          Store.segment_bytes = 1 lsl 30 (* single segment *);
+          Store.default_config with
+          segment_bytes = 1 lsl 30 (* single segment *);
           fsync = Store.Never;
-          cache_bytes = 0;
         }
       in
       let st = Store.create ~dir ~config () in
@@ -898,7 +910,11 @@ let prop_torn_tail =
 let test_checkpoint_past_torn_tail () =
   with_dir "ckpt-torn" (fun dir ->
       let config =
-        { Store.segment_bytes = 1 lsl 30; fsync = Store.Never; cache_bytes = 0 }
+        {
+          Store.default_config with
+          segment_bytes = 1 lsl 30;
+          fsync = Store.Never;
+        }
       in
       let st = Store.create ~dir ~config () in
       ignore (put st ~key:(key_of 0) ~data:"alpha");
@@ -1046,18 +1062,12 @@ module Ring = D2_dht.Ring
 let test_borrowed_payloads () =
   with_dir "borrowed" (fun root ->
       let n = 4 in
-      (* Nodes 0 and 1 on disk, with a block cache too small to hold the
-         working set (reads mix arena hits and preads); 2 and 3 in RAM. *)
+      (* Nodes 0 and 1 on disk, 2 and 3 in RAM. *)
       let stores =
         List.init 2 (fun i ->
             Store.create
               ~dir:(Filename.concat root (string_of_int i))
-              ~config:
-                {
-                  Store.default_config with
-                  fsync = Store.Never;
-                  cache_bytes = 24 * 1024;
-                }
+              ~config:{ Store.default_config with fsync = Store.Never }
               ())
       in
       let config =
@@ -1198,92 +1208,6 @@ let test_borrowed_payloads () =
       World.stop w;
       List.iter Store.close stores)
 
-(* {1 Replica caches}
-
-   A quorum read's [Fetch] gets a version alone from a replica whose
-   copy the owner's version covers, so a replica's copy is read only
-   for durability and repair, never to serve.  With a read-admitted
-   cache, writes fill no node's arena, and reads fill only the arena
-   of the node that answered with bytes: the key's owner. *)
-
-let test_replica_caches_stay_empty () =
-  with_dir "replica-cache" (fun root ->
-      let n = 3 in
-      let stores =
-        List.init n (fun i ->
-            Store.create
-              ~dir:(Filename.concat root (string_of_int i))
-              ~config:
-                {
-                  Store.default_config with
-                  fsync = Store.Never;
-                  cache_bytes = 64 * 1024;
-                }
-              ())
-      in
-      let config =
-        {
-          D2_net.Node.replicas = 3;
-          probe_interval = 0.5;
-          rpc_timeout = 2.0;
-          repair_interval = 0.5;
-        }
-      in
-      let w =
-        World.boot ~config ~n ~stores:(List.map Blockstore.disk stores) ()
-      in
-      let client =
-        Client.create (World.endpoint w) ~replicas:3 ~quorum_r:2 ~quorum_w:2
-          ~rpc_timeout:2.0 ~seeds:(List.init n Fun.id) ()
-      in
-      let ring = World.live_ring w in
-      let krng = Rng.create 0x5eed in
-      let keys = Array.init 64 (fun _ -> Key.random krng) in
-      let payload k =
-        String.init (2048 + ((k * 977) land 0x17ff)) (fun j ->
-            Char.chr ((k + (j * 13)) land 0xff))
-      in
-      let arena i = Cache.cache_arena_bytes (Store.cache (List.nth stores i)) in
-      Array.iteri
-        (fun k key ->
-          match Client.put client ~key ~data:(payload k) with
-          | `Ok _ -> ()
-          | `Failed -> Alcotest.failf "put %d failed" k)
-        keys;
-      (* Let the third copies land and a few repair rounds run. *)
-      World.run w 2.0;
-      for i = 0 to n - 1 do
-        Alcotest.(check int) (Printf.sprintf "node %d arena after puts" i) 0
-          (arena i)
-      done;
-      (* Quorum-2 reads of the keys nodes 0 and 1 own: the owner
-         answers with bytes, its successor with a version alone. *)
-      let owner key = Ring.successor ring key in
-      Array.iteri
-        (fun k key ->
-          if owner key <> 2 then
-            match Client.get client ~key with
-            | `Found d ->
-                Alcotest.(check string) (Printf.sprintf "read %d" k)
-                  (payload k) d
-            | `Missing | `Failed -> Alcotest.failf "read %d lost" k)
-        keys;
-      Alcotest.(check bool) "owner 0 cached what it served" true (arena 0 > 0);
-      Alcotest.(check bool) "owner 1 cached what it served" true (arena 1 > 0);
-      Alcotest.(check int) "node 2 served no bytes, cached none" 0 (arena 2);
-      (* Read last: a direct store read admits what it reads. *)
-      Array.iteri
-        (fun k key ->
-          for i = 0 to n - 1 do
-            Alcotest.(check (option string))
-              (Printf.sprintf "node %d holds key %d" i k)
-              (Some (payload k))
-              (Store.get (List.nth stores i) ~key)
-          done)
-        keys;
-      World.stop w;
-      List.iter Store.close stores)
-
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1311,16 +1235,14 @@ let () =
             test_watermarks_always_never;
           Alcotest.test_case "rotation + pread, cache off" `Quick
             test_rotation_and_pread;
-          Alcotest.test_case "byte cache serves hot reads" `Quick
-            test_cache_serves_hot_reads;
           Alcotest.test_case "oversized overwrite is not served stale" `Quick
             test_oversized_overwrite_not_stale;
-          Alcotest.test_case "a put never fills the cache" `Quick
-            test_put_never_fills_cache;
           Alcotest.test_case "compaction reclaims, preserves, no resurrection"
             `Quick test_compaction_reclaims_and_preserves;
           Alcotest.test_case "compaction relocates encoded records" `Quick
             test_compaction_relocates_encoded;
+          Alcotest.test_case "get_into races compaction" `Quick
+            test_get_into_races_compaction;
         ] );
       ( "faults",
         [
@@ -1349,7 +1271,5 @@ let () =
             test_e2e_crash_restart;
           Alcotest.test_case "borrowed payloads: siblings, disk + mem" `Quick
             test_borrowed_payloads;
-          Alcotest.test_case "replicas hold no cache they do not serve" `Quick
-            test_replica_caches_stay_empty;
         ] );
     ]
