@@ -25,7 +25,7 @@
 
 module Key = D2_keyspace.Key
 
-type mode = D2 | Traditional | Traditional_file
+type mode = D2_keyspace.Keygen.mode = D2 | Traditional | Traditional_file
 
 exception Integrity_violation of string
 (** A fetched block's content hash did not match its pointer, or the
@@ -49,7 +49,9 @@ val volume : t -> string
 
 val mkdir : t -> string -> unit
 (** Create a directory, with intermediate directories as needed.
-    Idempotent. *)
+    Idempotent.
+    @raise Invalid_argument if a component is a file, committed or
+    pending write-back. *)
 
 val write_file : t -> path:string -> data:string -> unit
 (** Create or overwrite a file (parents created as needed). With
@@ -60,7 +62,8 @@ val read_file : t -> string -> string option
 (** File contents, with integrity verification on every block.
     Pending write-back data is visible to the writer. [None] if
     absent.
-    @raise Integrity_violation on hash mismatch. *)
+    @raise Integrity_violation on hash mismatch.
+    @raise Not_found if a block it needs is missing from the store. *)
 
 val read_range : t -> path:string -> offset:int -> length:int -> string option
 (** NFS-style partial read: up to [length] bytes starting at [offset]
@@ -73,13 +76,16 @@ val write_range : t -> path:string -> offset:int -> data:string -> unit
 (** NFS-style partial write: read-modify-write of the blocks covering
     [offset, offset + length), extending the file (zero-filled) if the
     range lies past the current end.  Creates the file if absent.
-    Like any write, it re-publishes the metadata chain to the root. *)
+    Like any write, it re-publishes the metadata chain to the root.  A
+    write into a pending write-back write splices into it and restarts
+    its 30 s window. *)
 
 val delete : t -> string -> unit
-(** Remove a file (its blocks are removed after the store's delayed
-    removal — quick removal preserves locality, §3). A pending
-    write-back write is simply cancelled.
-    @raise Not_found if absent. *)
+(** Remove a file or an empty directory (its blocks are removed after
+    the store's delayed removal — quick removal preserves locality, §3).
+    A pending write-back write is cancelled, and the committed file, if
+    any, is removed too.
+    @raise Not_found if neither exists. *)
 
 val rename : t -> src:string -> dst:string -> unit
 (** Move a file or directory.  Per §4.2, the moved object {e keeps its
@@ -121,7 +127,8 @@ val snapshot : t -> snapshot
     flushed first so the writer's own view is included). *)
 
 val snapshot_read : snapshot -> string -> string option
-(** Read a file as of the snapshot.
+(** Read a file as of the snapshot: the same read as {!read_file},
+    from the pinned root.
     @raise Not_found if the snapshot has aged out (a superseded block
     was already removed).
     @raise Integrity_violation on hash mismatch. *)

@@ -18,5 +18,38 @@ let traditional_file ~volume ~path ~block ~version =
   done;
   Key.of_string (Bytes.unsafe_to_string b)
 
-let d2 ~volume ~slots ~block ~version =
-  Encoding.of_slot_path ~volume ~slots ~block ~version
+type mode = D2 | Traditional | Traditional_file
+
+let mode_name = function
+  | D2 -> "d2"
+  | Traditional -> "traditional"
+  | Traditional_file -> "traditional-file"
+
+type policy = { mode : mode; volume : string; vol_id : string }
+
+let policy mode ~volume = { mode; volume; vol_id = Encoding.volume_id volume }
+
+(* Block [block] of one object: D2 numbers an object's blocks from 1
+   under its slot path, since block 0 of the empty slot path is the
+   volume root; the traditional policies number them from 0 under the
+   path. *)
+let object_key p ~path ~slots ~block ~version =
+  match p.mode with
+  | D2 ->
+      Encoding.of_slot_path ~volume:p.vol_id ~slots
+        ~block:(Int64.of_int (block + 1)) ~version
+  | Traditional ->
+      traditional_block ~volume:p.volume ~path ~block:(Int64.of_int block) ~version
+  | Traditional_file ->
+      traditional_file ~volume:p.volume ~path ~block:(Int64.of_int block) ~version
+
+let root_key p =
+  match p.mode with
+  | D2 -> Encoding.of_slot_path ~volume:p.vol_id ~slots:[] ~block:0L ~version:0l
+  | Traditional | Traditional_file ->
+      object_key p ~path:"\000root" ~slots:[] ~block:0 ~version:0l
+
+let meta_key p ~path ~slots ~version = object_key p ~path ~slots ~block:0 ~version
+
+let data_key p ~path ~slots ~index ~version =
+  object_key p ~path ~slots ~block:(1 + index) ~version

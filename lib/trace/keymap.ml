@@ -3,12 +3,9 @@ module Encoding = D2_keyspace.Encoding
 module Keygen = D2_keyspace.Keygen
 module Hashing = D2_keyspace.Hashing
 
-type mode = D2 | Traditional | Traditional_file
+type mode = Keygen.mode = D2 | Traditional | Traditional_file
 
-let mode_name = function
-  | D2 -> "d2"
-  | Traditional -> "traditional"
-  | Traditional_file -> "traditional-file"
+let mode_name = Keygen.mode_name
 
 (* Per-directory slot table: child name -> slot, plus a next-slot
    cursor.  Directories are identified by their full path string. *)
@@ -18,18 +15,14 @@ type dir_slots = {
 }
 
 type t = {
-  mode : mode;
-  volume : string;
-  vol_id : string;
+  keys : Keygen.policy;
   dirs : (string, dir_slots) Hashtbl.t;
   slot_cache : (string, int list) Hashtbl.t;  (** full path -> slot path *)
 }
 
 let create mode ~volume =
   {
-    mode;
-    volume;
-    vol_id = Encoding.volume_id volume;
+    keys = Keygen.policy mode ~volume;
     dirs = Hashtbl.create 256;
     slot_cache = Hashtbl.create 1024;
   }
@@ -77,18 +70,13 @@ let slot_path t ~path =
       slots
 
 let key_of t ~path ~block =
-  match t.mode with
-  | D2 ->
-      Encoding.of_slot_path ~volume:t.vol_id ~slots:(slot_path t ~path)
-        ~block:(Int64.of_int (2 + block))
-        ~version:0l
-  | Traditional ->
-      Keygen.traditional_block ~volume:t.volume ~path
-        ~block:(Int64.of_int (1 + block))
-        ~version:0l
-  | Traditional_file ->
-      Keygen.traditional_file ~volume:t.volume ~path
-        ~block:(Int64.of_int (1 + block))
-        ~version:0l
+  (* Only D2 keys live under the slot path: no slots are assigned for
+     the traditional policies. *)
+  let slots =
+    match t.keys.Keygen.mode with
+    | D2 -> slot_path t ~path
+    | Traditional | Traditional_file -> []
+  in
+  Keygen.data_key t.keys ~path ~slots ~index:block ~version:0l
 
 let key_of_op t (o : Op.op) = key_of t ~path:o.Op.path ~block:o.Op.block

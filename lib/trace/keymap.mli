@@ -15,7 +15,7 @@
 
 module Key = D2_keyspace.Key
 
-type mode = D2 | Traditional | Traditional_file
+type mode = D2_keyspace.Keygen.mode = D2 | Traditional | Traditional_file
 
 val mode_name : mode -> string
 

@@ -200,6 +200,103 @@ let test_path_validation name mode =
     (Invalid_argument "Fs: the root directory is not a file") (fun () ->
       Fs.write_file fs ~path:"/" ~data:"x")
 
+(* A scripted session over inline, single-block and multi-block files
+   in nested directories, in every mode.  Live reads, range reads and
+   snapshot reads share one walk and one block reader, so the fetch
+   count of every step, a digest of every file's block keys and the
+   cluster's block count are pinned, and a whole-file read must equal
+   a range read over [0, size) and a snapshot read. *)
+let pinned_fetches =
+  [
+    ("mkdir /a/b", 6); ("write /a/inline", 0); ("write /a/b/single", 2);
+    ("write /a/b/c/multi", 7);
+    ("read_file /a/inline", 3); ("file_size /a/inline", 0); ("read_range /a/inline", 0);
+    ("snapshot", 0); ("snapshot_read /a/inline", 3);
+    ("read_file /a/b/single", 5); ("file_size /a/b/single", 0);
+    ("read_range /a/b/single", 0); ("snapshot", 0); ("snapshot_read /a/b/single", 5);
+    ("read_file /a/b/c/multi", 9); ("file_size /a/b/c/multi", 0);
+    ("read_range /a/b/c/multi", 0); ("snapshot", 0); ("snapshot_read /a/b/c/multi", 9);
+    ("read_range /a/b/c/multi 9000+100", 6);
+    ("list_dir /a/b", 3); ("list_dir /a", 0);
+    ("snapshot", 0); ("snapshot_list /a/b", 3); ("snapshot_list /", 0);
+    ("write_range /a/b/c/multi", 4); ("write_range /a/inline", 3);
+    ("read_file /a/b/c/multi", 9); ("read_file /a/inline", 1);
+  ]
+
+let pinned_keys =
+  [
+    ("d2", "7013d7d2bb4dd5e544cbd2dd1a42e856");
+    ("traditional", "1106447d038b76fd6be3e9be203da0fb");
+    ("file", "539436c20f8116bf8e64f53d66ac6afd");
+  ]
+
+let test_read_paths_pinned name mode =
+  let engine, cluster, fs = mk_fs ~mode () in
+  let steps = ref [] in
+  let step label f =
+    let before = Fs.blocks_fetched fs in
+    let r = f () in
+    steps := (label, Fs.blocks_fetched fs - before) :: !steps;
+    r
+  in
+  let cool () = Engine.run engine ~until:(Engine.now engine +. 31.0) in
+  let files =
+    [
+      ("/a/inline", String.make 100 'i');
+      ("/a/b/single", String.init 5_000 (fun i -> Char.chr (97 + (i mod 26))));
+      ("/a/b/c/multi", String.init 30_000 (fun i -> Char.chr (i mod 251)));
+    ]
+  in
+  step "mkdir /a/b" (fun () -> Fs.mkdir fs "/a/b");
+  List.iter
+    (fun (path, data) -> step ("write " ^ path) (fun () -> Fs.write_file fs ~path ~data))
+    files;
+  List.iter
+    (fun (path, data) ->
+      cool ();
+      let whole = step ("read_file " ^ path) (fun () -> Fs.read_file fs path) in
+      let size = step ("file_size " ^ path) (fun () -> Fs.file_size fs path) in
+      let length = Option.get size in
+      let range =
+        step ("read_range " ^ path) (fun () -> Fs.read_range fs ~path ~offset:0 ~length)
+      in
+      cool ();
+      let snap = step "snapshot" (fun () -> Fs.snapshot fs) in
+      let snapped = step ("snapshot_read " ^ path) (fun () -> Fs.snapshot_read snap path) in
+      Alcotest.(check (option string)) (name ^ " read_file " ^ path) (Some data) whole;
+      Alcotest.(check (option string)) (name ^ " read_range " ^ path) whole range;
+      Alcotest.(check (option string)) (name ^ " snapshot_read " ^ path) whole snapped)
+    files;
+  cool ();
+  ignore
+    (step "read_range /a/b/c/multi 9000+100" (fun () ->
+         Fs.read_range fs ~path:"/a/b/c/multi" ~offset:9_000 ~length:100));
+  cool ();
+  let listing = step "list_dir /a/b" (fun () -> Fs.list_dir fs "/a/b") in
+  Alcotest.(check (list (pair string bool))) (name ^ " list_dir")
+    [ ("c", true); ("single", false) ] listing;
+  ignore (step "list_dir /a" (fun () -> Fs.list_dir fs "/a"));
+  cool ();
+  let snap = step "snapshot" (fun () -> Fs.snapshot fs) in
+  let snapped = step "snapshot_list /a/b" (fun () -> Fs.snapshot_list snap "/a/b") in
+  Alcotest.(check (list (pair string bool))) (name ^ " snapshot_list") listing snapped;
+  ignore (step "snapshot_list /" (fun () -> Fs.snapshot_list snap "/"));
+  step "write_range /a/b/c/multi" (fun () ->
+      Fs.write_range fs ~path:"/a/b/c/multi" ~offset:9_000 ~data:(String.make 9_000 'W'));
+  step "write_range /a/inline" (fun () ->
+      Fs.write_range fs ~path:"/a/inline" ~offset:90 ~data:"grow");
+  cool ();
+  ignore (step "read_file /a/b/c/multi" (fun () -> Fs.read_file fs "/a/b/c/multi"));
+  ignore (step "read_file /a/inline" (fun () -> Fs.read_file fs "/a/inline"));
+  Alcotest.(check (list (pair string int))) (name ^ " fetches per step") pinned_fetches
+    (List.rev !steps);
+  let keys =
+    List.concat_map (fun (path, _) -> List.map Key.to_string (Fs.file_block_keys fs path)) files
+  in
+  Alcotest.(check string) (name ^ " block keys") (List.assoc name pinned_keys)
+    (Digest.to_hex (Digest.string (String.concat "" keys)));
+  Alcotest.(check int) (name ^ " blocks") 13 (Cluster.block_count cluster)
+
 (* {1 D2-specific behaviour} *)
 
 let test_d2_locality () =
@@ -302,6 +399,47 @@ let test_write_back_flush_forces () =
   Fs.write_file fs ~path:"/w" ~data:"x";
   Fs.flush fs;
   Alcotest.(check bool) "flushed now" true (Cluster.block_count cluster > before)
+
+(* A splice into a pending write re-arms its 30 s commit. *)
+let test_write_range_pending_commits () =
+  let engine, cluster = mk_cluster () in
+  let fs = Fs.create ~cluster ~volume:"wb" ~mode:Fs.D2 ~write_back:true () in
+  let before = Cluster.block_count cluster in
+  Fs.write_file fs ~path:"/p" ~data:(String.make 100 'a');
+  Fs.write_range fs ~path:"/p" ~offset:50 ~data:"ZZ";
+  Engine.run engine ~until:(Engine.now engine +. 31.0);
+  Alcotest.(check bool) "committed by the timer" true (Cluster.block_count cluster > before);
+  Alcotest.(check (option string)) "spliced" (Some "ZZ")
+    (Fs.read_range fs ~path:"/p" ~offset:50 ~length:2)
+
+(* Deleting a file whose overwrite is pending deletes the committed
+   file too. *)
+let test_delete_pending_overwrite () =
+  let engine, cluster = mk_cluster () in
+  let fs = Fs.create ~cluster ~volume:"wb" ~mode:Fs.D2 ~write_back:true () in
+  Fs.write_file fs ~path:"/f" ~data:"old";
+  Fs.flush fs;
+  Fs.write_file fs ~path:"/f" ~data:"new";
+  Fs.delete fs "/f";
+  Alcotest.(check bool) "gone" false (Fs.exists fs "/f");
+  Alcotest.(check (option string)) "unreadable" None (Fs.read_file fs "/f");
+  Engine.run engine ~until:(Engine.now engine +. 60.0);
+  Alcotest.(check bool) "still gone" false (Fs.exists fs "/f");
+  Alcotest.(check (option string)) "still unreadable" None (Fs.read_file fs "/f");
+  Alcotest.check_raises "double delete" Not_found (fun () -> Fs.delete fs "/f")
+
+(* A pending file is a file to every path walk. *)
+let test_mkdir_over_pending_file () =
+  let engine, cluster = mk_cluster () in
+  let fs = Fs.create ~cluster ~volume:"wb" ~mode:Fs.D2 ~write_back:true () in
+  Fs.write_file fs ~path:"/p" ~data:"bytes";
+  Alcotest.check_raises "mkdir refused" (Invalid_argument "Fs: /p is a file") (fun () ->
+      Fs.mkdir fs "/p");
+  Alcotest.check_raises "mkdir below refused" (Invalid_argument "Fs: /p is a file")
+    (fun () -> Fs.mkdir fs "/p/q");
+  Alcotest.(check bool) "not a directory" false (Fs.is_dir fs "/p");
+  Engine.run engine ~until:(Engine.now engine +. 31.0);
+  Alcotest.(check (option string)) "file committed" (Some "bytes") (Fs.read_file fs "/p")
 
 let test_list_dir_shows_pending () =
   let _, cluster = mk_cluster () in
@@ -612,6 +750,7 @@ let () =
           mode_cases "inline small files" test_inline_small_files;
           mode_cases "empty file" test_empty_file;
           mode_cases "path validation" test_path_validation;
+          mode_cases "fetch and key pins" test_read_paths_pinned;
         ] );
       ( "fs-placement",
         [
@@ -627,6 +766,10 @@ let () =
           Alcotest.test_case "temp file absorbed" `Quick test_write_back_temp_file_absorbed;
           Alcotest.test_case "flush forces" `Quick test_write_back_flush_forces;
           Alcotest.test_case "pending in list_dir" `Quick test_list_dir_shows_pending;
+          Alcotest.test_case "range re-arms the commit" `Quick
+            test_write_range_pending_commits;
+          Alcotest.test_case "delete of an overwrite" `Quick test_delete_pending_overwrite;
+          Alcotest.test_case "mkdir over a pending file" `Quick test_mkdir_over_pending_file;
         ] );
       ( "fs-misc",
         [
